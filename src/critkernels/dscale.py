@@ -58,7 +58,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import laxpair, painleve
 from .errors import DomainRestriction, IntegrationFailure
-from .piisolver import PiiSolver
+from .piisolver import get_pii_solver
 
 __all__ = ["DoubleScaling", "double_scaling_gap"]
 
@@ -149,15 +149,13 @@ class DoubleScaling:
 
     def __init__(self, a: float, sigma: float, u_points=(),
                  eps: float | None = None, delta: float | None = None,
-                 n_circle: int = 160, n_seg: int = 24, pii=None,
-                 hm: painleve.HmSolution | None = None):
+                 n_circle: int = 160, n_seg: int = 24):
         self.a = float(a)
         self.sigma = float(sigma)
         self.p = 1.0 - sigma / a ** 2
         self.nu0 = 2.0 ** (5.0 / 3.0) * sigma
-        self.hm = hm if hm is not None else painleve.default_solution()
-        self.pii = pii if pii is not None else PiiSolver(self.nu0, hm=self.hm)
-        self.q_nu = complex(self.hm(self.nu0)[1])
+        self.pii = get_pii_solver(complex(self.nu0))
+        self.q_nu = complex(painleve.default_solution()(self.nu0)[1])
         self.eps = self._choose_eps(u_points) if eps is None else float(eps)
         self.delta = min(0.97 - self.eps, 0.32) if delta is None else float(delta)
         self.n_circle = n_circle
@@ -490,7 +488,7 @@ def double_scaling_gap(a: float, sigma: float, x: float, y: float) -> float:
             "kernel_cr evaluation is the appropriate tool)")
     ds = _ds_for(a, sigma, (x, y))
     nu = 2.0 ** (5.0 / 3.0) * sigma
-    psolver = kernels.get_pii_solver(complex(nu))
+    psolver = ds.pii
     if x == y:
         ks = ds.kernel(x, x).real
         kp = kernels.kernel_pii_diag(x, nu, solver=psolver).real

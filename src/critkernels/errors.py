@@ -41,29 +41,9 @@ class OutOfDomain(CritKernelsError):
     """Argument left the solved domain of the Hastings-McLeod solution."""
 
 
-class BranchCutHit(CritKernelsError):
-    """Asymptotic frame evaluated on a branch cut of the continuation."""
-
-
 class IntegrationFailure(CritKernelsError):
     """The ODE integrator failed to converge."""
 
 
-class ConditioningWarning(UserWarning):
-    """Exponent spread along the integration ray exceeds precision budget."""
-
-
 class DomainRestriction(CritKernelsError):
     """Kernel arguments outside the domain of definition."""
-
-
-class SingularMinor(CritKernelsError):
-    """A leading principal minor of the bimoment matrix is singular."""
-
-    def __init__(self, k, message=None):
-        self.k = k
-        super().__init__(message or f"singular leading principal minor at k = {k}")
-
-
-class PrecisionExhausted(CritKernelsError):
-    """Retries with doubled precision still failed."""

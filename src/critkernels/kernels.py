@@ -35,8 +35,8 @@ import numpy as np
 
 from . import laxpair, painleve
 from .errors import DomainRestriction
-from .piisolver import PiiSolver, _fn_matrix
-from .rhsolver import RhSolver
+from .piisolver import PiiSolver, get_pii_solver
+from .rhsolver import RhSolver, balance_columns
 
 __all__ = [
     "get_solver",
@@ -47,7 +47,6 @@ __all__ = [
     "kernel_tac_diag",
     "kernel_pii",
     "kernel_pii_diag",
-    "psi_pii",
     "cr_diag_asym",
     "tac_diag_asym",
 ]
@@ -217,26 +216,11 @@ def _m_real(solver: RhSolver, us) -> dict:
     small = [u for u in us if u < _REAL_SWITCH]
     if small:
         phis = solver._phi_along(1.0 + 0.0j, small)
-        C = solver.C[0]
         for u, (P, g) in zip(small, phis):
-            M = P @ C
-            Mh = np.empty((4, 4), dtype=complex)
-            logs = np.empty(4)
-            for j in range(4):
-                m = float(np.max(np.abs(M[:, j])))
-                Mh[:, j] = M[:, j] / m
-                logs[j] = g + math.log(m)
-            out[u] = (Mh, logs)
+            out[u] = balance_columns(P @ solver.C[0], g)
     for u in us:
         if u >= _REAL_SWITCH:
-            F, g = solver.fs["+"].frame_scaled(u + 0.0j)
-            Mh = np.empty((4, 4), dtype=complex)
-            logs = np.empty(4)
-            for j in range(4):
-                m = float(np.max(np.abs(F[:, j])))
-                Mh[:, j] = F[:, j] / m
-                logs[j] = g + math.log(m)
-            out[u] = (Mh, logs)
+            out[u] = balance_columns(*solver.fs["+"].frame_scaled(u + 0.0j))
     return out
 
 
@@ -296,56 +280,32 @@ _PII_ROW = np.array([1.0, -1.0])
 _PII_COL = np.array([1.0, 1.0])
 
 
-@functools.lru_cache(maxsize=16)
-def get_pii_solver(nu: complex) -> PiiSolver:
-    """Cached Painleve II model-RH solver at parameter nu."""
-    return PiiSolver(nu, hm=painleve.default_solution())
-
-
-def psi_pii(zeta: complex, nu, solver: PiiSolver | None = None) -> np.ndarray:
-    """The 2x2 Painleve II RH solution Psi(zeta; nu)."""
-    if solver is None:
-        solver = get_pii_solver(complex(nu))
-    return solver.psi(complex(zeta))
-
-
-def kernel_pii(x: float, y: float, nu, order: str = "first",
+def kernel_pii(x: float, y: float, nu,
                solver: PiiSolver | None = None) -> complex:
     """The Painleve II kernel K_PII(x, y; nu) on the real line.
 
-    `order` selects which argument carries the inverse in the bilinear
-    form (1,-1) Psi^{-1} Psi (1,1)^T / (2 pi i (x - y)): "first" (the
-    default, inverse at x) or "second" (inverse at y).  "first" is the
-    convention under which the diagonal is a nonnegative density and the
-    double-scaling gap to K_cr closes.
+    The bilinear form (1,-1) Psi(x)^{-1} Psi(y) (1,1)^T / (2 pi i (x - y))
+    carries the inverse at the first argument: the convention under which
+    the diagonal is a nonnegative density and the double-scaling gap to
+    K_cr closes.
     """
     x, y = float(x), float(y)
     if solver is None:
         solver = get_pii_solver(complex(nu))
     if abs(x - y) <= _COINCIDE_EPS * max(1.0, abs(x)):
-        return kernel_pii_diag(0.5 * (x + y), nu, order, solver)
-    Px, Py = solver.psi(x), solver.psi(y)
-    if order == "second":
-        Px, Py = Py, Px
-    elif order != "first":
-        raise ValueError("order must be 'first' or 'second'")
-    num = _PII_ROW @ np.linalg.solve(Px, Py) @ _PII_COL
+        return kernel_pii_diag(0.5 * (x + y), nu, solver)
+    num = _PII_ROW @ np.linalg.solve(solver.psi(x), solver.psi(y)) @ _PII_COL
     return complex(num / (2.0j * math.pi * (x - y)))
 
 
-def kernel_pii_diag(x: float, nu, order: str = "first",
-                    solver: PiiSolver | None = None) -> complex:
+def kernel_pii_diag(x: float, nu, solver: PiiSolver | None = None) -> complex:
     """Diagonal K_PII(x, x; nu) via the derivative limit."""
     x = float(x)
     if solver is None:
         solver = get_pii_solver(complex(nu))
     P = solver.psi(x)
-    A = _fn_matrix(x, solver.nu, solver.q, solver.qp)
-    val = _PII_ROW @ np.linalg.solve(P, A @ P) @ _PII_COL
-    sign = -1.0 if order == "first" else 1.0
-    if order not in ("first", "second"):
-        raise ValueError("order must be 'first' or 'second'")
-    return complex(sign * val / (2.0j * math.pi))
+    val = _PII_ROW @ np.linalg.solve(P, solver.lax(x) @ P) @ _PII_COL
+    return complex(-val / (2.0j * math.pi))
 
 
 def tac_diag_asym(u, r: float, s: float, oscillation: bool = True):

@@ -34,7 +34,6 @@ __all__ = [
     "asymptotic_frame",
     "frame_exponents",
     "frame_base_scaled",
-    "frame_variant",
 ]
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -181,11 +180,6 @@ def n1_matrix(co: LaxCoefficients) -> np.ndarray:
     from . import series  # deferred: series imports this module
 
     return series.build_series(co.s, co.t, "+", order=8).n1
-
-
-def frame_variant(zeta: complex) -> str:
-    """Default branch variant for the asymptotic frame: '+' above, '-' below."""
-    return "+" if zeta.imag >= 0.0 else "-"
 
 
 def _branch_data(zeta: complex, variant: str) -> tuple[complex, complex]:

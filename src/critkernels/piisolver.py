@@ -4,21 +4,17 @@ Psi(zeta) is analytic off four rays from the origin (at angles pi/6,
 5pi/6, 7pi/6, 11pi/6, oriented outward), satisfies Psi_+ = Psi_- J_k
 across each ray with the unimodular Stokes matrices below, behaves like
 (I + O(1/zeta)) diag(e^{-theta}, e^{theta}) with theta = i((4/3) zeta^3
-+ nu zeta) at infinity, and is bounded at 0.
-
-The solver integrates the standard Flaschka-Newell linear system
++ nu zeta) at infinity, and is bounded at 0.  The sector constants are
+found by the shared engine of `sectoral`, with the Lax matrix of the
+standard Flaschka-Newell linear system
 
     dPsi/dzeta = A(zeta) Psi,
     A = [[-i(4 zeta^2 + nu + 2 q^2),  4 zeta q + 2 i q'],
          [ 4 zeta q - 2 i q'       ,  i(4 zeta^2 + nu + 2 q^2)]],
 
 whose compatibility encodes Painleve II q'' = nu q + 2 q^3, with q the
-Hastings-McLeod solution.  As with the 4x4 problem, the fundamental
-solution Phi (Phi(0) = I) is integrated outward from the origin and the
-sector constants C_k (Psi = Phi C_k, C_k = C_{k-1} J_k) are fitted to
-the asymptotic series at anchors in all four sectors; `split_solve`
-cuts the chain across an opposite pair of rays so that those jumps are
-honestly measured.
+Hastings-McLeod solution, and with the series frame built order by
+order from the same system.
 
 A subtlety worth recording: the actual residue of this RH problem is
 lim zeta (Psi E^{-1} - I)_{12} = -(i/2) q(nu), not q(nu) itself.  This
@@ -34,6 +30,7 @@ which recovers q(nu).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -41,8 +38,9 @@ from scipy.integrate import solve_ivp
 
 from . import painleve
 from .errors import IntegrationFailure
+from .sectoral import SectoralSolver
 
-__all__ = ["PII_RAY_ANGLES", "PII_JUMPS", "PiiSolver", "hm_at"]
+__all__ = ["PII_RAY_ANGLES", "PII_JUMPS", "PiiSolver", "get_pii_solver", "hm_at"]
 
 PII_RAY_ANGLES = (
     math.pi / 6.0,
@@ -135,47 +133,23 @@ def _build_series(nu: complex, q: complex, qp: complex, order: int) -> tuple:
     return tuple(sol[4 * k:4 * (k + 1)].reshape(2, 2) for k in range(K))
 
 
-class PiiSolver:
+class PiiSolver(SectoralSolver):
     """Solver for the Painleve II model RH problem at parameter nu."""
 
+    RAYS = PII_RAY_ANGLES
+    JUMPS = PII_JUMPS
+    INNER = 0.8
+    LOW_SECTOR = 3          # arg in [0, pi/6]: the wrap-around sector
+
     def __init__(self, nu, r0: float = 4.2, series_order: int = 12,
-                 hm: painleve.HmSolution | None = None,
-                 rtol: float = 1e-12, atol: float = 1e-30):
+                 hm: painleve.HmSolution | None = None):
         self.nu = complex(nu)
-        self.r0 = float(r0)
-        self.rtol = rtol
-        self.atol = atol
         self.q, self.qp = hm_at(self.nu, hm)
         self.coeffs = _build_series(self.nu, self.q, self.qp, series_order)
-        self._anchor_radii = (self.r0, 0.8 * self.r0)
-        edge = 0.02
-        self._anchors = []
-        for k in range(4):
-            lo = PII_RAY_ANGLES[k]
-            hi = PII_RAY_ANGLES[(k + 1) % 4] if k < 3 else (
-                2.0 * math.pi + PII_RAY_ANGLES[0])
-            anchors = []
-            for ang in (lo + edge, 0.5 * (lo + hi), hi - edge):
-                direction = cmath.exp(1j * ang)
-                phis = self._phi_along(direction, self._anchor_radii)
-                frames = [self.series_frame(r * direction)
-                          for r in self._anchor_radii]
-                anchors.extend(zip(phis, frames))
-            self._anchors.append(anchors)
-        self.C = self._solve_chain(break_rays=())
-        self._split_cache: dict = {}
+        super().__init__(r0)
 
-    # -- geometry ----------------------------------------------------------
-
-    @staticmethod
-    def sector_of(zeta: complex) -> int:
-        ang = cmath.phase(zeta) % (2.0 * math.pi)
-        for k in range(3, -1, -1):
-            if ang > PII_RAY_ANGLES[k]:
-                return k
-        return 3  # below the first ray: wrap-around sector
-
-    # -- asymptotics -------------------------------------------------------
+    def lax(self, zeta: complex) -> np.ndarray:
+        return _fn_matrix(zeta, self.nu, self.q, self.qp)
 
     def theta(self, zeta: complex) -> complex:
         return 1j * ((4.0 / 3.0) * zeta ** 3 + self.nu * zeta)
@@ -189,114 +163,17 @@ class PiiSolver:
             P = P + Pk * xp
         return P
 
-    def series_frame(self, zeta: complex) -> np.ndarray:
+    def _series_frame(self, zeta: complex, sector: int) -> tuple[np.ndarray, float]:
         th = self.theta(zeta)
         E = np.diag([cmath.exp(-th), cmath.exp(th)])
-        return self.prefactor_series(zeta) @ E
+        return self.prefactor_series(zeta) @ E, 0.0
 
-    # -- fundamental solution ----------------------------------------------
-
-    def _phi_along(self, direction: complex, radii) -> list:
-        radii = np.asarray(radii, dtype=float)
-        rmax = float(np.max(radii))
-        if rmax < 1e-14:
-            return [np.eye(2, dtype=complex) for _ in radii]
-
-        def rhs(r, y):
-            A = _fn_matrix(r * direction, self.nu, self.q, self.qp)
-            return (direction * (A @ y.reshape(2, 2))).reshape(4)
-
-        sol = solve_ivp(rhs, (0.0, rmax), np.eye(2, dtype=complex).reshape(4),
-                        method="DOP853", rtol=self.rtol, atol=self.atol,
-                        dense_output=True)
-        if not sol.success:
-            raise IntegrationFailure(f"PII fundamental solution: {sol.message}")
-        return [sol.sol(r).reshape(2, 2) for r in radii]
-
-    def phi(self, zeta: complex) -> np.ndarray:
-        if abs(zeta) < 1e-14:
-            return np.eye(2, dtype=complex)
-        return self._phi_along(zeta / abs(zeta), [abs(zeta)])[0]
-
-    # -- chain solve -------------------------------------------------------
-
-    def _chain_groups(self, break_rays: tuple) -> list:
-        reps = sorted(break_rays) or [0]
-        out: list = [None] * 4
-        for rep in reps:
-            W = np.eye(2, dtype=complex)
-            out[rep % 4] = (rep % 4, W)
-            k = rep
-            while True:
-                nxt = (k + 1) % 4
-                if nxt in [r % 4 for r in reps] or out[nxt] is not None:
-                    break
-                W = W @ PII_JUMPS[nxt]
-                out[nxt] = (rep % 4, W.copy())
-                k = nxt
-        if any(v is None for v in out):
-            raise AssertionError("chain construction incomplete")
-        return out
-
-    def _solve_chain(self, break_rays: tuple) -> list:
-        groups = self._chain_groups(break_rays)
-        reps = sorted({g for g, _ in groups})
-        col_of = {g: i for i, g in enumerate(reps)}
-        nunk = 4 * len(reps)
-        rows, rhs = [], []
-        for k in range(4):
-            g, W = groups[k]
-            ofs = 4 * col_of[g]
-            for Phi, Fr in self._anchors[k]:
-                scale = float(np.max(np.abs(Fr)))
-                K = np.kron(Phi, W.T)
-                for i in range(2):
-                    for j in range(2):
-                        row = np.zeros(nunk, complex)
-                        row[ofs:ofs + 4] = K[2 * i + j] / scale
-                        rows.append(row)
-                        rhs.append(Fr[i, j] / scale)
-        sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-        cs = {g: sol[4 * col_of[g]:4 * (col_of[g] + 1)].reshape(2, 2)
-              for g in reps}
-        return [cs[g] @ W for g, W in groups]
-
-    def split_solve(self, ray: int) -> list:
-        key = ray % 2
-        if key not in self._split_cache:
-            self._split_cache[key] = self._solve_chain((key, key + 2))
-        return self._split_cache[key]
+    def _growth(self, r: float) -> float:
+        return (4.0 / 3.0) * r ** 3 + abs(self.nu) * r
 
     # -- evaluation and checks --------------------------------------------
 
-    def psi(self, zeta: complex, sector: int | None = None) -> np.ndarray:
-        """Psi(zeta) (sectional boundary values on the rays)."""
-        if sector is None:
-            sector = self.sector_of(zeta)
-        return self.phi(zeta) @ self.C[sector]
-
-    def matching_residual(self, k: int) -> float:
-        res = 0.0
-        for Phi, Fr in self._anchors[k]:
-            scale = float(np.max(np.abs(Fr)))
-            res = max(res, float(np.max(np.abs(Phi @ self.C[k] - Fr))) / scale)
-        return res
-
-    def measured_jump(self, ray: int, radius: float) -> np.ndarray:
-        constants = self.split_solve(ray)
-        zeta = radius * cmath.exp(1j * PII_RAY_ANGLES[ray])
-        Phi = self.phi(zeta)
-        plus = Phi @ constants[ray % 4]
-        minus = Phi @ constants[(ray - 1) % 4]
-        return np.linalg.solve(minus, plus)
-
-    def jump_residual(self, ray: int, radius: float) -> float:
-        constants = self.split_solve(ray)
-        zeta = radius * cmath.exp(1j * PII_RAY_ANGLES[ray])
-        Phi = self.phi(zeta)
-        plus = Phi @ constants[ray % 4]
-        minus = Phi @ constants[(ray - 1) % 4]
-        return float(np.max(np.abs(plus - minus @ PII_JUMPS[ray])))
+    psi = SectoralSolver.sectional
 
     def det_psi(self, zeta: complex) -> complex:
         return complex(np.linalg.det(self.psi(zeta)))
@@ -325,3 +202,9 @@ class PiiSolver:
         """max |sigma1 Psi(-zeta) sigma1 - Psi(zeta)|."""
         s1 = np.array([[0.0, 1.0], [1.0, 0.0]])
         return float(np.max(np.abs(s1 @ self.psi(-zeta) @ s1 - self.psi(zeta))))
+
+
+@functools.lru_cache(maxsize=16)
+def get_pii_solver(nu: complex) -> PiiSolver:
+    """Cached Painleve II model-RH solver at parameter nu."""
+    return PiiSolver(nu, hm=painleve.default_solution())

@@ -3,36 +3,29 @@
 M(zeta) is analytic off ten rays from the origin (at angles 0, +-pi/6,
 +-pi/3, +-2pi/3, +-5pi/6, pi), satisfies M_+ = M_- J_k across each ray
 with the explicit unimodular jump matrices below, and behaves like
-(I + O(1/zeta)) B(zeta) A E(zeta) at infinity.  All ten sectional
-solutions satisfy the entire linear ODE dM/dzeta = U M of the Lax pair,
-so each extends to an entire function: M_k = Phi C_k where Phi is the
-fundamental solution with Phi(0) = I and C_k are constants satisfying
-C_k = C_{k-1} J_k across ray k.
+(I + O(1/zeta)) B(zeta) A E(zeta) at infinity.  The Lax matrix is
+U = U0 + U1 zeta from `laxpair`, and the series frame of `series` uses
+its '+' branch in sectors 0-4 and its '-' branch in sectors 5-9.  The
+sector constants are found by the shared engine of `sectoral`.
 
-Marching a single sector's solution inward from its own asymptotics is
-exponentially unstable (components recessive throughout a narrow sector
-are invisible there), so the solver works globally: Phi is integrated
-*outward* from the origin, which is stable, and the constants are found
-from one weighted least-squares fit matching Phi C_k to the asymptotic
-series at anchors in all ten sectors simultaneously.  The jump relations
-tie the C_k together; `split_solve` deliberately omits the links across
-one opposite pair of rays so that those two jumps become genuinely
-*measured* quantities for the test-suite.
+On top of the engine, `m_balanced` gives M along an axis in
+column-balanced form, re-integrating the recessive columns inward from
+the series, and `hm_extract` recovers the Hastings-McLeod value from
+the 1/zeta coefficient of M.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from . import laxpair, series
 from .errors import IntegrationFailure
+from .sectoral import RTOL, SectoralSolver
 
-__all__ = ["RAY_ANGLES", "JUMPS", "RhSolver"]
+__all__ = ["RAY_ANGLES", "JUMPS", "RhSolver", "balance_columns"]
 
 _PHI1 = math.pi / 6.0
 _PHI2 = math.pi / 3.0
@@ -68,17 +61,24 @@ _J[9] = _J[1]
 JUMPS = tuple(np.array(_J[k], dtype=complex) for k in range(10))
 
 
-class RhSolver:
+def balance_columns(M: np.ndarray, logs=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(Mhat, logs + log m) with M = Mhat diag(m), each column of Mhat at unit max."""
+    m = np.max(np.abs(M), axis=0)
+    return M / m, logs + np.log(m)
+
+
+class RhSolver(SectoralSolver):
     """Solver for the model RH problem at deformation parameters (s, t)."""
 
+    RAYS = RAY_ANGLES
+    JUMPS = JUMPS
+    INNER = 0.75
+    LOW_SECTOR = 0          # arg 0 lies on ray 0; take its plus side
+
     def __init__(self, s: float, t: float, r0: float = 12.0,
-                 series_order: int = 14, hm=None,
-                 rtol: float = 1e-12, atol: float = 1e-30):
+                 series_order: int = 14, hm=None):
         self.s = float(s)
         self.t = float(t)
-        self.r0 = float(r0)
-        self.rtol = rtol
-        self.atol = atol
         self.co = laxpair.lax_coefficients(s, t, hm)
         self.fs = {
             "+": series.build_series(s, t, "+", order=series_order, hm=hm),
@@ -88,229 +88,25 @@ class RhSolver:
         self._U1 = np.zeros((4, 4), complex)
         self._U1[2, 0] = 1.0j
         self._U1[3, 1] = -1.0j
-        # anchor data: Phi and the series frame at two radii along three
-        # angles per sector.  The near-edge angles matter for the split
-        # solves: a mode that is recessive throughout a partial chain's
-        # sectors is exactly tied for dominance *on* the chain's boundary
-        # ray, so an anchor just inside the edge still pins it.
-        self._anchor_radii = (self.r0, 0.75 * self.r0)
-        edge = 0.02
-        self._anchors = []
-        for k in range(10):
-            lo = RAY_ANGLES[k]
-            hi = RAY_ANGLES[(k + 1) % 10] if k < 9 else 2.0 * math.pi
-            anchors = []
-            for ang in (lo + edge, 0.5 * (lo + hi), hi - edge):
-                direction = cmath.exp(1j * ang)
-                phis = self._phi_along(direction, self._anchor_radii)
-                frames = [self._series_frame(r * direction, k)
-                          for r in self._anchor_radii]
-                anchors.extend((p, gp, f, gf)
-                               for (p, gp), (f, gf) in zip(phis, frames))
-            self._anchors.append(anchors)
-        self.C = self._solve_chain(break_rays=())
-        self._split_cache: dict = {}
-
-    # -- geometry ----------------------------------------------------------
-
-    @staticmethod
-    def sector_of(zeta: complex) -> int:
-        """Index k of the sector (theta_k, theta_{k+1}) containing zeta."""
-        ang = cmath.phase(zeta) % (2.0 * math.pi)
-        for k in range(9, -1, -1):
-            if ang > RAY_ANGLES[k]:
-                return k
-        return 0
-
-    @staticmethod
-    def _center_angle(k: int) -> float:
-        hi = RAY_ANGLES[(k + 1) % 10] if k < 9 else 2.0 * math.pi
-        return 0.5 * (RAY_ANGLES[k] + hi)
+        super().__init__(r0)
 
     @staticmethod
     def variant_of(k: int) -> str:
         return "+" if k <= 4 else "-"
 
-    # -- asymptotic frame --------------------------------------------------
+    def lax(self, zeta: complex) -> np.ndarray:
+        return self._U1 * zeta + self._U0
 
     def _series_frame(self, zeta: complex, sector: int) -> tuple[np.ndarray, float]:
-        """(F, g) with the series frame equal to F e^g."""
         return self.fs[self.variant_of(sector)].frame_scaled(zeta)
 
-    # -- fundamental solution ----------------------------------------------
-
     def _growth(self, r: float) -> float:
-        """Upper envelope of the dominant exponent along any direction."""
         return ((2.0 / 3.0) * r**1.5 + 2.0 * abs(self.s) * math.sqrt(r)
                 + abs(self.t) * r)
 
-    def _segments(self, rmax: float, per_segment: float = 400.0) -> list[tuple[float, float]]:
-        """Partition [0, rmax] so the dominant growth per piece is bounded.
+    # -- evaluation --------------------------------------------------------
 
-        Renormalizing the integrated solution at the segment boundaries
-        keeps every intermediate value inside floating-point range no
-        matter how large the anchor radius or the deformation parameters.
-        """
-        total = self._growth(rmax)
-        cuts = [0.0]
-        n = 1
-        while n * per_segment < total:
-            cuts.append(brentq(lambda r: self._growth(r) - n * per_segment,
-                               cuts[-1], rmax))
-            n += 1
-        cuts.append(rmax)
-        return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
-
-    def _phi_along(self, direction: complex,
-                   radii) -> list[tuple[np.ndarray, float]]:
-        """(Phi_scaled, g) with Phi = Phi_scaled e^g at radii*direction.
-
-        Integrates outward from the origin segment by segment,
-        renormalizing at the boundaries so the dominant growth never
-        overflows; each returned matrix is normalized to unit max entry.
-        """
-        radii = np.asarray(radii, dtype=float)
-        rmax = float(np.max(radii))
-        if rmax < 1e-14:
-            return [(np.eye(4, dtype=complex), 0.0) for _ in radii]
-
-        def rhs(r, y):
-            zeta = r * direction
-            U = self._U1 * zeta + self._U0
-            return (direction * (U @ y.reshape(4, 4))).reshape(16)
-
-        out: dict[float, tuple[np.ndarray, float]] = {}
-        y = np.eye(4, dtype=complex).reshape(16)
-        g = 0.0
-        for ra, rb in self._segments(rmax):
-            sol = solve_ivp(rhs, (ra, rb), y, method="DOP853",
-                            rtol=self.rtol, atol=self.atol, dense_output=True)
-            if not sol.success:
-                raise IntegrationFailure(f"fundamental solution: {sol.message}")
-            for r in radii:
-                if r not in out and ra - 1e-12 <= r <= rb + 1e-12:
-                    P = sol.sol(r).reshape(4, 4)
-                    m = float(np.max(np.abs(P)))
-                    out[r] = (P / m, g + math.log(m))
-            y = sol.y[:, -1]
-            m = float(np.max(np.abs(y)))
-            y = y / m
-            g += math.log(m)
-        return [out[r] for r in radii]
-
-    def phi_scaled(self, zeta: complex) -> tuple[np.ndarray, float]:
-        """(Phi_scaled, g) with the fundamental solution Phi = Phi_scaled e^g."""
-        if abs(zeta) < 1e-14:
-            return np.eye(4, dtype=complex), 0.0
-        return self._phi_along(zeta / abs(zeta), [abs(zeta)])[0]
-
-    def phi(self, zeta: complex) -> np.ndarray:
-        P, g = self.phi_scaled(zeta)
-        return P * math.exp(g)
-
-    # -- chain solve -------------------------------------------------------
-
-    def _chain_groups(self, break_rays: tuple) -> list[tuple[int, np.ndarray]]:
-        """(representative index, product W with C_k = C_rep W) per sector.
-
-        The chain C_k = C_{k-1} J_k is followed except across break_rays.
-        """
-        reps = sorted(break_rays) or [0]
-        out: list[tuple[int, np.ndarray] | None] = [None] * 10
-        for rep in reps:
-            W = np.eye(4, dtype=complex)
-            out[rep % 10] = (rep % 10, W)
-            k = rep
-            while True:
-                nxt = (k + 1) % 10
-                if nxt in [r % 10 for r in reps] or out[nxt] is not None:
-                    break
-                W = W @ JUMPS[nxt]
-                out[nxt] = (rep % 10, W.copy())
-                k = nxt
-        if any(v is None for v in out):
-            # single chain starting at rep 0 covers all sectors
-            raise AssertionError("chain construction incomplete")
-        return out  # type: ignore[return-value]
-
-    def _solve_chain(self, break_rays: tuple) -> list[np.ndarray]:
-        """Least-squares fit of the sector constants to the anchor data."""
-        groups = self._chain_groups(break_rays)
-        reps = sorted({g for g, _ in groups})
-        col_of = {g: i for i, g in enumerate(reps)}
-        nunk = 16 * len(reps)
-        rows = []
-        rhs = []
-        for k in range(10):
-            g, W = groups[k]
-            ofs = 16 * col_of[g]
-            for Phi, gphi, Fr, gf in self._anchors[k]:
-                # Phi e^{gphi} C W = Fr e^{gf}.  The two logs track the
-                # same dominant growth, so their difference is moderate.
-                # All equations of one anchor are normalized by the same
-                # dominant scale: columns that are exponentially recessive
-                # at this anchor then carry negligible weight (a
-                # floating-point Phi cannot resolve them there anyway);
-                # every mode is dominant at some anchor on the circle,
-                # which pins down all of C.
-                Aframe = Fr * math.exp(gf - gphi)
-                scale = float(np.max(np.abs(Aframe)))
-                K = np.kron(Phi, W.T)  # acts on row-major vec(C)
-                for i in range(4):
-                    for j in range(4):
-                        row = np.zeros(nunk, complex)
-                        row[ofs:ofs + 16] = K[4 * i + j] / scale
-                        rows.append(row)
-                        rhs.append(Aframe[i, j] / scale)
-        sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-        cs = {g: sol[16 * col_of[g]:16 * (col_of[g] + 1)].reshape(4, 4)
-              for g in reps}
-        return [cs[g] @ W for g, W in groups]
-
-    def split_solve(self, ray: int) -> list[np.ndarray]:
-        """Sector constants with the chain cut at `ray` and the opposite ray."""
-        key = ray % 5
-        if key not in self._split_cache:
-            self._split_cache[key] = self._solve_chain((key, key + 5))
-        return self._split_cache[key]
-
-    # -- evaluation and checks --------------------------------------------
-
-    def M(self, zeta: complex, sector: int | None = None,
-          constants: list[np.ndarray] | None = None) -> np.ndarray:
-        """The RH solution at zeta (sectional boundary values on rays)."""
-        if sector is None:
-            sector = self.sector_of(zeta)
-        C = (constants or self.C)[sector]
-        return self.phi(zeta) @ C
-
-    def matching_residual(self, k: int) -> float:
-        """Normalized residual of the asymptotic match in sector k."""
-        res = 0.0
-        for Phi, gphi, Fr, gf in self._anchors[k]:
-            Aframe = Fr * math.exp(gf - gphi)
-            scale = float(np.max(np.abs(Aframe)))
-            diff = (Phi @ self.C[k] - Aframe) / scale
-            res = max(res, float(np.max(np.abs(diff))))
-        return res
-
-    def measured_jump(self, ray: int, radius: float) -> np.ndarray:
-        """M_-^{-1} M_+ on the ray, with the chain cut there (honest)."""
-        constants = self.split_solve(ray)
-        zeta = radius * cmath.exp(1j * RAY_ANGLES[ray])
-        Phi = self.phi(zeta)
-        plus = Phi @ constants[ray % 10]
-        minus = Phi @ constants[(ray - 1) % 10]
-        return np.linalg.solve(minus, plus)
-
-    def jump_residual(self, ray: int, radius: float) -> float:
-        """max |M_+ - M_- J_ray| at the given radius, chain cut at the ray."""
-        constants = self.split_solve(ray)
-        zeta = radius * cmath.exp(1j * RAY_ANGLES[ray])
-        Phi = self.phi(zeta)
-        plus = Phi @ constants[ray % 10]
-        minus = Phi @ constants[(ray - 1) % 10]
-        return float(np.max(np.abs(plus - minus @ JUMPS[ray])))
+    M = SectoralSolver.sectional
 
     def det_m(self, zeta: complex, sector: int | None = None) -> complex:
         return complex(np.linalg.det(self.M(zeta, sector)))
@@ -326,9 +122,9 @@ class RhSolver:
     # the remaining columns are exponentially recessive or neutral along
     # the axis and are re-integrated inward from the asymptotic series)
     _AXES = {
-        "imag+": (1j, 2, (0, 1)),
-        "imag-": (-1j, 7, (0, 1)),
-        "real+": (1.0 + 0j, 0, (3,)),
+        "imag+": (1j, 2, [0, 1]),
+        "imag-": (-1j, 7, [0, 1]),
+        "real+": (1.0 + 0j, 0, [3]),
     }
 
     def m_balanced(self, u_values, axis: str = "imag+") -> dict:
@@ -345,25 +141,19 @@ class RhSolver:
         with a well-conditioned inverse.
         """
         direction, sector, outward_cols = self._AXES[axis]
-        inward_cols = tuple(j for j in range(4) if j not in outward_cols)
-        variant = self.variant_of(sector)
+        inward_cols = [j for j in range(4) if j not in outward_cols]
+        ncol = len(inward_cols)
         us = sorted(float(u) for u in u_values)
         if us[0] <= 0.0:
             raise ValueError("u values must be positive")
         R = max(self.r0, us[-1] + 1.5)
 
         # recessive/neutral columns: inward from the series frame at R
-        F, gF = self.fs[variant].frame_scaled(R * direction)
-        y = F[:, inward_cols].copy()
-        logs_in = np.zeros(len(inward_cols))
-        for jj in range(len(inward_cols)):
-            m = float(np.max(np.abs(y[:, jj])))
-            y[:, jj] /= m
-            logs_in[jj] += gF + math.log(m)
-        ncol = len(inward_cols)
+        F, gF = self._series_frame(R * direction, sector)
+        y, logs_in = balance_columns(F[:, inward_cols], gF)
 
         def rhs(r, yy):
-            U = self._U1 * (r * direction) + self._U0
+            U = self.lax(r * direction)
             return (direction * (U @ yy.reshape(4, ncol))).reshape(4 * ncol)
 
         inward: dict[float, tuple[np.ndarray, np.ndarray]] = {}
@@ -371,18 +161,14 @@ class RhSolver:
         for ra, rb in reversed(segs):
             lo = max(ra, us[0])
             sol = solve_ivp(rhs, (rb, lo), y.reshape(4 * ncol),
-                            method="DOP853", rtol=self.rtol, atol=1e-300,
+                            method="DOP853", rtol=RTOL, atol=1e-300,
                             dense_output=True)
             if not sol.success:
                 raise IntegrationFailure(f"inward columns: {sol.message}")
             for u in us:
                 if u not in inward and lo - 1e-12 <= u <= rb + 1e-12:
-                    inward[u] = (sol.sol(u).reshape(4, ncol), logs_in.copy())
-            y = sol.y[:, -1].reshape(4, ncol)
-            for jj in range(ncol):
-                m = float(np.max(np.abs(y[:, jj])))
-                y[:, jj] /= m
-                logs_in[jj] += math.log(m)
+                    inward[u] = (sol.sol(u).reshape(4, ncol), logs_in)
+            y, logs_in = balance_columns(sol.y[:, -1].reshape(4, ncol), logs_in)
 
         # dominant columns: outward fundamental solution
         phis = self._phi_along(direction, us)
@@ -391,16 +177,9 @@ class RhSolver:
         for u, (Phi, gphi) in zip(us, phis):
             Mhat = np.empty((4, 4), dtype=complex)
             logs = np.empty(4)
-            cols = Phi @ C[:, list(outward_cols)]
-            for jj, j in enumerate(outward_cols):
-                m = float(np.max(np.abs(cols[:, jj])))
-                Mhat[:, j] = cols[:, jj] / m
-                logs[j] = gphi + math.log(m)
-            yin, lin = inward[u]
-            for jj, j in enumerate(inward_cols):
-                m = float(np.max(np.abs(yin[:, jj])))
-                Mhat[:, j] = yin[:, jj] / m
-                logs[j] = lin[jj] + math.log(m)
+            Mhat[:, outward_cols], logs[outward_cols] = balance_columns(
+                Phi @ C[:, outward_cols], gphi)
+            Mhat[:, inward_cols], logs[inward_cols] = balance_columns(*inward[u])
             out[u] = (Mhat, logs)
         return out
 

@@ -45,6 +45,12 @@ def test_airy_model_det():
     assert abs(abs(vals[0]) - 1.0) < 1e-10
 
 
+def test_shares_cached_pii_solver(ds3):
+    # [TRIVIAL] the evaluator takes the cached PII solver at its nu, so the
+    # double-scaling gap and K_PII never build a second one
+    assert ds3.pii is kernels.get_pii_solver(complex(2 ** (5 / 3) * 0.5))
+
+
 def test_exponent_identity(ds3):
     # [DERIVED] a^3 (4/3) f1^3 - a nu f1 = a^3 (g2 - g1)/2 exactly
     a = ds3.a

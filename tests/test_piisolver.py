@@ -25,6 +25,16 @@ def test_cyclic_jump_product():
     assert np.max(np.abs(P - np.eye(2))) < 1e-14
 
 
+def test_sector_of():
+    # [TRIVIAL] sector lookup against the ray angles; arguments in
+    # [0, pi/6], the first ray included, lie in the wrap-around sector 3
+    assert PiiSolver.sector_of(1.0) == 3
+    assert PiiSolver.sector_of(1j) == 0
+    assert PiiSolver.sector_of(-1.0) == 1
+    assert PiiSolver.sector_of(-1j) == 2
+    assert PiiSolver.sector_of(cmath.exp(1j * PII_RAY_ANGLES[0])) == 3
+
+
 def test_jump_residuals_all_rays(solver):
     # [PAPER] Psi_+ = Psi_- J_k on all four rays, with the chain of
     # sector constants cut at the ray under test
