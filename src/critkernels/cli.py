@@ -17,6 +17,7 @@ import click
 import numpy as np
 
 from . import __version__
+from .errors import CritKernelsError
 
 _CSV_FMT = "{:.17g}"
 
@@ -78,7 +79,25 @@ def _check(name: str, value: float, tolerance: float) -> dict:
             "pass": bool(abs(value) <= tolerance)}
 
 
-@click.group()
+def _output(default: str):
+    """The --out and --format options of a subcommand writing ``default``."""
+    out = click.option("--out", default=default, show_default=True)
+    fmt = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+                       default="csv")
+    return lambda fn: out(fmt(fn))
+
+
+class _Main(click.Group):
+    """Maps library and value errors escaping a subcommand to exit status 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (CritKernelsError, ValueError) as exc:
+            raise click.UsageError(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Critical kernels of the quartic/quadratic two-matrix model."""
 
@@ -86,8 +105,7 @@ def main() -> None:
 @main.command()
 @click.option("--alpha", type=float, required=True)
 @click.option("--tau", type=float, required=True)
-@click.option("--out", default="phase.csv", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@_output("phase.csv")
 def phase(alpha: float, tau: float, out: str, fmt: str) -> None:
     """Classify the (alpha, tau) point in the phase diagram."""
     from . import surface
@@ -107,8 +125,7 @@ def phase(alpha: float, tau: float, out: str, fmt: str) -> None:
 @click.option("--alpha", type=float, required=True)
 @click.option("--tau", type=float, required=True)
 @click.option("--grid", default="-3.0:3.0:200", show_default=True)
-@click.option("--out", default="density.csv", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@_output("density.csv")
 def density(measure: str, alpha: float, tau: float, grid: str,
             out: str, fmt: str) -> None:
     """Equilibrium-measure density on a grid."""
@@ -136,8 +153,7 @@ def density(measure: str, alpha: float, tau: float, grid: str,
 
 @main.command()
 @click.option("--grid", default="-8.0:8.0:161", show_default=True)
-@click.option("--out", default="hm.csv", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@_output("hm.csv")
 def hm(grid: str, out: str, fmt: str) -> None:
     """Hastings-McLeod solution q, q', u on a grid."""
     from scipy.special import airy
@@ -166,8 +182,7 @@ def hm(grid: str, out: str, fmt: str) -> None:
 @main.command("lax-check")
 @click.option("--s", "s_", type=float, default=0.3, show_default=True)
 @click.option("--t", "t_", type=float, default=-0.2, show_default=True)
-@click.option("--out", default="lax-check.csv", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@_output("lax-check.csv")
 def lax_check(s_: float, t_: float, out: str, fmt: str) -> None:
     """Compatibility of the 4x4 Lax pair at (s, t)."""
     from . import laxpair
@@ -187,8 +202,7 @@ def lax_check(s_: float, t_: float, out: str, fmt: str) -> None:
 @click.option("--s", "s_", type=float, default=0.0, show_default=True)
 @click.option("--t", "t_", type=float, default=0.0, show_default=True)
 @click.option("--r0", type=float, default=14.0, show_default=True)
-@click.option("--out", default="rh-check.csv", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@_output("rh-check.csv")
 def rh_check(s_: float, t_: float, r0: float, out: str, fmt: str) -> None:
     """Jump and determinant residuals of the 4x4 model RH solution."""
     from . import kernels
@@ -213,8 +227,7 @@ def rh_check(s_: float, t_: float, r0: float, out: str, fmt: str) -> None:
 @click.option("--t", "t_", type=float, default=0.0, show_default=True)
 @click.option("--r", "r_", type=float, default=1.0, show_default=True)
 @click.option("--nu", type=float, default=0.0, show_default=True)
-@click.option("--out", default="kernel.csv", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@_output("kernel.csv")
 def kernel(which: str, u_: float, v_: float, s_: float, t_: float,
            r_: float, nu: float, out: str, fmt: str) -> None:
     """One kernel value K(u, v); the diagonal when u == v."""
@@ -245,8 +258,7 @@ def kernel(which: str, u_: float, v_: float, s_: float, t_: float,
 @click.option("--t", "t_", type=float, default=-0.2, show_default=True)
 @click.option("--r", "r_", type=float, default=1.0, show_default=True)
 @click.option("--grid", default="15:30:31", show_default=True)
-@click.option("--out", default="asym-check.csv", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@_output("asym-check.csv")
 def asym_check(which: str, s_: float, t_: float, r_: float, grid: str,
                out: str, fmt: str) -> None:
     """Large-u expansion residuals of the kernel diagonal."""
@@ -273,18 +285,13 @@ def asym_check(which: str, s_: float, t_: float, r_: float, grid: str,
 @click.option("--sigma", type=float, required=True)
 @click.option("--u", "x_", type=float, default=-0.5, show_default=True)
 @click.option("--v", "y_", type=float, default=0.7, show_default=True)
-@click.option("--out", default="double-scaling.csv", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@_output("double-scaling.csv")
 def double_scaling(a_: float, sigma: float, x_: float, y_: float,
                    out: str, fmt: str) -> None:
     """Gap between the rescaled critical kernel and K_PII."""
     from .dscale import double_scaling_gap
-    from .errors import DomainRestriction
 
-    try:
-        gap = double_scaling_gap(a_, sigma, x_, y_)
-    except DomainRestriction as exc:
-        raise click.UsageError(str(exc))
+    gap = double_scaling_gap(a_, sigma, x_, y_)
     rows = [(a_, sigma, x_, y_, gap)]
     checks = [_check("gap_below_unity", gap, 1.0)]
     _emit("double-scaling", {"a": a_, "sigma": sigma, "x": x_, "y": y_},
@@ -296,20 +303,14 @@ def double_scaling(a_: float, sigma: float, x_: float, y_: float,
 @click.option("--alpha", type=float, default=-1.0, show_default=True)
 @click.option("--tau", type=float, default=1.0, show_default=True)
 @click.option("--precision-bits", type=int, default=None)
-@click.option("--out", default="finite-n.csv", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@_output("finite-n.csv")
 def finite_n(n_: int, alpha: float, tau: float, precision_bits: int | None,
              out: str, fmt: str) -> None:
     """Zeros of p_{n,n} and their distance to the limiting measure."""
     from . import finiten
-    from .errors import DomainRestriction
 
-    try:
-        fam = finiten.biorthogonal(
-            finiten.bimoment_matrix(n_, alpha, tau,
-                                    precision_bits=precision_bits))
-    except DomainRestriction as exc:
-        raise click.UsageError(str(exc))
+    fam = finiten.biorthogonal(
+        finiten.bimoment_matrix(n_, alpha, tau, precision_bits=precision_bits))
     zeros = finiten.polynomial_zeros(fam)
     dist = finiten.zero_counting_kolmogorov(fam)
     rows = [(float(z.real), float(z.imag)) for z in zeros]

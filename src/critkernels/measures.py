@@ -32,10 +32,28 @@ _DELTA = 1e-8
 _IM_TOL = 1e-7
 
 
-def _real_cast(value: complex, where: str) -> float:
-    if abs(value.imag) > _IM_TOL * max(1.0, abs(value.real)):
-        raise QuadratureFailure(f"{where}: density has spurious imaginary part {value.imag}")
-    return value.real
+def _real_cast(values, where: str) -> np.ndarray:
+    """Real part of densities whose imaginary part is below _IM_TOL relative."""
+    values = np.asarray(values)
+    bad = np.abs(values.imag) > _IM_TOL * np.maximum(1.0, np.abs(values.real))
+    if bad.any():
+        raise QuadratureFailure(
+            f"{where}: density has spurious imaginary part {values.imag[bad][0]}")
+    return values.real
+
+
+def _jump_density(plus, minus, p: sf.SurfaceParams, sheet: int,
+                  scale: complex) -> np.ndarray:
+    """(xi_{k,+} - xi_{k,-} - tau (s_{k-1,+} - s_{k-1,-})) / scale, k = sheet + 1,
+    each side marched through its points outward in |z| (``minus`` mirrors ``plus``)."""
+    plus, minus = np.asarray(plus), np.asarray(minus)
+    order = np.argsort(np.abs(plus))
+    plus, minus = plus[order], minus[order]
+    xi_jump = (sf.xi_sheet_on_path(plus, p, sheet)
+               - sf.xi_sheet_on_path(minus, p, sheet))
+    s_jump = (sf.cubic_sheet_on_path(plus, p.alpha, p.tau, sheet - 1)
+              - sf.cubic_sheet_on_path(minus, p.alpha, p.tau, sheet - 1))
+    return ((xi_jump - p.tau * s_jump) / scale)[np.argsort(order)]
 
 
 def density_mu1(x: float, p: sf.SurfaceParams, delta: float = _DELTA) -> float:
@@ -50,26 +68,22 @@ def density_mu2(y: float, p: sf.SurfaceParams, delta: float = _DELTA) -> float:
     """Density of mu2 at the point iy, with respect to dy.
 
     (1/2 pi)[(xi_{2,+} - xi_{2,-}) - tau (s_{1,+} - s_{1,-})](iy); the + side
-    of the upward-oriented imaginary axis is Re z < 0.
+    of the upward-oriented imaginary axis is Re z < 0.  At y = 0 both sides
+    lie on the real axis and are one-sided limits (see ``surface``).
     """
-    z_plus = complex(-delta, y)
-    z_minus = complex(delta, y)
-    xi_jump = sf.xi_branches(z_plus, p).xi[1] - sf.xi_branches(z_minus, p).xi[1]
-    s_jump = (sf.theta_branches(z_plus, p.alpha, p.tau).s[0]
-              - sf.theta_branches(z_minus, p.alpha, p.tau).s[0])
-    return _real_cast((xi_jump - p.tau * s_jump) / (2.0 * math.pi), "density_mu2")
+    plus = sf._nudge_off_axis(complex(-delta, y))
+    minus = sf._nudge_off_axis(complex(delta, y))
+    rho = _jump_density([plus], [minus], p, 1, 2.0 * math.pi)
+    return float(_real_cast(rho, "density_mu2")[0])
 
 
 def density_mu3(x: float, p: sf.SurfaceParams, delta: float = _DELTA) -> float:
     """Density of mu3 at x: (1/2 pi i)[(xi_{3,+} - xi_{3,-}) - tau (s_{2,+} - s_{2,-})](x)."""
     if x == 0.0:
         raise OutsideSupport("mu3 density undefined at the origin")
-    z_plus = complex(x, delta)
-    z_minus = complex(x, -delta)
-    xi_jump = sf.xi_branches(z_plus, p).xi[2] - sf.xi_branches(z_minus, p).xi[2]
-    s_jump = (sf.theta_branches(z_plus, p.alpha, p.tau).s[1]
-              - sf.theta_branches(z_minus, p.alpha, p.tau).s[1])
-    return _real_cast((xi_jump - p.tau * s_jump) / (2.0j * math.pi), "density_mu3")
+    rho = _jump_density([complex(x, delta)], [complex(x, -delta)], p, 2,
+                        2.0j * math.pi)
+    return float(_real_cast(rho, "density_mu3")[0])
 
 
 def sigma2_density(y: float, alpha: float, tau: float) -> float:
@@ -83,8 +97,6 @@ def sigma2_density(y: float, alpha: float, tau: float) -> float:
 # Masses.  The integrands are evaluated on fixed composite Gauss-Legendre
 # grids, marched along the integration line (sequential branch continuation
 # between neighboring nodes) instead of re-tracking each point separately.
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 def _graded_mesh(a: float, b: float, grade_a: bool, grade_b: bool,
@@ -100,35 +112,13 @@ def _graded_mesh(a: float, b: float, grade_a: bool, grade_b: bool,
     return a + (b - a) * mesh
 
 
-def _panel_quadrature(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * _GL_NODES)
-        weights.append(half * _GL_WEIGHTS)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def mass_mu1(p: sf.SurfaceParams, delta: float = _DELTA) -> float:
     """Total mass of mu1; contract: 1."""
     edges = _graded_mesh(0.0, p.c, grade_a=True, grade_b=True)
-    x, w = _panel_quadrature(edges)
+    x, w = sf._panel_nodes(edges)
     xi1 = sf.xi_sheet_on_path(x + 1j * delta, p, sheet=0)
     # factor 2 from even symmetry of the density
     return 2.0 * float(w @ xi1.imag) / math.pi
-
-
-def _tail_integral(rho, cutoff: float) -> float:
-    """Integral of rho over (cutoff, infinity) from a two-term decay fit.
-
-    The jump densities expand in powers of y^{-2/3} starting at y^{-5/3};
-    fit rho(y) ~ C1 y^{-5/3} + C2 y^{-7/3} on [cutoff/4, cutoff] and
-    integrate the model."""
-    ys = np.geomspace(cutoff / 4.0, cutoff, 8)
-    vals = np.array([rho(y) for y in ys])
-    basis = np.column_stack([ys ** (-5.0 / 3.0), ys ** (-7.0 / 3.0)])
-    (c1, c2), *_ = np.linalg.lstsq(basis, vals, rcond=None)
-    return 1.5 * c1 * cutoff ** (-2.0 / 3.0) + 0.75 * c2 * cutoff ** (-4.0 / 3.0)
 
 
 def _far_mesh(cutoff: float) -> np.ndarray:
@@ -139,28 +129,43 @@ def _far_mesh(cutoff: float) -> np.ndarray:
     return np.array(far)
 
 
+def _mass_with_tail(t: np.ndarray, w: np.ndarray, rho_of, cutoff: float,
+                    where: str) -> tuple[float, float]:
+    """Mass over both halves of the carrier, and the tail part of it.
+
+    ``rho_of`` evaluates the jump density at the quadrature nodes ``t``
+    (weights ``w``) and 8 fit points on [cutoff/4, cutoff] in one call, so
+    all are marched along one path.  The densities expand in powers of
+    y^{-2/3} from y^{-5/3}; C1 y^{-5/3} + C2 y^{-7/3} is fitted at the fit
+    points and integrated over (cutoff, infinity).
+    """
+    ys = np.geomspace(cutoff / 4.0, cutoff, 8)
+    rho = rho_of(np.concatenate([t, ys]))
+    nodes, fit = rho[:len(t)], rho[len(t):]
+    if np.max(np.abs(nodes.imag)) > _IM_TOL:
+        raise QuadratureFailure(f"{where}: density has spurious imaginary part")
+    basis = np.column_stack([ys ** (-5.0 / 3.0), ys ** (-7.0 / 3.0)])
+    (c1, c2), *_ = np.linalg.lstsq(basis, _real_cast(fit, where), rcond=None)
+    tail = 1.5 * c1 * cutoff ** (-2.0 / 3.0) + 0.75 * c2 * cutoff ** (-4.0 / 3.0)
+    return 2.0 * float(w @ nodes.real) + 2.0 * tail, 2.0 * tail
+
+
 def mass_mu2(p: sf.SurfaceParams, cutoff: float = 200.0,
              delta: float = _DELTA) -> tuple[float, float]:
     """Total mass of mu2 and the tail estimate added for |y| > cutoff.
 
     The jump density decays like C |y|^{-5/3}; C is fitted on
-    [cutoff/2, cutoff] and the tail integral (3/2) C cutoff^{-2/3} is added
+    [cutoff/4, cutoff] and the tail integral (3/2) C cutoff^{-2/3} is added
     for each end of the axis.  Contract: mass = 2/3.
     """
     edges = np.concatenate([
         _graded_mesh(0.0, 1.0, grade_a=True, grade_b=False),
         _far_mesh(cutoff)[1:],
     ])
-    y, w = _panel_quadrature(edges)
-    xi_jump = (sf.xi_sheet_on_path(-delta + 1j * y, p, sheet=1)
-               - sf.xi_sheet_on_path(delta + 1j * y, p, sheet=1))
-    s_jump = (sf.cubic_sheet_on_path(-delta + 1j * y, p.alpha, p.tau, sheet=0)
-              - sf.cubic_sheet_on_path(delta + 1j * y, p.alpha, p.tau, sheet=0))
-    rho_vals = (xi_jump - p.tau * s_jump) / (2.0 * math.pi)
-    if np.max(np.abs(rho_vals.imag)) > _IM_TOL:
-        raise QuadratureFailure("mass_mu2: density has spurious imaginary part")
-    tail = _tail_integral(lambda yy: density_mu2(yy, p), cutoff)
-    return 2.0 * float(w @ rho_vals.real) + 2.0 * tail, 2.0 * tail
+
+    def rho(y):
+        return _jump_density(-delta + 1j * y, delta + 1j * y, p, 1, 2.0 * math.pi)
+    return _mass_with_tail(*sf._panel_nodes(edges), rho, cutoff, "mass_mu2")
 
 
 def mass_mu3(p: sf.SurfaceParams, cutoff: float = 200.0,
@@ -172,22 +177,16 @@ def mass_mu3(p: sf.SurfaceParams, cutoff: float = 200.0,
         _graded_mesh(xs, 1.0, grade_a=True, grade_b=False)[1:],
         _far_mesh(cutoff)[1:],
     ])
-    x, w = _panel_quadrature(edges)
-    xi_jump = (sf.xi_sheet_on_path(x + 1j * delta, p, sheet=2)
-               - sf.xi_sheet_on_path(x - 1j * delta, p, sheet=2))
-    s_jump = (sf.cubic_sheet_on_path(x + 1j * delta, p.alpha, p.tau, sheet=1)
-              - sf.cubic_sheet_on_path(x - 1j * delta, p.alpha, p.tau, sheet=1))
-    rho_vals = (xi_jump - p.tau * s_jump) / (2.0j * math.pi)
-    if np.max(np.abs(rho_vals.imag)) > _IM_TOL:
-        raise QuadratureFailure("mass_mu3: density has spurious imaginary part")
-    tail = _tail_integral(lambda xx: density_mu3(xx, p), cutoff)
-    return 2.0 * float(w @ rho_vals.real) + 2.0 * tail, 2.0 * tail
+
+    def rho(x):
+        return _jump_density(x + 1j * delta, x - 1j * delta, p, 2, 2.0j * math.pi)
+    return _mass_with_tail(*sf._panel_nodes(edges), rho, cutoff, "mass_mu3")
 
 
 def xi_integral_check(p: sf.SurfaceParams, delta: float = _DELTA) -> tuple[float, float]:
     """(Im int_{-c}^c xi_{1,+}, Im int_{-c}^c xi_{2,+}); contract (pi, -pi)."""
     edges = _graded_mesh(0.0, p.c, grade_a=True, grade_b=True)
-    x, w = _panel_quadrature(edges)
+    x, w = sf._panel_nodes(edges)
     out = []
     for sheet in (0, 1):
         vals_right = sf.xi_sheet_on_path(x + 1j * delta, p, sheet)

@@ -154,84 +154,100 @@ _QUADRANT_ANGLE = {"I": 0.25 * math.pi, "II": 0.75 * math.pi,
 
 
 # ---------------------------------------------------------------------------
-# Quartic roots and continuity tracking
+# Root tracking.  One tracker serves the quartic (w) and cubic (s) sheets; it
+# takes the polynomial's coefficients as a function of z.
 
 
-def _quartic_roots(z: complex, gamma: float) -> np.ndarray:
-    """Roots of (w^2 + gamma^3)^2 = z w^3, polished by one Newton step each."""
-    g3 = gamma**3
-    roots = np.roots([1.0, -z, 2.0 * g3, 0.0, g3 * g3])
+def _polished_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of the polynomial ``coeffs``, polished by two Newton steps."""
+    roots = np.roots(coeffs)
+    deriv = np.polyder(coeffs)
     for _ in range(2):
-        f = roots**4 - z * roots**3 + 2.0 * g3 * roots**2 + g3 * g3
-        fp = 4.0 * roots**3 - 3.0 * z * roots**2 + 4.0 * g3 * roots
+        fp = np.polyval(deriv, roots)
         mask = np.abs(fp) > 0.0
-        roots[mask] -= f[mask] / fp[mask]
+        roots[mask] -= np.polyval(coeffs, roots[mask]) / fp[mask]
     return roots
 
 
-_PERMS4 = list(permutations(range(4)))
+_PERMS = {n: np.array(list(permutations(range(n)))) for n in (3, 4)}
+_PAIRS = {n: np.triu_indices(n, 1) for n in (3, 4)}
 
 
-def _match_roots(prev: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, float]:
-    """Permute ``new`` to best match ``prev``; return (matched, max movement)."""
-    best, best_cost = None, math.inf
-    for perm in _PERMS4:
-        cand = new[list(perm)]
-        cost = float(np.max(np.abs(cand - prev)))
-        if cost < best_cost:
-            best, best_cost = cand, cost
-    return best, best_cost
-
-
-def _min_separation(roots: np.ndarray) -> float:
-    sep = math.inf
-    for i in range(4):
-        for j in range(i + 1, 4):
-            sep = min(sep, abs(roots[i] - roots[j]))
-    return sep
-
-
-def _continue_roots(prev: np.ndarray, z0: complex, z1: complex, gamma: float,
+def _continue_roots(prev: np.ndarray, z0: complex, z1: complex, coeffs,
                     depth: int = 0) -> np.ndarray:
-    """Continue labeled roots from z0 to z1 along the straight segment."""
-    new = _quartic_roots(z1, gamma)
-    matched, movement = _match_roots(prev, new)
-    sep = _min_separation(new)
-    if movement <= 0.3 * sep or abs(z1 - z0) < 1e-14 * max(1.0, abs(z1)):
-        return matched
+    """Continue labeled roots of ``coeffs(z)`` from z0 to z1 along the segment.
+
+    The roots at z1 are permuted to move least (the first of equal
+    candidates wins); the step is bisected until that movement is at most
+    0.3 times the smallest root separation at z1.
+    """
+    new = _polished_roots(coeffs(z1))
+    cands = new[_PERMS[len(new)]]
+    cost = np.max(np.abs(cands - prev), axis=1)
+    best = int(np.argmin(cost))
+    i, j = _PAIRS[len(new)]
+    sep = np.min(np.abs(new[i] - new[j]))
+    if cost[best] <= 0.3 * sep or abs(z1 - z0) < 1e-14 * max(1.0, abs(z1)):
+        return cands[best]
     if depth > 60:
         raise DegenerateRoots(
             f"root continuation failed to separate branches near z = {z1}")
     mid = 0.5 * (z0 + z1)
-    half = _continue_roots(prev, z0, mid, gamma, depth + 1)
-    return _continue_roots(half, mid, z1, gamma, depth + 1)
+    half = _continue_roots(prev, z0, mid, coeffs, depth + 1)
+    return _continue_roots(half, mid, z1, coeffs, depth + 1)
 
 
-def _reference_point(quadrant: str, p: SurfaceParams) -> complex:
-    return 1.5 * p.c * cmath.exp(1j * _QUADRANT_ANGLE[quadrant])
+def _march(roots: np.ndarray, z0: complex, points, coeffs) -> np.ndarray:
+    """Continue ``roots``, labeled at z0, through ``points`` in order.
+
+    Returns shape (len(points), number of roots).
+    """
+    points = np.asarray(points, dtype=complex)
+    bad = ~np.isfinite(points)
+    if bad.any():
+        raise ValueError(f"non-finite point z = {points[bad][0]}")
+    out = np.empty((len(points), len(roots)), dtype=complex)
+    for k, z in enumerate(points):
+        roots = _continue_roots(roots, z0, z, coeffs)
+        z0 = z
+        out[k] = roots
+    return out
 
 
-def _reference_roots(quadrant: str, p: SurfaceParams) -> np.ndarray:
-    """Modulus-ordered roots at the quadrant's interior reference point."""
-    z_ref = _reference_point(quadrant, p)
-    roots = _quartic_roots(z_ref, p.gamma)
+def _quartic(p: SurfaceParams):
+    """Coefficients of (w^2 + gamma^3)^2 - z w^3 as a function of z."""
+    g3 = p.gamma**3
+    return lambda z: np.array([1.0, -z, 2.0 * g3, 0.0, g3 * g3])
+
+
+def _reference_roots(quadrant: str, p: SurfaceParams) -> tuple[complex, np.ndarray]:
+    """The quadrant's interior reference point and its modulus-ordered roots."""
+    z_ref = 1.5 * p.c * cmath.exp(1j * _QUADRANT_ANGLE[quadrant])
+    roots = _polished_roots(_quartic(p)(z_ref))
     order = np.argsort(-np.abs(roots))
     roots = roots[order]
     mods = np.abs(roots)
     if np.min(mods[:-1] - mods[1:]) < 1e-9 * max(1.0, float(mods[0])):
         raise DegenerateRoots(
             f"ambiguous modulus ordering at reference point {z_ref}")
-    return roots
+    return z_ref, roots
+
+
+def _w_along(points, p: SurfaceParams) -> np.ndarray:
+    """w_j at each point of a polyline inside one quadrant, shape (n, 4).
+
+    Labels are fixed at the reference point of the first point's quadrant
+    and marched point-to-point from there.
+    """
+    z_ref, roots = _reference_roots(_quadrant(points[0]), p)
+    return _march(roots, z_ref, points, _quartic(p))
 
 
 def _tracked_roots(z: complex, p: SurfaceParams) -> tuple[np.ndarray, str]:
     z = _nudge_off_axis(z)
     if z == 0.0:
         raise DegenerateRoots("z = 0 is a branch point")
-    quad = _quadrant(z)
-    ref = _reference_point(quad, p)
-    prev = _reference_roots(quad, p)
-    return _continue_roots(prev, ref, z, p.gamma), quad
+    return _w_along([z], p)[0], _quadrant(z)
 
 
 # ---------------------------------------------------------------------------
@@ -275,46 +291,13 @@ def xi_branches(z: complex, p: SurfaceParams) -> SheetValues:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
-def _xi_on_ray(phi: float, radii: np.ndarray, p: SurfaceParams) -> np.ndarray:
-    """xi_j at z = r e^{i phi} for each r in ``radii`` (any order).
-
-    Tracks branches once along the ray instead of re-tracking from the
-    quadrant reference for every point.  Returns shape (len(radii), 4).
-    """
-    order = np.argsort(-radii)
-    pts = radii[order] * cmath.exp(1j * phi)
-    out = np.empty((len(radii), 4), dtype=complex)
-    quad = _quadrant(pts[0])
-    z_prev = _reference_point(quad, p)
-    w_prev = _reference_roots(quad, p)
-    for k, z_k in enumerate(pts):
-        w_prev = _continue_roots(w_prev, z_prev, z_k, p.gamma)
-        z_prev = z_k
-        out[order[k]] = _xi_from_w(w_prev, p)
-    return out
-
-
-def _xi_on_arc(radius: float, thetas: np.ndarray, p: SurfaceParams) -> np.ndarray:
-    """xi_j at z = radius e^{i theta} for each theta, tracked from thetas[0]."""
-    out = np.empty((len(thetas), 4), dtype=complex)
-    quad = _quadrant(radius * cmath.exp(1j * thetas[0]))
-    z_prev = _reference_point(quad, p)
-    w_prev = _reference_roots(quad, p)
-    for k, th in enumerate(thetas):
-        z_k = radius * cmath.exp(1j * th)
-        w_prev = _continue_roots(w_prev, z_prev, z_k, p.gamma)
-        z_prev = z_k
-        out[k] = _xi_from_w(w_prev, p)
-    return out
-
-
-def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * _GL_NODES)
-        weights.append(half * _GL_WEIGHTS)
-    return np.concatenate(nodes), np.concatenate(weights)
+def _panel_nodes(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Composite 24-point Gauss-Legendre nodes and weights on the panels
+    between consecutive ``edges``."""
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
 def _lambda_integral(z: complex, p: SurfaceParams, panels: int = 8) -> np.ndarray:
@@ -331,9 +314,10 @@ def _lambda_integral(z: complex, p: SurfaceParams, panels: int = 8) -> np.ndarra
     phi = cmath.phase(z)
     phi0 = _QUADRANT_ANGLE[_quadrant(z)]
     radius = abs(z)
-    # radial leg at angle phi0
+    # radial leg at angle phi0, marched inward from the outermost node
     u, wq = _panel_nodes(np.linspace(0.0, math.sqrt(radius), panels + 1))
-    xi_vals = _xi_on_ray(phi0, u * u, p)
+    ray = (u * u)[::-1] * cmath.exp(1j * phi0)
+    xi_vals = _xi_from_w(_w_along(ray, p), p)[::-1]
     total = wq @ (2.0 * u[:, None] * cmath.exp(1j * phi0) * xi_vals)
     # arc leg from phi0 to phi
     if phi != phi0:
@@ -344,9 +328,9 @@ def _lambda_integral(z: complex, p: SurfaceParams, panels: int = 8) -> np.ndarra
             frac *= 0.5
             edges.append(phi - frac * span)
         edges.append(phi)
-        th, wq = _panel_nodes(np.array(edges))
-        xi_vals = _xi_on_arc(radius, th, p)
+        th, wq = _panel_nodes(edges)
         pts = radius * np.exp(1j * th)
+        xi_vals = _xi_from_w(_w_along(pts, p), p)
         total = total + wq @ (1j * pts[:, None] * xi_vals)
     return total
 
@@ -376,35 +360,13 @@ def xi_sheet_on_path(points: np.ndarray, p: SurfaceParams, sheet: int) -> np.nda
     reference) and then marched point-to-point, which is much cheaper than
     re-tracking from the reference for every point.
     """
-    points = np.asarray(points, dtype=complex)
-    out = np.empty(len(points), dtype=complex)
-    quad = _quadrant(points[0])
-    z_prev = _reference_point(quad, p)
-    w_prev = _reference_roots(quad, p)
-    for k, z_k in enumerate(points):
-        w_prev = _continue_roots(w_prev, z_prev, z_k, p.gamma)
-        z_prev = z_k
-        out[k] = _xi_from_w(w_prev, p)[sheet]
-    return out
+    return _xi_from_w(_w_along(points, p)[:, sheet], p)
 
 
 def cubic_sheet_on_path(points: np.ndarray, alpha: float, tau: float,
                         sheet: int) -> np.ndarray:
     """s_{sheet} at each point of a polyline inside one half-plane (Re != 0)."""
-    points = np.asarray(points, dtype=complex)
-    out = np.empty(len(points), dtype=complex)
-    xs = x_star(alpha, tau)
-    x_ref = 0.05 * xs if points[0].real > 0.0 else -0.05 * xs
-    s_prev = _ordered_real_cubic(x_ref, alpha, tau)
-    lift_im = math.copysign(0.5 * xs, points[0].imag if points[0].imag != 0.0 else 1.0)
-    lift = complex(x_ref, lift_im)
-    s_prev = _continue_roots3(s_prev, complex(x_ref), lift, alpha, tau)
-    z_prev = lift
-    for k, z_k in enumerate(points):
-        s_prev = _continue_roots3(s_prev, z_prev, z_k, alpha, tau)
-        z_prev = z_k
-        out[k] = s_prev[sheet]
-    return out
+    return _s_along(points, alpha, tau)[:, sheet]
 
 
 # ---------------------------------------------------------------------------
@@ -431,46 +393,34 @@ def x_star(alpha: float, tau: float) -> float:
     return (2.0 / tau) * (-alpha / 3.0) ** 1.5
 
 
-def _cubic_roots(z: complex, alpha: float, tau: float) -> np.ndarray:
-    roots = np.roots([1.0, 0.0, alpha, -tau * z])
-    for _ in range(2):
-        f = roots**3 + alpha * roots - tau * z
-        fp = 3.0 * roots**2 + alpha
-        mask = np.abs(fp) > 0.0
-        roots[mask] -= f[mask] / fp[mask]
-    return roots
+def _cubic(alpha: float, tau: float):
+    """Coefficients of s^3 + alpha s - tau z as a function of z."""
+    return lambda z: np.array([1.0, 0.0, alpha, -tau * z])
 
 
 def _ordered_real_cubic(x: float, alpha: float, tau: float) -> np.ndarray:
     """Real roots on (-x*, x*), ordered by W(s) - tau x s ascending."""
-    roots = np.real(_cubic_roots(x, alpha, tau))
+    roots = np.real(_polished_roots(_cubic(alpha, tau)(x)))
     crit = _w_potential(roots, alpha) - tau * x * roots
     return roots[np.argsort(crit)].astype(complex)
 
 
-def _match_roots3(prev: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, float]:
-    best, best_cost = None, math.inf
-    for perm in permutations(range(3)):
-        cand = new[list(perm)]
-        cost = float(np.max(np.abs(cand - prev)))
-        if cost < best_cost:
-            best, best_cost = cand, cost
-    return best, best_cost
+def _s_along(points, alpha: float, tau: float) -> np.ndarray:
+    """s_j at each point of a polyline inside one half-plane, shape (n, 3).
 
-
-def _continue_roots3(prev: np.ndarray, z0: complex, z1: complex,
-                     alpha: float, tau: float, depth: int = 0) -> np.ndarray:
-    new = _cubic_roots(z1, alpha, tau)
-    matched, movement = _match_roots3(prev, new)
-    sep = min(abs(new[0] - new[1]), abs(new[0] - new[2]), abs(new[1] - new[2]))
-    if movement <= 0.3 * sep or abs(z1 - z0) < 1e-14 * max(1.0, abs(z1)):
-        return matched
-    if depth > 60:
-        raise DegenerateRoots(
-            f"cubic continuation failed to separate branches near z = {z1}")
-    mid = 0.5 * (z0 + z1)
-    half = _continue_roots3(prev, z0, mid, alpha, tau, depth + 1)
-    return _continue_roots3(half, mid, z1, alpha, tau, depth + 1)
+    Labels are fixed on the real window at x_ref = +-x*/20 (the side of the
+    first point); the path rises off the real axis to x_ref +- i x*/2 before
+    heading to the first point, so it keeps clear of the branch points
+    +-x* when a point sits just off the real axis beyond the window.
+    """
+    xs = x_star(alpha, tau)
+    first = points[0]
+    x_ref = 0.05 * xs if first.real > 0.0 else -0.05 * xs
+    side = first.imag if first.imag != 0.0 else 1.0
+    lift = complex(x_ref, math.copysign(0.5 * xs, side))
+    s_ref = _ordered_real_cubic(x_ref, alpha, tau)
+    return _march(s_ref, complex(x_ref), np.concatenate([[lift], points]),
+                  _cubic(alpha, tau))[1:]
 
 
 def theta_branches(z: complex, alpha: float, tau: float) -> ThetaValues:
@@ -484,19 +434,10 @@ def theta_branches(z: complex, alpha: float, tau: float) -> ThetaValues:
     if tau <= 0.0 or alpha >= 0.0:
         raise ValueError("theta requires tau > 0 and alpha < 0")
     z = complex(z)
-    xs = x_star(alpha, tau)
-    if z.imag == 0.0 and abs(z.real) < xs:
+    if z.imag == 0.0 and abs(z.real) < x_star(alpha, tau):
         s = _ordered_real_cubic(z.real, alpha, tau)
     else:
-        z_eff = _nudge_off_axis(z) if (z.imag == 0.0 or z.real == 0.0) else z
-        x_ref = 0.05 * xs if z_eff.real > 0.0 else -0.05 * xs
-        s_ref = _ordered_real_cubic(x_ref, alpha, tau)
-        # rise off the real axis before heading to the target, so the path
-        # keeps clear of the branch points +-x* when z sits just off the
-        # real axis beyond the window
-        lift = complex(x_ref, math.copysign(0.5 * xs, z_eff.imag))
-        s_mid = _continue_roots3(s_ref, complex(x_ref), lift, alpha, tau)
-        s = _continue_roots3(s_mid, lift, z_eff, alpha, tau)
+        s = _s_along([_nudge_off_axis(z)], alpha, tau)[0]
     theta = -_w_potential(s, alpha) + tau * z * s
     return ThetaValues(z=z, s=s, theta=theta)
 

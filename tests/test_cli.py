@@ -94,6 +94,12 @@ def test_config_error_exit_2(runner, tmp_path):
     result, _, _ = _run(runner, tmp_path,
                         ["double-scaling", "--a", "1.0", "--sigma", "0.5"])
     assert result.exit_code == 2
+    for args in (["kernel", "--which", "tac", "--u", "-1", "--v", "1"],
+                 ["density", "--alpha", "-1", "--tau", "-1"],
+                 ["hm", "--grid", "-20:20:5"]):
+        result, _, _ = _run(runner, tmp_path, args)
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
 
 
 def test_lax_check_passes(runner, tmp_path):

@@ -96,6 +96,18 @@ def test_densities_real_cast():
     ms.density_mu3(0.7, CRIT)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: sf.xi_branches(math.nan, CRIT),
+    lambda: sf.theta_branches(math.nan, -1.0, 1.0),
+    lambda: ms.density_mu1(math.nan, CRIT),
+    lambda: ms.density_mu3(math.inf, CRIT),
+], ids=["xi_branches", "theta_branches", "density_mu1", "density_mu3"])
+def test_non_finite_point_rejected(call):
+    # [TRIVIAL] a NaN or inf point is rejected by name at the root tracker
+    with pytest.raises(ValueError, match="non-finite point"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # masses and integrals
 

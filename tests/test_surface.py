@@ -347,6 +347,26 @@ def test_theta_residual_complex():
 
 
 # ---------------------------------------------------------------------------
+# path marching against per-point tracking
+
+
+@pytest.mark.parametrize("rotation", [1, 1j, -1, -1j], ids=["I", "II", "III", "IV"])
+def test_path_and_point_tracking_agree(rotation):
+    # [TRIVIAL] marching a polyline inside one quadrant keeps the labels that
+    # per-point tracking from the quadrant reference assigns
+    points = rotation * np.array([0.4 + 0.3j, 1.2 + 0.9j, 2.8 + 0.5j,
+                                  3.5 + 2.0j, 0.9 + 4.0j])
+    for j in range(4):
+        on_path = sf.xi_sheet_on_path(points, CRIT, j)
+        per_point = [sf.xi_branches(z, CRIT).xi[j] for z in points]
+        assert np.max(np.abs(on_path - per_point)) < 1e-12
+    for j in range(3):
+        on_path = sf.cubic_sheet_on_path(points, -1.0, 1.0, j)
+        per_point = [sf.theta_branches(z, -1.0, 1.0).s[j] for z in points]
+        assert np.max(np.abs(on_path - per_point)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
 # phase classifier
 
 
