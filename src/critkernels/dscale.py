@@ -75,6 +75,8 @@ _N2 = np.array([[cmath.exp(-1j * cmath.pi / 4.0), cmath.exp(1j * cmath.pi / 4.0)
 _N2_INV = np.linalg.inv(_N2)
 _S1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _S3 = np.diag([1.0, -1.0]).astype(complex)
+_N_CIRCLE = 160          # nodes on the circle about 0; the circles about +-1 get half
+_N_SEG = 24              # Gauss-Legendre nodes per straight contour piece
 
 
 def airy_model(xi: complex) -> np.ndarray:
@@ -147,19 +149,15 @@ def _gauss_piece(A: complex, B: complex, n: int, kind="segment") -> _Piece:
 class DoubleScaling:
     """Kernel evaluator at (s, t) = (a^2/2, -a(1 - sigma/a^2)), a >= 2."""
 
-    def __init__(self, a: float, sigma: float, u_points=(),
-                 eps: float | None = None, delta: float | None = None,
-                 n_circle: int = 160, n_seg: int = 24):
+    def __init__(self, a: float, sigma: float, u_points=()):
         self.a = float(a)
         self.sigma = float(sigma)
         self.p = 1.0 - sigma / a ** 2
         self.nu0 = 2.0 ** (5.0 / 3.0) * sigma
         self.pii = get_pii_solver(complex(self.nu0))
         self.q_nu = complex(painleve.default_solution()(self.nu0)[1])
-        self.eps = self._choose_eps(u_points) if eps is None else float(eps)
-        self.delta = min(0.97 - self.eps, 0.32) if delta is None else float(delta)
-        self.n_circle = n_circle
-        self.n_seg = n_seg
+        self.eps = self._choose_eps(u_points)
+        self.delta = min(0.97 - self.eps, 0.32)
         self._build_contour()
         self._solve()
 
@@ -286,9 +284,9 @@ class DoubleScaling:
         pieces: list[_Piece] = []
 
         # circles (ccw)
-        for c, rho, n, tag in ((0.0, self.eps, self.n_circle, "u0"),
-                               (1.0, self.delta, self.n_circle // 2, "u+"),
-                               (-1.0, self.delta, self.n_circle // 2, "u-")):
+        for c, rho, n, tag in ((0.0, self.eps, _N_CIRCLE, "u0"),
+                               (1.0, self.delta, _N_CIRCLE // 2, "u+"),
+                               (-1.0, self.delta, _N_CIRCLE // 2, "u-")):
             th = 2.0 * np.pi * np.arange(n) / n
             nodes = c + rho * np.exp(1j * th)
             weights = 1j * rho * np.exp(1j * th) * (2.0 * np.pi / n)
@@ -305,8 +303,8 @@ class DoubleScaling:
             th = self._ray_exit_angle(base)
             d = cmath.exp(1j * th)
             mid = min(1.15, 0.5 * (self.eps + r_out))
-            for (ra, rb, n) in ((self.eps, mid, self.n_seg),
-                                (mid, r_out, self.n_seg)):
+            for (ra, rb, n) in ((self.eps, mid, _N_SEG),
+                                (mid, r_out, _N_SEG)):
                 pc = _gauss_piece(ra * d, rb * d, n)
                 pc.extra["jump"] = ("oray", sgn, ij)
                 pieces.append(pc)
@@ -316,7 +314,7 @@ class DoubleScaling:
                            (-1, 2.0 * math.pi / 3.0), (-1, -2.0 * math.pi / 3.0)):
             c = 1.0 if side > 0 else -1.0
             d = cmath.exp(1j * base)
-            pc = _gauss_piece(c + self.delta * d, c + lens_out * d, self.n_seg)
+            pc = _gauss_piece(c + self.delta * d, c + lens_out * d, _N_SEG)
             pc.extra["jump"] = ("alens", side)
             pieces.append(pc)
 
@@ -324,10 +322,10 @@ class DoubleScaling:
         xin = 1.0 - (25.0 * 3.0 / (4.0 * a3)) ** (2.0 / 3.0)
         xin = min(max(xin, 0.05), self.eps - 0.02)
         for s in (1.0, -1.0):
-            pc = _gauss_piece(s * xin, s * self.eps, self.n_seg)
+            pc = _gauss_piece(s * xin, s * self.eps, _N_SEG)
             pc.extra["jump"] = ("seg_in", s)
             pieces.append(pc)
-            pc = _gauss_piece(s * self.eps, s * (1.0 - self.delta), self.n_seg)
+            pc = _gauss_piece(s * self.eps, s * (1.0 - self.delta), _N_SEG)
             pc.extra["jump"] = ("seg_out", s)
             pieces.append(pc)
 

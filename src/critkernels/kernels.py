@@ -1,21 +1,30 @@
-"""The limiting kernels K_cr and K_tac of the critical two-matrix model.
+"""The limiting kernels K_cr, K_tac and K_PII as one bilinear form.
 
-Both kernels are bilinear forms in boundary values of the model 4x4
-Riemann-Hilbert solution M:
+Each kernel is the same form in a matrix solution M of a Lax equation
+dM/dzeta = L M, evaluated along the line zeta = dz * x:
 
-    K_cr(u, v)  = (1/(2 pi i (u-v))) (-1,1,0,0) M(iu)^{-1} M(iv) (1,1,0,0)^T
-    K_tac(u, v) = (1/(2 pi i (u-v))) (-1,0,1,0) M_+(v)^{-1} M_+(u) (1,0,1,0)^T
+    K(a, b) = row M(dz a)^{-1} M(dz b) col^T / (2 pi i (a - b))
 
-with M evaluated on the imaginary axis (K_cr; sector 2 for u > 0, sector
-7 for u < 0) or as the boundary value from above on the positive real
-axis (K_tac, at t = 0).  Diagonal values use the derivative limit with
-dM/dzeta = U M from the Lax equation.
+  K_cr(u, v)   = K(u, v), dz = i, row (-1,1,0,0), col (1,1,0,0), with M
+                 the model 4x4 RH solution on the imaginary axis (sector 2
+                 for u > 0, sector 7 for u < 0);
+  K_tac(u, v)  = -K(v, u), dz = 1, row (-1,0,1,0), col (1,0,1,0), with M
+                 the boundary value M_+ from above on the positive real
+                 axis at t = 0.  The arguments are swapped: the inverse
+                 sits at the second argument,
+                 K_tac(u, v) = row M_+(v)^{-1} M_+(u) col^T / (2 pi i (u - v));
+  K_PII(x, y)  = K(x, y), dz = 1, row (1,-1), col (1,1), with M the
+                 Painleve II RH solution Psi on the real line.
 
-Numerically the bilinear forms are assembled from the column-balanced
+Since row . col = 0, the diagonal is the derivative limit through the
+Lax equation: K(a, a) = -row M^{-1} (dz L(dz a)) M col^T / (2 pi i).
+
+Numerically the forms are assembled from the column-balanced
 factorization M = Mhat diag(e^{l_j}) provided by the solver: the entries
-of Mhat^{-1} X Mhat are combined with explicit exponent differences
-e^{l_j - l_i}, which keeps every intermediate inside floating-point
-range and the matrix inverse well-conditioned.
+of Mhat_a^{-1} Mhat_b that the row and column select are combined with
+explicit exponent differences e^{l_j - l_i}, which keeps every
+intermediate inside floating-point range and the matrix inverse
+well-conditioned.
 
 The module also provides the closed-form large-u diagonal comparators:
 
@@ -33,10 +42,11 @@ import math
 
 import numpy as np
 
-from . import laxpair, painleve
+from . import painleve
 from .errors import DomainRestriction
 from .piisolver import PiiSolver, get_pii_solver
-from .rhsolver import RhSolver, balance_columns
+from .rhsolver import RhSolver
+from .sectoral import balance_columns
 
 __all__ = [
     "get_solver",
@@ -53,6 +63,8 @@ __all__ = [
 
 _ORIGIN_EPS = 1e-3       # |u| below which the kernel is extrapolated
 _COINCIDE_EPS = 1e-6     # relative |u - v| treated as the diagonal
+# sample abscissae of the quadratic extrapolation through 0
+_ORIGIN_NODES = tuple(k * _ORIGIN_EPS for k in (-3.0, -2.0, 2.0, 3.0))
 
 
 @functools.lru_cache(maxsize=8)
@@ -78,52 +90,41 @@ def _signed_data(solver: RhSolver, values) -> dict:
     return out
 
 
-def _pair_form(data_u, data_v, row, col, rows, cols) -> complex:
-    """sum_{ij} row_i [M_u^{-1} M_v]_{ij} col_j via balanced factors."""
-    Mu, lu = data_u
-    Mv, lv = data_v
-    Z = np.linalg.solve(Mu, Mv)
-    total = 0.0 + 0.0j
-    for i in rows:
-        for j in cols:
-            total += row[i] * Z[i, j] * col[j] * math.exp(lv[j] - lu[i])
-    return total
+def _finite(**args) -> None:
+    """Raise ValueError naming the first argument that is not finite."""
+    for name, value in args.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _diag_form(data, U, row, col, rows, cols) -> complex:
-    """sum_{ij} row_i [M^{-1} U M]_{ij} col_j via balanced factors."""
-    Mh, lg = data
-    Y = np.linalg.solve(Mh, U @ Mh)
-    total = 0.0 + 0.0j
-    for i in rows:
-        for j in cols:
-            total += row[i] * Y[i, j] * col[j] * math.exp(lg[j] - lg[i])
-    return total
+def _form(solver, data, a: float, b: float, dz: complex,
+          row, col, idx) -> complex:
+    """row M(a)^{-1} M(b) col / (2 pi i (a - b)) with M evaluated at dz*a, dz*b.
+
+    data maps a point to the balanced factors (Mhat, logs) of M there.
+    At a == b the value is the derivative limit
+    -row M^{-1} (dz L(dz a)) M col / (2 pi i), from dM/dzeta = L M and
+    row . col = 0.  Only the idx x idx entries are formed, so exponent
+    differences of unused columns never enter.
+    """
+    Ma, la = data[a]
+    Mb, lb = data[b]
+    if a == b:
+        Z = -np.linalg.solve(Ma, dz * solver.lax(dz * a) @ Ma)
+        denom = 2.0j * math.pi
+    else:
+        Z = np.linalg.solve(Ma, Mb)
+        denom = 2.0j * math.pi * (a - b)
+    i = np.asarray(idx)
+    scale = np.exp(lb[i][None, :] - la[i][:, None])
+    return complex(row[i] @ (Z[np.ix_(i, i)] * scale) @ col[i] / denom)
 
 
 # -- K_cr ------------------------------------------------------------------
 
-_CR_ROW = (-1.0, 1.0, 0.0, 0.0)
-_CR_ROW_DIAG = (1.0, -1.0, 0.0, 0.0)
-_CR_COL = (1.0, 1.0, 0.0, 0.0)
+_CR_ROW = np.array([-1.0, 1.0, 0.0, 0.0])
+_CR_COL = np.array([1.0, 1.0, 0.0, 0.0])
 _CR_IDX = (0, 1)
-
-
-def _cr_pair(solver: RhSolver, u: float, v: float, data: dict) -> complex:
-    num = _pair_form(data[u], data[v], _CR_ROW, _CR_COL, _CR_IDX, _CR_IDX)
-    return num / (2.0j * math.pi * (u - v))
-
-
-def _cr_diag(solver: RhSolver, u: float, data: dict) -> complex:
-    U, _ = laxpair.lax_matrices(1j * u, solver.co)
-    val = _diag_form(data[u], U, _CR_ROW_DIAG, _CR_COL, _CR_IDX, _CR_IDX)
-    return val / (2.0 * math.pi)
-
-
-def _origin_nodes(x: float):
-    """Sample abscissae for the quadratic extrapolation through 0."""
-    h = _ORIGIN_EPS
-    return [-3.0 * h, -2.0 * h, 2.0 * h, 3.0 * h]
 
 
 def _quadratic_through(xs, ys, x: float) -> complex:
@@ -141,43 +142,40 @@ def kernel_cr(u: float, v: float, s: float, t: float,
     evaluation degrades there); coincident arguments fall through to
     `kernel_cr_diag`.
     """
+    _finite(u=u, v=v, s=s, t=t)
     u, v = float(u), float(v)
     if solver is None:
         solver = get_solver(s, t)
     if abs(u - v) <= _COINCIDE_EPS * max(1.0, abs(u)):
         return kernel_cr_diag(0.5 * (u + v), s, t, solver)
     if abs(u) < _ORIGIN_EPS:
-        xs = _origin_nodes(u)
-        ys = [kernel_cr(x, v, s, t, solver) for x in xs]
-        return _quadratic_through(xs, ys, u)
+        ys = [kernel_cr(x, v, s, t, solver) for x in _ORIGIN_NODES]
+        return _quadratic_through(_ORIGIN_NODES, ys, u)
     if abs(v) < _ORIGIN_EPS:
-        xs = _origin_nodes(v)
-        ys = [kernel_cr(u, x, s, t, solver) for x in xs]
-        return _quadratic_through(xs, ys, v)
+        ys = [kernel_cr(u, x, s, t, solver) for x in _ORIGIN_NODES]
+        return _quadratic_through(_ORIGIN_NODES, ys, v)
     data = _signed_data(solver, (u, v))
-    return _cr_pair(solver, u, v, data)
+    return _form(solver, data, u, v, 1j, _CR_ROW, _CR_COL, _CR_IDX)
 
 
 def kernel_cr_diag(u, s: float, t: float,
                    solver: RhSolver | None = None):
     """Diagonal K_cr(u, u; s, t); u may be a scalar or an array."""
+    _finite(u=u, s=s, t=t)
     if solver is None:
         solver = get_solver(s, t)
     us = np.atleast_1d(np.asarray(u, dtype=float))
-    out = np.empty(us.shape, dtype=complex)
     small = np.abs(us) < _ORIGIN_EPS
-    regular = sorted(set(us[~small]))
-    data = _signed_data(solver, regular) if regular else {}
+    data = _signed_data(solver, us[~small])
+    if small.any():
+        node_data = _signed_data(solver, _ORIGIN_NODES)
+        ys = [_form(solver, node_data, x, x, 1j, _CR_ROW, _CR_COL, _CR_IDX)
+              for x in _ORIGIN_NODES]
+    out = np.empty(us.shape, dtype=complex)
     for idx, uu in np.ndenumerate(us):
-        if not small[idx]:
-            out[idx] = _cr_diag(solver, float(uu), data)
-    if np.any(small):
-        xs = _origin_nodes(0.0)
-        node_data = _signed_data(solver, xs)
-        ys = [_cr_diag(solver, x, node_data) for x in xs]
-        for idx, uu in np.ndenumerate(us):
-            if small[idx]:
-                out[idx] = _quadratic_through(xs, ys, float(uu))
+        uu = float(uu)
+        out[idx] = (_quadratic_through(_ORIGIN_NODES, ys, uu) if small[idx] else
+                    _form(solver, data, uu, uu, 1j, _CR_ROW, _CR_COL, _CR_IDX))
     return complex(out[0]) if np.isscalar(u) or np.ndim(u) == 0 else out
 
 
@@ -190,8 +188,8 @@ def cr_diag_asym(u, s: float, t: float):
 
 # -- K_tac -----------------------------------------------------------------
 
-_TAC_ROW = (-1.0, 0.0, 1.0, 0.0)
-_TAC_COL = (1.0, 0.0, 1.0, 0.0)
+_TAC_ROW = np.array([-1.0, 0.0, 1.0, 0.0])
+_TAC_COL = np.array([1.0, 0.0, 1.0, 0.0])
 _TAC_IDX = (0, 2)
 
 _REAL_SWITCH = 9.0
@@ -205,9 +203,9 @@ def _m_real(solver: RhSolver, us) -> dict:
     (roundoff of the dominant mode swamps the neutral columns once
     e^{psi(u)} exceeds ~1e6) nor inward integration from large radius
     (the inward-growing recessive mode contaminates them) works for all
-    u, so M is taken from the outward fundamental solution for
-    u < 9 and directly from the asymptotic series beyond, where its
-    truncation error is below the kernel tolerances.
+    u, so M is transported outward from M(0) = C_0 for u < 9 and taken
+    directly from the asymptotic series beyond, where its truncation
+    error is below the kernel tolerances.
     """
     us = sorted({float(u) for u in us})
     if us and us[0] <= 0.0:
@@ -215,9 +213,8 @@ def _m_real(solver: RhSolver, us) -> dict:
     out = {}
     small = [u for u in us if u < _REAL_SWITCH]
     if small:
-        phis = solver._phi_along(1.0 + 0.0j, small)
-        for u, (P, g) in zip(small, phis):
-            out[u] = balance_columns(P @ solver.C[0], g)
+        out.update(zip(small, solver.transport(1.0 + 0.0j, solver.C[0],
+                                               np.zeros(4), 0.0, small)))
     for u in us:
         if u >= _REAL_SWITCH:
             out[u] = balance_columns(*solver.fs["+"].frame_scaled(u + 0.0j))
@@ -240,6 +237,7 @@ def _tac_reduce(u, v, r: float):
 def kernel_tac(u: float, v: float, r: float, s: float,
                solver: RhSolver | None = None) -> complex:
     """The tacnode kernel K_tac(u, v; r, s) for u, v > 0 (t = 0)."""
+    _finite(u=u, v=v, r=r, s=s)
     u, v = float(u), float(v)
     if u <= 0.0 or v <= 0.0:
         raise DomainRestriction("kernel_tac requires u, v > 0")
@@ -250,13 +248,13 @@ def kernel_tac(u: float, v: float, r: float, s: float,
     if abs(u1 - v1) <= _COINCIDE_EPS * max(1.0, abs(u1)):
         return kernel_tac_diag(0.5 * (u + v), r, s, solver)
     data = _m_real(solver, [u1, v1])
-    num = _pair_form(data[v1], data[u1], _TAC_ROW, _TAC_COL, _TAC_IDX, _TAC_IDX)
-    return c * num / (2.0j * math.pi * (u1 - v1))
+    return -c * _form(solver, data, v1, u1, 1.0, _TAC_ROW, _TAC_COL, _TAC_IDX)
 
 
 def kernel_tac_diag(u, r: float, s: float,
                     solver: RhSolver | None = None):
     """Diagonal K_tac(u, u; r, s) for u > 0; u scalar or array."""
+    _finite(u=u, r=r, s=s)
     us = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(us <= 0.0):
         raise DomainRestriction("kernel_tac requires u > 0")
@@ -267,10 +265,8 @@ def kernel_tac_diag(u, r: float, s: float,
     data = _m_real(solver, u1.tolist())
     out = np.empty(us.shape, dtype=complex)
     for idx, uu in np.ndenumerate(u1):
-        U, _ = laxpair.lax_matrices(complex(uu), solver.co)
-        val = _diag_form(data[float(uu)], U, _TAC_ROW, _TAC_COL,
-                         _TAC_IDX, _TAC_IDX)
-        out[idx] = c * val / (2.0j * math.pi)
+        out[idx] = -c * _form(solver, data, float(uu), float(uu), 1.0,
+                              _TAC_ROW, _TAC_COL, _TAC_IDX)
     return complex(out[0]) if np.isscalar(u) or np.ndim(u) == 0 else out
 
 
@@ -278,6 +274,7 @@ def kernel_tac_diag(u, r: float, s: float,
 
 _PII_ROW = np.array([1.0, -1.0])
 _PII_COL = np.array([1.0, 1.0])
+_PII_IDX = (0, 1)
 
 
 def kernel_pii(x: float, y: float, nu,
@@ -289,23 +286,24 @@ def kernel_pii(x: float, y: float, nu,
     the diagonal is a nonnegative density and the double-scaling gap to
     K_cr closes.
     """
+    _finite(x=x, y=y, nu=nu)
     x, y = float(x), float(y)
     if solver is None:
         solver = get_pii_solver(complex(nu))
     if abs(x - y) <= _COINCIDE_EPS * max(1.0, abs(x)):
         return kernel_pii_diag(0.5 * (x + y), nu, solver)
-    num = _PII_ROW @ np.linalg.solve(solver.psi(x), solver.psi(y)) @ _PII_COL
-    return complex(num / (2.0j * math.pi * (x - y)))
+    data = {p: (solver.psi(p), np.zeros(2)) for p in (x, y)}
+    return _form(solver, data, x, y, 1.0, _PII_ROW, _PII_COL, _PII_IDX)
 
 
 def kernel_pii_diag(x: float, nu, solver: PiiSolver | None = None) -> complex:
     """Diagonal K_PII(x, x; nu) via the derivative limit."""
+    _finite(x=x, nu=nu)
     x = float(x)
     if solver is None:
         solver = get_pii_solver(complex(nu))
-    P = solver.psi(x)
-    val = _PII_ROW @ np.linalg.solve(P, solver.lax(x) @ P) @ _PII_COL
-    return complex(-val / (2.0j * math.pi))
+    data = {x: (solver.psi(x), np.zeros(2))}
+    return _form(solver, data, x, x, 1.0, _PII_ROW, _PII_COL, _PII_IDX)
 
 
 def tac_diag_asym(u, r: float, s: float, oscillation: bool = True):

@@ -245,18 +245,12 @@ def frame_base_scaled(zeta: complex, s: float, t: float,
     return B @ _A @ np.diag(np.exp(exps - g)), g
 
 
-def asymptotic_frame(zeta: complex, s: float, t: float, variant: str = "+",
-                     order: int = 0,
-                     co: LaxCoefficients | None = None) -> np.ndarray:
-    """Asymptotic frame (I + N1/zeta)^{order} B(zeta) A E(zeta).
+def asymptotic_frame(zeta: complex, s: float, t: float,
+                     variant: str = "+") -> np.ndarray:
+    """Leading-order asymptotic frame B(zeta) A E(zeta).
 
     See `frame_base_scaled` for the branch conventions; this plain version
     overflows once the dominant exponent exceeds ~700.
     """
     base, g = frame_base_scaled(zeta, s, t, variant)
-    frame = base * math.exp(g)
-    if order >= 1:
-        if co is None:
-            co = lax_coefficients(s, t)
-        frame = (np.eye(4, dtype=complex) + n1_matrix(co) / zeta) @ frame
-    return frame
+    return base * math.exp(g)

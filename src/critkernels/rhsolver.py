@@ -9,7 +9,7 @@ its '+' branch in sectors 0-4 and its '-' branch in sectors 5-9.  The
 sector constants are found by the shared engine of `sectoral`.
 
 On top of the engine, `m_balanced` gives M along an axis in
-column-balanced form, re-integrating the recessive columns inward from
+column-balanced form, transporting the recessive columns inward from
 the series, and `hm_extract` recovers the Hastings-McLeod value from
 the 1/zeta coefficient of M.
 """
@@ -19,13 +19,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import laxpair, series
-from .errors import IntegrationFailure
-from .sectoral import RTOL, SectoralSolver
+from .sectoral import SectoralSolver
 
-__all__ = ["RAY_ANGLES", "JUMPS", "RhSolver", "balance_columns"]
+__all__ = ["RAY_ANGLES", "JUMPS", "RhSolver"]
 
 _PHI1 = math.pi / 6.0
 _PHI2 = math.pi / 3.0
@@ -59,12 +57,6 @@ _J[8] = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 0, 1]]
 _J[9] = _J[1]
 
 JUMPS = tuple(np.array(_J[k], dtype=complex) for k in range(10))
-
-
-def balance_columns(M: np.ndarray, logs=0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(Mhat, logs + log m) with M = Mhat diag(m), each column of Mhat at unit max."""
-    m = np.max(np.abs(M), axis=0)
-    return M / m, logs + np.log(m)
 
 
 class RhSolver(SectoralSolver):
@@ -111,101 +103,60 @@ class RhSolver(SectoralSolver):
     def det_m(self, zeta: complex, sector: int | None = None) -> complex:
         return complex(np.linalg.det(self.M(zeta, sector)))
 
-    def prefactor(self, zeta: complex) -> np.ndarray:
-        """P = M E^{-1} A^{-1} B^{-1} (tends to I at infinity)."""
-        sector = self.sector_of(zeta)
-        variant = self.variant_of(sector)
-        fr = laxpair.asymptotic_frame(zeta, self.s, self.t, variant, order=0)
-        return self.M(zeta, sector) @ np.linalg.inv(fr)
-
-    # axis name -> (direction, sector, columns evaluated outward as Phi C;
-    # the remaining columns are exponentially recessive or neutral along
-    # the axis and are re-integrated inward from the asymptotic series)
+    # axis name -> (direction, sector, columns transported outward from
+    # M(0) = C_sector; the remaining columns are exponentially recessive
+    # or neutral along the axis and are transported inward from the
+    # asymptotic series)
     _AXES = {
         "imag+": (1j, 2, [0, 1]),
         "imag-": (-1j, 7, [0, 1]),
-        "real+": (1.0 + 0j, 0, [3]),
     }
 
     def m_balanced(self, u_values, axis: str = "imag+") -> dict:
         """Column-balanced M along an axis: u -> (Mhat, logs).
 
         M(u * direction) = Mhat diag(e^{logs_j}) with every column of
-        Mhat normalized to unit max entry.  Dominant columns come from
-        the outward fundamental solution; the other columns (recessive
+        Mhat normalized to unit max entry.  Dominant columns are
+        transported outward from M(0) = C_k; the other columns (recessive
         or neutral along the axis, hence swamped there by the roundoff
-        of Phi @ C) are re-integrated *inward* from the asymptotic
-        series at R = max(r0, max u + 1.5), the stable direction for
-        them.  The per-column normalization keeps all scales explicit,
-        so kernel bilinear forms can be assembled without overflow and
-        with a well-conditioned inverse.
+        of the dominant ones) are transported *inward* from the
+        asymptotic series at R = max(r0, max u + 1.5), the stable
+        direction for them.  The per-column normalization keeps all
+        scales explicit, so kernel bilinear forms can be assembled
+        without overflow and with a well-conditioned inverse.
         """
         direction, sector, outward_cols = self._AXES[axis]
         inward_cols = [j for j in range(4) if j not in outward_cols]
-        ncol = len(inward_cols)
         us = sorted(float(u) for u in u_values)
         if us[0] <= 0.0:
             raise ValueError("u values must be positive")
         R = max(self.r0, us[-1] + 1.5)
-
-        # recessive/neutral columns: inward from the series frame at R
         F, gF = self._series_frame(R * direction, sector)
-        y, logs_in = balance_columns(F[:, inward_cols], gF)
-
-        def rhs(r, yy):
-            U = self.lax(r * direction)
-            return (direction * (U @ yy.reshape(4, ncol))).reshape(4 * ncol)
-
-        inward: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        segs = [(ra, rb) for ra, rb in self._segments(R) if rb > us[0]]
-        for ra, rb in reversed(segs):
-            lo = max(ra, us[0])
-            sol = solve_ivp(rhs, (rb, lo), y.reshape(4 * ncol),
-                            method="DOP853", rtol=RTOL, atol=1e-300,
-                            dense_output=True)
-            if not sol.success:
-                raise IntegrationFailure(f"inward columns: {sol.message}")
-            for u in us:
-                if u not in inward and lo - 1e-12 <= u <= rb + 1e-12:
-                    inward[u] = (sol.sol(u).reshape(4, ncol), logs_in)
-            y, logs_in = balance_columns(sol.y[:, -1].reshape(4, ncol), logs_in)
-
-        # dominant columns: outward fundamental solution
-        phis = self._phi_along(direction, us)
-        C = self.C[sector]
-        out = {}
-        for u, (Phi, gphi) in zip(us, phis):
-            Mhat = np.empty((4, 4), dtype=complex)
-            logs = np.empty(4)
-            Mhat[:, outward_cols], logs[outward_cols] = balance_columns(
-                Phi @ C[:, outward_cols], gphi)
-            Mhat[:, inward_cols], logs[inward_cols] = balance_columns(*inward[u])
-            out[u] = (Mhat, logs)
-        return out
-
-    def m_imag_axis(self, u_values) -> dict:
-        """Hybrid M(iu) for u > 0 as plain matrices (moderate scales only)."""
-        return {u: Mhat * np.exp(logs)
-                for u, (Mhat, logs) in self.m_balanced(u_values, "imag+").items()}
+        outward = self.transport(direction, self.C[sector][:, outward_cols],
+                                 np.zeros(len(outward_cols)), 0.0, us)
+        inward = self.transport(direction, F[:, inward_cols], gF, R, us)
+        perm = np.argsort(outward_cols + inward_cols)
+        return {u: (np.hstack([A, B])[:, perm], np.concatenate([la, lb])[perm])
+                for u, (A, la), (B, lb) in zip(us, outward, inward)}
 
     def hm_extract(self, u_points=None) -> complex:
         """Fitted (N1)_{14} from zeta (P - I)_{14} on the imaginary axis.
 
         Equals i 2^{-1/3} q(2^{2/3}(2s - t^2)) for the Hastings-McLeod
         solution.  P = M E^{-1} A^{-1} B^{-1} is evaluated through
-        `m_imag_axis` so that the exponentially small (1,4) entry is not
+        `m_balanced` so that the exponentially small (1,4) entry is not
         lost to contamination, and the limit is taken by fitting a
         six-term 1/zeta expansion over the sample window.
         """
         if u_points is None:
             u_points = np.arange(6.0, 16.01, 0.5)
-        ms = self.m_imag_axis(u_points)
         rows = []
         rhs = []
-        for u, M in ms.items():
+        for u, (Mhat, logs) in self.m_balanced(u_points, "imag+").items():
             zeta = 1j * u
-            fr0 = laxpair.asymptotic_frame(zeta, self.s, self.t, "+", order=0)
-            f = zeta * ((M @ np.linalg.inv(fr0)) - np.eye(4))[0, 3]
+            fr0 = laxpair.asymptotic_frame(zeta, self.s, self.t, "+")
+            M = Mhat * np.exp(logs)
+            f = zeta * (M @ np.linalg.inv(fr0) - np.eye(4))[0, 3]
             rows.append([zeta ** (-k) for k in range(6)])
             rhs.append(f)
         coef, *_ = np.linalg.lstsq(np.array(rows, dtype=complex),

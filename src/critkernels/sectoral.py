@@ -15,9 +15,12 @@ are invisible there), so the engine works globally: Phi is integrated
 *outward* from the origin, which is stable, and the constants are found
 from one weighted least-squares fit matching Phi C_k to the asymptotic
 series at anchors in all sectors simultaneously (three angles per
-sector, two radii).  The outward transport is cut into segments of
-bounded dominant growth and renormalized at the cuts, so Phi is carried
-as (Phi_scaled, g) with Phi = Phi_scaled e^g and never overflows.
+sector, two radii).  One `transport` serves every integration of the
+Lax equation: outward from the origin (Phi, and columns of M = Phi C_k)
+or inward from the asymptotic series, on any block of columns.  It is
+cut into segments of bounded dominant growth and rebalances the columns
+at the cuts, so each column is carried as (unit-max column, log scale)
+and never overflows.
 
 The jump relations tie the C_k together; `split_solve` deliberately
 omits the links across one opposite pair of rays so that those two
@@ -35,12 +38,18 @@ from scipy.optimize import brentq
 
 from .errors import IntegrationFailure
 
-__all__ = ["RTOL", "ATOL", "SectoralSolver"]
+__all__ = ["RTOL", "ATOL", "SectoralSolver", "balance_columns"]
 
 RTOL = 1e-12             # tolerances of the fundamental-solution transport
 ATOL = 1e-30
 _EDGE = 0.02             # anchor angle offset inside a sector's bounding rays
 _PER_SEGMENT = 400.0     # dominant growth (e-folds) per transport segment
+
+
+def balance_columns(M: np.ndarray, logs) -> tuple[np.ndarray, np.ndarray]:
+    """(Mhat, logs + log m) with M = Mhat diag(m), each column of Mhat at unit max."""
+    m = np.max(np.abs(M), axis=0)
+    return M / m, logs + np.log(m)
 
 
 class SectoralSolver:
@@ -75,10 +84,13 @@ class SectoralSolver:
             anchors = []
             for ang in (lo + _EDGE, 0.5 * (lo + hi), hi - _EDGE):
                 direction = cmath.exp(1j * ang)
-                phis = self._phi_along(direction, radii)
-                frames = [self._series_frame(r * direction, k) for r in radii]
-                anchors.extend((p, gp, f, gf)
-                               for (p, gp), (f, gf) in zip(phis, frames))
+                phis = self.transport(direction, np.eye(self.dim),
+                                      np.zeros(self.dim), 0.0, radii)
+                for r, (P, logs) in zip(radii, phis):
+                    # Phi = P_scaled e^g with one scale g for all columns
+                    g = float(np.max(logs))
+                    anchors.append((P * np.exp(logs - g), g,
+                                    *self._series_frame(r * direction, k)))
             self._anchors.append(anchors)
         self.C = self._solve_chain(break_rays=())
         self._split_cache: dict = {}
@@ -127,52 +139,55 @@ class SectoralSolver:
         cuts.append(rmax)
         return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
 
-    def _phi_along(self, direction: complex,
-                   radii) -> list[tuple[np.ndarray, float]]:
-        """(Phi_scaled, g) with Phi = Phi_scaled e^g at radii*direction.
+    def transport(self, direction: complex, Y: np.ndarray, logs, r_from: float,
+                  radii) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(Yhat, logs) at each radius for dY/dzeta = L Y on the ray.
 
-        Integrates outward from the origin segment by segment,
-        renormalizing at the boundaries so the dominant growth never
-        overflows; each returned matrix is normalized to unit max entry.
+        Y diag(e^{logs}) is a d x k block of solutions at r_from*direction;
+        the radii may lie on either side of r_from.  The integration is
+        cut at the segment boundaries of `_segments` and the columns are
+        rebalanced there, so no column overflows or is swamped by the
+        scale of another; every returned Yhat has unit max per column.
         """
-        radii = np.asarray(radii, dtype=float)
-        rmax = float(np.max(radii))
-        d = self.dim
-        if rmax < 1e-14:
-            return [(np.eye(d, dtype=complex), 0.0) for _ in radii]
+        radii = [float(r) for r in radii]
+        d, k = Y.shape
+        start = balance_columns(np.asarray(Y, dtype=complex), logs)
+        cuts = {c for seg in self._segments(max(radii + [r_from])) for c in seg}
 
         def rhs(r, y):
             L = self.lax(r * direction)
-            return (direction * (L @ y.reshape(d, d))).reshape(d * d)
+            return (direction * (L @ y.reshape(d, k))).reshape(d * k)
 
-        out: dict[float, tuple[np.ndarray, float]] = {}
-        y = np.eye(d, dtype=complex).reshape(d * d)
-        g = 0.0
-        for ra, rb in self._segments(rmax):
-            sol = solve_ivp(rhs, (ra, rb), y, method="DOP853",
-                            rtol=RTOL, atol=ATOL, dense_output=True)
-            if not sol.success:
-                raise IntegrationFailure(f"fundamental solution: {sol.message}")
-            for r in radii:
-                if r not in out and ra - 1e-12 <= r <= rb + 1e-12:
-                    P = sol.sol(r).reshape(d, d)
-                    m = float(np.max(np.abs(P)))
-                    out[r] = (P / m, g + math.log(m))
-            y = sol.y[:, -1]
-            m = float(np.max(np.abs(y)))
-            y = y / m
-            g += math.log(m)
+        out = {r: start for r in radii if r == r_from}
+        for targets in ([r for r in radii if r > r_from],
+                        [r for r in radii if r < r_from]):
+            if not targets:
+                continue
+            outward = targets[0] > r_from
+            end = max(targets) if outward else min(targets)
+            lo, hi = sorted((r_from, end))
+            inner = sorted((c for c in cuts if lo < c < hi), reverse=not outward)
+            knots = [r_from, *inner, end]
+            y, lg = start
+            for ra, rb in zip(knots, knots[1:]):
+                sol = solve_ivp(rhs, (ra, rb), y.reshape(d * k), method="DOP853",
+                                rtol=RTOL, atol=ATOL, dense_output=True)
+                if not sol.success:
+                    raise IntegrationFailure(f"Lax transport: {sol.message}")
+                for r in targets:
+                    if r not in out and min(ra, rb) - 1e-12 <= r <= max(ra, rb) + 1e-12:
+                        out[r] = balance_columns(sol.sol(r).reshape(d, k), lg)
+                y, lg = balance_columns(sol.y[:, -1].reshape(d, k), lg)
         return [out[r] for r in radii]
 
-    def phi_scaled(self, zeta: complex) -> tuple[np.ndarray, float]:
-        """(Phi_scaled, g) with the fundamental solution Phi = Phi_scaled e^g."""
-        if abs(zeta) < 1e-14:
-            return np.eye(self.dim, dtype=complex), 0.0
-        return self._phi_along(zeta / abs(zeta), [abs(zeta)])[0]
-
     def phi(self, zeta: complex) -> np.ndarray:
-        P, g = self.phi_scaled(zeta)
-        return P * math.exp(g)
+        """The fundamental solution Phi(zeta), with Phi(0) = I."""
+        r = abs(zeta)
+        if r < 1e-14:
+            return np.eye(self.dim, dtype=complex)
+        (P, logs), = self.transport(zeta / r, np.eye(self.dim),
+                                    np.zeros(self.dim), 0.0, [r])
+        return P * np.exp(logs)
 
     # -- chain solve -------------------------------------------------------
 

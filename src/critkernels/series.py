@@ -32,6 +32,7 @@ from . import laxpair
 __all__ = ["FrameSeries", "build_series", "frame_log_derivative_parts"]
 
 _A = laxpair._A
+_CHECK_TOL = 1e-10       # consistency conditions G_2 = U1, G_1 = 0
 
 
 def _frame_constants(variant: str) -> complex:
@@ -103,7 +104,7 @@ class FrameSeries:
 
     def frame(self, zeta: complex, order: int | None = None) -> np.ndarray:
         """P(zeta) B(zeta) A E(zeta), the series approximation to M."""
-        base = laxpair.asymptotic_frame(zeta, self.s, self.t, self.variant, order=0)
+        base = laxpair.asymptotic_frame(zeta, self.s, self.t, self.variant)
         return self.prefactor(zeta, order) @ base
 
     def frame_scaled(self, zeta: complex,
@@ -124,8 +125,7 @@ def _branch_sqrt(zeta: complex, variant: str) -> complex:
 
 
 def build_series(s: float, t: float, variant: str = "+", order: int = 10,
-                 hm=None, check_tol: float = 1e-10,
-                 beta: float | None = None) -> FrameSeries:
+                 hm=None) -> FrameSeries:
     """Solve the order-by-order relations for P_1..P_order.
 
     The stacked relations for half-powers m = 2-order-2 .. 0 are solved in
@@ -138,7 +138,7 @@ def build_series(s: float, t: float, variant: str = "+", order: int = 10,
     half-power (c ~ s^2 is the largest Lax coefficient scale), which
     destroys the conditioning of the raw least-squares system for large
     deformation parameters.  The solve is therefore preconditioned by the
-    substitution P_k = beta^k Q_k (beta defaults to max(1, |c|)^{1/2})
+    substitution P_k = beta^k Q_k with beta = max(1, |c|)^{1/2}
     together with a per-relation row normalization; for small (s, t) this
     is the identity scaling.
     """
@@ -149,12 +149,11 @@ def build_series(s: float, t: float, variant: str = "+", order: int = 10,
     U1[3, 1] = -1.0j
     U0 = U  # U(zeta) = U1 zeta + U0
     G = frame_log_derivative_parts(s, t, variant)
-    if np.max(np.abs(G[2] - U1)) > check_tol:
+    if np.max(np.abs(G[2] - U1)) > _CHECK_TOL:
         raise AssertionError("frame inconsistency: G_2 != U1")
-    if np.max(np.abs(G[1])) > check_tol:
+    if np.max(np.abs(G[1])) > _CHECK_TOL:
         raise AssertionError("frame inconsistency: G_1 != 0")
-    if beta is None:
-        beta = max(1.0, abs(co.c)) ** 0.5
+    beta = max(1.0, abs(co.c)) ** 0.5
 
     K = order
     nunk = 16 * K  # vec(Q_1), ..., vec(Q_K) with P_k = beta^k Q_k

@@ -95,6 +95,7 @@ def test_config_error_exit_2(runner, tmp_path):
                         ["double-scaling", "--a", "1.0", "--sigma", "0.5"])
     assert result.exit_code == 2
     for args in (["kernel", "--which", "tac", "--u", "-1", "--v", "1"],
+                 ["kernel", "--which", "cr", "--u", "nan", "--v", "1"],
                  ["density", "--alpha", "-1", "--tau", "-1"],
                  ["hm", "--grid", "-20:20:5"]):
         result, _, _ = _run(runner, tmp_path, args)

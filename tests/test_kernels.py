@@ -128,6 +128,26 @@ def test_tac_domain_errors():
         kernels.kernel_tac(1.0, 2.0, -1.0, 0.0)
 
 
+@pytest.mark.parametrize("name,args,bad", [
+    ("kernel_cr", (math.nan, 2.0, 0.0, 0.0), "u"),
+    ("kernel_cr_diag", ([1.0, math.inf], 0.0, 0.0), "u"),
+    ("kernel_tac", (1.0, 2.0, 1.0, math.nan), "s"),
+    ("kernel_tac_diag", (1.5, math.inf, 0.3), "r"),
+    ("kernel_pii", (0.5, math.nan, 1.0), "y"),
+    ("kernel_pii_diag", (0.5, complex(math.nan, 0.0)), "nu"),
+])
+def test_non_finite_input_rejected(monkeypatch, name, args, bad):
+    # [TRIVIAL] a NaN or inf argument raises ValueError naming it, before
+    # any solver is built
+    def no_build(*_):
+        raise AssertionError("solver built for a non-finite input")
+
+    monkeypatch.setattr(kernels, "get_solver", no_build)
+    monkeypatch.setattr(kernels, "get_pii_solver", no_build)
+    with pytest.raises(ValueError, match=rf"^{bad} must be finite"):
+        getattr(kernels, name)(*args)
+
+
 def test_tac_general_r_scaling():
     # [DERIVED] general r reduces to r = 1 by the zeta -> r^{2/3} zeta
     # rescaling; the reduced value is real and close to the r = 1 kernel

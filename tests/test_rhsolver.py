@@ -108,6 +108,18 @@ def test_ode_residual_of_m():
     assert rel < 1e-7
 
 
+@pytest.mark.parametrize("axis,sign", [("imag+", 1.0), ("imag-", -1.0)])
+def test_m_balanced_matches_m(axis, sign):
+    # [DERIVED] both transport legs of m_balanced -- the dominant columns
+    # outward from M(0), the others inward from the series -- reproduce
+    # the engine's M(+-iu) (sectors 2 and 7), column by column
+    S = solver(0.0, 0.0, 14.0, 16)
+    for u, (Mhat, logs) in S.m_balanced([0.5, 1.0, 2.0], axis).items():
+        M = S.M(sign * 1j * u)
+        diff = np.max(np.abs(Mhat * np.exp(logs) - M), axis=0)
+        assert np.max(diff / np.max(np.abs(M), axis=0)) < 1e-6, u
+
+
 @pytest.mark.parametrize("s,t", [(0.0, 0.0), (0.5, -1.0), (1.0, 0.0)])
 def test_hm_extraction(s, t):
     # [PAPER] the 1/zeta coefficient of the (1,4) entry of M times the
