@@ -207,21 +207,28 @@ class DoubleScaling:
 
     # -- local parametrix blocks ------------------------------------------
 
-    def psi_nu(self, w: complex, nu: complex) -> np.ndarray:
-        """Psi(w; nu) by second-order Taylor in nu around nu0."""
-        d = complex(nu) - self.nu0
-        P0 = self.pii.psi(w)
-        B = -1j * w * _S3 + self.pii.q * _S1
-        corr = np.eye(2, dtype=complex) + d * B + 0.5 * d * d * (self.q_nu * _S1 + B @ B)
-        return corr @ P0
+    def psi_local(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(w, nu, Psi(w; nu)) with w = i a f1(z) and nu = nu(z) at every z.
 
-    def psi_block(self, z: complex) -> np.ndarray:
-        """Psi-tilde(a f1; nu) E^{-1}: the bounded (1,2)-block of P0 P_inf^{-1}."""
-        zeta = self.a * self.f1(z)
-        w = 1j * zeta
-        nu = self.nu_of(z)
+        z is a scalar or an array; Psi comes from one batched `psi` call
+        at nu0 and a second-order Taylor expansion in nu around it.
+        """
+        z = np.asarray(z, dtype=complex)
+        w = 1j * self.a * np.vectorize(self.f1, otypes=[complex])(z)
+        nu = np.vectorize(self.nu_of, otypes=[complex])(z)
+        d = (nu - self.nu0)[..., None, None]
+        B = -1j * w[..., None, None] * _S3 + self.pii.q * _S1
+        corr = np.eye(2, dtype=complex) + d * B + 0.5 * d * d * (self.q_nu * _S1 + B @ B)
+        return w, nu, corr @ self.pii.psi(w)
+
+    def psi_block(self, z) -> np.ndarray:
+        """Psi-tilde(a f1; nu) E^{-1}: the bounded (1,2)-block of P0 P_inf^{-1}.
+
+        z is an array; the result has shape z.shape + (2, 2).
+        """
+        w, nu, psi = self.psi_local(z)
         th = 1j * ((4.0 / 3.0) * w ** 3 + nu * w)
-        return self.psi_nu(w, nu) @ np.diag([cmath.exp(th), cmath.exp(-th)])
+        return psi * np.stack([np.exp(th), np.exp(-th)], axis=-1)[..., None, :]
 
     def theta_block(self, z: complex) -> np.ndarray:
         """Theta(zeta2) diag(e^{zeta2}, e^{-zeta2}): bounded closed form."""
@@ -233,10 +240,10 @@ class DoubleScaling:
             return np.eye(2, dtype=complex)
         return np.array([[1.0, 0.0], [-cmath.exp(2.0 * z2), 1.0]], complex)
 
-    def p0_bracket(self, z: complex) -> np.ndarray:
+    def p0_bracket(self, z: complex, psi_block: np.ndarray) -> np.ndarray:
         """blockdiag(psi_block, theta_block): P0 = P_inf * bracket."""
         out = np.zeros((4, 4), dtype=complex)
-        out[:2, :2] = self.psi_block(z)
+        out[:2, :2] = psi_block
         out[2:, 2:] = self.theta_block(z)
         return out
 
@@ -329,6 +336,14 @@ class DoubleScaling:
             pc.extra["jump"] = ("seg_out", s)
             pieces.append(pc)
 
+        # the PII blocks of every node that needs P0, from one psi call
+        local = [pc for pc in pieces if pc.extra.get("tag") == "u0"
+                 or pc.extra.get("jump", ("",))[0] == "seg_in"]
+        blocks = self.psi_block(np.concatenate([pc.nodes for pc in local]))
+        ends = np.cumsum([len(pc.nodes) for pc in local])
+        for pc, blk in zip(local, np.split(blocks, ends[:-1])):
+            pc.extra["psi"] = blk
+
         # jump matrices
         for pc in pieces:
             n = len(pc.nodes)
@@ -337,7 +352,8 @@ class DoubleScaling:
             for k, z in enumerate(pc.nodes):
                 W = self.p_inf(z)
                 if tag == "u0":
-                    J[k] = self._conj(W, np.linalg.inv(self.p0_bracket(z)))
+                    J[k] = self._conj(W, np.linalg.inv(
+                        self.p0_bracket(z, pc.extra["psi"][k])))
                 elif tag in ("u+", "u-"):
                     side = 1 if tag == "u+" else -1
                     J[k] = self._conj(W, np.linalg.inv(self.airy_bracket4(z, side)))
@@ -362,7 +378,7 @@ class DoubleScaling:
                         else:
                             J3 = self._e(1, 3, cmath.exp(a3 * (self.g(z, 2) - self.g(z, 4))))
                         Wl = self.p_inf(z) if kind[0] == "seg_out" else \
-                            self.p_inf(z) @ self.p0_bracket(z)
+                            self.p_inf(z) @ self.p0_bracket(z, pc.extra["psi"][k])
                         J[k] = self._conj(Wl, J3)
             pc.jumps = J
         self.pieces = pieces
@@ -396,20 +412,21 @@ class DoubleScaling:
         JmI = self.jumps - np.eye(4)[None, :, :]
         n = self.ntot
 
+        def cauchy(F):
+            return (C @ F.reshape(n, 16)).reshape(n, 4, 4)
+
         def apply(vec):
             X = vec.reshape(n, 4, 4)
-            F = np.einsum("nij,njk->nik", X, JmI)
-            return (X - np.einsum("mn,nij->mij", C, F)).reshape(-1)
+            return (X - cauchy(X @ JmI)).reshape(-1)
 
-        rhs = np.einsum("mn,nij->mij", C, JmI).reshape(-1)
+        rhs = cauchy(JmI).reshape(-1)
         op = LinearOperator((16 * n, 16 * n), matvec=apply, dtype=complex)
         sol, info = gmres(op, rhs, rtol=1e-11, atol=0.0, maxiter=400,
                           restart=80)
         if info != 0:
             raise IntegrationFailure(f"GMRES failed to converge (info={info})")
         self.X = sol.reshape(n, 4, 4)          # R_- - I on the contour
-        self.F = np.einsum("nij,njk->nik",
-                           np.eye(4)[None, :, :] + self.X, JmI)
+        self.F = (np.eye(4) + self.X) @ JmI
         self.resid_norm = float(np.max(np.abs(apply(sol) - rhs)))
 
     def r_eval(self, z: complex) -> np.ndarray:
@@ -422,7 +439,7 @@ class DoubleScaling:
     def _col(self, v: float) -> np.ndarray:
         z = 1j * v
         if abs(v) < self.eps:
-            psi = self.psi_nu(1j * self.a * self.f1(z), self.nu_of(z))
+            psi = self.psi_local(z)[2]
             vec = np.zeros(4, dtype=complex)
             vec[:2] = psi @ np.array([1.0, 1.0])
         else:
@@ -433,7 +450,7 @@ class DoubleScaling:
     def _row(self, u: float) -> np.ndarray:
         z = 1j * u
         if abs(u) < self.eps:
-            psi = self.psi_nu(1j * self.a * self.f1(z), self.nu_of(z))
+            psi = self.psi_local(z)[2]
             vec = np.zeros(4, dtype=complex)
             vec[:2] = np.linalg.solve(psi.T, np.array([-1.0, 1.0]))
         else:

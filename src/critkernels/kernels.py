@@ -192,7 +192,12 @@ _TAC_ROW = np.array([-1.0, 0.0, 1.0, 0.0])
 _TAC_COL = np.array([1.0, 0.0, 1.0, 0.0])
 _TAC_IDX = (0, 2)
 
-_REAL_SWITCH = 9.0
+# Where the real-axis M_+ switches from outward transport to the series
+# frame.  At r = 1, s = 0.3 the two K_tac diagonals differ by 3.6e-7 here;
+# each side's error is below 1e-6 (the series against an order-20
+# series, the transport against the same), and the transport error then
+# grows like e^{2 psi(u)}: 1.4e-6 at u = 7, 1.6e-3 at u = 9.
+_REAL_SWITCH = 6.5
 
 
 def _m_real(solver: RhSolver, us) -> dict:
@@ -203,9 +208,9 @@ def _m_real(solver: RhSolver, us) -> dict:
     (roundoff of the dominant mode swamps the neutral columns once
     e^{psi(u)} exceeds ~1e6) nor inward integration from large radius
     (the inward-growing recessive mode contaminates them) works for all
-    u, so M is transported outward from M(0) = C_0 for u < 9 and taken
-    directly from the asymptotic series beyond, where its truncation
-    error is below the kernel tolerances.
+    u, so M is transported outward from M(0) = C_0 for u below
+    `_REAL_SWITCH` and taken directly from the asymptotic series beyond,
+    where its truncation error is below the kernel tolerances.
     """
     us = sorted({float(u) for u in us})
     if us and us[0] <= 0.0:
@@ -213,8 +218,8 @@ def _m_real(solver: RhSolver, us) -> dict:
     out = {}
     small = [u for u in us if u < _REAL_SWITCH]
     if small:
-        out.update(zip(small, solver.transport(1.0 + 0.0j, solver.C[0],
-                                               np.zeros(4), 0.0, small)))
+        P, logs = solver.transport([1.0], solver.C[0], np.zeros(4), 0.0, small)
+        out.update(zip(small, zip(P[0], logs[0])))
     for u in us:
         if u >= _REAL_SWITCH:
             out[u] = balance_columns(*solver.fs["+"].frame_scaled(u + 0.0j))
@@ -292,7 +297,8 @@ def kernel_pii(x: float, y: float, nu,
         solver = get_pii_solver(complex(nu))
     if abs(x - y) <= _COINCIDE_EPS * max(1.0, abs(x)):
         return kernel_pii_diag(0.5 * (x + y), nu, solver)
-    data = {p: (solver.psi(p), np.zeros(2)) for p in (x, y)}
+    psi = solver.psi(np.array([x, y]))
+    data = {x: (psi[0], np.zeros(2)), y: (psi[1], np.zeros(2))}
     return _form(solver, data, x, y, 1.0, _PII_ROW, _PII_COL, _PII_IDX)
 
 

@@ -90,17 +90,22 @@ def _fn_matrix(zeta: complex, nu: complex, q: complex, qp: complex) -> np.ndarra
     return np.array([[-d, off + 2j * qp], [off - 2j * qp, d]], dtype=complex)
 
 
-def _build_series(nu: complex, q: complex, qp: complex, order: int) -> tuple:
+def _lax_coeffs(nu: complex, q: complex, qp: complex) -> tuple:
+    """(A0, A1, A2) with the Flaschka-Newell matrix A = A0 + A1 zeta + A2 zeta^2."""
+    A0 = np.array([[-1j * (nu + 2.0 * q * q), 2j * qp],
+                   [-2j * qp, 1j * (nu + 2.0 * q * q)]], dtype=complex)
+    A1 = np.array([[0.0, 4.0 * q], [4.0 * q, 0.0]], dtype=complex)
+    return A0, A1, -4j * _SIGMA3
+
+
+def _build_series(nu: complex, lax_coeffs: tuple, order: int) -> tuple:
     """Coefficients P_1..P_order of Psi = (I + sum P_k zeta^{-k}) E.
 
     Stacked least-squares over the order-by-order relations of
     P' = A P - P (E'E^{-1}); coefficients near the truncation order are
     underdetermined, so callers should request a few extra.
     """
-    A2 = -4j * _SIGMA3
-    A1 = np.array([[0.0, 4.0 * q], [4.0 * q, 0.0]], dtype=complex)
-    A0 = np.array([[-1j * (nu + 2.0 * q * q), 2j * qp],
-                   [-2j * qp, 1j * (nu + 2.0 * q * q)]], dtype=complex)
+    A0, A1, A2 = lax_coeffs
     K = order
     nunk = 4 * K
     eye = np.eye(2, dtype=complex)
@@ -145,11 +150,9 @@ class PiiSolver(SectoralSolver):
                  hm: painleve.HmSolution | None = None):
         self.nu = complex(nu)
         self.q, self.qp = hm_at(self.nu, hm)
-        self.coeffs = _build_series(self.nu, self.q, self.qp, series_order)
+        self.lax_coeffs = _lax_coeffs(self.nu, self.q, self.qp)
+        self.coeffs = _build_series(self.nu, self.lax_coeffs, series_order)
         super().__init__(r0)
-
-    def lax(self, zeta: complex) -> np.ndarray:
-        return _fn_matrix(zeta, self.nu, self.q, self.qp)
 
     def theta(self, zeta: complex) -> complex:
         return 1j * ((4.0 / 3.0) * zeta ** 3 + self.nu * zeta)
@@ -167,9 +170,6 @@ class PiiSolver(SectoralSolver):
         th = self.theta(zeta)
         E = np.diag([cmath.exp(-th), cmath.exp(th)])
         return self.prefactor_series(zeta) @ E, 0.0
-
-    def _growth(self, r: float) -> float:
-        return (4.0 / 3.0) * r ** 3 + abs(self.nu) * r
 
     # -- evaluation and checks --------------------------------------------
 

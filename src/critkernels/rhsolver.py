@@ -76,25 +76,19 @@ class RhSolver(SectoralSolver):
             "+": series.build_series(s, t, "+", order=series_order, hm=hm),
             "-": series.build_series(s, t, "-", order=series_order, hm=hm),
         }
-        self._U0, _ = laxpair.lax_matrices(0.0, self.co)
-        self._U1 = np.zeros((4, 4), complex)
-        self._U1[2, 0] = 1.0j
-        self._U1[3, 1] = -1.0j
+        U0, _ = laxpair.lax_matrices(0.0, self.co)
+        U1 = np.zeros((4, 4), complex)
+        U1[2, 0] = 1.0j
+        U1[3, 1] = -1.0j
+        self.lax_coeffs = (U0, U1)
         super().__init__(r0)
 
     @staticmethod
     def variant_of(k: int) -> str:
         return "+" if k <= 4 else "-"
 
-    def lax(self, zeta: complex) -> np.ndarray:
-        return self._U1 * zeta + self._U0
-
     def _series_frame(self, zeta: complex, sector: int) -> tuple[np.ndarray, float]:
         return self.fs[self.variant_of(sector)].frame_scaled(zeta)
-
-    def _growth(self, r: float) -> float:
-        return ((2.0 / 3.0) * r**1.5 + 2.0 * abs(self.s) * math.sqrt(r)
-                + abs(self.t) * r)
 
     # -- evaluation --------------------------------------------------------
 
@@ -132,12 +126,13 @@ class RhSolver(SectoralSolver):
             raise ValueError("u values must be positive")
         R = max(self.r0, us[-1] + 1.5)
         F, gF = self._series_frame(R * direction, sector)
-        outward = self.transport(direction, self.C[sector][:, outward_cols],
-                                 np.zeros(len(outward_cols)), 0.0, us)
-        inward = self.transport(direction, F[:, inward_cols], gF, R, us)
+        A, la = self.transport([direction], self.C[sector][:, outward_cols],
+                               np.zeros(len(outward_cols)), 0.0, us)
+        B, lb = self.transport([direction], F[:, inward_cols], gF, R, us)
         perm = np.argsort(outward_cols + inward_cols)
-        return {u: (np.hstack([A, B])[:, perm], np.concatenate([la, lb])[perm])
-                for u, (A, la), (B, lb) in zip(us, outward, inward)}
+        Mhat = np.concatenate([A[0], B[0]], axis=-1)[..., perm]
+        logs = np.concatenate([la[0], lb[0]], axis=-1)[..., perm]
+        return dict(zip(us, zip(Mhat, logs)))
 
     def hm_extract(self, u_points=None) -> complex:
         """Fitted (N1)_{14} from zeta (P - I)_{14} on the imaginary axis.

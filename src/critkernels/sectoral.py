@@ -15,12 +15,27 @@ are invisible there), so the engine works globally: Phi is integrated
 *outward* from the origin, which is stable, and the constants are found
 from one weighted least-squares fit matching Phi C_k to the asymptotic
 series at anchors in all sectors simultaneously (three angles per
-sector, two radii).  One `transport` serves every integration of the
-Lax equation: outward from the origin (Phi, and columns of M = Phi C_k)
-or inward from the asymptotic series, on any block of columns.  It is
-cut into segments of bounded dominant growth and rebalances the columns
-at the cuts, so each column is carried as (unit-max column, log scale)
-and never overflows.
+sector, two radii).
+
+One `transport` serves every integration of the Lax equation: outward
+from the origin (Phi, and columns of M = Phi C_k) or inward from the
+asymptotic series, on any block of columns, for a batch of rays at once.
+It is the high-order Taylor method (Jorba & Zou, Exp. Math. 14 (2005)):
+L(zeta) = sum_j L_j zeta^j is a polynomial, so about a step start
+zeta = d r the Taylor coefficients of Y(d (r + s)) obey the exact
+recurrence (n+1) Y_{n+1} = sum_j B_j Y_{n-j}, with B_j the s^j
+coefficient of d L(d (r + s)).  Each step sums `_ORDER` terms over the
+length h(r) = `_STEP` / max(`_STEP`, sum_j ||L_j||_inf (|r| + 1)^j).
+As h <= 1, ||L|| h <= `_STEP` on the whole disk |s| <= h, so the
+omitted terms are below _STEP^_ORDER / _ORDER! (about 4e-24) of the
+step's start value.  The step rule depends on r and the coefficients
+only, never on the direction or on the radii requested, so every ray of
+a batch steps on the same r-grid; a requested radius is reached by
+evaluating the Taylor polynomial of the step that contains it, never by
+shortening a step.  A value therefore does not depend on which other
+rays share the batch or on which other radii were requested.  After
+every step the columns are rebalanced, so each column is carried as
+(unit-max column, log scale) and never overflows.
 
 The jump relations tie the C_k together; `split_solve` deliberately
 omits the links across one opposite pair of rays so that those two
@@ -33,31 +48,42 @@ import cmath
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import IntegrationFailure
 
-__all__ = ["RTOL", "ATOL", "SectoralSolver", "balance_columns"]
+__all__ = ["SectoralSolver", "balance_columns"]
 
-RTOL = 1e-12             # tolerances of the fundamental-solution transport
-ATOL = 1e-30
+_ORDER = 30              # Taylor terms per transport step
+_STEP = 2.0              # transport step bound: h * sum_j ||L_j|| (|r|+1)^j
 _EDGE = 0.02             # anchor angle offset inside a sector's bounding rays
-_PER_SEGMENT = 400.0     # dominant growth (e-folds) per transport segment
 
 
 def balance_columns(M: np.ndarray, logs) -> tuple[np.ndarray, np.ndarray]:
-    """(Mhat, logs + log m) with M = Mhat diag(m), each column of Mhat at unit max."""
-    m = np.max(np.abs(M), axis=0)
-    return M / m, logs + np.log(m)
+    """(Mhat, logs + log m) with M = Mhat diag(m), each column of Mhat at unit max.
+
+    M may carry leading batch axes; the columns are its last axis.
+    """
+    m = np.max(np.abs(M), axis=-2)
+    return M / m[..., None, :], logs + np.log(m)
+
+
+def _taylor_sum(coeffs: np.ndarray, s) -> np.ndarray:
+    """sum_n coeffs[:, n] s^n by Horner's rule; s is a scalar or one per row."""
+    s = np.reshape(s, (-1, 1, 1))
+    acc = coeffs[:, -1]
+    for n in range(coeffs.shape[1] - 2, -1, -1):
+        acc = acc * s + coeffs[:, n]
+    return acc
 
 
 class SectoralSolver:
     """Sector constants C_k of Y = Phi C_k, fitted at anchors in all sectors.
 
-    A concrete solver sets the class data below, implements `lax`,
-    `_series_frame` and `_growth`, and stores its own data in `__init__`
-    before calling `super().__init__(r0)`, which fits the constants.
+    A concrete solver sets the class data below, implements
+    `_series_frame`, and in `__init__` stores its own data and the
+    coefficients `lax_coeffs` = (L_0, L_1, ...) of its Lax matrix
+    L(zeta) = sum_j L_j zeta^j before calling `super().__init__(r0)`,
+    which fits the constants.
     """
 
     # ray angles, listed counterclockwise and oriented outward.  Ray k
@@ -66,10 +92,13 @@ class SectoralSolver:
     JUMPS: tuple[np.ndarray, ...]
     INNER: float            # inner anchor radius as a fraction of r0
     LOW_SECTOR: int         # sector of the arguments in [0, RAYS[0]]
+    lax_coeffs: tuple[np.ndarray, ...]
 
     def __init__(self, r0: float):
         self.r0 = float(r0)
         self.dim = len(self.JUMPS[0])
+        self._lax_norms = [float(np.max(np.sum(np.abs(L), axis=1)))
+                           for L in self.lax_coeffs]
         n = len(self.RAYS)
         radii = (self.r0, self.INNER * self.r0)
         # anchor data: Phi and the series frame at two radii along three
@@ -77,36 +106,36 @@ class SectoralSolver:
         # solves: a mode that is recessive throughout a partial chain's
         # sectors is exactly tied for dominance *on* the chain's boundary
         # ray, so an anchor just inside the edge still pins it.
-        self._anchors = []
+        angles = []
         for k in range(n):
             lo = self.RAYS[k]
             hi = self.RAYS[(k + 1) % n] + (2.0 * math.pi if k == n - 1 else 0.0)
-            anchors = []
-            for ang in (lo + _EDGE, 0.5 * (lo + hi), hi - _EDGE):
-                direction = cmath.exp(1j * ang)
-                phis = self.transport(direction, np.eye(self.dim),
-                                      np.zeros(self.dim), 0.0, radii)
-                for r, (P, logs) in zip(radii, phis):
-                    # Phi = P_scaled e^g with one scale g for all columns
-                    g = float(np.max(logs))
-                    anchors.append((P * np.exp(logs - g), g,
-                                    *self._series_frame(r * direction, k)))
-            self._anchors.append(anchors)
+            angles += [lo + _EDGE, 0.5 * (lo + hi), hi - _EDGE]
+        directions = [cmath.exp(1j * ang) for ang in angles]
+        P, logs = self.transport(directions, np.eye(self.dim),
+                                 np.zeros(self.dim), 0.0, radii)
+        self._anchors = [[] for _ in range(n)]
+        for i, direction in enumerate(directions):
+            for r, Pr, lr in zip(radii, P[i], logs[i]):
+                # Phi = P_scaled e^g with one scale g for all columns
+                g = float(np.max(lr))
+                self._anchors[i // 3].append(
+                    (Pr * np.exp(lr - g), g,
+                     *self._series_frame(r * direction, i // 3)))
         self.C = self._solve_chain(break_rays=())
         self._split_cache: dict = {}
 
-    # -- problem data (supplied by the concrete solver) --------------------
+    # -- problem data ------------------------------------------------------
 
     def lax(self, zeta: complex) -> np.ndarray:
         """The Lax matrix L(zeta) of dPhi/dzeta = L Phi."""
-        raise NotImplementedError
+        out = self.lax_coeffs[-1]
+        for L in self.lax_coeffs[-2::-1]:
+            out = out * zeta + L
+        return out
 
     def _series_frame(self, zeta: complex, sector: int) -> tuple[np.ndarray, float]:
         """(F, g) with the sector's asymptotic series frame equal to F e^g."""
-        raise NotImplementedError
-
-    def _growth(self, r: float) -> float:
-        """Upper envelope of the dominant exponent along any direction."""
         raise NotImplementedError
 
     # -- geometry ----------------------------------------------------------
@@ -122,72 +151,80 @@ class SectoralSolver:
 
     # -- fundamental solution ----------------------------------------------
 
-    def _segments(self, rmax: float) -> list[tuple[float, float]]:
-        """Partition [0, rmax] so the dominant growth per piece is bounded.
+    def transport(self, directions, Y, logs, r_from: float,
+                  radii) -> tuple[np.ndarray, np.ndarray]:
+        """(Yhat, logs) at the radii for dY/dzeta = L Y on a batch of rays.
 
-        Renormalizing the integrated solution at the segment boundaries
-        keeps every intermediate value inside floating-point range no
-        matter how large the anchor radius or the problem parameters.
+        Ray b runs along directions[b] (unit modulus).  Y diag(e^{logs})
+        is the d x k block of solutions at r_from * directions[b]; Y and
+        logs are shared by all rays or carry a leading batch axis.  radii
+        has shape (m,), shared, or (b, m); they may lie on either side of
+        r_from.  Returns Yhat of shape (b, m, d, k), every column at unit
+        max, and logs of shape (b, m, k).
         """
-        total = self._growth(rmax)
-        cuts = [0.0]
-        n = 1
-        while n * _PER_SEGMENT < total:
-            cuts.append(brentq(lambda r: self._growth(r) - n * _PER_SEGMENT,
-                               cuts[-1], rmax))
-            n += 1
-        cuts.append(rmax)
-        return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
+        dirs = np.atleast_1d(np.asarray(directions, dtype=complex))
+        radii = np.asarray(radii, dtype=float)
+        radii = np.broadcast_to(radii, (len(dirs),) + radii.shape[-1:])
+        Y = np.asarray(Y, dtype=complex)
+        Y = np.broadcast_to(Y, (len(dirs),) + Y.shape[-2:])
+        start = balance_columns(Y, np.broadcast_to(logs, (len(dirs), Y.shape[-1])))
+        out = (np.empty(radii.shape + Y.shape[1:], dtype=complex),
+               np.empty(radii.shape + Y.shape[2:]))
+        bi, mi = np.nonzero(radii == r_from)
+        out[0][bi, mi], out[1][bi, mi] = start[0][bi], start[1][bi]
+        for sign in (1.0, -1.0):
+            self._march(dirs, start, r_from, sign, radii, out)
+        if not np.all(np.isfinite(out[0])):
+            raise IntegrationFailure("Lax transport produced non-finite values")
+        return out
 
-    def transport(self, direction: complex, Y: np.ndarray, logs, r_from: float,
-                  radii) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(Yhat, logs) at each radius for dY/dzeta = L Y on the ray.
+    def _march(self, dirs, start, r, sign, radii, out) -> None:
+        """Taylor steps from r toward sign * infinity until every radius on
+        that side is passed, writing the value at each into out."""
+        p = len(self.lax_coeffs) - 1
+        b, d, k = start[0].shape
+        Y, logs = start
+        # T[:, p + n] holds the n-th Taylor coefficient; the p leading
+        # zeros let one window [Y_{n-p}, ..., Y_n] serve every order n
+        T = np.zeros((b, p + _ORDER + 1, d, k), dtype=complex)
+        pending = sign * (radii - r) > 0.0
+        while pending.any():
+            h = _STEP / max(_STEP, sum(n * (abs(r) + 1.0) ** j
+                                       for j, n in enumerate(self._lax_norms)))
+            # dY/ds = d L(d (r + s)) Y = sum_j B_j s^j Y
+            B = [sum(math.comb(m, j) * r ** (m - j) * dirs[:, None, None] ** (m + 1) * L
+                     for m, L in enumerate(self.lax_coeffs) if m >= j)
+                 for j in range(p + 1)]
+            Bcat = np.concatenate(B[::-1], axis=-1)
+            T[:, p] = Y
+            for n in range(_ORDER):
+                window = T[:, n:n + p + 1].reshape(b, (p + 1) * d, k)
+                T[:, p + n + 1] = (Bcat @ window) / (n + 1.0)
+            r_next = r + sign * h
+            hit = pending & (sign * (radii - r_next) <= 0.0)
+            bi, mi = np.nonzero(hit)
+            out[0][bi, mi], out[1][bi, mi] = balance_columns(
+                _taylor_sum(T[bi, p:], radii[bi, mi] - r), logs[bi])
+            pending &= ~hit
+            Y, logs = balance_columns(_taylor_sum(T[:, p:], sign * h), logs)
+            r = r_next
 
-        Y diag(e^{logs}) is a d x k block of solutions at r_from*direction;
-        the radii may lie on either side of r_from.  The integration is
-        cut at the segment boundaries of `_segments` and the columns are
-        rebalanced there, so no column overflows or is swamped by the
-        scale of another; every returned Yhat has unit max per column.
+    def phi(self, zeta) -> np.ndarray:
+        """The fundamental solution Phi(zeta), with Phi(0) = I.
+
+        zeta may be a scalar or an array; an array of shape S gives an
+        array of shape S + (d, d) from one batched transport.
         """
-        radii = [float(r) for r in radii]
-        d, k = Y.shape
-        start = balance_columns(np.asarray(Y, dtype=complex), logs)
-        cuts = {c for seg in self._segments(max(radii + [r_from])) for c in seg}
-
-        def rhs(r, y):
-            L = self.lax(r * direction)
-            return (direction * (L @ y.reshape(d, k))).reshape(d * k)
-
-        out = {r: start for r in radii if r == r_from}
-        for targets in ([r for r in radii if r > r_from],
-                        [r for r in radii if r < r_from]):
-            if not targets:
-                continue
-            outward = targets[0] > r_from
-            end = max(targets) if outward else min(targets)
-            lo, hi = sorted((r_from, end))
-            inner = sorted((c for c in cuts if lo < c < hi), reverse=not outward)
-            knots = [r_from, *inner, end]
-            y, lg = start
-            for ra, rb in zip(knots, knots[1:]):
-                sol = solve_ivp(rhs, (ra, rb), y.reshape(d * k), method="DOP853",
-                                rtol=RTOL, atol=ATOL, dense_output=True)
-                if not sol.success:
-                    raise IntegrationFailure(f"Lax transport: {sol.message}")
-                for r in targets:
-                    if r not in out and min(ra, rb) - 1e-12 <= r <= max(ra, rb) + 1e-12:
-                        out[r] = balance_columns(sol.sol(r).reshape(d, k), lg)
-                y, lg = balance_columns(sol.y[:, -1].reshape(d, k), lg)
-        return [out[r] for r in radii]
-
-    def phi(self, zeta: complex) -> np.ndarray:
-        """The fundamental solution Phi(zeta), with Phi(0) = I."""
-        r = abs(zeta)
-        if r < 1e-14:
-            return np.eye(self.dim, dtype=complex)
-        (P, logs), = self.transport(zeta / r, np.eye(self.dim),
-                                    np.zeros(self.dim), 0.0, [r])
-        return P * np.exp(logs)
+        z = np.asarray(zeta, dtype=complex)
+        flat = z.reshape(-1)
+        r = np.abs(flat)
+        out = np.tile(np.eye(self.dim, dtype=complex), (len(flat), 1, 1))
+        far = r >= 1e-14
+        if far.any():
+            P, logs = self.transport(flat[far] / r[far], np.eye(self.dim),
+                                     np.zeros(self.dim), 0.0, r[far, None])
+            out[far] = P[:, 0] * np.exp(logs[:, 0, None, :])
+        return out.reshape(z.shape + (self.dim, self.dim))
 
     # -- chain solve -------------------------------------------------------
 
@@ -256,12 +293,18 @@ class SectoralSolver:
 
     # -- evaluation and checks --------------------------------------------
 
-    def sectional(self, zeta: complex, sector: int | None = None,
+    def sectional(self, zeta, sector: int | None = None,
                   constants: list[np.ndarray] | None = None) -> np.ndarray:
-        """The RH solution at zeta (sectional boundary values on rays)."""
+        """The RH solution at zeta (sectional boundary values on rays).
+
+        zeta may be a scalar or an array, as for `phi`; without a given
+        sector each point takes the constants of its own sector.
+        """
+        z = np.asarray(zeta, dtype=complex)
         if sector is None:
-            sector = self.sector_of(zeta)
-        return self.phi(zeta) @ (constants or self.C)[sector]
+            sector = np.reshape([self.sector_of(w) for w in z.reshape(-1)],
+                                z.shape)
+        return self.phi(z) @ np.asarray(constants or self.C)[sector]
 
     def matching_residual(self, k: int) -> float:
         """Normalized residual of the asymptotic match in sector k."""

@@ -118,6 +118,15 @@ def test_tac_diag_matches_pair_limit():
     assert abs(d - p) < 1e-3
 
 
+def test_tac_real_switch_continuous():
+    # [DERIVED] M_+ from outward transport and from the series frame give
+    # the same K_tac diagonal on both sides of the switch between them
+    u = kernels._REAL_SWITCH
+    lo = kernels.kernel_tac_diag(u - 1e-6, 1.0, 0.3)
+    hi = kernels.kernel_tac_diag(u + 1e-6, 1.0, 0.3)
+    assert abs(lo - hi) < 1e-5
+
+
 def test_tac_domain_errors():
     # [TRIVIAL] u, v > 0 and r > 0 are enforced
     with pytest.raises(DomainRestriction):

@@ -87,6 +87,16 @@ def test_ode_residual(solver):
     assert np.max(np.abs(dP - A @ solver.psi(zeta))) < 1e-6
 
 
+def test_psi_array_matches_scalar(solver):
+    # [TRIVIAL] one batched psi call gives the scalar calls' values
+    zs = np.array([[0.3 + 0.2j, -1.1j, 2.0], [-0.8 + 0.1j, 0.0, 1.5 + 1.5j]])
+    batch = solver.psi(zs)
+    assert batch.shape == (2, 3, 2, 2)
+    for idx, z in np.ndenumerate(zs):
+        one = solver.psi(z)
+        assert np.max(np.abs(batch[idx] - one)) <= 1e-14 * np.max(np.abs(one))
+
+
 def test_hm_complex_continuation():
     # [DERIVED] complex-nu continuation reduces to the real solution on
     # the real axis and satisfies Painleve II off it

@@ -120,6 +120,16 @@ def test_m_balanced_matches_m(axis, sign):
         assert np.max(diff / np.max(np.abs(M), axis=0)) < 1e-6, u
 
 
+def test_m_balanced_request_independent():
+    # [DERIVED] a point's balanced M does not depend on the other points
+    # of the same request
+    S = solver(0.0, 0.0, 14.0, 16)
+    Ma, la = S.m_balanced([0.5])[0.5]
+    Mb, lb = S.m_balanced([0.5, 3.3])[0.5]
+    A, B = Ma * np.exp(la), Mb * np.exp(lb)
+    assert np.max(np.abs(A - B)) <= 1e-15 * np.max(np.abs(A))
+
+
 @pytest.mark.parametrize("s,t", [(0.0, 0.0), (0.5, -1.0), (1.0, 0.0)])
 def test_hm_extraction(s, t):
     # [PAPER] the 1/zeta coefficient of the (1,4) entry of M times the

@@ -1,0 +1,65 @@
+"""The Taylor-series Lax transport against an independent DOP853 oracle."""
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+from critkernels import kernels
+from critkernels.dscale import DoubleScaling
+from critkernels.piisolver import get_pii_solver
+
+
+def _oracle(solver, direction, Y0, r_from, r_to):
+    """Y at r_to on the ray from a plain DOP853 run at rtol 1e-13."""
+    d, k = Y0.shape
+
+    def rhs(r, y):
+        return (direction * solver.lax(r * direction) @ y.reshape(d, k)).reshape(-1)
+
+    sol = solve_ivp(rhs, (r_from, r_to), np.asarray(Y0, complex).reshape(-1),
+                    method="DOP853", rtol=1e-13, atol=1e-30)
+    assert sol.success
+    return sol.y[:, -1].reshape(d, k)
+
+
+def _column_error(Yhat, logs, ref, shift=0.0):
+    Y = Yhat * np.exp(logs - shift)
+    return np.max(np.max(np.abs(Y - ref), axis=0) / np.max(np.abs(ref), axis=0))
+
+
+@pytest.fixture(scope="module")
+def rh():
+    return kernels.get_solver(0.3, 0.0)
+
+
+def test_outward_rh(rh):
+    # [DERIVED] Phi along rays in every sector, out to the anchor radius
+    dirs = np.exp(1j * np.linspace(0.05, 2 * np.pi + 0.05, 10, endpoint=False))
+    Yhat, logs = rh.transport(dirs, np.eye(4), np.zeros(4), 0.0, [14.0])
+    for b, d in enumerate(dirs):
+        ref = _oracle(rh, d, np.eye(4), 0.0, 14.0)
+        assert _column_error(Yhat[b, 0], logs[b, 0], ref) < 1e-10, d
+
+
+def test_inward_rh(rh):
+    # [DERIVED] the inward leg of m_balanced on imag+: the columns that
+    # are recessive outward, carried from the series frame at 14 to 0.5
+    F, g = rh._series_frame(14.0j, 2)
+    Y0 = F[:, [2, 3]]
+    Yhat, logs = rh.transport([1j], Y0, g, 14.0, [0.5, 3.0])
+    for m, r in enumerate((0.5, 3.0)):
+        ref = _oracle(rh, 1j, Y0, 14.0, r)
+        assert _column_error(Yhat[0, m], logs[0, m], ref, shift=g) < 1e-10, r
+
+
+def test_pii_on_double_scaling_nodes():
+    # [DERIVED] Psi's fundamental solution at the u0-circle nodes of the
+    # double-scaling contour, one ray per node
+    ds = DoubleScaling(4.0, 0.5)
+    pii = get_pii_solver(complex(2.0 ** (5.0 / 3.0) * 0.5))
+    w = 1j * ds.a * np.array([ds.f1(z) for z in ds.pieces[0].nodes[::8]])
+    r = np.abs(w)
+    Yhat, logs = pii.transport(w / r, np.eye(2), np.zeros(2), 0.0, r[:, None])
+    for b in range(len(w)):
+        ref = _oracle(pii, w[b] / r[b], np.eye(2), 0.0, r[b])
+        assert _column_error(Yhat[b, 0], logs[b, 0], ref) < 1e-10, w[b]
