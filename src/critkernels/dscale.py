@@ -114,17 +114,10 @@ class _Piece:
         n = len(self.nodes)
         if self.kind == "circle":
             # ccw circle: minus side is the exterior; C_- keeps the
-            # negative Laurent modes with a minus sign
-            F = np.fft.fft(np.eye(n), axis=0) / n      # coeffs of basis vecs
-            k = np.arange(n)
-            neg = k >= (n + 1) // 2
-            kk = np.where(neg, k - n, k)
-            w = np.exp(1j * 2.0 * np.pi * np.arange(n) / n)
-            M = np.zeros((n, n), dtype=complex)
-            for j in range(n):
-                M[:, j] = -np.sum(F[neg, j][None, :] *
-                                  w[:, None] ** kk[neg][None, :], axis=1)
-            return M
+            # negative Laurent modes with a minus sign.  On equispaced
+            # nodes that projection is the circulant M[i, j] = m[i - j].
+            m = -np.fft.ifft(np.arange(n) >= (n + 1) // 2)
+            return m[np.subtract.outer(np.arange(n), np.arange(n)) % n]
         # straight segment: Legendre expansion + exact PV weights
         t = self.extra["t"]       # Gauss-Legendre nodes in [-1, 1]
         wq = self.extra["wq"]

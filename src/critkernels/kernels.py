@@ -43,6 +43,7 @@ import math
 import numpy as np
 
 from . import painleve
+from .dscale import double_scaling_gap
 from .errors import DomainRestriction
 from .piisolver import PiiSolver, get_pii_solver
 from .rhsolver import RhSolver
@@ -59,6 +60,7 @@ __all__ = [
     "kernel_pii_diag",
     "cr_diag_asym",
     "tac_diag_asym",
+    "double_scaling_gap",
 ]
 
 _ORIGIN_EPS = 1e-3       # |u| below which the kernel is extrapolated
@@ -326,7 +328,3 @@ def tac_diag_asym(u, r: float, s: float, oscillation: bool = True):
         base = base - np.cos(phase) / (4.0 * math.pi * u)
     return base
 
-
-from .dscale import double_scaling_gap  # noqa: E402  (re-export)
-
-__all__.append("double_scaling_gap")

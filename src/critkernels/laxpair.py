@@ -25,6 +25,7 @@ import numpy as np
 from . import painleve
 
 __all__ = [
+    "U1",
     "LaxCoefficients",
     "lax_coefficients",
     "lax_matrices",
@@ -48,6 +49,14 @@ _A = np.array(
     ],
     dtype=complex,
 ) / math.sqrt(2.0)
+
+# U(zeta) = U0 + U1 zeta: the zeta-coefficient of U is this constant
+U1 = np.zeros((4, 4), dtype=complex)
+U1[2, 0] = 1.0j
+U1[3, 1] = -1.0j
+
+# (-zeta)^{1/4} = omega_q zeta^{1/4} on each variant's branch
+_OMEGA_Q = {"+": cmath.exp(-1j * math.pi / 4.0), "-": cmath.exp(1j * math.pi / 4.0)}
 
 
 @dataclass(frozen=True)
@@ -182,28 +191,32 @@ def n1_matrix(co: LaxCoefficients) -> np.ndarray:
     return series.build_series(co.s, co.t, "+", order=8).n1
 
 
-def _branch_data(zeta: complex, variant: str) -> tuple[complex, complex]:
-    """(zeta^{1/4}, omega_q) for the variant's branch of fractional powers.
+def _omega_q(variant: str) -> complex:
+    """omega_q of the variant; rejects any variant other than '+' and '-'."""
+    if variant not in _OMEGA_Q:
+        raise ValueError(f"variant must be '+' or '-', not {variant!r}")
+    return _OMEGA_Q[variant]
+
+
+def _branch_arg(zeta: complex, variant: str) -> float:
+    """arg zeta on the variant's branch of the fractional powers.
 
     The fractional powers of zeta are continued from the positive real axis
-    with arg zeta in (-pi/2, 3pi/2) for variant '+' (valid in the upper
-    sectors) and arg zeta in (-3pi/2, pi/2) for variant '-'; correspondingly
-    (-zeta)^{1/4} = omega_q zeta^{1/4} with omega_q = e^{-i pi/4} ('+') or
-    e^{+i pi/4} ('-').
+    with arg zeta in (-pi/2, 3pi/2] for variant '+' (valid in the upper
+    sectors) and arg zeta in [-3pi/2, pi/2) for variant '-'.
     """
-    if variant not in ("+", "-"):
-        raise ValueError("variant must be '+' or '-'")
-    r = abs(zeta)
     theta = cmath.phase(zeta)
-    if variant == "+":
-        if theta <= -math.pi / 2.0:
-            theta += 2.0 * math.pi
-        omega_q = cmath.exp(-1j * math.pi / 4.0)
-    else:
-        if theta >= math.pi / 2.0:
-            theta -= 2.0 * math.pi
-        omega_q = cmath.exp(1j * math.pi / 4.0)
-    return r**0.25 * cmath.exp(1j * theta / 4.0), omega_q
+    if variant == "+" and theta <= -math.pi / 2.0:
+        theta += 2.0 * math.pi
+    elif variant == "-" and theta >= math.pi / 2.0:
+        theta -= 2.0 * math.pi
+    return theta
+
+
+def _branch_data(zeta: complex, variant: str) -> tuple[complex, complex]:
+    """(zeta^{1/4}, omega_q) for the variant's branch of fractional powers."""
+    theta = _branch_arg(zeta, variant)
+    return abs(zeta)**0.25 * cmath.exp(1j * theta / 4.0), _omega_q(variant)
 
 
 def frame_exponents(zeta: complex, s: float, t: float,

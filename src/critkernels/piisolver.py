@@ -13,8 +13,9 @@ standard Flaschka-Newell linear system
          [ 4 zeta q - 2 i q'       ,  i(4 zeta^2 + nu + 2 q^2)]],
 
 whose compatibility encodes Painleve II q'' = nu q + 2 q^3, with q the
-Hastings-McLeod solution, and with the series frame built order by
-order from the same system.
+Hastings-McLeod solution, and with the series frame built from the same
+system by the shared formal-series builder `series.formal_series`
+(integer powers of 1/zeta, q = 1).
 
 A subtlety worth recording: the actual residue of this RH problem is
 lim zeta (Psi E^{-1} - I)_{12} = -(i/2) q(nu), not q(nu) itself.  This
@@ -36,7 +37,7 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from . import painleve
+from . import painleve, series
 from .errors import IntegrationFailure
 from .sectoral import SectoralSolver
 
@@ -98,46 +99,6 @@ def _lax_coeffs(nu: complex, q: complex, qp: complex) -> tuple:
     return A0, A1, -4j * _SIGMA3
 
 
-def _build_series(nu: complex, lax_coeffs: tuple, order: int) -> tuple:
-    """Coefficients P_1..P_order of Psi = (I + sum P_k zeta^{-k}) E.
-
-    Stacked least-squares over the order-by-order relations of
-    P' = A P - P (E'E^{-1}); coefficients near the truncation order are
-    underdetermined, so callers should request a few extra.
-    """
-    A0, A1, A2 = lax_coeffs
-    K = order
-    nunk = 4 * K
-    eye = np.eye(2, dtype=complex)
-    rows, rhs = [], []
-
-    def add(acc, k, left, right):
-        if k < 0 or k > K:
-            return
-        if k == 0:
-            acc[1] += left @ right
-        else:
-            acc[0][:, 4 * (k - 1):4 * k] += np.kron(left, right.T)
-
-    for m in range(1, -(K - 1), -1):
-        block = np.zeros((4, nunk), complex)
-        const = np.zeros((2, 2), complex)
-        acc = [block, const]
-        # 0 = -LHS + RHS with LHS = (m+1) P_{-m-1}
-        add(acc, -m - 1, -(m + 1.0) * eye, eye)
-        add(acc, 2 - m, A2, eye)
-        add(acc, 1 - m, A1, eye)
-        add(acc, -m, A0, eye)
-        add(acc, 2 - m, 4j * eye, _SIGMA3)
-        add(acc, -m, 1j * nu * eye, _SIGMA3)
-        scale = max(float(np.max(np.abs(acc[0]))),
-                    float(np.max(np.abs(acc[1]))), 1e-300)
-        rows.append(acc[0] / scale)
-        rhs.append(-acc[1].reshape(4) / scale)
-    sol, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
-    return tuple(sol[4 * k:4 * (k + 1)].reshape(2, 2) for k in range(K))
-
-
 class PiiSolver(SectoralSolver):
     """Solver for the Painleve II model RH problem at parameter nu."""
 
@@ -151,25 +112,18 @@ class PiiSolver(SectoralSolver):
         self.nu = complex(nu)
         self.q, self.qp = hm_at(self.nu, hm)
         self.lax_coeffs = _lax_coeffs(self.nu, self.q, self.qp)
-        self.coeffs = _build_series(self.nu, self.lax_coeffs, series_order)
+        # Psi = (I + sum_k P_k zeta^{-k}) E with E'E^{-1} = -theta' sigma3
+        G = {0: -1j * self.nu * _SIGMA3, 2: -4j * _SIGMA3}
+        self.coeffs = series.formal_series(self.lax_coeffs, G, 1, series_order, 1.0)
         super().__init__(r0)
 
     def theta(self, zeta: complex) -> complex:
         return 1j * ((4.0 / 3.0) * zeta ** 3 + self.nu * zeta)
 
-    def prefactor_series(self, zeta: complex) -> np.ndarray:
-        P = np.eye(2, dtype=complex)
-        x = 1.0 / zeta
-        xp = 1.0
-        for Pk in self.coeffs:
-            xp *= x
-            P = P + Pk * xp
-        return P
-
     def _series_frame(self, zeta: complex, sector: int) -> tuple[np.ndarray, float]:
         th = self.theta(zeta)
         E = np.diag([cmath.exp(-th), cmath.exp(th)])
-        return self.prefactor_series(zeta) @ E, 0.0
+        return series.prefactor_sum(self.coeffs, 1.0 / zeta) @ E, 0.0
 
     # -- evaluation and checks --------------------------------------------
 

@@ -76,11 +76,7 @@ class RhSolver(SectoralSolver):
             "+": series.build_series(s, t, "+", order=series_order, hm=hm),
             "-": series.build_series(s, t, "-", order=series_order, hm=hm),
         }
-        U0, _ = laxpair.lax_matrices(0.0, self.co)
-        U1 = np.zeros((4, 4), complex)
-        U1[2, 0] = 1.0j
-        U1[3, 1] = -1.0j
-        self.lax_coeffs = (U0, U1)
+        self.lax_coeffs = (laxpair.lax_matrices(0.0, self.co)[0], laxpair.U1)
         super().__init__(r0)
 
     @staticmethod

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from critkernels import kernels
-from critkernels.dscale import DoubleScaling, airy_model, double_scaling_gap
+from critkernels.dscale import DoubleScaling, _Piece, airy_model, double_scaling_gap
 from critkernels.errors import DomainRestriction
 
 
@@ -33,6 +33,15 @@ def test_airy_model_jumps():
             Pp, Pm = airy_model(xp), airy_model(xm)
             G = np.linalg.solve(Pm, Pp)
             assert np.max(np.abs(G - J)) < 1e-5, ang
+
+
+def test_circle_cauchy_minus_keeps_negative_modes():
+    # [DERIVED] on a ccw circle the exterior boundary value C_- is minus
+    # the projection onto the negative Laurent modes
+    n = 16
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+    Cm = _Piece(z, z, "circle").self_cauchy_minus()
+    assert np.max(np.abs(Cm @ (z ** 2 + z ** -3) + z ** -3)) < 1e-13
 
 
 def test_airy_model_det():

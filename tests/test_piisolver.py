@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from critkernels import kernels, painleve
+from critkernels import kernels, painleve, series
 from critkernels.piisolver import PII_JUMPS, PII_RAY_ANGLES, PiiSolver, hm_at
 
 HM = painleve.default_solution()
@@ -136,3 +136,31 @@ def test_kernel_pii_reflection():
     a = kernels.kernel_pii(0.3, -0.6, 1.0)
     b = kernels.kernel_pii(-0.3, 0.6, 1.0)
     assert abs(a - b) < 1e-10
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0, 0.3 + 0.2j])
+def test_series_residue_is_q(nu):
+    # [DERIVED] the zeta^1 relation forces (P_1)_12 = -(i/2) q(nu)
+    sv = PiiSolver(nu, hm=HM)
+    q = hm_at(nu, HM)[0]
+    assert abs(sv.coeffs[0][0, 1] + 0.5j * q) < 1e-12
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0, 0.3 + 0.2j])
+def test_series_residual_decays_with_order(nu):
+    # [DERIVED] the truncated prefactor solves P' = A P - P E'E^{-1} to
+    # increasing order
+    sv = PiiSolver(nu, hm=HM)
+    zeta = 6.0 + 2.0j
+    h = 1e-5 * abs(zeta)
+    G = -1j * (4.0 * zeta ** 2 + sv.nu) * np.diag([1.0, -1.0])
+
+    def residual(order):
+        P = lambda z: series.prefactor_sum(sv.coeffs[:order], 1.0 / z)
+        dP = (P(zeta + h) - P(zeta - h)) / (2.0 * h)
+        return np.max(np.abs(dP - sv.lax(zeta) @ P(zeta) + P(zeta) @ G))
+
+    r2, r5, r8 = residual(2), residual(5), residual(8)
+    assert r5 < 0.1 * r2
+    assert r8 < 0.1 * r5
+    assert r8 < 1e-6

@@ -82,3 +82,13 @@ def test_frame_residual_lower_half_plane():
     co = lx.lax_coefficients(s, t, HM)
     fs = se.build_series(s, t, "-", order=12, hm=HM)
     assert _log_residual(fs, co, 20.0 - 12.0j, 10) < 1e-6
+
+
+@pytest.mark.parametrize("build", [
+    lambda: se.build_series(0.5, 0.3, "x", order=10, hm=HM),
+    lambda: lx.frame_exponents(1.0j, 0.5, 0.3, "x"),
+], ids=["build_series", "frame_exponents"])
+def test_unknown_variant_rejected(build):
+    # [TRIVIAL] the branch convention knows only '+' and '-'
+    with pytest.raises(ValueError, match="'x'"):
+        build()
