@@ -4,13 +4,15 @@ Every subcommand writes one data file and one JSON report next to it
 (``<out>.report.json``).  The report records the inputs, every check
 that was run with its value and tolerance, and the package versions.
 Exit status: 0 if all checks pass, 1 if any check fails (the report is
-still written), 2 on configuration errors.
+still written), 2 on configuration errors.  A configuration error found
+once the options are parsed also writes the report, with the options
+and an ``error`` string in place of the checks, and no data file.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import math
 import sys
 
 import click
@@ -20,6 +22,8 @@ from . import __version__
 from .errors import CritKernelsError
 
 _CSV_FMT = "{:.17g}"
+# what exits 2; library and value errors reach click as a UsageError
+_CONFIG_ERRORS = (CritKernelsError, ValueError, click.UsageError)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -49,13 +53,24 @@ def _emit(command: str, params: dict, checks: list[dict],
         with open(out, "w") as fh:
             json.dump(data, fh, indent=1)
             fh.write("\n")
+    _write_report(out, command, params, checks=checks)
+    for ck in checks:
+        status = "pass" if ck["pass"] else "FAIL"
+        click.echo(f"[{status}] {ck['name']} = {ck['value']:.6g} "
+                   f"(tol {ck['tolerance']:g})")
+    if not all(ck["pass"] for ck in checks):
+        sys.exit(1)
+
+
+def _write_report(out: str, command: str, params: dict, **outcome) -> None:
+    """<out>.report.json: command, params, the outcome fields, versions."""
     import mpmath
     import scipy
 
     report = {
         "command": command,
         "params": params,
-        "checks": checks,
+        **outcome,
         "versions": {
             "critkernels": __version__,
             "numpy": np.__version__,
@@ -66,12 +81,6 @@ def _emit(command: str, params: dict, checks: list[dict],
     with open(out + ".report.json", "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
-    for ck in checks:
-        status = "pass" if ck["pass"] else "FAIL"
-        click.echo(f"[{status}] {ck['name']} = {ck['value']:.6g} "
-                   f"(tol {ck['tolerance']:g})")
-    if not all(ck["pass"] for ck in checks):
-        sys.exit(1)
 
 
 def _check(name: str, value: float, tolerance: float) -> dict:
@@ -80,11 +89,30 @@ def _check(name: str, value: float, tolerance: float) -> dict:
 
 
 def _output(default: str):
-    """The --out and --format options of a subcommand writing ``default``."""
+    """The --out and --format options of a subcommand writing ``default``.
+
+    A configuration error inside the subcommand writes the report with
+    the error before it reaches `_Main`.
+    """
     out = click.option("--out", default=default, show_default=True)
     fmt = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
                        default="csv")
-    return lambda fn: out(fmt(fn))
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def run(**kwargs):
+            try:
+                return fn(**kwargs)
+            except _CONFIG_ERRORS as exc:
+                params = {k.rstrip("_"): v for k, v in kwargs.items()
+                          if k not in ("out", "fmt")}
+                command = click.get_current_context().info_name
+                _write_report(kwargs["out"], command, params, error=str(exc))
+                raise
+
+        return out(fmt(run))
+
+    return wrap
 
 
 class _Main(click.Group):

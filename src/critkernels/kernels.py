@@ -220,8 +220,8 @@ def _m_real(solver: RhSolver, us) -> dict:
     out = {}
     small = [u for u in us if u < _REAL_SWITCH]
     if small:
-        P, logs = solver.transport([1.0], solver.C[0], np.zeros(4), 0.0, small)
-        out.update(zip(small, zip(P[0], logs[0])))
+        P, logs = solver.sweep(1.0, 0, (0, 1, 2, 3), 0.0).at(small)
+        out.update(zip(small, zip(P, logs)))
     for u in us:
         if u >= _REAL_SWITCH:
             out[u] = balance_columns(*solver.fs["+"].frame_scaled(u + 0.0j))

@@ -27,6 +27,8 @@ __all__ = ["RAY_ANGLES", "JUMPS", "RhSolver"]
 
 _PHI1 = math.pi / 6.0
 _PHI2 = math.pi / 3.0
+_MARGIN = 1.5            # least distance from a point to its inward start R
+_R_GRID = 2.0            # spacing of the inward starts beyond r0
 
 # rays oriented outward; listed counterclockwise starting at the positive
 # real axis.  Ray k separates sector k-1 (minus side) from sector k (plus
@@ -98,9 +100,14 @@ class RhSolver(SectoralSolver):
     # or neutral along the axis and are transported inward from the
     # asymptotic series)
     _AXES = {
-        "imag+": (1j, 2, [0, 1]),
-        "imag-": (-1j, 7, [0, 1]),
+        "imag+": (1j, 2, (0, 1)),
+        "imag-": (-1j, 7, (0, 1)),
     }
+
+    def _inward_start(self, u: float) -> float:
+        """R of the inward leg at u: r0, or r0 + k _R_GRID >= u + _MARGIN."""
+        k = max(0, math.ceil((u + _MARGIN - self.r0) / _R_GRID))
+        return self.r0 + k * _R_GRID
 
     def m_balanced(self, u_values, axis: str = "imag+") -> dict:
         """Column-balanced M along an axis: u -> (Mhat, logs).
@@ -110,24 +117,30 @@ class RhSolver(SectoralSolver):
         transported outward from M(0) = C_k; the other columns (recessive
         or neutral along the axis, hence swamped there by the roundoff
         of the dominant ones) are transported *inward* from the
-        asymptotic series at R = max(r0, max u + 1.5), the stable
-        direction for them.  The per-column normalization keeps all
-        scales explicit, so kernel bilinear forms can be assembled
-        without overflow and with a well-conditioned inverse.
+        asymptotic series at R, the stable direction for them.  R is r0
+        for u <= r0 - 1.5 and beyond that the first point of the grid
+        r0 + 2k with R >= u + 1.5, so it depends on u alone.  Both legs
+        read the solver's recorded sweeps (`SectoralSolver.sweep`): a
+        value does not depend on the rest of the request or on what was
+        asked before.  The per-column normalization keeps all scales
+        explicit, so kernel bilinear forms can be assembled without
+        overflow and with a well-conditioned inverse.
         """
         direction, sector, outward_cols = self._AXES[axis]
-        inward_cols = [j for j in range(4) if j not in outward_cols]
+        inward_cols = tuple(j for j in range(4) if j not in outward_cols)
         us = sorted(float(u) for u in u_values)
         if us[0] <= 0.0:
             raise ValueError("u values must be positive")
-        R = max(self.r0, us[-1] + 1.5)
-        F, gF = self._series_frame(R * direction, sector)
-        A, la = self.transport([direction], self.C[sector][:, outward_cols],
-                               np.zeros(len(outward_cols)), 0.0, us)
-        B, lb = self.transport([direction], F[:, inward_cols], gF, R, us)
+        A, la = self.sweep(direction, sector, outward_cols, 0.0).at(us)
+        # R grows with u, so the groups come out in the order of us
+        starts = [self._inward_start(u) for u in us]
+        parts = [self.sweep(direction, sector, inward_cols, R).at(
+                     [u for u, Ru in zip(us, starts) if Ru == R])
+                 for R in sorted(set(starts))]
+        B, lb = (np.concatenate(x) for x in zip(*parts))
         perm = np.argsort(outward_cols + inward_cols)
-        Mhat = np.concatenate([A[0], B[0]], axis=-1)[..., perm]
-        logs = np.concatenate([la[0], lb[0]], axis=-1)[..., perm]
+        Mhat = np.concatenate([A, B], axis=-1)[..., perm]
+        logs = np.concatenate([la, lb], axis=-1)[..., perm]
         return dict(zip(us, zip(Mhat, logs)))
 
     def hm_extract(self, u_points=None) -> complex:

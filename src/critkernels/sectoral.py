@@ -17,11 +17,11 @@ from one weighted least-squares fit matching Phi C_k to the asymptotic
 series at anchors in all sectors simultaneously (three angles per
 sector, two radii).
 
-One `transport` serves every integration of the Lax equation: outward
-from the origin (Phi, and columns of M = Phi C_k) or inward from the
-asymptotic series, on any block of columns, for a batch of rays at once.
-It is the high-order Taylor method (Jorba & Zou, Exp. Math. 14 (2005)):
-L(zeta) = sum_j L_j zeta^j is a polynomial, so about a step start
+One stepper, `_march`, serves every integration of the Lax equation:
+outward from the origin (Phi, and columns of M = Phi C_k) or inward from
+the asymptotic series, on any block of columns, for a batch of rays at
+once.  It is the high-order Taylor method (Jorba & Zou, Exp. Math. 14
+(2005)): L(zeta) = sum_j L_j zeta^j is a polynomial, so about a step start
 zeta = d r the Taylor coefficients of Y(d (r + s)) obey the exact
 recurrence (n+1) Y_{n+1} = sum_j B_j Y_{n-j}, with B_j the s^j
 coefficient of d L(d (r + s)).  Each step sums `_ORDER` terms over the
@@ -35,7 +35,19 @@ evaluating the Taylor polynomial of the step that contains it, never by
 shortening a step.  A value therefore does not depend on which other
 rays share the batch or on which other radii were requested.  After
 every step the columns are rebalanced, so each column is carried as
-(unit-max column, log scale) and never overflows.
+(unit-max column, log scale) and never overflows.  The solver counts
+its steps in `taylor_steps`.
+
+The stepper yields every step's start, end, Taylor coefficients and
+logs, and two readers consume them.  `transport` evaluates its radii as
+the steps go by and keeps none of them.  A recorded `Sweep` (dense
+Taylor output) keeps them all: `SectoralSolver.sweep` builds one per
+ray, block of columns and start on first use, and stores it, and
+`Sweep.at` evaluates any radius by the Horner sum of its step, taking
+more steps only when a radius lies beyond the recorded ones.  Since
+the grid depends on r and the start only, an extended sweep takes the
+same steps as a fresh one: a recorded value equals that of a one-ray
+transport bit for bit, whatever was asked of the sweep before.
 
 The jump relations tie the C_k together; `split_solve` deliberately
 omits the links across one opposite pair of rays so that those two
@@ -51,7 +63,7 @@ import numpy as np
 
 from .errors import IntegrationFailure
 
-__all__ = ["SectoralSolver", "balance_columns"]
+__all__ = ["SectoralSolver", "Sweep", "balance_columns"]
 
 _ORDER = 30              # Taylor terms per transport step
 _STEP = 2.0              # transport step bound: h * sum_j ||L_j|| (|r|+1)^j
@@ -76,6 +88,37 @@ def _taylor_sum(coeffs: np.ndarray, s) -> np.ndarray:
     return acc
 
 
+class Sweep:
+    """A recorded march along one ray, extended on demand.
+
+    `steps` is a `SectoralSolver._march` over a batch of one ray in the
+    given direction (sign +1 outward, -1 inward).  Every step taken is
+    kept, so a radius already passed costs one Horner sum.
+    """
+
+    def __init__(self, steps, sign: float):
+        self._steps = steps
+        self._sign = sign
+        self._ends: list[float] = []
+        self._records: list[tuple] = []      # (start, coefficients, logs)
+
+    def at(self, radii) -> tuple[np.ndarray, np.ndarray]:
+        """(Yhat, logs) at radii past the start: shapes (m, d, k), (m, k)."""
+        radii = np.asarray(radii, dtype=float)
+        ahead = self._sign * radii
+        while not self._ends or ahead.max() > self._sign * self._ends[-1]:
+            r, r_next, T, logs = next(self._steps)
+            self._ends.append(r_next)
+            self._records.append((r, T[0], logs[0]))
+        # the step containing a radius is the first whose end reaches it
+        i = np.searchsorted(self._sign * np.asarray(self._ends), ahead)
+        r, T, logs = (np.array(x) for x in zip(*(self._records[j] for j in i)))
+        Y, logs = balance_columns(_taylor_sum(T, radii - r), logs)
+        if not np.all(np.isfinite(Y)):
+            raise IntegrationFailure("Lax transport produced non-finite values")
+        return Y, logs
+
+
 class SectoralSolver:
     """Sector constants C_k of Y = Phi C_k, fitted at anchors in all sectors.
 
@@ -96,6 +139,8 @@ class SectoralSolver:
 
     def __init__(self, r0: float):
         self.r0 = float(r0)
+        self.taylor_steps = 0    # steps taken; one step serves a whole batch
+        self._sweeps: dict = {}
         self.dim = len(self.JUMPS[0])
         self._lax_norms = [float(np.max(np.sum(np.abs(L), axis=1)))
                            for L in self.lax_coeffs]
@@ -173,22 +218,29 @@ class SectoralSolver:
         bi, mi = np.nonzero(radii == r_from)
         out[0][bi, mi], out[1][bi, mi] = start[0][bi], start[1][bi]
         for sign in (1.0, -1.0):
-            self._march(dirs, start, r_from, sign, radii, out)
+            pending = sign * (radii - r_from) > 0.0
+            steps = self._march(dirs, *start, r_from, sign)
+            while pending.any():
+                r, r_next, T, logs = next(steps)
+                bi, mi = np.nonzero(pending & (sign * (radii - r_next) <= 0.0))
+                out[0][bi, mi], out[1][bi, mi] = balance_columns(
+                    _taylor_sum(T[bi], radii[bi, mi] - r), logs[bi])
+                pending[bi, mi] = False
         if not np.all(np.isfinite(out[0])):
             raise IntegrationFailure("Lax transport produced non-finite values")
         return out
 
-    def _march(self, dirs, start, r, sign, radii, out) -> None:
-        """Taylor steps from r toward sign * infinity until every radius on
-        that side is passed, writing the value at each into out."""
+    def _march(self, dirs, Y, logs, r: float, sign: float):
+        """Taylor steps from r toward sign * infinity, without end.
+
+        Y diag(e^{logs}) is the batch of solutions at r * dirs[b], Y of
+        shape (b, d, k) with unit-max columns.  Yields (r, r_next, T,
+        logs) per step: the solution at (r + s) * dirs[b], for s between
+        0 and r_next - r, is sum_n T[b, n] s^n times diag(e^{logs[b]}).
+        """
         p = len(self.lax_coeffs) - 1
-        b, d, k = start[0].shape
-        Y, logs = start
-        # T[:, p + n] holds the n-th Taylor coefficient; the p leading
-        # zeros let one window [Y_{n-p}, ..., Y_n] serve every order n
-        T = np.zeros((b, p + _ORDER + 1, d, k), dtype=complex)
-        pending = sign * (radii - r) > 0.0
-        while pending.any():
+        b, d, k = Y.shape
+        while True:
             h = _STEP / max(_STEP, sum(n * (abs(r) + 1.0) ** j
                                        for j, n in enumerate(self._lax_norms)))
             # dY/ds = d L(d (r + s)) Y = sum_j B_j s^j Y
@@ -196,18 +248,41 @@ class SectoralSolver:
                      for m, L in enumerate(self.lax_coeffs) if m >= j)
                  for j in range(p + 1)]
             Bcat = np.concatenate(B[::-1], axis=-1)
+            # T[:, p + n] holds the n-th Taylor coefficient; the p leading
+            # zeros let one window [Y_{n-p}, ..., Y_n] serve every order n
+            T = np.zeros((b, p + _ORDER + 1, d, k), dtype=complex)
             T[:, p] = Y
             for n in range(_ORDER):
                 window = T[:, n:n + p + 1].reshape(b, (p + 1) * d, k)
                 T[:, p + n + 1] = (Bcat @ window) / (n + 1.0)
+            self.taylor_steps += 1
             r_next = r + sign * h
-            hit = pending & (sign * (radii - r_next) <= 0.0)
-            bi, mi = np.nonzero(hit)
-            out[0][bi, mi], out[1][bi, mi] = balance_columns(
-                _taylor_sum(T[bi, p:], radii[bi, mi] - r), logs[bi])
-            pending &= ~hit
+            yield r, r_next, T[:, p:], logs
             Y, logs = balance_columns(_taylor_sum(T[:, p:], sign * h), logs)
             r = r_next
+
+    def sweep(self, direction: complex, sector: int, cols: tuple,
+              r_from: float) -> Sweep:
+        """The recorded sweep of the columns `cols` of a sector's solution.
+
+        It runs along the ray of the given direction: outward from
+        Y(0) = C_sector when r_from is 0, inward from the series frame at
+        r_from otherwise.  Built on first use and kept.
+        """
+        key = (direction, sector, cols, r_from)
+        if key not in self._sweeps:
+            if r_from == 0.0:
+                Y, logs = self.C[sector], np.zeros(self.dim)
+            else:
+                Y, logs = self._series_frame(r_from * direction, sector)
+            cols = list(cols)
+            Y, logs = balance_columns(
+                Y[None][..., cols], np.broadcast_to(logs, (1, self.dim))[:, cols])
+            sign = 1.0 if r_from == 0.0 else -1.0
+            steps = self._march(np.array([direction], dtype=complex),
+                                Y, logs, r_from, sign)
+            self._sweeps[key] = Sweep(steps, sign)
+        return self._sweeps[key]
 
     def phi(self, zeta) -> np.ndarray:
         """The fundamental solution Phi(zeta), with Phi(0) = I.

@@ -103,6 +103,20 @@ def test_config_error_exit_2(runner, tmp_path):
         assert "Traceback" not in result.output
 
 
+def test_config_error_writes_report(runner, tmp_path):
+    # [TRIVIAL] a configuration error still writes the report, with the
+    # command, its parameters and the error in place of checks
+    result, out, report = _run(runner, tmp_path,
+                               ["kernel", "--which", "tac", "--u", "-1",
+                                "--v", "1"])
+    assert result.exit_code == 2, result.output
+    doc = json.loads(report.read_text())
+    assert doc["command"] == "kernel"
+    assert doc["params"]["which"] == "tac" and doc["params"]["u"] == -1.0
+    assert "kernel_tac requires u, v > 0" in doc["error"]
+    assert not out.exists()
+
+
 def test_lax_check_passes(runner, tmp_path):
     result, out, report = _run(runner, tmp_path, ["lax-check"])
     assert result.exit_code == 0, result.output

@@ -118,6 +118,22 @@ def test_tac_diag_matches_pair_limit():
     assert abs(d - p) < 1e-3
 
 
+def test_kernel_cr_warm_pairs_take_no_steps():
+    # [DERIVED] K_cr pairs read M from the solver's recorded sweeps: once
+    # the diagonal of a 6x6 matrix at |u| <= 3.3 has been evaluated, its
+    # 30 off-diagonal pairs take no new Taylor step
+    s, t = 0.3, 0.0
+    points = [0.5, -0.8, 1.5, -2.0, 2.6, -3.3]
+    solver = kernels.get_solver(s, t)
+    kernels.kernel_cr_diag(points, s, t, solver)
+    steps = solver.taylor_steps
+    pairs = [(u, v) for u in points for v in points if u != v]
+    for u, v in pairs:
+        kernels.kernel_cr(u, v, s, t, solver)
+    assert len(pairs) == 30
+    assert solver.taylor_steps == steps
+
+
 def test_tac_real_switch_continuous():
     # [DERIVED] M_+ from outward transport and from the series frame give
     # the same K_tac diagonal on both sides of the switch between them

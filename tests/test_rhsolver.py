@@ -130,6 +130,35 @@ def test_m_balanced_request_independent():
     assert np.max(np.abs(A - B)) <= 1e-15 * np.max(np.abs(A))
 
 
+def _column_gap(a, b):
+    """Largest column-relative difference of two balanced M's."""
+    A, B = a[0] * np.exp(a[1]), b[0] * np.exp(b[1])
+    gap = np.max(np.abs(A - B), axis=0) / np.max(np.abs(A), axis=0)
+    return float(np.max(gap))
+
+
+def test_m_balanced_request_independent_beyond_r0():
+    # [DERIVED] a point beyond r0 in the same request does not move the
+    # inward start of the others
+    S = solver(0.0, 0.0, 14.0, 16)
+    assert _column_gap(S.m_balanced([5.0])[5.0],
+                       S.m_balanced([5.0, 20.0])[5.0]) <= 1e-15
+
+
+def test_m_balanced_cache_state_independent():
+    # [DERIVED] a solver that has evaluated other points before gives the
+    # same values, bit for bit, as a fresh one
+    points = [0.5, 3.3, 12.0]
+    cold = RhSolver(0.0, 0.0, r0=14.0, series_order=16, hm=HM)
+    warm = RhSolver(0.0, 0.0, r0=14.0, series_order=16, hm=HM)
+    for axis in ("imag+", "imag-"):
+        warm.m_balanced([0.25, 7.0, 20.0], axis)
+        a, b = cold.m_balanced(points, axis), warm.m_balanced(points, axis)
+        for u in points:
+            assert np.array_equal(a[u][0], b[u][0]), (axis, u)
+            assert np.array_equal(a[u][1], b[u][1]), (axis, u)
+
+
 @pytest.mark.parametrize("s,t", [(0.0, 0.0), (0.5, -1.0), (1.0, 0.0)])
 def test_hm_extraction(s, t):
     # [PAPER] the 1/zeta coefficient of the (1,4) entry of M times the
