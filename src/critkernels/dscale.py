@@ -22,12 +22,19 @@ the outer parametrix P_inf(z) = diag((1-z)^{-1/4}, (1+z)^{-1/4},
 around the origin built from Psi(i a f1(z); nu(z)) with the conformal
 map f1 = ((1/4)((1-z)^{3/2} - (1+z)^{3/2}) + (3/4)z)^{1/3} and local
 parameter nu(z) = sigma z / f1(z), and Airy parametrices on disks
-around +-1 in the exact local variable xi = a^2 (1 -+ z).  The residual
-problem for M4 has jumps close to the identity on the three circles plus
-exponentially small ray remnants; it is solved as a singular integral
-equation R_- = I + C_-[R_-(J - I)] by GMRES on a composite contour
-(FFT Cauchy projections on the circles, Legendre expansions with
-exact principal-value weights on the straight pieces).
+around +-1 in the exact local variable xi = a^2 (1 -+ z).  Each local
+parametrix is P_inf B with a bracket B (`u0_bracket`, `airy_bracket`)
+that tends to I on its circle, so the residual problem for M4 has two
+kinds of jump, one formula each on arrays of nodes:
+
+  circles:  J = P_inf B^{-1} P_inf^{-1}, close to I;
+  segments: J = W (I + c e^{a^3 (g_i - g_j)} E_ij) W^{-1}, W = P_inf
+            (P_inf B_U0 inside U0), the exponentially small remnants
+            of the lens rays and of the real axis.
+
+It is solved as R_- = I + C_-[R_-(J - I)] by GMRES (FFT Cauchy
+projections on the circles, Legendre expansions with exact
+principal-value weights on the segments; Olver, Numer. Math. 122 (2012)).
 
 The kernel is then assembled from M3 = R P with the balanced bilinear
 form; the overall conjugation by e^{a^3 (g1+g2)/2} (which cancels in
@@ -50,6 +57,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -63,80 +71,89 @@ from .piisolver import get_pii_solver
 __all__ = ["DoubleScaling", "double_scaling_gap"]
 
 _A4 = laxpair._A
-_A4_INV = np.linalg.inv(_A4)
 _OMEGA = cmath.exp(2j * cmath.pi / 3.0)
 _SQ2PI = math.sqrt(2.0 * math.pi)
 _C1 = _SQ2PI * cmath.exp(-1j * cmath.pi / 4.0)
 _C2 = _SQ2PI * cmath.exp(1j * cmath.pi / 12.0)
 _C3 = _SQ2PI * cmath.exp(5j * cmath.pi / 12.0)
-_N2 = np.array([[cmath.exp(-1j * cmath.pi / 4.0), cmath.exp(1j * cmath.pi / 4.0)],
-                [cmath.exp(1j * cmath.pi / 4.0), cmath.exp(-1j * cmath.pi / 4.0)]],
-               dtype=complex) / math.sqrt(2.0)
-_N2_INV = np.linalg.inv(_N2)
+# N of Phi_A ~ xi^{-s3/4} N e^{-(2/3)xi^{3/2} s3}: column 1 from
+# Ai(xi) ~ xi^{-1/4} e^{-(2/3)xi^{3/2}} / (2 sqrt(pi)) and Ai' ~ -xi^{1/2} Ai,
+# column 2 from the same at omega^2 xi, where (omega^2 xi)^{3/2} = -xi^{3/2}
+_N2_INV = np.linalg.inv(cmath.exp(-1j * cmath.pi / 4.0) / math.sqrt(2.0)
+                        * np.array([[1.0, 1j], [-1.0, 1j]]))
 _S1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _S3 = np.diag([1.0, -1.0]).astype(complex)
 _N_CIRCLE = 160          # nodes on the circle about 0; the circles about +-1 get half
 _N_SEG = 24              # Gauss-Legendre nodes per straight contour piece
 
 
-def airy_model(xi: complex) -> np.ndarray:
-    """Exact Airy model parametrix, Phi ~ xi^{-s3/4} N e^{-(2/3)xi^{3/2} s3}."""
-    ang = cmath.phase(xi)
-    ai, aip, _, _ = airy(xi)
-    vA = np.array([ai, aip], dtype=complex)
-    if ang >= 0.0:
-        ai2, aip2, _, _ = airy(_OMEGA ** 2 * xi)
-        vB = np.array([ai2, _OMEGA ** 2 * aip2], dtype=complex)
-        if ang <= 2.0 * math.pi / 3.0:
-            return np.column_stack([_C1 * vA, _C2 * vB])
-        return np.column_stack([_C1 * vA - _C2 * vB, _C2 * vB])
-    ai1, aip1, _, _ = airy(_OMEGA * xi)
-    vC = np.array([ai1, _OMEGA * aip1], dtype=complex)
-    if ang >= -2.0 * math.pi / 3.0:
-        return np.column_stack([_C1 * vA, _C3 * vC])
-    ai2, aip2, _, _ = airy(_OMEGA ** 2 * xi)
-    vB = np.array([ai2, _OMEGA ** 2 * aip2], dtype=complex)
-    return np.column_stack([_C2 * vB, _C3 * vC])
+def airy_model(xi) -> np.ndarray:
+    """Exact Airy model parametrix, Phi ~ xi^{-s3/4} N e^{-(2/3)xi^{3/2} s3}.
+
+    xi is a scalar or an array; the result has shape xi.shape + (2, 2).
+    """
+    xi = np.asarray(xi, dtype=complex)
+    ang = np.angle(xi)[..., None]
+    vA, vB, vC = (c * np.stack([ai, w * aip], axis=-1)
+                  for c, w, (ai, aip, _, _) in ((_C1, 1.0, airy(xi)),
+                                                (_C2, _OMEGA ** 2, airy(_OMEGA ** 2 * xi)),
+                                                (_C3, _OMEGA, airy(_OMEGA * xi))))
+    first = np.where(ang > 2.0 * math.pi / 3.0, vA - vB,
+                     np.where(ang < -2.0 * math.pi / 3.0, vB, vA))
+    return np.stack([first, np.where(ang >= 0.0, vB, vC)], axis=-1)
 
 
-class _Piece:
-    """A discretized contour piece: nodes, complex weights, jump matrices."""
+@functools.cache
+def _circle_cauchy_minus(n: int) -> np.ndarray:
+    """C_- on n equispaced nodes of a ccw circle, any centre and radius.
 
-    def __init__(self, nodes, weights, kind, extra=None):
-        self.nodes = np.asarray(nodes, dtype=complex)
-        self.weights = np.asarray(weights, dtype=complex)
-        self.kind = kind          # "circle" or "segment"
-        self.extra = extra or {}
-        self.jumps = None         # (n, 4, 4), filled by the owner
-
-    def self_cauchy_minus(self) -> np.ndarray:
-        """Dense matrix of the boundary value C_- on this piece's nodes."""
-        n = len(self.nodes)
-        if self.kind == "circle":
-            # ccw circle: minus side is the exterior; C_- keeps the
-            # negative Laurent modes with a minus sign.  On equispaced
-            # nodes that projection is the circulant M[i, j] = m[i - j].
-            m = -np.fft.ifft(np.arange(n) >= (n + 1) // 2)
-            return m[np.subtract.outer(np.arange(n), np.arange(n)) % n]
-        # straight segment: Legendre expansion + exact PV weights
-        t = self.extra["t"]       # Gauss-Legendre nodes in [-1, 1]
-        wq = self.extra["wq"]
-        P = np.array([legendre.legval(t, [0.0] * k + [1.0]) for k in range(n)])
-        L = ((2.0 * np.arange(n) + 1.0) / 2.0)[:, None] * P * wq[None, :]
-        Q = np.zeros((n, n))
-        q0 = np.log((1.0 - t) / (1.0 + t))
-        Q[:, 0] = q0
-        if n > 1:
-            Q[:, 1] = 2.0 + t * q0
-        for k in range(1, n - 1):
-            Q[:, k + 1] = ((2 * k + 1.0) * t * Q[:, k] - k * Q[:, k - 1]) / (k + 1.0)
-        return (Q @ L) / (2j * np.pi) - 0.5 * np.eye(n)
+    The minus side is the exterior: C_- keeps the negative Laurent modes
+    with a minus sign, which on equispaced nodes is the circulant
+    M[i, j] = m[i - j].
+    """
+    m = -np.fft.ifft(np.arange(n) >= (n + 1) // 2)
+    out = m[np.subtract.outer(np.arange(n), np.arange(n)) % n]
+    out.setflags(write=False)
+    return out
 
 
-def _gauss_piece(A: complex, B: complex, n: int, kind="segment") -> _Piece:
-    t, wq = np.polynomial.legendre.leggauss(n)
+@functools.cache
+def _segment_cauchy_minus(n: int) -> np.ndarray:
+    """C_- on the n Gauss-Legendre nodes of a straight segment, any end points.
+
+    The density is expanded in Legendre polynomials P_k; the principal
+    values of P_k are -Q_k, with the Legendre functions of the second
+    kind from their three-term recurrence.
+    """
+    t, wq = legendre.leggauss(n)
+    L = ((2.0 * np.arange(n) + 1.0) / 2.0)[:, None] * legendre.legvander(t, n - 1).T * wq
+    Q = np.zeros((n, n))
+    Q[:, 0] = np.log((1.0 - t) / (1.0 + t))
+    Q[:, 1] = 2.0 + t * Q[:, 0]
+    for k in range(1, n - 1):
+        Q[:, k + 1] = ((2 * k + 1.0) * t * Q[:, k] - k * Q[:, k - 1]) / (k + 1.0)
+    out = (Q @ L) / (2j * np.pi) - 0.5 * np.eye(n)
+    out.setflags(write=False)
+    return out
+
+
+class _Piece(NamedTuple):
+    """A discretized contour piece: nodes, complex weights, C_- on its nodes."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    cminus: np.ndarray
+
+
+def _circle(c: float, rho: float, n: int) -> _Piece:
+    e = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+    return _Piece(c + rho * e, 1j * rho * e * (2.0 * np.pi / n), _circle_cauchy_minus(n))
+
+
+def _segment(A: complex, B: complex) -> _Piece:
+    t, wq = legendre.leggauss(_N_SEG)
     mid, half = 0.5 * (A + B), 0.5 * (B - A)
-    return _Piece(mid + half * t, half * wq, kind, {"t": t, "wq": wq})
+    return _Piece(mid + half * t, half * wq, _segment_cauchy_minus(_N_SEG))
 
 
 class DoubleScaling:
@@ -154,7 +171,7 @@ class DoubleScaling:
         self._build_contour()
         self._solve()
 
-    # -- scalar geometry ---------------------------------------------------
+    # -- geometry; z is a scalar or an array throughout --------------------
 
     def _choose_eps(self, u_points) -> float:
         # keep the Airy disks at radius >= 0.25 (so a^2 delta is large
@@ -167,94 +184,84 @@ class DoubleScaling:
         best = max(cands, key=lambda e: min(abs(us - e).min(), 0.10) + 0.001 * e)
         return float(best)
 
-    def g(self, z: complex, j: int) -> complex:
-        z = complex(z)
-        if j == 1:
-            return -(2.0 / 3.0) * (1.0 - z) ** 1.5 - self.p * z
-        if j == 2:
-            return -(2.0 / 3.0) * (1.0 + z) ** 1.5 + self.p * z
-        if j == 3:
-            return (2.0 / 3.0) * (1.0 - z) ** 1.5 - self.p * z
-        return (2.0 / 3.0) * (1.0 + z) ** 1.5 + self.p * z
+    def gs(self, z) -> np.ndarray:
+        """(g1, g2, g3, g4) at z, stacked on a leading axis."""
+        z = np.asarray(z, dtype=complex)
+        r1 = (2.0 / 3.0) * (1.0 - z) ** 1.5
+        r2 = (2.0 / 3.0) * (1.0 + z) ** 1.5
+        pz = self.p * z
+        return np.stack([-r1 - pz, -r2 + pz, r1 - pz, r2 + pz])
 
-    def f1(self, z: complex) -> complex:
-        z = complex(z)
-        if abs(z) < 0.02:
-            # series of ((1/4)((1-z)^{3/2}-(1+z)^{3/2}) + (3/4)z)/z^3
-            h = 1.0 / 32.0 - (3.0 / 512.0) * z * z
-        else:
-            h = (0.25 * ((1.0 - z) ** 1.5 - (1.0 + z) ** 1.5) + 0.75 * z) / z ** 3
+    def g(self, z, j: int):
+        return self.gs(z)[j - 1]
+
+    def f1(self, z):
+        z = np.asarray(z, dtype=complex)
+        small = np.abs(z) < 0.02
+        zb = np.where(small, 1.0, z)      # keeps the discarded branch finite
+        # near 0, the series of ((1/4)((1-z)^{3/2}-(1+z)^{3/2}) + (3/4)z)/z^3
+        h = np.where(small, 1.0 / 32.0 - (3.0 / 512.0) * z * z,
+                     (0.25 * ((1.0 - zb) ** 1.5 - (1.0 + zb) ** 1.5) + 0.75 * zb) / zb ** 3)
         return z * h ** (1.0 / 3.0)
 
-    def nu_of(self, z: complex) -> complex:
+    def nu_of(self, z):
         return self.sigma * z / self.f1(z)
 
-    def f2(self, z: complex) -> complex:
-        return 0.5 * (self.g(z, 4) - self.g(z, 3))
+    def p_inf(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=complex)
+        d = np.stack([(1.0 - z) ** -0.25, (1.0 + z) ** -0.25,
+                      (1.0 - z) ** 0.25, (1.0 + z) ** 0.25], axis=-1)
+        return d[..., None] * _A4
 
-    def p_inf(self, z: complex) -> np.ndarray:
-        z = complex(z)
-        d = np.diag([(1.0 - z) ** -0.25, (1.0 + z) ** -0.25,
-                     (1.0 - z) ** 0.25, (1.0 + z) ** 0.25])
-        return d @ _A4
-
-    # -- local parametrix blocks ------------------------------------------
+    # -- local parametrix brackets -----------------------------------------
 
     def psi_local(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(w, nu, Psi(w; nu)) with w = i a f1(z) and nu = nu(z) at every z.
 
-        z is a scalar or an array; Psi comes from one batched `psi` call
-        at nu0 and a second-order Taylor expansion in nu around it.
+        Psi comes from one batched `psi` call at nu0 and a second-order
+        Taylor expansion in nu around it.
         """
-        z = np.asarray(z, dtype=complex)
-        w = 1j * self.a * np.vectorize(self.f1, otypes=[complex])(z)
-        nu = np.vectorize(self.nu_of, otypes=[complex])(z)
+        w = 1j * self.a * self.f1(z)
+        nu = self.nu_of(z)
         d = (nu - self.nu0)[..., None, None]
         B = -1j * w[..., None, None] * _S3 + self.pii.q * _S1
         corr = np.eye(2, dtype=complex) + d * B + 0.5 * d * d * (self.q_nu * _S1 + B @ B)
         return w, nu, corr @ self.pii.psi(w)
 
-    def psi_block(self, z) -> np.ndarray:
-        """Psi-tilde(a f1; nu) E^{-1}: the bounded (1,2)-block of P0 P_inf^{-1}.
+    def u0_bracket(self, z) -> np.ndarray:
+        """B_U0 = P_inf^{-1} P0 = blockdiag(Psi e^{theta s3}, Theta e^{zeta2 s3}).
 
-        z is an array; the result has shape z.shape + (2, 2).
+        Both blocks are bounded: Psi(a f1; nu) e^{theta s3} with
+        theta = i((4/3) w^3 + nu w), and the closed form of
+        Theta(zeta2) diag(e^{zeta2}, e^{-zeta2}), zeta2 = a^3 (g4 - g3)/2,
+        whose only off-diagonal entry is exponentially small.
         """
         w, nu, psi = self.psi_local(z)
         th = 1j * ((4.0 / 3.0) * w ** 3 + nu * w)
-        return psi * np.stack([np.exp(th), np.exp(-th)], axis=-1)[..., None, :]
-
-    def theta_block(self, z: complex) -> np.ndarray:
-        """Theta(zeta2) diag(e^{zeta2}, e^{-zeta2}): bounded closed form."""
-        z2 = self.a ** 3 * self.f2(z)
-        ang = abs(cmath.phase(z2))
-        if ang < math.pi / 3.0:
-            return np.array([[1.0, -cmath.exp(-2.0 * z2)], [0.0, 1.0]], complex)
-        if ang <= 2.0 * math.pi / 3.0:
-            return np.eye(2, dtype=complex)
-        return np.array([[1.0, 0.0], [-cmath.exp(2.0 * z2), 1.0]], complex)
-
-    def p0_bracket(self, z: complex, psi_block: np.ndarray) -> np.ndarray:
-        """blockdiag(psi_block, theta_block): P0 = P_inf * bracket."""
-        out = np.zeros((4, 4), dtype=complex)
-        out[:2, :2] = psi_block
-        out[2:, 2:] = self.theta_block(z)
+        out = np.zeros(w.shape + (4, 4), dtype=complex)
+        out[..., :2, :2] = psi * np.stack([np.exp(th), np.exp(-th)], axis=-1)[..., None, :]
+        G = self.gs(z)
+        z2 = self.a ** 3 * (0.5 * (G[3] - G[2]))
+        ang = np.abs(np.angle(z2))
+        small = -np.exp(-2.0 * np.sign(z2.real) * z2)
+        out[..., 2, 2] = out[..., 3, 3] = 1.0
+        out[..., 2, 3] = np.where(ang < math.pi / 3.0, small, 0.0)
+        out[..., 3, 2] = np.where(ang > 2.0 * math.pi / 3.0, small, 0.0)
         return out
 
-    def airy_bracket(self, z: complex, side: int) -> np.ndarray:
-        """2x2 bracket N^{-1} xi^{s3/4} Phi_A e^{(2/3)xi^{3/2} s3} at +-1."""
-        xi = self.a ** 2 * (1.0 - z) if side > 0 else self.a ** 2 * (1.0 + z)
-        r34 = (2.0 / 3.0) * xi * cmath.sqrt(xi)
-        pref = np.diag([xi ** 0.25, xi ** -0.25])
-        expf = np.diag([cmath.exp(r34), cmath.exp(-r34)])
-        return _N2_INV @ pref @ airy_model(xi) @ expf
+    def airy_bracket(self, z, side: int) -> np.ndarray:
+        """N^{-1} xi^{s3/4} Phi_A e^{(2/3)xi^{3/2} s3} at +-1, embedded in I_4.
 
-    def airy_bracket4(self, z: complex, side: int) -> np.ndarray:
-        idx = (0, 2) if side > 0 else (1, 3)
-        out = np.eye(4, dtype=complex)
-        b = self.airy_bracket(z, side)
-        for i in range(2):
-            for j in range(2):
-                out[idx[i], idx[j]] = b[i, j]
+        It fills rows and columns (1, 3) for side +1 and (2, 4) for -1.
+        """
+        z = np.asarray(z, dtype=complex)
+        xi = self.a ** 2 * (1.0 - z if side > 0 else 1.0 + z)
+        r34 = (2.0 / 3.0) * xi * np.sqrt(xi)
+        pref = np.stack([xi ** 0.25, xi ** -0.25], axis=-1)[..., None]
+        expf = np.stack([np.exp(r34), np.exp(-r34)], axis=-1)[..., None, :]
+        idx = np.array([0, 2] if side > 0 else [1, 3])
+        out = np.broadcast_to(np.eye(4, dtype=complex), z.shape + (4, 4)).copy()
+        out[..., idx[:, None], idx] = _N2_INV @ (pref * airy_model(xi) * expf)
         return out
 
     # -- contour and jumps -------------------------------------------------
@@ -263,141 +270,76 @@ class DoubleScaling:
         """Angle theta with arg f1(eps e^{i theta}) = base (lens exit point)."""
         th = base
         for _ in range(40):
-            z = self.eps * cmath.exp(1j * th)
-            th_new = th + (base - cmath.phase(self.f1(z)))
-            if abs(th_new - th) < 1e-13:
-                th = th_new
+            step = base - cmath.phase(self.f1(self.eps * cmath.exp(1j * th)))
+            th += step
+            if abs(step) < 1e-13:
                 break
-            th = th_new
         return th
 
-    def _conj(self, W: np.ndarray, J: np.ndarray) -> np.ndarray:
-        return W @ J @ np.linalg.inv(W)
-
-    def _e(self, i: int, j: int, val: complex) -> np.ndarray:
-        out = np.eye(4, dtype=complex)
-        out[i, j] += val
-        return out
-
     def _build_contour(self):
-        a3 = self.a ** 3
-        pieces: list[_Piece] = []
-
-        # circles (ccw)
-        for c, rho, n, tag in ((0.0, self.eps, _N_CIRCLE, "u0"),
-                               (1.0, self.delta, _N_CIRCLE // 2, "u+"),
-                               (-1.0, self.delta, _N_CIRCLE // 2, "u-")):
-            th = 2.0 * np.pi * np.arange(n) / n
-            nodes = c + rho * np.exp(1j * th)
-            weights = 1j * rho * np.exp(1j * th) * (2.0 * np.pi / n)
-            pieces.append(_Piece(nodes, weights, "circle", {"tag": tag}))
-
+        eps, delta = self.eps, self.delta
+        circles = [_circle(0.0, eps, _N_CIRCLE), _circle(1.0, delta, _N_CIRCLE // 2),
+                   _circle(-1.0, delta, _N_CIRCLE // 2)]
+        # straight pieces (piece, i, j, c, inside U0), with G = gs(z): the jump
+        # W (I + c e^{a^3 (G_i - G_j)} E_ij) W^{-1} = I + c e^.. W[:, i] W^{-1}[j, :]
+        straight = []
         r_out = max(2.2, (25.0 * 12.0 / self.a ** 3) ** (1.0 / 3.0))
-        lens_out = 1.0
-
+        mid = min(1.15, 0.5 * (eps + r_out))
         # origin-lens remnants (straight rays from the exit points)
-        for base, sgn, ij in ((math.pi / 3.0, -1.0, (1, 0)),
-                              (-math.pi / 3.0, 1.0, (1, 0)),
-                              (2.0 * math.pi / 3.0, 1.0, (0, 1)),
-                              (-2.0 * math.pi / 3.0, -1.0, (0, 1))):
-            th = self._ray_exit_angle(base)
-            d = cmath.exp(1j * th)
-            mid = min(1.15, 0.5 * (self.eps + r_out))
-            for (ra, rb, n) in ((self.eps, mid, _N_SEG),
-                                (mid, r_out, _N_SEG)):
-                pc = _gauss_piece(ra * d, rb * d, n)
-                pc.extra["jump"] = ("oray", sgn, ij)
-                pieces.append(pc)
-
+        for base, c, i, j in ((math.pi / 3.0, -1.0, 1, 0), (-math.pi / 3.0, 1.0, 1, 0),
+                              (2.0 * math.pi / 3.0, 1.0, 0, 1),
+                              (-2.0 * math.pi / 3.0, -1.0, 0, 1)):
+            d = cmath.exp(1j * self._ray_exit_angle(base))
+            straight += [(_segment(eps * d, mid * d), i, j, c, False),
+                         (_segment(mid * d, r_out * d), i, j, c, False)]
         # Airy-lens remnants from the junctions on the +-1 circles
-        for side, base in ((1, math.pi / 3.0), (1, -math.pi / 3.0),
-                           (-1, 2.0 * math.pi / 3.0), (-1, -2.0 * math.pi / 3.0)):
-            c = 1.0 if side > 0 else -1.0
+        for c0, base, i, j in ((1.0, math.pi / 3.0, 2, 0), (1.0, -math.pi / 3.0, 2, 0),
+                               (-1.0, 2.0 * math.pi / 3.0, 3, 1),
+                               (-1.0, -2.0 * math.pi / 3.0, 3, 1)):
             d = cmath.exp(1j * base)
-            pc = _gauss_piece(c + self.delta * d, c + lens_out * d, _N_SEG)
-            pc.extra["jump"] = ("alens", side)
-            pieces.append(pc)
-
+            straight.append((_segment(c0 + delta * d, c0 + d), i, j, 1.0, False))
         # real-axis remnants, split at the U0 boundary
-        xin = 1.0 - (25.0 * 3.0 / (4.0 * a3)) ** (2.0 / 3.0)
-        xin = min(max(xin, 0.05), self.eps - 0.02)
-        for s in (1.0, -1.0):
-            pc = _gauss_piece(s * xin, s * self.eps, _N_SEG)
-            pc.extra["jump"] = ("seg_in", s)
-            pieces.append(pc)
-            pc = _gauss_piece(s * self.eps, s * (1.0 - self.delta), _N_SEG)
-            pc.extra["jump"] = ("seg_out", s)
-            pieces.append(pc)
+        xin = 1.0 - (25.0 * 3.0 / (4.0 * self.a ** 3)) ** (2.0 / 3.0)
+        xin = min(max(xin, 0.05), eps - 0.02)
+        for s, i, j in ((1.0, 0, 2), (-1.0, 1, 3)):
+            straight += [(_segment(s * xin, s * eps), i, j, 1.0, True),
+                         (_segment(s * eps, s * (1.0 - delta)), i, j, 1.0, False)]
 
-        # the PII blocks of every node that needs P0, from one psi call
-        local = [pc for pc in pieces if pc.extra.get("tag") == "u0"
-                 or pc.extra.get("jump", ("",))[0] == "seg_in"]
-        blocks = self.psi_block(np.concatenate([pc.nodes for pc in local]))
-        ends = np.cumsum([len(pc.nodes) for pc in local])
-        for pc, blk in zip(local, np.split(blocks, ends[:-1])):
-            pc.extra["psi"] = blk
-
-        # jump matrices
-        for pc in pieces:
-            n = len(pc.nodes)
-            J = np.empty((n, 4, 4), dtype=complex)
-            tag = pc.extra.get("tag")
-            for k, z in enumerate(pc.nodes):
-                W = self.p_inf(z)
-                if tag == "u0":
-                    J[k] = self._conj(W, np.linalg.inv(
-                        self.p0_bracket(z, pc.extra["psi"][k])))
-                elif tag in ("u+", "u-"):
-                    side = 1 if tag == "u+" else -1
-                    J[k] = self._conj(W, np.linalg.inv(self.airy_bracket4(z, side)))
-                else:
-                    kind = pc.extra["jump"]
-                    if kind[0] == "oray":
-                        _, sgn, (i, j) = kind
-                        expo = (self.g(z, 2) - self.g(z, 1)) if (i, j) == (1, 0) \
-                            else (self.g(z, 1) - self.g(z, 2))
-                        J[k] = self._conj(W, self._e(i, j, sgn * cmath.exp(a3 * expo)))
-                    elif kind[0] == "alens":
-                        side = kind[1]
-                        if side > 0:
-                            J3 = self._e(2, 0, cmath.exp(a3 * (self.g(z, 3) - self.g(z, 1))))
-                        else:
-                            J3 = self._e(3, 1, cmath.exp(a3 * (self.g(z, 4) - self.g(z, 2))))
-                        J[k] = self._conj(W, J3)
-                    else:
-                        _, s = kind
-                        if s > 0:
-                            J3 = self._e(0, 2, cmath.exp(a3 * (self.g(z, 1) - self.g(z, 3))))
-                        else:
-                            J3 = self._e(1, 3, cmath.exp(a3 * (self.g(z, 2) - self.g(z, 4))))
-                        Wl = self.p_inf(z) if kind[0] == "seg_out" else \
-                            self.p_inf(z) @ self.p0_bracket(z, pc.extra["psi"][k])
-                        J[k] = self._conj(Wl, J3)
-            pc.jumps = J
-        self.pieces = pieces
-        self.nodes = np.concatenate([pc.nodes for pc in pieces])
-        self.weights = np.concatenate([pc.weights for pc in pieces])
-        self.jumps = np.concatenate([pc.jumps for pc in pieces])
+        segs, ii, jj, cc, inside = zip(*straight)
+        ii, jj, cc, inside = (np.repeat(v, _N_SEG) for v in (ii, jj, cc, inside))
+        z0 = circles[0].nodes
+        zs = np.concatenate([pc.nodes for pc in segs])
+        # the U0 bracket of every node that needs it, from one psi call
+        B0 = self.u0_bracket(np.concatenate([z0, zs[inside]]))
+        B = np.concatenate([B0[:len(z0)], self.airy_bracket(circles[1].nodes, 1),
+                            self.airy_bracket(circles[2].nodes, -1)])
+        P = self.p_inf(np.concatenate([pc.nodes for pc in circles]))
+        J_circles = P @ np.linalg.inv(B) @ np.linalg.inv(P)
+        W = self.p_inf(zs)
+        W[inside] = W[inside] @ B0[len(z0):]
+        k = np.arange(len(zs))
+        G = self.gs(zs)
+        e = cc * np.exp(self.a ** 3 * (G[ii, k] - G[jj, k]))
+        J_straight = np.eye(4) + (e[:, None, None] * W[k, :, ii][:, :, None]
+                                  * np.linalg.inv(W)[k, jj][:, None, :])
+        self.pieces = circles + list(segs)
+        self.nodes = np.concatenate([pc.nodes for pc in self.pieces])
+        self.weights = np.concatenate([pc.weights for pc in self.pieces])
+        self.jumps = np.concatenate([J_circles, J_straight])
         self.ntot = len(self.nodes)
 
     # -- singular-integral solve ------------------------------------------
 
     def _cauchy_matrix(self) -> np.ndarray:
-        n = self.ntot
-        C = np.zeros((n, n), dtype=complex)
-        ofs = 0
-        bounds = []
-        for pc in self.pieces:
-            bounds.append((ofs, ofs + len(pc.nodes)))
-            ofs += len(pc.nodes)
-        for (i0, i1), pc in zip(bounds, self.pieces):
-            C[i0:i1, i0:i1] = pc.self_cauchy_minus()
-        for (i0, i1), pc in zip(bounds, self.pieces):
-            tgt = np.concatenate([self.nodes[:i0], self.nodes[i1:]])
-            block = (self.weights[i0:i1][None, :]
-                     / (self.nodes[i0:i1][None, :] - tgt[:, None])) / (2j * np.pi)
-            C[:i0, i0:i1] = block[:i0, :]
-            C[i1:, i0:i1] = block[i0:, :]
+        # zeroed pages, not a malloc'd temporary: lower peak RSS over rebuilds
+        C = np.zeros((self.ntot, self.ntot), dtype=complex)
+        np.subtract(self.nodes, self.nodes[:, None], out=C)
+        C[np.diag_indices(self.ntot)] = 1.0      # inside the self blocks
+        np.divide(self.weights, C, out=C)
+        C /= 2j * np.pi
+        ofs = np.cumsum([0] + [len(pc.nodes) for pc in self.pieces])
+        for pc, i0, i1 in zip(self.pieces, ofs, ofs[1:]):
+            C[i0:i1, i0:i1] = pc.cminus
         return C
 
     def _solve(self):
@@ -496,19 +438,13 @@ def double_scaling_gap(a: float, sigma: float, x: float, y: float) -> float:
             "kernel_cr evaluation is the appropriate tool)")
     ds = _ds_for(a, sigma, (x, y))
     nu = 2.0 ** (5.0 / 3.0) * sigma
-    psolver = ds.pii
-    if x == y:
-        ks = ds.kernel(x, x).real
-        kp = kernels.kernel_pii_diag(x, nu, solver=psolver).real
-        return abs(ks - kp)
-    sxx = ds.kernel(x, x).real
-    syy = ds.kernel(y, y).real
-    sxy = ds.kernel(x, y)
-    syx = ds.kernel(y, x)
-    det_s = sxx * syy - (sxy * syx).real
-    pxx = kernels.kernel_pii_diag(x, nu, solver=psolver).real
-    pyy = kernels.kernel_pii_diag(y, nu, solver=psolver).real
-    pxy = kernels.kernel_pii(x, y, nu, solver=psolver)
-    pyx = kernels.kernel_pii(y, x, nu, solver=psolver)
-    det_p = pxx * pyy - (pxy * pyx).real
+
+    def det(diag, off):
+        if x == y:
+            return diag(x)
+        return diag(x) * diag(y) - (off(x, y) * off(y, x)).real
+
+    det_s = det(lambda v: ds.kernel(v, v).real, ds.kernel)
+    det_p = det(lambda v: kernels.kernel_pii_diag(v, nu, solver=ds.pii).real,
+                lambda v, w: kernels.kernel_pii(v, w, nu, solver=ds.pii))
     return abs(det_s - det_p)

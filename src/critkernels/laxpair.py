@@ -241,21 +241,19 @@ def frame_exponents(zeta: complex, s: float, t: float,
 
 
 def frame_base_scaled(zeta: complex, s: float, t: float,
-                      variant: str = "+") -> tuple[np.ndarray, float]:
-    """(B A diag(e^{E_j - g}), g) with g = max_j Re E_j.
+                      variant: str = "+") -> tuple[np.ndarray, np.ndarray]:
+    """(B A diag(e^{i Im E_j}), g) with g_j = Re E_j: one log scale per column.
 
-    The scaled frame stays within floating-point range for arbitrarily
-    large |zeta| and deformation parameters; exp(g) restores the true
-    magnitude.  Columns whose exponent is more than ~700 below the
-    dominant one underflow to zero, which is exactly their weight in any
-    computation normalized by the dominant scale.
+    The frame is the base times diag(e^{g_j}).  The base stays within
+    floating-point range for arbitrarily large |zeta| and deformation
+    parameters, and a column recessive by any number of e-folds keeps
+    its full relative precision.
     """
     z14, omega_q = _branch_data(zeta, variant)
     m14 = omega_q * z14            # (-zeta)^{1/4}
     exps = frame_exponents(zeta, s, t, variant)
-    g = float(np.max(exps.real))
     B = np.diag([1.0 / m14, 1.0 / z14, m14, z14]).astype(complex)
-    return B @ _A @ np.diag(np.exp(exps - g)), g
+    return B @ _A @ np.diag(np.exp(1j * exps.imag)), exps.real
 
 
 def asymptotic_frame(zeta: complex, s: float, t: float,
@@ -266,4 +264,4 @@ def asymptotic_frame(zeta: complex, s: float, t: float,
     overflows once the dominant exponent exceeds ~700.
     """
     base, g = frame_base_scaled(zeta, s, t, variant)
-    return base * math.exp(g)
+    return base * np.exp(g)

@@ -85,7 +85,7 @@ class RhSolver(SectoralSolver):
     def variant_of(k: int) -> str:
         return "+" if k <= 4 else "-"
 
-    def _series_frame(self, zeta: complex, sector: int) -> tuple[np.ndarray, float]:
+    def _series_frame(self, zeta: complex, sector: int) -> tuple[np.ndarray, np.ndarray]:
         return self.fs[self.variant_of(sector)].frame_scaled(zeta)
 
     # -- evaluation --------------------------------------------------------

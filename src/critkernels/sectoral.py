@@ -179,8 +179,11 @@ class SectoralSolver:
             out = out * zeta + L
         return out
 
-    def _series_frame(self, zeta: complex, sector: int) -> tuple[np.ndarray, float]:
-        """(F, g) with the sector's asymptotic series frame equal to F e^g."""
+    def _series_frame(self, zeta: complex, sector: int) -> tuple[np.ndarray, np.ndarray]:
+        """(F, g) with the sector's asymptotic series frame F diag(e^{g_j}).
+
+        g is one log per column, or one scalar for all of them.
+        """
         raise NotImplementedError
 
     # -- geometry ----------------------------------------------------------
@@ -337,15 +340,15 @@ class SectoralSolver:
         for k, (g, W) in enumerate(groups):
             ofs = d2 * col_of[g]
             for Phi, gphi, Fr, gf in self._anchors[k]:
-                # Phi e^{gphi} C W = Fr e^{gf}.  The two logs track the
-                # same dominant growth, so their difference is moderate.
+                # Phi e^{gphi} C W = Fr diag(e^{gf}).  gphi and max(gf) track
+                # the same dominant growth, so their difference is moderate.
                 # All equations of one anchor are normalized by the same
                 # dominant scale: columns that are exponentially recessive
                 # at this anchor then carry negligible weight (a
                 # floating-point Phi cannot resolve them there anyway);
                 # every mode is dominant at some anchor on the circle,
                 # which pins down all of C.
-                Aframe = Fr * math.exp(gf - gphi)
+                Aframe = Fr * np.exp(gf - gphi)
                 scale = float(np.max(np.abs(Aframe)))
                 # kron(Phi, W^T) acts on the row-major vec(C)
                 block = np.zeros((d2, d2 * len(reps)), complex)
@@ -385,7 +388,7 @@ class SectoralSolver:
         """Normalized residual of the asymptotic match in sector k."""
         res = 0.0
         for Phi, gphi, Fr, gf in self._anchors[k]:
-            Aframe = Fr * math.exp(gf - gphi)
+            Aframe = Fr * np.exp(gf - gphi)
             scale = float(np.max(np.abs(Aframe)))
             diff = (Phi @ self.C[k] - Aframe) / scale
             res = max(res, float(np.max(np.abs(diff))))

@@ -153,8 +153,8 @@ class FrameSeries:
         return self.prefactor(zeta, order) @ base
 
     def frame_scaled(self, zeta: complex,
-                     order: int | None = None) -> tuple[np.ndarray, float]:
-        """(F, g) with the series frame equal to F e^g; safe at any scale."""
+                     order: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(F, g) with the series frame F diag(e^{g_j}); safe at any scale."""
         base, g = laxpair.frame_base_scaled(zeta, self.s, self.t, self.variant)
         return self.prefactor(zeta, order) @ base, g
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from critkernels import kernels
-from critkernels.dscale import DoubleScaling, _Piece, airy_model, double_scaling_gap
+from critkernels.dscale import (DoubleScaling, _circle_cauchy_minus, _segment_cauchy_minus,
+                                airy_model, double_scaling_gap)
 from critkernels.errors import DomainRestriction
 
 
@@ -40,8 +41,19 @@ def test_circle_cauchy_minus_keeps_negative_modes():
     # the projection onto the negative Laurent modes
     n = 16
     z = np.exp(2j * np.pi * np.arange(n) / n)
-    Cm = _Piece(z, z, "circle").self_cauchy_minus()
+    Cm = _circle_cauchy_minus(n)
     assert np.max(np.abs(Cm @ (z ** 2 + z ** -3) + z ** -3)) < 1e-13
+
+
+def test_segment_cauchy_minus_principal_values():
+    # [DERIVED] on [-1, 1] the right-side boundary value is C_- f =
+    # PV (1/2 pi i) int f(s)/(s - t) ds - f(t)/2; for f = 1, t, t^2 the
+    # principal value is L, 2 + t L and 2t + t^2 L, L = log((1-t)/(1+t))
+    t = np.polynomial.legendre.leggauss(24)[0]
+    Cm = _segment_cauchy_minus(24)
+    L = np.log((1.0 - t) / (1.0 + t))
+    for f, pv in ((np.ones_like(t), L), (t, 2.0 + t * L), (t * t, 2.0 * t + t * t * L)):
+        assert np.max(np.abs(Cm @ f - (pv / (2j * np.pi) - 0.5 * f))) < 1e-13
 
 
 def test_airy_model_det():
@@ -52,6 +64,17 @@ def test_airy_model_det():
     for v in vals[1:]:
         assert abs(v - vals[0]) < 1e-10
     assert abs(abs(vals[0]) - 1.0) < 1e-10
+
+
+def test_jumps_unimodular_and_airy_jumps_near_identity():
+    # [DERIVED] every jump is unimodular, and on the circles about +-1 the
+    # Airy parametrix matches P_inf, so J = P_inf B^{-1} P_inf^{-1} is
+    # close to I there
+    ds = DoubleScaling(4.0, 0.5)
+    assert np.max(np.abs(np.linalg.det(ds.jumps) - 1.0)) <= 1e-5
+    n0 = len(ds.pieces[0].nodes)
+    n1 = n0 + len(ds.pieces[1].nodes) + len(ds.pieces[2].nodes)
+    assert np.max(np.abs(ds.jumps[n0:n1] - np.eye(4))) <= 0.1
 
 
 def test_shares_cached_pii_solver(ds3):

@@ -74,6 +74,19 @@ def test_cr_diag_expansion_window():
     assert hi < 2.0 * max(lo, 0.01)
 
 
+def test_cr_diag_far_out():
+    # [PAPER] the expansion still holds at u = 85 and 90, where the series
+    # frame's recessive columns are 1e-290 of the dominant ones and below:
+    # each column carries its own log scale, so none underflows
+    s, t = 0.3, -0.2
+    u = np.array([85.0, 90.0])
+    d = kernels.kernel_cr_diag(u, s, t)
+    assert np.all(np.isfinite(d))
+    assert np.max(np.abs(d.imag)) < 1e-8
+    r = (d.real - kernels.cr_diag_asym(u, s, t)) * u ** 1.5
+    assert np.max(np.abs(r)) <= 0.1
+
+
 def test_cr_diag_no_oscillation():
     # [PAPER] the 1/u coefficient of K_cr's expansion vanishes: the
     # residual stays below a fifth of the 1/(4 pi u) envelope

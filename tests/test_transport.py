@@ -46,10 +46,10 @@ def test_inward_rh(rh):
     # are recessive outward, carried from the series frame at 14 to 0.5
     F, g = rh._series_frame(14.0j, 2)
     Y0 = F[:, [2, 3]]
-    Yhat, logs = rh.transport([1j], Y0, g, 14.0, [0.5, 3.0])
+    Yhat, logs = rh.transport([1j], Y0, g[[2, 3]], 14.0, [0.5, 3.0])
     for m, r in enumerate((0.5, 3.0)):
         ref = _oracle(rh, 1j, Y0, 14.0, r)
-        assert _column_error(Yhat[0, m], logs[0, m], ref, shift=g) < 1e-10, r
+        assert _column_error(Yhat[0, m], logs[0, m], ref, shift=g[[2, 3]]) < 1e-10, r
 
 
 def test_pii_on_double_scaling_nodes():
