@@ -16,10 +16,13 @@ and done in closed form (complete the square in the coupling term),
 reducing every bimoment to one-dimensional moments
 m_l = int y^l e^{-n(W(y) - tau^2 y^2/2)} dy, which satisfy the exact
 recursion n(m_{l+4} + beta m_{l+2}) = (l+1) m_l with beta = alpha -
-tau^2; only m_0 and m_2 need quadrature.  The factorization is
-exponentially ill-conditioned in n, so all of this runs in mpmath
-arbitrary-precision arithmetic (default 64 * ceil(n/6) bits, with one
-doubling retry if the factorization loses positivity).
+tau^2; only m_0 and m_2 need quadrature.  The transforms Q_k(x) are
+combinations of I_j(x) = int t^j e^{-n(W(t) - tau x t)} dt, which
+satisfy n(I_{j+3} + alpha I_{j+1} - tau x I_j) = j I_{j-1}; so each
+point of K_n needs three quadratures (I_0, I_1, I_2) whatever n is.
+The factorization is exponentially ill-conditioned in n, so all of this
+runs in mpmath arbitrary-precision arithmetic (default 64 * ceil(n/6)
+bits, with one doubling retry if the factorization loses positivity).
 """
 
 from __future__ import annotations
@@ -228,37 +231,32 @@ def polynomial_zeros(fam: BiorthogonalFamily, k: int | None = None):
     return np.sort(arr.real) + 1j * arr.imag[np.argsort(arr.real)]
 
 
-def _q_transform(fam: BiorthogonalFamily, k: int, x, bits: int):
-    """Q_k(x) = e^{-n V(x)} int q_k(y) e^{-n(W(y) - tau x y)} dy."""
-    nb = mp.mpf(fam.n)
-    ab = mp.mpf(fam.alpha)
-    tb = mp.mpf(fam.tau)
-    xb = mp.mpf(x)
-    coeffs = fam.q_coeffs[k]
-    beta = fam.alpha
-    Y = _tail_cutoff(fam.n, min(beta, beta - 0.0), 2 * fam.n, bits) + abs(x) + 2.0
+def _t_moments(n: int, alpha: float, tau: float, y):
+    """I_j(y), j < n: I_0, I_1, I_2 by quadrature, the rest by the
+    recursion of the module docstring."""
+    tyb = mp.mpf(tau) * mp.mpf(y)
+    Y = _tail_cutoff(n, alpha, 2 * n, mp.mp.prec) + abs(y) + 2.0
 
-    def integrand(y):
-        poly = mp.mpf(0)
-        for c in reversed(coeffs):
-            poly = poly * y + c
-        return poly * mp.e ** (-nb * (y ** 4 / 4 + ab * y ** 2 / 2 - tb * xb * y))
+    def weight(t):
+        return mp.e ** (-n * (t ** 4 / 4 + alpha * t ** 2 / 2 - tyb * t))
 
     pts = [mp.mpf(-Y), mp.mpf(-1.5), mp.mpf(0), mp.mpf(1.5), mp.mpf(Y)]
-    val = mp.quad(integrand, pts)
-    return mp.e ** (-nb * xb ** 2 / 2) * val
+    m = [mp.quad(weight, pts), mp.quad(lambda t: t * weight(t), pts),
+         mp.quad(lambda t: t ** 2 * weight(t), pts)]
+    for j in range(n - 3):
+        m.append((j * m[j - 1] if j else 0) / n - alpha * m[j + 1] + tyb * m[j])
+    return m
 
 
 def kernel_n(x: float, y: float, fam: BiorthogonalFamily) -> float:
-    """K_n(x, y) = sum_{k<n} p_k(x) Q_k(y) / h_k^2."""
+    """K_n(x, y) = sum_{k<n} p_k(x) Q_k(y) / h_k^2, with
+    Q_k(y) = e^{-n y^2/2} sum_j q_kj I_j(y) (see ``_t_moments``)."""
     with mp.workprec(fam.precision_bits):
-        xb = mp.mpf(x)
+        moms = _t_moments(fam.n, fam.alpha, fam.tau, y)
+        gauss = mp.e ** (-fam.n * mp.mpf(y) ** 2 / 2)
         total = mp.mpf(0)
-        for k in range(fam.n):
-            poly = mp.mpf(0)
-            for c in reversed(fam.p_coeffs[k]):
-                poly = poly * xb + c
-            total += poly * _q_transform(fam, k, y, fam.precision_bits) / fam.h2[k]
+        for p, q, h2 in zip(fam.p_coeffs, fam.q_coeffs, fam.h2):
+            total += mp.polyval(p[::-1], x) * (gauss * mp.fdot(q, moms)) / h2
         return float(total)
 
 

@@ -170,25 +170,26 @@ def _polished_roots(coeffs: np.ndarray) -> np.ndarray:
 
 
 _PERMS = {n: np.array(list(permutations(range(n)))) for n in (3, 4)}
-_PAIRS = {n: np.triu_indices(n, 1) for n in (3, 4)}
 
 
 def _continue_roots(prev: np.ndarray, z0: complex, z1: complex, coeffs,
                     depth: int = 0) -> np.ndarray:
     """Continue labeled roots of ``coeffs(z)`` from z0 to z1 along the segment.
 
-    The roots at z1 are permuted to move least (the first of equal
-    candidates wins); the step is bisected until that movement is at most
-    0.3 times the smallest root separation at z1.
+    The roots at z1 are permuted so that the largest movement is least
+    (the first of equal candidates wins); the step is bisected until every
+    root moves at most 0.3 times its own nearest-neighbour distance at z1,
+    so only steps where roots crowd are refined.
     """
     new = _polished_roots(coeffs(z1))
     cands = new[_PERMS[len(new)]]
     cost = np.max(np.abs(cands - prev), axis=1)
     best = int(np.argmin(cost))
-    i, j = _PAIRS[len(new)]
-    sep = np.min(np.abs(new[i] - new[j]))
-    if cost[best] <= 0.3 * sep or abs(z1 - z0) < 1e-14 * max(1.0, abs(z1)):
-        return cands[best]
+    roots = cands[best]
+    near = np.sort(np.abs(roots[:, None] - roots), axis=1)[:, 1]
+    if (np.all(np.abs(roots - prev) <= 0.3 * near)
+            or abs(z1 - z0) < 1e-14 * max(1.0, abs(z1))):
+        return roots
     if depth > 60:
         raise DegenerateRoots(
             f"root continuation failed to separate branches near z = {z1}")

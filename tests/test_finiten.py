@@ -39,22 +39,37 @@ def test_bimoment_basics(fam6):
                 assert B.entries[j, k] == 0, (j, k)
 
 
-def test_bimoment_against_2d_quadrature():
-    # [DERIVED] independent iterated 2-D quadrature oracle at n = 6
-    B = finiten.bimoment_matrix(6, ALPHA, TAU)
+def _tensor_gauss_bimoments(entries, nodes):
+    """Bimoments at n = 6 by a tensor Gauss-Legendre rule on the raw 2-D
+    weight over [-16, 16] x [-4, 4] (16 x-panels, 12 y-panels, ``nodes``
+    points per panel): no Gaussian reduction and no moment recursion."""
     n = 6
-    with mp.workprec(96):
-        def entry(j, k):
-            def outer(y):
-                def inner(x):
-                    return x ** j * mp.e ** (-n * (x ** 2 / 2 - TAU * x * y))
-                return (y ** k * mp.e ** (-n * (y ** 4 / 4 + ALPHA * y ** 2 / 2))
-                        * mp.quad(inner, [-8 - 2 * abs(y), 0, 8 + 2 * abs(y)]))
-            return mp.quad(outer, [-4, -1.5, 0, 1.5, 4])
-        for (j, k) in ((0, 0), (2, 0), (1, 1), (2, 4)):
-            ref = entry(j, k)
-            val = B.entries[j, k]
-            assert abs(val - ref) <= 1e-10 * abs(ref) + 1e-12, (j, k)
+    t, wt = np.polynomial.legendre.leggauss(nodes)
+
+    def panels(a, b, count):
+        edges = np.linspace(a, b, count + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        return (mid + half * t).ravel(), (half * wt).ravel()
+
+    x, wx = panels(-16.0, 16.0, 16)
+    y, wy = panels(-4.0, 4.0, 12)
+    weight = np.exp(-n * (x[None, :] ** 2 / 2 - TAU * y[:, None] * x[None, :]
+                          + (y ** 4 / 4 + ALPHA * y ** 2 / 2)[:, None]))
+    return {(j, k): float((wy * y ** k) @ weight @ (wx * x ** j))
+            for (j, k) in entries}
+
+
+def test_bimoment_against_2d_quadrature():
+    # [DERIVED] independent tensor-product 2-D quadrature oracle at n = 6,
+    # converged: doubling its node count moves no entry by 1e-13 relative
+    B = finiten.bimoment_matrix(6, ALPHA, TAU)
+    entries = ((0, 0), (2, 0), (1, 1), (2, 4))
+    ref = _tensor_gauss_bimoments(entries, 40)
+    doubled = _tensor_gauss_bimoments(entries, 80)
+    for jk in entries:
+        assert abs(doubled[jk] - ref[jk]) < 1e-13 * abs(ref[jk]), jk
+        assert abs(B.entries[jk] - ref[jk]) <= 1e-10 * abs(ref[jk]) + 1e-12, jk
 
 
 def test_moment_recurrence_consistency():
@@ -113,6 +128,29 @@ def test_kernel_density_symmetry(fam6):
     a = finiten.kernel_n(0.8, 0.8, fam6)
     b = finiten.kernel_n(-0.8, -0.8, fam6)
     assert abs(a - b) < 1e-8 * max(1.0, abs(a))
+
+
+@pytest.mark.parametrize("n", [12, 36])
+def test_t_moment_recursion_against_quadrature(n):
+    # [DERIVED] the forward recursion for I_j(y) agrees with direct
+    # quadrature of its last moment, I_{n-1}, at the working precision
+    with mp.workprec(finiten._default_bits(n)):
+        for y in (-1.2, 0.7):
+            moms = finiten._t_moments(n, ALPHA, TAU, y)
+            Y = finiten._tail_cutoff(n, ALPHA, 2 * n, mp.mp.prec) + abs(y) + 2.0
+            direct = mp.quad(
+                lambda t: t ** (n - 1) * mp.e ** (
+                    -n * (t ** 4 / 4 + ALPHA * t ** 2 / 2 - TAU * y * t)),
+                [-Y, -1.5, 0, 1.5, Y])
+            assert abs(moms[n - 1] - direct) < 1e-30 * abs(direct), y
+
+
+def test_kernel_values_pinned(fam12):
+    # [DERIVED] K_12 values frozen from one mp.quad per Q_k
+    for (x, y), ref in (((-1.2, -1.2), 2.348140589478186),
+                        ((0.7, -0.7), -0.02610052310044469)):
+        val = finiten.kernel_n(x, y, fam12)
+        assert abs(val - ref) < 1e-13 * abs(ref), (x, y)
 
 
 @pytest.mark.slow

@@ -366,6 +366,29 @@ def test_path_and_point_tracking_agree(rotation):
         assert np.max(np.abs(on_path - per_point)) < 1e-12
 
 
+def test_continue_roots_bisects_only_crowded_roots(monkeypatch):
+    # [DERIVED] far up the imaginary axis w1 ~ z moves with z while the three
+    # small roots sit ~0.4 apart and barely move: one step of the mass_mu2
+    # path from 50i to 61i needs no bisection down to the small roots'
+    # separation (255 calls when every root was held to it), and keeps the
+    # labels a fine march assigns
+    z0, z1 = complex(-1e-8, 50.0), complex(-1e-8, 61.0)
+    coeffs = sf._quartic(CRIT)
+    start = sf._w_along([z0], CRIT)[0]
+    fine = sf._march(start, z0, np.linspace(z0, z1, 2001)[1:], coeffs)[-1]
+    calls = []
+    step = sf._continue_roots
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(sf, "_continue_roots", counted)
+    roots = sf._continue_roots(start, z0, z1, coeffs)
+    assert len(calls) <= 50
+    assert np.array_equal(roots, fine)
+
+
 # ---------------------------------------------------------------------------
 # phase classifier
 
