@@ -262,18 +262,14 @@ def kernel(which: str, u_: float, v_: float, s_: float, t_: float,
     from . import kernels
 
     if which == "cr":
-        val = (kernels.kernel_cr_diag(u_, s_, t_) if u_ == v_
-               else kernels.kernel_cr(u_, v_, s_, t_))
+        val = kernels.kernel_cr(u_, v_, s_, t_)
         params = {"which": which, "u": u_, "v": v_, "s": s_, "t": t_}
     elif which == "tac":
-        val = (kernels.kernel_tac_diag(u_, r_, s_) if u_ == v_
-               else kernels.kernel_tac(u_, v_, r_, s_))
+        val = kernels.kernel_tac(u_, v_, r_, s_)
         params = {"which": which, "u": u_, "v": v_, "r": r_, "s": s_}
     else:
-        val = (kernels.kernel_pii_diag(u_, nu) if u_ == v_
-               else kernels.kernel_pii(u_, v_, nu))
+        val = kernels.kernel_pii(u_, v_, nu)
         params = {"which": which, "u": u_, "v": v_, "nu": nu}
-    val = complex(val)
     click.echo(_CSV_FMT.format(val.real))
     checks = [_check("imaginary_part", val.imag, 1e-5 * max(1.0, abs(val.real)))]
     _emit("kernel", params, checks, out, fmt,

@@ -438,13 +438,14 @@ def double_scaling_gap(a: float, sigma: float, x: float, y: float) -> float:
             "kernel_cr evaluation is the appropriate tool)")
     ds = _ds_for(a, sigma, (x, y))
     nu = 2.0 ** (5.0 / 3.0) * sigma
+    xy = [x] if x == y else [x, y]
+    k_s = [[ds.kernel(v, w) for w in xy] for v in xy]
+    pts = np.array(xy)
+    k_p = kernels.kernel_pii(pts[:, None], pts, nu, solver=ds.pii).tolist()
 
-    def det(diag, off):
-        if x == y:
-            return diag(x)
-        return diag(x) * diag(y) - (off(x, y) * off(y, x)).real
+    def det(K):
+        if len(K) == 1:
+            return K[0][0].real
+        return K[0][0].real * K[1][1].real - (K[0][1] * K[1][0]).real
 
-    det_s = det(lambda v: ds.kernel(v, v).real, ds.kernel)
-    det_p = det(lambda v: kernels.kernel_pii_diag(v, nu, solver=ds.pii).real,
-                lambda v, w: kernels.kernel_pii(v, w, nu, solver=ds.pii))
-    return abs(det_s - det_p)
+    return abs(det(k_s) - det(k_p))

@@ -26,6 +26,11 @@ explicit exponent differences e^{l_j - l_i}, which keeps every
 intermediate inside floating-point range and the matrix inverse
 well-conditioned.
 
+The kernels take broadcastable arrays of points, so a matrix is one call,
+kernel_cr(x[:, None], x, s, t): M is balanced once for the distinct
+points and `_form` treats all pairs in one batched solve.  An entry
+equals its own 1x1 call; `kernel_*_diag(u)` is `kernel_*(u, u)`.
+
 The module also provides the closed-form large-u diagonal comparators:
 
     K_cr(u, u)  ~ sqrt(u)/(sqrt(2) pi) + t/pi + s/(sqrt(2) pi sqrt(u))
@@ -65,8 +70,12 @@ __all__ = [
 
 _ORIGIN_EPS = 1e-3       # |u| below which the kernel is extrapolated
 _COINCIDE_EPS = 1e-6     # relative |u - v| treated as the diagonal
-# sample abscissae of the quadratic extrapolation through 0
-_ORIGIN_NODES = tuple(k * _ORIGIN_EPS for k in (-3.0, -2.0, 2.0, 3.0))
+# nodes of the least-squares quadratic through 0, in units of _ORIGIN_EPS;
+# its value at x is (P_0 + y P_1 + y^2 P_2) @ (node values), y = x/_ORIGIN_EPS,
+# with P_k the rows of the pseudo-inverse of the nodes' Vandermonde matrix
+_ORIGIN_K = np.array([-3.0, -2.0, 2.0, 3.0])
+_ORIGIN_NODES = _ORIGIN_K * _ORIGIN_EPS
+_ORIGIN_PINV = np.linalg.pinv(np.vander(_ORIGIN_K, 3, increasing=True))
 
 
 @functools.lru_cache(maxsize=8)
@@ -77,19 +86,7 @@ def get_solver(s: float, t: float, r0: float = 14.0,
                     hm=painleve.default_solution())
 
 
-# -- balanced evaluation helpers ------------------------------------------
-
-
-def _signed_data(solver: RhSolver, values) -> dict:
-    """Column-balanced M(iu) for signed nonzero u: u -> (Mhat, logs)."""
-    pos = sorted({float(u) for u in values if u > 0})
-    neg = sorted({-float(u) for u in values if u < 0})
-    out = {}
-    if pos:
-        out.update(solver.m_balanced(pos, "imag+"))
-    if neg:
-        out.update({-u: d for u, d in solver.m_balanced(neg, "imag-").items()})
-    return out
+# -- pairs and the bilinear form --------------------------------------------
 
 
 def _finite(**args) -> None:
@@ -99,86 +96,118 @@ def _finite(**args) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _form(solver, data, a: float, b: float, dz: complex,
-          row, col, idx) -> complex:
-    """row M(a)^{-1} M(b) col / (2 pi i (a - b)) with M evaluated at dz*a, dz*b.
+def _coincide(u, v, c: float):
+    """(a, b, shape): u and v broadcast and flat, coincident pairs at (m, m).
 
-    data maps a point to the balanced factors (Mhat, logs) of M there.
-    At a == b the value is the derivative limit
-    -row M^{-1} (dz L(dz a)) M col / (2 pi i), from dM/dzeta = L M and
-    row . col = 0.  Only the idx x idx entries are formed, so exponent
-    differences of unused columns never enter.
+    |c u - c v| <= _COINCIDE_EPS max(1, |c u|) makes a pair coincident;
+    m = (u + v)/2, and equal arguments take the derivative limit.
     """
-    Ma, la = data[a]
-    Mb, lb = data[b]
-    if a == b:
-        Z = -np.linalg.solve(Ma, dz * solver.lax(dz * a) @ Ma)
-        denom = 2.0j * math.pi
-    else:
-        Z = np.linalg.solve(Ma, Mb)
-        denom = 2.0j * math.pi * (a - b)
-    i = np.asarray(idx)
-    scale = np.exp(lb[i][None, :] - la[i][:, None])
-    return complex(row[i] @ (Z[np.ix_(i, i)] * scale) @ col[i] / denom)
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
+                               np.asarray(v, dtype=float))
+    same = np.abs(c * u - c * v) <= _COINCIDE_EPS * np.maximum(1.0, np.abs(c * u))
+    m = 0.5 * (u + v)
+    return np.where(same, m, u).ravel(), np.where(same, m, v).ravel(), u.shape
+
+
+def _form(solver, balanced, a, b, dz: complex, row, col) -> np.ndarray:
+    """row M(a)^{-1} M(b) col / (2 pi i (a - b)), M at dz*a, dz*b, per pair.
+
+    a and b are 1-D arrays of pairs; balanced(points) gives the balanced
+    factors (Mhat, logs) of M at sorted points, here the distinct ones of
+    a and b.  Where a == b the value is the derivative limit
+    -row M^{-1} (dz L(dz a)) M col / (2 pi i), from dM/dzeta = L M and
+    row . col = 0.  Only the entries on the columns that row and col
+    select are formed, so exponent differences of unused columns never
+    enter.
+    """
+    points = np.unique(np.concatenate([a, b]))
+    Mhat, logs = balanced(points)
+    ia, ib = np.searchsorted(points, a), np.searchsorted(points, b)
+    Ma, la, Mb, lb = Mhat[ia], logs[ia], Mhat[ib], logs[ib]
+    same = a == b
+    Z = np.empty_like(Ma)
+    if not same.all():
+        Z[~same] = np.linalg.solve(Ma[~same], Mb[~same])
+    if same.any():
+        Md = Ma[same]
+        Z[same] = -np.linalg.solve(Md, dz * solver.lax(dz * a[same]) @ Md)
+    i = np.flatnonzero((row != 0.0) | (col != 0.0))
+    scale = np.exp(lb[:, None, i] - la[:, i, None])
+    num = row[i] @ (Z[:, i[:, None], i] * scale) @ col[i]
+    return num / np.where(same, 2.0j * math.pi, 2.0j * math.pi * (a - b))
 
 
 # -- K_cr ------------------------------------------------------------------
 
 _CR_ROW = np.array([-1.0, 1.0, 0.0, 0.0])
 _CR_COL = np.array([1.0, 1.0, 0.0, 0.0])
-_CR_IDX = (0, 1)
 
 
-def _quadratic_through(xs, ys, x: float) -> complex:
-    V = np.array([[1.0, xx, xx * xx] for xx in xs])
-    coef, *_ = np.linalg.lstsq(V, np.asarray(ys, dtype=complex), rcond=None)
-    return complex(coef[0] + coef[1] * x + coef[2] * x * x)
+def _signed_data(solver: RhSolver, points) -> tuple:
+    """Column-balanced M(iu) at sorted nonzero points u: (Mhat, logs)."""
+    pos, neg = points[points > 0], points[points < 0]
+    out = {}
+    if pos.size:
+        out.update(solver.m_balanced(pos, "imag+"))
+    if neg.size:
+        out.update({-u: d for u, d in solver.m_balanced(-neg, "imag-").items()})
+    return (np.array([out[u][0] for u in points]).reshape(-1, 4, 4),
+            np.array([out[u][1] for u in points]).reshape(-1, 4))
 
 
-def kernel_cr(u: float, v: float, s: float, t: float,
-              solver: RhSolver | None = None) -> complex:
+def _cr_terms(a, b):
+    """K_cr(a, b) as weighted forms: K[r] = sum of w K(a', b') over rows == r.
+
+    The pairs have passed `_coincide`.  A first argument near the origin
+    is extrapolated from the pairs (node, b), or (node, node) on the
+    diagonal, then a second argument near the origin from the pairs
+    (a, node); an entry with both points near it is the nested
+    extrapolation.
+    """
+    rows, w = np.arange(a.size), np.ones(a.size)
+    for first in (True, False):
+        x = a if first else b
+        near = (np.abs(x) < _ORIGIN_EPS) & (first | (a != b))
+        if not near.any():
+            continue
+        nodes = np.broadcast_to(_ORIGIN_NODES, (near.sum(), 4))
+        if first:
+            na, nb = nodes, np.where((a == b)[near, None], nodes, b[near, None])
+        else:
+            na, nb = a[near, None], nodes
+        na, nb, _ = _coincide(na, nb, 1.0)
+        y = x[near, None] / _ORIGIN_EPS
+        wx = _ORIGIN_PINV[0] + y * (_ORIGIN_PINV[1] + y * _ORIGIN_PINV[2])
+        rows = np.concatenate([rows[~near], np.repeat(rows[near], 4)])
+        w = np.concatenate([w[~near], (w[near, None] * wx).ravel()])
+        a, b = np.concatenate([a[~near], na]), np.concatenate([b[~near], nb])
+    return rows, a, b, w
+
+
+def kernel_cr(u, v, s: float, t: float, solver: RhSolver | None = None):
     """The critical kernel K_cr(u, v; s, t).
 
-    Arguments within 1e-3 of the origin are handled by quadratic
-    extrapolation from outside (the kernel is analytic at 0 but the RH
-    evaluation degrades there); coincident arguments fall through to
-    `kernel_cr_diag`.
+    u and v are scalars or broadcastable arrays; the result has their
+    broadcast shape, a complex for scalars.  Coincident arguments take
+    the derivative limit at their midpoint.  Arguments within 1e-3 of
+    the origin are extrapolated by the least-squares quadratic through
+    four nodes outside (the kernel is analytic at 0 but the RH
+    evaluation degrades there).
     """
     _finite(u=u, v=v, s=s, t=t)
-    u, v = float(u), float(v)
     if solver is None:
         solver = get_solver(s, t)
-    if abs(u - v) <= _COINCIDE_EPS * max(1.0, abs(u)):
-        return kernel_cr_diag(0.5 * (u + v), s, t, solver)
-    if abs(u) < _ORIGIN_EPS:
-        ys = [kernel_cr(x, v, s, t, solver) for x in _ORIGIN_NODES]
-        return _quadratic_through(_ORIGIN_NODES, ys, u)
-    if abs(v) < _ORIGIN_EPS:
-        ys = [kernel_cr(u, x, s, t, solver) for x in _ORIGIN_NODES]
-        return _quadratic_through(_ORIGIN_NODES, ys, v)
-    data = _signed_data(solver, (u, v))
-    return _form(solver, data, u, v, 1j, _CR_ROW, _CR_COL, _CR_IDX)
+    a, b, shape = _coincide(u, v, 1.0)
+    rows, a, b, w = _cr_terms(a, b)
+    K = np.zeros(math.prod(shape), dtype=complex)
+    np.add.at(K, rows, w * _form(solver, functools.partial(_signed_data, solver),
+                                 a, b, 1j, _CR_ROW, _CR_COL))
+    return complex(K[0]) if shape == () else K.reshape(shape)
 
 
-def kernel_cr_diag(u, s: float, t: float,
-                   solver: RhSolver | None = None):
+def kernel_cr_diag(u, s: float, t: float, solver: RhSolver | None = None):
     """Diagonal K_cr(u, u; s, t); u may be a scalar or an array."""
-    _finite(u=u, s=s, t=t)
-    if solver is None:
-        solver = get_solver(s, t)
-    us = np.atleast_1d(np.asarray(u, dtype=float))
-    small = np.abs(us) < _ORIGIN_EPS
-    data = _signed_data(solver, us[~small])
-    if small.any():
-        node_data = _signed_data(solver, _ORIGIN_NODES)
-        ys = [_form(solver, node_data, x, x, 1j, _CR_ROW, _CR_COL, _CR_IDX)
-              for x in _ORIGIN_NODES]
-    out = np.empty(us.shape, dtype=complex)
-    for idx, uu in np.ndenumerate(us):
-        uu = float(uu)
-        out[idx] = (_quadratic_through(_ORIGIN_NODES, ys, uu) if small[idx] else
-                    _form(solver, data, uu, uu, 1j, _CR_ROW, _CR_COL, _CR_IDX))
-    return complex(out[0]) if np.isscalar(u) or np.ndim(u) == 0 else out
+    return kernel_cr(u, u, s, t, solver)
 
 
 def cr_diag_asym(u, s: float, t: float):
@@ -192,7 +221,6 @@ def cr_diag_asym(u, s: float, t: float):
 
 _TAC_ROW = np.array([-1.0, 0.0, 1.0, 0.0])
 _TAC_COL = np.array([1.0, 0.0, 1.0, 0.0])
-_TAC_IDX = (0, 2)
 
 # Where the real-axis M_+ switches from outward transport to the series
 # frame.  At r = 1, s = 0.3 the two K_tac diagonals differ by 3.6e-7 here;
@@ -202,8 +230,8 @@ _TAC_IDX = (0, 2)
 _REAL_SWITCH = 6.5
 
 
-def _m_real(solver: RhSolver, us) -> dict:
-    """Column-balanced M_+(u) on the positive real axis: u -> (Mhat, logs).
+def _m_real(solver: RhSolver, points) -> tuple:
+    """Column-balanced M_+(u) at sorted real points u > 0: (Mhat, logs).
 
     On this axis two columns are neutral (unimodular exponents), one
     recessive and one dominant.  Neither a single outward integration
@@ -214,104 +242,73 @@ def _m_real(solver: RhSolver, us) -> dict:
     `_REAL_SWITCH` and taken directly from the asymptotic series beyond,
     where its truncation error is below the kernel tolerances.
     """
-    us = sorted({float(u) for u in us})
-    if us and us[0] <= 0.0:
-        raise DomainRestriction("real-axis evaluation requires u > 0")
-    out = {}
-    small = [u for u in us if u < _REAL_SWITCH]
-    if small:
-        P, logs = solver.sweep(1.0, 0, (0, 1, 2, 3), 0.0).at(small)
-        out.update(zip(small, zip(P, logs)))
-    for u in us:
-        if u >= _REAL_SWITCH:
-            out[u] = balance_columns(*solver.fs["+"].frame_scaled(u + 0.0j))
-    return out
+    small = points < _REAL_SWITCH
+    Mhat = np.empty((points.size, 4, 4), dtype=complex)
+    logs = np.empty((points.size, 4))
+    if small.any():
+        Mhat[small], logs[small] = solver.sweep(
+            1.0, 0, (0, 1, 2, 3), 0.0).at(points[small])
+    for k in np.flatnonzero(~small):
+        Mhat[k], logs[k] = balance_columns(
+            *solver.fs["+"].frame_scaled(float(points[k]) + 0.0j))
+    return Mhat, logs
 
 
-def _tac_reduce(u, v, r: float):
-    """Map general r > 0 to the r = 1 solver: zeta -> r^{2/3} zeta.
+def kernel_tac(u, v, r: float, s: float, solver: RhSolver | None = None):
+    """The tacnode kernel K_tac(u, v; r, s) for u, v > 0 (t = 0).
 
+    u and v are scalars or broadcastable arrays, as for `kernel_cr`.
+    General r > 0 maps to the r = 1 solver by zeta -> r^{2/3} zeta:
     M_{r,s}(zeta) equals a constant left factor times M_{1, s r^{-1/3}}
     (r^{2/3} zeta), so K_tac(u, v; r, s) = r^{2/3} K_tac(r^{2/3}u,
     r^{2/3}v; 1, s r^{-1/3}).
     """
+    _finite(u=u, v=v, r=r, s=s)
+    if np.any(np.minimum(u, v) <= 0.0):
+        raise DomainRestriction("kernel_tac requires u, v > 0")
     if r <= 0.0:
         raise DomainRestriction("tacnode parameter r must be positive")
     c = r ** (2.0 / 3.0)
-    return c * u, c * v, c
-
-
-def kernel_tac(u: float, v: float, r: float, s: float,
-               solver: RhSolver | None = None) -> complex:
-    """The tacnode kernel K_tac(u, v; r, s) for u, v > 0 (t = 0)."""
-    _finite(u=u, v=v, r=r, s=s)
-    u, v = float(u), float(v)
-    if u <= 0.0 or v <= 0.0:
-        raise DomainRestriction("kernel_tac requires u, v > 0")
-    u1, v1, c = _tac_reduce(u, v, r)
-    s1 = s * r ** (-1.0 / 3.0)
     if solver is None:
-        solver = get_solver(s1, 0.0)
-    if abs(u1 - v1) <= _COINCIDE_EPS * max(1.0, abs(u1)):
-        return kernel_tac_diag(0.5 * (u + v), r, s, solver)
-    data = _m_real(solver, [u1, v1])
-    return -c * _form(solver, data, v1, u1, 1.0, _TAC_ROW, _TAC_COL, _TAC_IDX)
+        solver = get_solver(s * r ** (-1.0 / 3.0), 0.0)
+    a, b, shape = _coincide(u, v, c)
+    K = -c * _form(solver, functools.partial(_m_real, solver), c * b, c * a,
+                   1.0, _TAC_ROW, _TAC_COL)
+    return complex(K[0]) if shape == () else K.reshape(shape)
 
 
-def kernel_tac_diag(u, r: float, s: float,
-                    solver: RhSolver | None = None):
+def kernel_tac_diag(u, r: float, s: float, solver: RhSolver | None = None):
     """Diagonal K_tac(u, u; r, s) for u > 0; u scalar or array."""
-    _finite(u=u, r=r, s=s)
-    us = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(us <= 0.0):
-        raise DomainRestriction("kernel_tac requires u > 0")
-    u1, _, c = _tac_reduce(us, us, r)
-    s1 = s * r ** (-1.0 / 3.0)
-    if solver is None:
-        solver = get_solver(s1, 0.0)
-    data = _m_real(solver, u1.tolist())
-    out = np.empty(us.shape, dtype=complex)
-    for idx, uu in np.ndenumerate(u1):
-        out[idx] = -c * _form(solver, data, float(uu), float(uu), 1.0,
-                              _TAC_ROW, _TAC_COL, _TAC_IDX)
-    return complex(out[0]) if np.isscalar(u) or np.ndim(u) == 0 else out
+    return kernel_tac(u, u, r, s, solver)
 
 
 # -- K_PII -----------------------------------------------------------------
 
 _PII_ROW = np.array([1.0, -1.0])
 _PII_COL = np.array([1.0, 1.0])
-_PII_IDX = (0, 1)
 
 
-def kernel_pii(x: float, y: float, nu,
-               solver: PiiSolver | None = None) -> complex:
+def kernel_pii(x, y, nu, solver: PiiSolver | None = None):
     """The Painleve II kernel K_PII(x, y; nu) on the real line.
 
+    x and y are scalars or broadcastable arrays, as for `kernel_cr`.
     The bilinear form (1,-1) Psi(x)^{-1} Psi(y) (1,1)^T / (2 pi i (x - y))
     carries the inverse at the first argument: the convention under which
     the diagonal is a nonnegative density and the double-scaling gap to
     K_cr closes.
     """
     _finite(x=x, y=y, nu=nu)
-    x, y = float(x), float(y)
     if solver is None:
         solver = get_pii_solver(complex(nu))
-    if abs(x - y) <= _COINCIDE_EPS * max(1.0, abs(x)):
-        return kernel_pii_diag(0.5 * (x + y), nu, solver)
-    psi = solver.psi(np.array([x, y]))
-    data = {x: (psi[0], np.zeros(2)), y: (psi[1], np.zeros(2))}
-    return _form(solver, data, x, y, 1.0, _PII_ROW, _PII_COL, _PII_IDX)
+    a, b, shape = _coincide(x, y, 1.0)
+    K = _form(solver, lambda p: (solver.psi(p), np.zeros((p.size, 2))),
+              a, b, 1.0, _PII_ROW, _PII_COL)
+    return complex(K[0]) if shape == () else K.reshape(shape)
 
 
-def kernel_pii_diag(x: float, nu, solver: PiiSolver | None = None) -> complex:
+def kernel_pii_diag(x, nu, solver: PiiSolver | None = None):
     """Diagonal K_PII(x, x; nu) via the derivative limit."""
-    _finite(x=x, nu=nu)
-    x = float(x)
-    if solver is None:
-        solver = get_pii_solver(complex(nu))
-    data = {x: (solver.psi(x), np.zeros(2))}
-    return _form(solver, data, x, x, 1.0, _PII_ROW, _PII_COL, _PII_IDX)
+    return kernel_pii(x, x, nu, solver)
 
 
 def tac_diag_asym(u, r: float, s: float, oscillation: bool = True):

@@ -172,8 +172,12 @@ class SectoralSolver:
 
     # -- problem data ------------------------------------------------------
 
-    def lax(self, zeta: complex) -> np.ndarray:
-        """The Lax matrix L(zeta) of dPhi/dzeta = L Phi."""
+    def lax(self, zeta) -> np.ndarray:
+        """The Lax matrix L(zeta) of dPhi/dzeta = L Phi.
+
+        zeta may be a scalar or an array; shape S gives shape S + (d, d).
+        """
+        zeta = np.asarray(zeta)[..., None, None]
         out = self.lax_coeffs[-1]
         for L in self.lax_coeffs[-2::-1]:
             out = out * zeta + L
@@ -380,8 +384,8 @@ class SectoralSolver:
         """
         z = np.asarray(zeta, dtype=complex)
         if sector is None:
-            sector = np.reshape([self.sector_of(w) for w in z.reshape(-1)],
-                                z.shape)
+            sector = np.array([self.sector_of(w) for w in z.reshape(-1)],
+                              dtype=int).reshape(z.shape)
         return self.phi(z) @ np.asarray(constants or self.C)[sector]
 
     def matching_residual(self, k: int) -> float:

@@ -45,17 +45,24 @@ def test_density_grid(runner, tmp_path):
     assert abs(first) < 1e-6 and abs(last) < 1e-6
 
 
-def test_kernel_diagonal_dispatch(runner, tmp_path):
-    # [TRIVIAL] u == v dispatches to the diagonal evaluator
+@pytest.mark.parametrize("which", ["cr", "tac", "pii"])
+def test_kernel_diagonal_dispatch(runner, tmp_path, which):
+    # [TRIVIAL] u == v gives the library's diagonal value
     from critkernels import kernels
 
+    opts, diag = {
+        "cr": (["--s", "0", "--t", "0"],
+               lambda: kernels.kernel_cr_diag(1.0, 0.0, 0.0)),
+        "tac": (["--r", "1", "--s", "0.3"],
+                lambda: kernels.kernel_tac_diag(1.0, 1.0, 0.3)),
+        "pii": (["--nu", "1"], lambda: kernels.kernel_pii_diag(1.0, 1.0)),
+    }[which]
     result, out, _ = _run(
         runner, tmp_path,
-        ["kernel", "--which", "cr", "--s", "0", "--t", "0",
-         "--u", "1.0", "--v", "1.0"])
+        ["kernel", "--which", which, *opts, "--u", "1.0", "--v", "1.0"])
     assert result.exit_code == 0, result.output
     printed = float(result.output.splitlines()[0])
-    assert abs(printed - kernels.kernel_cr_diag(1.0, 0.0, 0.0).real) < 1e-12
+    assert abs(printed - diag().real) < 1e-12
 
 
 def test_report_schema(runner, tmp_path):

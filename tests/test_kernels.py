@@ -1,5 +1,6 @@
-"""Tests for the limiting kernels K_cr and K_tac."""
+"""Tests for the limiting kernels K_cr, K_tac and K_PII."""
 
+import itertools
 import math
 
 import numpy as np
@@ -208,3 +209,54 @@ def test_kernel_separation():
     tac_osc = np.max(np.abs(
         (tac - kernels.tac_diag_asym(u, 1.0, 0.3, oscillation=False)) / env))
     assert cr_osc < 0.2 < 0.8 < tac_osc
+
+
+def _gap_probability(kernel, lo: float, length: float, *args) -> complex:
+    # det(I - sqrt(w) K sqrt(w)) on 16 Gauss-Legendre nodes of [lo, lo + length]
+    x, w = np.polynomial.legendre.leggauss(16)
+    x = lo + 0.5 * length * (x + 1.0)
+    sw = np.sqrt(0.5 * length * w)
+    K = kernel(x[:, None], x, *args)
+    return complex(np.linalg.det(np.eye(16) - sw[:, None] * K * sw))
+
+
+@pytest.mark.parametrize("kernel,lo,args", [
+    (kernels.kernel_cr, 0.5, (0.3, 0.0)),
+    (kernels.kernel_cr, -2.0, (0.3, 0.0)),
+    (kernels.kernel_pii, -1.0, (1.0,)),
+], ids=["cr-positive", "cr-straddle", "pii"])
+def test_gap_probability(kernel, lo, args):
+    # [DERIVED] the Fredholm determinant det(I - K) on [lo, lo + L], from
+    # one matrix call (Nystrom discretisation; Bornemann, Math. Comp. 79
+    # (2010)), is the probability of no point there: real, in [0, 1] and
+    # strictly decreasing in L
+    E = np.array([_gap_probability(kernel, lo, L, *args)
+                  for L in (0.5, 1.0, 2.0, 4.0)])
+    assert np.max(np.abs(E.imag)) < 1e-10
+    assert np.all((E.real >= 0.0) & (E.real <= 1.0))
+    assert np.all(np.diff(E.real) < 0.0)
+
+
+@pytest.mark.parametrize("kernel,args,points", [
+    # beyond r0 - 1.5 (20), near the origin (5e-4), a coincident pair
+    (kernels.kernel_cr, (0.3, 0.0), [1.1, -2.0, 20.0, 5e-4, 1.1 + 1e-7, -0.8]),
+    # both sides of the real-axis switch at 6.5, and a coincident pair
+    (kernels.kernel_tac, (1.0, 0.3), [2.4, 8.4, 20.0, 6.4, 6.6, 2.4 + 1e-7]),
+    (kernels.kernel_pii, (1.0,), [0.6, -1.1, 3.0, 5e-4, 0.6 + 1e-7, -0.3]),
+], ids=["cr", "tac", "pii"])
+def test_matrix_entries_request_independent(kernel, args, points):
+    # [DERIVED] every entry of a kernel matrix equals (==) its own 1x1 call,
+    # whatever else the request holds and in whatever order; an empty
+    # request gives an empty matrix
+    ref = {(u, v): kernel(u, v, *args) for u in points for v in points}
+    assert all(isinstance(k, complex) for k in ref.values())
+    assert kernel(np.empty((0, 1)), np.array(points), *args).shape == (0, len(points))
+    rng = np.random.default_rng(7)
+    for U, V in [(points[:2], points[:2]),
+                 (rng.permutation(points), rng.permutation(points)),
+                 (rng.permutation(points), rng.permutation(points)[::2])]:
+        U, V = np.array(U), np.array(V)
+        K = kernel(U[:, None], V, *args)
+        assert K.shape == (len(U), len(V))
+        for (i, u), (j, v) in itertools.product(enumerate(U), enumerate(V)):
+            assert K[i, j] == ref[u, v], (u, v)
