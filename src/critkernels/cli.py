@@ -22,7 +22,7 @@ from . import __version__
 from .errors import CritKernelsError
 
 _CSV_FMT = "{:.17g}"
-# what exits 2; library and value errors reach click as a UsageError
+# what exits 2: `_output` writes the report and raises a click.UsageError
 _CONFIG_ERRORS = (CritKernelsError, ValueError, click.UsageError)
 
 
@@ -92,7 +92,7 @@ def _output(default: str):
     """The --out and --format options of a subcommand writing ``default``.
 
     A configuration error inside the subcommand writes the report with
-    the error before it reaches `_Main`.
+    the error and leaves as a click.UsageError, which exits 2.
     """
     out = click.option("--out", default=default, show_default=True)
     fmt = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
@@ -108,24 +108,14 @@ def _output(default: str):
                           if k not in ("out", "fmt")}
                 command = click.get_current_context().info_name
                 _write_report(kwargs["out"], command, params, error=str(exc))
-                raise
+                raise click.UsageError(str(exc)) from exc
 
         return out(fmt(run))
 
     return wrap
 
 
-class _Main(click.Group):
-    """Maps library and value errors escaping a subcommand to exit status 2."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (CritKernelsError, ValueError) as exc:
-            raise click.UsageError(str(exc)) from exc
-
-
-@click.group(cls=_Main)
+@click.group()
 def main() -> None:
     """Critical kernels of the quartic/quadratic two-matrix model."""
 

@@ -52,7 +52,6 @@ from .dscale import double_scaling_gap
 from .errors import DomainRestriction
 from .piisolver import PiiSolver, get_pii_solver
 from .rhsolver import RhSolver
-from .sectoral import balance_columns
 
 __all__ = [
     "get_solver",
@@ -143,6 +142,12 @@ _CR_ROW = np.array([-1.0, 1.0, 0.0, 0.0])
 _CR_COL = np.array([1.0, 1.0, 0.0, 0.0])
 
 
+def _stacked(data: dict, points) -> tuple:
+    """(Mhat, logs) arrays of `m_balanced` data at the points, in order."""
+    return (np.array([data[u][0] for u in points]).reshape(-1, 4, 4),
+            np.array([data[u][1] for u in points]).reshape(-1, 4))
+
+
 def _signed_data(solver: RhSolver, points) -> tuple:
     """Column-balanced M(iu) at sorted nonzero points u: (Mhat, logs)."""
     pos, neg = points[points > 0], points[points < 0]
@@ -151,8 +156,7 @@ def _signed_data(solver: RhSolver, points) -> tuple:
         out.update(solver.m_balanced(pos, "imag+"))
     if neg.size:
         out.update({-u: d for u, d in solver.m_balanced(-neg, "imag-").items()})
-    return (np.array([out[u][0] for u in points]).reshape(-1, 4, 4),
-            np.array([out[u][1] for u in points]).reshape(-1, 4))
+    return _stacked(out, points)
 
 
 def _cr_terms(a, b):
@@ -222,37 +226,6 @@ def cr_diag_asym(u, s: float, t: float):
 _TAC_ROW = np.array([-1.0, 0.0, 1.0, 0.0])
 _TAC_COL = np.array([1.0, 0.0, 1.0, 0.0])
 
-# Where the real-axis M_+ switches from outward transport to the series
-# frame.  At r = 1, s = 0.3 the two K_tac diagonals differ by 3.6e-7 here;
-# each side's error is below 1e-6 (the series against an order-20
-# series, the transport against the same), and the transport error then
-# grows like e^{2 psi(u)}: 1.4e-6 at u = 7, 1.6e-3 at u = 9.
-_REAL_SWITCH = 6.5
-
-
-def _m_real(solver: RhSolver, points) -> tuple:
-    """Column-balanced M_+(u) at sorted real points u > 0: (Mhat, logs).
-
-    On this axis two columns are neutral (unimodular exponents), one
-    recessive and one dominant.  Neither a single outward integration
-    (roundoff of the dominant mode swamps the neutral columns once
-    e^{psi(u)} exceeds ~1e6) nor inward integration from large radius
-    (the inward-growing recessive mode contaminates them) works for all
-    u, so M is transported outward from M(0) = C_0 for u below
-    `_REAL_SWITCH` and taken directly from the asymptotic series beyond,
-    where its truncation error is below the kernel tolerances.
-    """
-    small = points < _REAL_SWITCH
-    Mhat = np.empty((points.size, 4, 4), dtype=complex)
-    logs = np.empty((points.size, 4))
-    if small.any():
-        Mhat[small], logs[small] = solver.sweep(
-            1.0, 0, (0, 1, 2, 3), 0.0).at(points[small])
-    for k in np.flatnonzero(~small):
-        Mhat[k], logs[k] = balance_columns(
-            *solver.fs["+"].frame_scaled(float(points[k]) + 0.0j))
-    return Mhat, logs
-
 
 def kernel_tac(u, v, r: float, s: float, solver: RhSolver | None = None):
     """The tacnode kernel K_tac(u, v; r, s) for u, v > 0 (t = 0).
@@ -272,8 +245,8 @@ def kernel_tac(u, v, r: float, s: float, solver: RhSolver | None = None):
     if solver is None:
         solver = get_solver(s * r ** (-1.0 / 3.0), 0.0)
     a, b, shape = _coincide(u, v, c)
-    K = -c * _form(solver, functools.partial(_m_real, solver), c * b, c * a,
-                   1.0, _TAC_ROW, _TAC_COL)
+    K = -c * _form(solver, lambda p: _stacked(solver.m_balanced(p, "real+"), p),
+                   c * b, c * a, 1.0, _TAC_ROW, _TAC_COL)
     return complex(K[0]) if shape == () else K.reshape(shape)
 
 

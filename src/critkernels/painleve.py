@@ -21,7 +21,7 @@ from scipy.special import airy
 
 from .errors import IntegrationFailure, OutOfDomain
 
-__all__ = ["HmSolution", "solve_hastings_mcleod", "hastings_mcleod", "plateau_asymptote"]
+__all__ = ["HmSolution", "solve_hastings_mcleod", "plateau_asymptote"]
 
 
 def plateau_asymptote(sigma: float) -> float:
@@ -104,7 +104,3 @@ def solve_hastings_mcleod(sigma_min: float = -12.0, sigma_max: float = 12.0,
 def default_solution(sigma_min: float = -12.0, sigma_max: float = 12.0) -> HmSolution:
     return solve_hastings_mcleod(sigma_min, sigma_max)
 
-
-def hastings_mcleod(sigma: float) -> tuple[float, float, float]:
-    """(q, q', u) of the Hastings-McLeod solution at sigma in [-12, 12]."""
-    return default_solution()(sigma)

@@ -8,10 +8,11 @@ U = U0 + U1 zeta from `laxpair`, and the series frame of `series` uses
 its '+' branch in sectors 0-4 and its '-' branch in sectors 5-9.  The
 sector constants are found by the shared engine of `sectoral`.
 
-On top of the engine, `m_balanced` gives M along an axis in
-column-balanced form, transporting the recessive columns inward from
-the series, and `hm_extract` recovers the Hastings-McLeod value from
-the 1/zeta coefficient of M.
+On top of the engine, `m_balanced` gives column-balanced M along the
+imaginary half-axes (K_cr) and the positive real axis (K_tac): the
+series frame beyond a switch, transported columns below it.
+`hm_extract` recovers the Hastings-McLeod value from the 1/zeta
+coefficient of M.
 """
 
 from __future__ import annotations
@@ -21,14 +22,20 @@ import math
 import numpy as np
 
 from . import laxpair, series
-from .sectoral import SectoralSolver
+from .sectoral import SectoralSolver, balance_columns
 
 __all__ = ["RAY_ANGLES", "JUMPS", "RhSolver"]
 
 _PHI1 = math.pi / 6.0
 _PHI2 = math.pi / 3.0
-_MARGIN = 1.5            # least distance from a point to its inward start R
-_R_GRID = 2.0            # spacing of the inward starts beyond r0
+# Where M_+ on the positive real axis switches from outward transport of
+# all four columns (two are neutral there, one recessive, one dominant,
+# so no inward leg is stable) to the series frame.  At r = 1, s = 0.3 the
+# two K_tac diagonals differ by 3.6e-7 here; each side's error is below
+# 1e-6 (the series against an order-20 series, the transport against the
+# same), and the transport error then grows like e^{2 psi(u)}: 1.4e-6 at
+# u = 7, 1.6e-3 at u = 9.
+_REAL_SWITCH = 6.5
 
 # rays oriented outward; listed counterclockwise starting at the positive
 # real axis.  Ray k separates sector k-1 (minus side) from sector k (plus
@@ -96,51 +103,47 @@ class RhSolver(SectoralSolver):
         return complex(np.linalg.det(self.M(zeta, sector)))
 
     # axis name -> (direction, sector, columns transported outward from
-    # M(0) = C_sector; the remaining columns are exponentially recessive
-    # or neutral along the axis and are transported inward from the
-    # asymptotic series)
+    # M(0) = C_sector, switch to the series frame; None stands for r0).
+    # The remaining columns are recessive or neutral along the axis and
+    # are transported inward from the series frame at r0.
     _AXES = {
-        "imag+": (1j, 2, (0, 1)),
-        "imag-": (-1j, 7, (0, 1)),
+        "imag+": (1j, 2, (0, 1), None),
+        "imag-": (-1j, 7, (0, 1), None),
+        "real+": (1.0, 0, (0, 1, 2, 3), _REAL_SWITCH),
     }
-
-    def _inward_start(self, u: float) -> float:
-        """R of the inward leg at u: r0, or r0 + k _R_GRID >= u + _MARGIN."""
-        k = max(0, math.ceil((u + _MARGIN - self.r0) / _R_GRID))
-        return self.r0 + k * _R_GRID
 
     def m_balanced(self, u_values, axis: str = "imag+") -> dict:
         """Column-balanced M along an axis: u -> (Mhat, logs).
 
         M(u * direction) = Mhat diag(e^{logs_j}) with every column of
-        Mhat normalized to unit max entry.  Dominant columns are
-        transported outward from M(0) = C_k; the other columns (recessive
-        or neutral along the axis, hence swamped there by the roundoff
-        of the dominant ones) are transported *inward* from the
-        asymptotic series at R, the stable direction for them.  R is r0
-        for u <= r0 - 1.5 and beyond that the first point of the grid
-        r0 + 2k with R >= u + 1.5, so it depends on u alone.  Both legs
-        read the solver's recorded sweeps (`SectoralSolver.sweep`): a
-        value does not depend on the rest of the request or on what was
-        asked before.  The per-column normalization keeps all scales
+        Mhat normalized to unit max entry.  At or beyond the axis's
+        switch M is the sector's asymptotic series frame.  Below it the
+        dominant columns are transported outward from M(0) = C_k, and
+        the others (recessive or neutral along the axis, hence swamped
+        there by the roundoff of the dominant ones) inward from the
+        series frame at r0, the stable direction for them.  Each leg is
+        one recorded sweep of the solver (`SectoralSolver.sweep`), so a
+        value depends on u alone, not on the rest of the request or on
+        what was asked before, and a solver keeps at most one sweep per
+        leg and axis.  The per-column normalization keeps all scales
         explicit, so kernel bilinear forms can be assembled without
         overflow and with a well-conditioned inverse.
         """
-        direction, sector, outward_cols = self._AXES[axis]
+        direction, sector, outward_cols, switch = self._AXES[axis]
         inward_cols = tuple(j for j in range(4) if j not in outward_cols)
         us = sorted(float(u) for u in u_values)
-        if us[0] <= 0.0:
+        if us and us[0] <= 0.0:
             raise ValueError("u values must be positive")
-        A, la = self.sweep(direction, sector, outward_cols, 0.0).at(us)
-        # R grows with u, so the groups come out in the order of us
-        starts = [self._inward_start(u) for u in us]
-        parts = [self.sweep(direction, sector, inward_cols, R).at(
-                     [u for u, Ru in zip(us, starts) if Ru == R])
-                 for R in sorted(set(starts))]
-        B, lb = (np.concatenate(x) for x in zip(*parts))
-        perm = np.argsort(outward_cols + inward_cols)
-        Mhat = np.concatenate([A, B], axis=-1)[..., perm]
-        logs = np.concatenate([la, lb], axis=-1)[..., perm]
+        n = sum(u < (self.r0 if switch is None else switch) for u in us)
+        Mhat = np.empty((len(us), 4, 4), dtype=complex)
+        logs = np.empty((len(us), 4))
+        for cols, r_from in ((outward_cols, 0.0), (inward_cols, self.r0)):
+            if n and cols:
+                Mhat[:n, :, cols], logs[:n, cols] = self.sweep(
+                    direction, sector, cols, r_from).at(us[:n])
+        for i in range(n, len(us)):
+            Mhat[i], logs[i] = balance_columns(
+                *self._series_frame(us[i] * direction, sector))
         return dict(zip(us, zip(Mhat, logs)))
 
     def hm_extract(self, u_points=None) -> complex:
@@ -150,7 +153,9 @@ class RhSolver(SectoralSolver):
         solution.  P = M E^{-1} A^{-1} B^{-1} is evaluated through
         `m_balanced` so that the exponentially small (1,4) entry is not
         lost to contamination, and the limit is taken by fitting a
-        six-term 1/zeta expansion over the sample window.
+        six-term 1/zeta expansion over the sample window.  Points at or
+        beyond r0 read the series frame itself (5 of the 21 default ones
+        at r0 = 14); a window below r0 reads transported M only.
         """
         if u_points is None:
             u_points = np.arange(6.0, 16.01, 0.5)

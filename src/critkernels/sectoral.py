@@ -274,7 +274,10 @@ class SectoralSolver:
 
         It runs along the ray of the given direction: outward from
         Y(0) = C_sector when r_from is 0, inward from the series frame at
-        r_from otherwise.  Built on first use and kept.
+        r_from otherwise.  Built on first use and kept, so what a solver
+        keeps is bounded by what its callers ask for: `RhSolver.m_balanced`
+        asks for at most five sweeps, each between 0 and its axis's
+        switch to the series frame.
         """
         key = (direction, sector, cols, r_from)
         if key not in self._sweeps:

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from critkernels import kernels
+from critkernels import kernels, rhsolver
 from critkernels.errors import DomainRestriction
+from critkernels.rhsolver import RhSolver
 
 
 def test_kernel_cr_reality():
@@ -148,10 +149,36 @@ def test_kernel_cr_warm_pairs_take_no_steps():
     assert solver.taylor_steps == steps
 
 
+def test_kernel_cr_far_out_takes_no_transport():
+    # [DERIVED] at and beyond r0, M on the imaginary axis is the series
+    # frame: a far-out K_cr diagonal takes no Taylor step and keeps no new
+    # sweep, and a solver keeps at most one sweep per leg and axis
+    s, t = 0.3, -0.2
+    solver = kernels.get_solver(s, t)
+    steps, sweeps = solver.taylor_steps, len(solver._sweeps)
+    kernels.kernel_cr_diag(np.linspace(15.0, 80.0, 40), s, t)
+    assert solver.taylor_steps == steps
+    assert len(solver._sweeps) == sweeps
+    for axis in ("imag+", "imag-", "real+"):
+        solver.m_balanced(np.linspace(0.1, 90.0, 60), axis)
+    assert len(solver._sweeps) <= 5
+
+
+def test_kernel_cr_far_out_matches_reference_solver():
+    # [DERIVED] the default K_cr diagonal beyond r0 agrees with that of a
+    # solver with a larger r0 and series order
+    s, t = 0.5, -1.0
+    ref = RhSolver(s, t, r0=30.0, series_order=24)
+    u = np.array([20.0, 30.0])
+    d = kernels.kernel_cr_diag(u, s, t)
+    r = kernels.kernel_cr_diag(u, s, t, ref)
+    assert np.max(np.abs(d - r) / np.abs(r)) < 1e-7
+
+
 def test_tac_real_switch_continuous():
     # [DERIVED] M_+ from outward transport and from the series frame give
     # the same K_tac diagonal on both sides of the switch between them
-    u = kernels._REAL_SWITCH
+    u = rhsolver._REAL_SWITCH
     lo = kernels.kernel_tac_diag(u - 1e-6, 1.0, 0.3)
     hi = kernels.kernel_tac_diag(u + 1e-6, 1.0, 0.3)
     assert abs(lo - hi) < 1e-5
@@ -238,7 +265,7 @@ def test_gap_probability(kernel, lo, args):
 
 
 @pytest.mark.parametrize("kernel,args,points", [
-    # beyond r0 - 1.5 (20), near the origin (5e-4), a coincident pair
+    # beyond r0, from the series frame (20), near the origin (5e-4), a coincident pair
     (kernels.kernel_cr, (0.3, 0.0), [1.1, -2.0, 20.0, 5e-4, 1.1 + 1e-7, -0.8]),
     # both sides of the real-axis switch at 6.5, and a coincident pair
     (kernels.kernel_tac, (1.0, 0.3), [2.4, 8.4, 20.0, 6.4, 6.6, 2.4 + 1e-7]),

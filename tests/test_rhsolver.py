@@ -162,10 +162,13 @@ def test_m_balanced_cache_state_independent():
 @pytest.mark.parametrize("s,t", [(0.0, 0.0), (0.5, -1.0), (1.0, 0.0)])
 def test_hm_extraction(s, t):
     # [PAPER] the 1/zeta coefficient of the (1,4) entry of M times the
-    # inverse frame recovers i 2^{-1/3} q(2^{2/3}(2s - t^2))
+    # inverse frame recovers i 2^{-1/3} q(2^{2/3}(2s - t^2)), from the
+    # default window and from one that lies wholly below r0, where every
+    # point reads transported M
     S = solver(s, t, 14.0, 16)
     target = 1j * 2.0 ** (-1.0 / 3.0) * HM.q(2.0 ** (2.0 / 3.0) * (2 * s - t * t))
-    assert abs(S.hm_extract() - target) < 1e-3
+    for window in (None, np.arange(6.0, 13.51, 0.5)):
+        assert abs(S.hm_extract(window) - target) < 1e-3, window
 
 
 def test_hm_extraction_st_coincidence():
