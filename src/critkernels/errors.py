@@ -1,4 +1,13 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its finiteness check."""
+
+import numpy as np
+
+
+def _finite(**args) -> None:
+    """Raise ValueError naming the first argument that is not finite."""
+    for name, value in args.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class CritKernelsError(Exception):

@@ -127,8 +127,8 @@ def bimoment_matrix(n: int, alpha: float, tau: float,
     if n > 36:
         raise DomainRestriction("n is capped at 36 (convergence rate makes "
                                 "larger n uninformative)")
-    if n % 6 != 0:
-        raise DomainRestriction("n must be a multiple of 6")
+    if n < 6 or n % 6 != 0:
+        raise DomainRestriction("n must be a positive multiple of 6")
     bits = _default_bits(n) if precision_bits is None else int(precision_bits)
     if bits < 8 * n:
         raise DomainRestriction("precision_bits must be at least 8 n")

@@ -47,11 +47,10 @@ import math
 
 import numpy as np
 
-from . import painleve
 from .dscale import double_scaling_gap
-from .errors import DomainRestriction
+from .errors import DomainRestriction, _finite
 from .piisolver import PiiSolver, get_pii_solver
-from .rhsolver import RhSolver
+from .rhsolver import RhSolver, get_solver
 
 __all__ = [
     "get_solver",
@@ -77,22 +76,7 @@ _ORIGIN_NODES = _ORIGIN_K * _ORIGIN_EPS
 _ORIGIN_PINV = np.linalg.pinv(np.vander(_ORIGIN_K, 3, increasing=True))
 
 
-@functools.lru_cache(maxsize=8)
-def get_solver(s: float, t: float, r0: float = 14.0,
-               order: int = 16) -> RhSolver:
-    """Cached model-RH solver at deformation parameters (s, t)."""
-    return RhSolver(s, t, r0=r0, series_order=order,
-                    hm=painleve.default_solution())
-
-
 # -- pairs and the bilinear form --------------------------------------------
-
-
-def _finite(**args) -> None:
-    """Raise ValueError naming the first argument that is not finite."""
-    for name, value in args.items():
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _coincide(u, v, c: float):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import painleve
+from .errors import _finite
 
 __all__ = [
     "U1",
@@ -79,6 +80,7 @@ class LaxCoefficients:
 def lax_coefficients(s: float, t: float,
                      hm: painleve.HmSolution | None = None) -> LaxCoefficients:
     """Coefficients (b, c, d, f, h, k) of the Lax pair at (s, t)."""
+    _finite(s=s, t=t)
     if hm is None:
         hm = painleve.default_solution()
     arg = 2.0 ** (2.0 / 3.0) * (2.0 * s - t * t)
@@ -141,8 +143,6 @@ def compatibility_residual(zeta: complex, s: float, t: float,
     dW/dzeta = diag(1, -1, 1, -1) exactly; dU/dt is taken by a
     Richardson-extrapolated centered difference.
     """
-    if hm is None:
-        hm = painleve.default_solution()
     co = lax_coefficients(s, t, hm)
     U, W = lax_matrices(zeta, co)
     dU = _richardson_dt(lambda tt: lax_matrices(zeta, lax_coefficients(s, tt, hm))[0],
@@ -156,8 +156,6 @@ def identity_residuals(s: float, t: float,
                        hm: painleve.HmSolution | None = None,
                        step: float = 1e-4) -> dict[str, float]:
     """Residuals of the six scalar compatibility identities (primes = d/dt)."""
-    if hm is None:
-        hm = painleve.default_solution()
     co = lax_coefficients(s, t, hm)
 
     def coeff_vec(tt: float) -> np.ndarray:

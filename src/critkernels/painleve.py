@@ -1,12 +1,13 @@
 """Hastings-McLeod solution of Painleve II and its Hamiltonian.
 
 q'' = 2 q^3 + sigma q with q(sigma) ~ Ai(sigma) as sigma -> +infinity.
-The solution is obtained by collocation on [sigma_min, sigma_max] with the
-Airy value pinned at the right end and the plateau asymptote
-sqrt(-sigma/2) (1 + 1/(8 sigma^3) - 73/(128 sigma^6)) pinned at the left
-end; the right-end derivative is then verified against Ai' a posteriori.
-A quintic Hermite interpolant built from (q, q', q''-from-the-ODE) serves
-point evaluations.
+The solution is a polynomial on Chebyshev-Lobatto nodes of
+[sigma_min, sigma_max] (Fornberg & Weideman, Found. Comput. Math. 14,
+2014): collocation with the Chebyshev differentiation matrix D, solved
+by Newton iteration, with Ai(sigma_max) pinned at the right end and the
+plateau asymptote sqrt(-sigma/2) (1 + 1/(8 sigma^3) - 73/(128 sigma^6))
+at the left.  The node values of q' are D q, and point evaluations use
+the barycentric formula on the nodes.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from __future__ import annotations
 import functools
 import math
 
+import mpmath
 import numpy as np
-from scipy.integrate import solve_bvp
-from scipy.interpolate import BPoly
-from scipy.special import airy
 
 from .errors import IntegrationFailure, OutOfDomain
 
@@ -33,27 +32,28 @@ def plateau_asymptote(sigma: float) -> float:
 
 
 class HmSolution:
-    """Immutable interpolable Hastings-McLeod solution on [sigma_min, sigma_max]."""
+    """Immutable Hastings-McLeod solution on [sigma_min, sigma_max]."""
 
-    def __init__(self, grid: np.ndarray, q: np.ndarray, qprime: np.ndarray):
-        self.grid = grid
-        self.q_nodes = q
-        self.qprime_nodes = qprime
-        self.domain = (float(grid[0]), float(grid[-1]))
-        qsecond = 2.0 * q**3 + grid * q
-        values = np.column_stack([q, qprime, qsecond])
-        self._interp = BPoly.from_derivatives(grid, values)
-        self._interp_d = self._interp.derivative()
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray, values: np.ndarray):
+        """Barycentric nodes and weights, and rows (q, q', q'') of node values."""
+        self.nodes, self._weights, self._values = nodes, weights, values
+        self.domain = (float(nodes.min()), float(nodes.max()))
+
+    def _interpolate(self, sigma, rows: slice) -> np.ndarray:
+        """Barycentric values of rows of (q, q', q''): shape (k,) + sigma.shape."""
+        d = np.subtract.outer(sigma, self.nodes)
+        # on a node, that node's weight swamps the others to roundoff
+        d[d == 0.0] = 1e-300
+        c = self._weights / d
+        return (self._values[rows] @ c.T) / c.sum(axis=-1)
 
     def __call__(self, sigma: float) -> tuple[float, float, float]:
         """Return (q, q', u) at sigma, u = (q')^2 - sigma q^2 - q^4."""
         lo, hi = self.domain
         if not lo <= sigma <= hi:
             raise OutOfDomain(f"sigma = {sigma} outside [{lo}, {hi}]")
-        q = float(self._interp(sigma))
-        qp = float(self._interp_d(sigma))
-        u = qp * qp - sigma * q * q - q**4
-        return q, qp, u
+        q, qp = self._interpolate(sigma, slice(0, 2)).tolist()
+        return q, qp, qp * qp - sigma * q * q - q**4
 
     def q(self, sigma: float) -> float:
         return self(sigma)[0]
@@ -64,43 +64,43 @@ class HmSolution:
     def u(self, sigma: float) -> float:
         return self(sigma)[2]
 
-
-def _initial_guess(xs: np.ndarray) -> np.ndarray:
-    q = np.empty_like(xs)
-    qp = np.empty_like(xs)
-    pos = xs >= 0.0
-    ai, aip, _, _ = airy(xs[pos])
-    q[pos], qp[pos] = ai, aip
-    neg = ~pos
-    q[neg] = np.sqrt(-xs[neg] / 2.0)
-    qp[neg] = -0.5 / np.sqrt(-2.0 * xs[neg])
-    return np.vstack([q, qp])
+    def qsecond(self, sigma) -> np.ndarray:
+        """q'' of the interpolant itself (not from the ODE) at scalar or array sigma."""
+        lo, hi = self.domain
+        if not (lo <= np.min(sigma) and np.max(sigma) <= hi):
+            raise OutOfDomain(f"sigma outside [{lo}, {hi}]")
+        return self._interpolate(sigma, slice(2, 3))[0]
 
 
 def solve_hastings_mcleod(sigma_min: float = -12.0, sigma_max: float = 12.0,
-                          tol: float = 1e-11, n_grid: int = 1201) -> HmSolution:
-    """Collocation solve of the Hastings-McLeod boundary-value problem."""
-    ai_right = float(airy(sigma_max)[0])
-    q_left = plateau_asymptote(sigma_min)
-
-    def rhs(x, y):
-        return np.vstack([y[1], 2.0 * y[0] ** 3 + x * y[0]])
-
-    def bc(ya, yb):
-        return np.array([ya[0] - q_left, yb[0] - ai_right])
-
-    xs = np.linspace(sigma_min, sigma_max, 401)
-    sol = solve_bvp(rhs, bc, xs, _initial_guess(xs), tol=tol, max_nodes=200000)
-    if not sol.success:
-        raise IntegrationFailure(f"Hastings-McLeod collocation failed: {sol.message}")
-    grid = np.linspace(sigma_min, sigma_max, n_grid)
-    q, qp = sol.sol(grid)
+                          n_nodes: int = 160) -> HmSolution:
+    """Chebyshev collocation of the Hastings-McLeod boundary-value problem."""
+    x = np.cos(np.pi * np.arange(n_nodes + 1) / n_nodes)
+    c = (-1.0) ** np.arange(n_nodes + 1)
+    c[[0, -1]] *= 2.0
+    D = np.outer(c, 1.0 / c) / (np.subtract.outer(x, x) + np.eye(n_nodes + 1))
+    D = (D - np.diag(D.sum(axis=1))) * (2.0 / (sigma_max - sigma_min))
+    sigma = 0.5 * (sigma_max + sigma_min) + 0.5 * (sigma_max - sigma_min) * x
+    D2 = (D @ D)[1:-1]
+    # sqrt(-sigma/2) on the left, decaying like e^{-sigma/2} on the right;
+    # the end values stay pinned and Newton moves the interior nodes only
+    q = np.sqrt(0.5 * np.log1p(np.exp(-sigma)))
+    q[[0, -1]] = float(mpmath.airyai(sigma_max)), plateau_asymptote(sigma_min)
+    for _ in range(30):
+        qi, si = q[1:-1], sigma[1:-1]
+        J = D2[:, 1:-1] - np.diag(6.0 * qi * qi + si)
+        step = np.linalg.solve(J, 2.0 * qi**3 + si * qi - D2 @ q)
+        q[1:-1] += step
+        if np.max(np.abs(step)) < 1e-14:
+            break
+    else:
+        raise IntegrationFailure("Hastings-McLeod Newton iteration did not converge")
     if np.any(q <= 0.0):
         raise IntegrationFailure("Hastings-McLeod solution lost positivity")
-    return HmSolution(grid, q, qp)
+    # the barycentric weights of Chebyshev-Lobatto nodes are 1/c
+    return HmSolution(sigma, 1.0 / c, np.stack([q, D @ q, D @ (D @ q)]))
 
 
 @functools.lru_cache(maxsize=4)
 def default_solution(sigma_min: float = -12.0, sigma_max: float = 12.0) -> HmSolution:
     return solve_hastings_mcleod(sigma_min, sigma_max)
-

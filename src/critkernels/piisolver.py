@@ -35,7 +35,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import painleve, series
 from .errors import IntegrationFailure
@@ -72,6 +71,7 @@ def hm_at(nu, hm: painleve.HmSolution | None = None):
     q0, qp0, _ = hm(nu.real)
     if nu.imag == 0.0:
         return complex(q0), complex(qp0)
+    from scipy.integrate import solve_ivp
 
     def rhs(s, y):
         # y = (q, q') along nu = Re(nu) + i s

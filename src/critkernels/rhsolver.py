@@ -17,14 +17,15 @@ coefficient of M.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from . import laxpair, series
+from . import laxpair, painleve, series
 from .sectoral import SectoralSolver, balance_columns
 
-__all__ = ["RAY_ANGLES", "JUMPS", "RhSolver"]
+__all__ = ["RAY_ANGLES", "JUMPS", "RhSolver", "get_solver"]
 
 _PHI1 = math.pi / 6.0
 _PHI2 = math.pi / 3.0
@@ -171,3 +172,11 @@ class RhSolver(SectoralSolver):
         coef, *_ = np.linalg.lstsq(np.array(rows, dtype=complex),
                                    np.array(rhs, dtype=complex), rcond=None)
         return complex(coef[0])
+
+
+@functools.lru_cache(maxsize=8)
+def get_solver(s: float, t: float, r0: float = 14.0,
+               order: int = 16) -> RhSolver:
+    """Cached model-RH solver at deformation parameters (s, t)."""
+    return RhSolver(s, t, r0=r0, series_order=order,
+                    hm=painleve.default_solution())

@@ -86,7 +86,7 @@ def test_criterion_4_painleve():
 
     xs = np.linspace(-8.0, 8.0, 801)
     qs = np.array([HM.q(x) for x in xs])
-    qpp = HM._interp.derivative(2)(xs)
+    qpp = HM.qsecond(xs)
     assert np.max(np.abs(qpp - 2.0 * qs ** 3 - xs * qs)) < 1e-8
     assert abs(HM.q(8.0) / airy(8.0)[0] - 1.0) < 1e-4
     up = HM._uinterp.derivative(1)(xs) if hasattr(HM, "_uinterp") else None

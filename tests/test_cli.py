@@ -110,6 +110,18 @@ def test_config_error_exit_2(runner, tmp_path):
         assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("args,bad", [
+    (["rh-check", "--s", "inf"], "s"),
+    (["lax-check", "--s", "nan"], "s"),
+    (["lax-check", "--t", "-inf"], "t"),
+])
+def test_non_finite_deformation_exit_2(runner, tmp_path, args, bad):
+    # [TRIVIAL] a non-finite s or t is a configuration error naming it
+    result, _, report = _run(runner, tmp_path, args)
+    assert result.exit_code == 2, result.output
+    assert json.loads(report.read_text())["error"].startswith(f"{bad} must be finite")
+
+
 def test_config_error_writes_report(runner, tmp_path):
     # [TRIVIAL] a configuration error still writes the report, with the
     # command, its parameters and the error in place of checks

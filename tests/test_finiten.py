@@ -182,3 +182,10 @@ def test_domain_errors():
         finiten.bimoment_matrix(42, ALPHA, TAU)
     with pytest.raises(DomainRestriction):
         finiten.bimoment_matrix(12, ALPHA, TAU, precision_bits=64)
+
+
+@pytest.mark.parametrize("n", [0, -6, -7])
+def test_nonpositive_n_rejected(n):
+    # [TRIVIAL] n < 6 is rejected by name, before any quadrature
+    with pytest.raises(DomainRestriction, match="n must be a positive multiple of 6"):
+        finiten.bimoment_matrix(n, ALPHA, TAU)

@@ -1,5 +1,7 @@
 """Tests for the 4x4 Lax pair."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,12 @@ def test_n1_hastings_mcleod_entry():
     N1 = lx.n1_matrix(co)
     expected = 1j * co.q / 2.0 ** (1.0 / 3.0)
     assert N1[0, 3] == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("s,t,bad", [(math.inf, 0.0, "s"), (math.nan, 0.0, "s"),
+                                     (0.3, -math.inf, "t"), (0.3, math.nan, "t")])
+def test_non_finite_s_t_rejected(s, t, bad):
+    # [TRIVIAL] a NaN or inf deformation parameter raises ValueError naming
+    # it, not an out-of-domain error about the Painleve argument
+    with pytest.raises(ValueError, match=rf"^{bad} must be finite"):
+        lx.lax_coefficients(s, t, HM)

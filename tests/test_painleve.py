@@ -28,7 +28,7 @@ def test_pii_residual_on_grid():
     # [PAPER] |q'' - 2q^3 - sigma q| < 1e-8 by re-differentiating the interpolant
     xs = np.linspace(-8.0, 8.0, 801)
     qs = np.array([HM.q(x) for x in xs])
-    qpp = HM._interp.derivative(2)(xs)
+    qpp = HM.qsecond(xs)
     assert np.max(np.abs(qpp - 2.0 * qs**3 - xs * qs)) < 1e-8
 
 
@@ -82,3 +82,18 @@ def test_cross_check_shooting():
                     rtol=1e-12, atol=1e-14, dense_output=True)
     q0 = sol.y[0][-1]
     assert HM.q(0.0) == pytest.approx(q0, abs=1e-7)
+
+
+def test_matches_bvp_reference_at_origin():
+    # [DERIVED] q(0), q'(0) agree with an independent scipy solve_bvp
+    # collocation (tol 1e-11, quintic Hermite interpolant) to 1e-12
+    q0, qp0, _ = HM(0.0)
+    assert abs(q0 - 0.36706155154807923) < 1e-12
+    assert abs(qp0 - (-0.29537210544754794)) < 1e-12
+
+
+def test_node_refinement():
+    # [DERIVED] 160 and 240 Chebyshev nodes agree to 1e-12 on the grid
+    fine = pv.solve_hastings_mcleod(n_nodes=240)
+    for x in np.linspace(-12.0, 12.0, 1201):
+        assert abs(fine.q(x) - HM.q(x)) < 1e-12
