@@ -266,14 +266,7 @@ def _mu1_cdf(alpha: float, tau: float):
 
     p = surface.SurfaceParams.from_alpha_tau(alpha, tau)
     grid = np.linspace(-p.c + 1e-6, p.c - 1e-6, 801)
-    # density_mu1 marched outward from x = 0 on each side; the point x = 0
-    # is the one-sided limit from quadrant II
-    z = np.array([surface._nudge_off_axis(complex(x, measures._DELTA))
-                  for x in grid])
-    left = grid <= 0.0
-    xi1 = np.concatenate([surface.xi_sheet_on_path(z[left][::-1], p, 0)[::-1],
-                          surface.xi_sheet_on_path(z[~left], p, 0)])
-    dens = xi1.imag / math.pi
+    dens = measures.density_mu1(grid, p)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1])
                                            * np.diff(grid))])
     return grid, cdf / cdf[-1]

@@ -6,6 +6,10 @@ the sheet functions; boundary values are taken at a distance ``delta`` off
 the axis (default 1e-8).  Densities are reported with respect to arclength
 along the carrier, oriented left-to-right on the real axis and upward on
 the imaginary axis, so that the total masses come out as (1, 2/3, 1/3).
+
+Each density takes a scalar and returns a float, or takes an array and
+returns one of its shape, marched once per quadrant and sheet; a point
+outside the support raises ``OutsideSupport`` for the whole request.
 """
 
 from __future__ import annotations
@@ -45,52 +49,57 @@ def _real_cast(values, where: str) -> np.ndarray:
 def _jump_density(plus, minus, p: sf.SurfaceParams, sheet: int,
                   scale: complex) -> np.ndarray:
     """(xi_{k,+} - xi_{k,-} - tau (s_{k-1,+} - s_{k-1,-})) / scale, k = sheet + 1,
-    each side marched through its points outward in |z| (``minus`` mirrors ``plus``)."""
-    plus, minus = np.asarray(plus), np.asarray(minus)
-    order = np.argsort(np.abs(plus))
-    plus, minus = plus[order], minus[order]
+    at the points ``plus`` and their mirror images ``minus``."""
     xi_jump = (sf.xi_sheet_on_path(plus, p, sheet)
                - sf.xi_sheet_on_path(minus, p, sheet))
     s_jump = (sf.cubic_sheet_on_path(plus, p.alpha, p.tau, sheet - 1)
               - sf.cubic_sheet_on_path(minus, p.alpha, p.tau, sheet - 1))
-    return ((xi_jump - p.tau * s_jump) / scale)[np.argsort(order)]
+    return (xi_jump - p.tau * s_jump) / scale
 
 
-def density_mu1(x: float, p: sf.SurfaceParams, delta: float = _DELTA) -> float:
+def _like(values: np.ndarray, x):
+    """``values`` shaped like the request ``x``: a float for a scalar."""
+    values = np.reshape(values, np.shape(x))
+    return float(values) if values.ndim == 0 else values
+
+
+def density_mu1(x, p: sf.SurfaceParams, delta: float = _DELTA):
     """d mu1/dx = (1/pi) Im xi_{1,+}(x) on (-c, c)."""
-    if abs(x) >= p.c:
-        raise OutsideSupport(f"x = {x} outside (-c, c) with c = {p.c}")
-    xi = sf.xi_branches(complex(x, delta), p).xi
-    return xi[0].imag / math.pi
+    xs = np.asarray(x, dtype=float)
+    outside = np.abs(xs) >= p.c
+    if outside.any():
+        raise OutsideSupport(f"x = {xs[outside][0]} outside (-c, c) with c = {p.c}")
+    xi1 = sf.xi_sheet_on_path(xs.ravel() + 1j * delta, p, 0)
+    return _like(xi1.imag / math.pi, x)
 
 
-def density_mu2(y: float, p: sf.SurfaceParams, delta: float = _DELTA) -> float:
-    """Density of mu2 at the point iy, with respect to dy.
+def density_mu2(y, p: sf.SurfaceParams, delta: float = _DELTA):
+    """Density of mu2 at the points iy, with respect to dy.
 
     (1/2 pi)[(xi_{2,+} - xi_{2,-}) - tau (s_{1,+} - s_{1,-})](iy); the + side
     of the upward-oriented imaginary axis is Re z < 0.  At y = 0 both sides
     lie on the real axis and are one-sided limits (see ``surface``).
     """
-    plus = sf._nudge_off_axis(complex(-delta, y))
-    minus = sf._nudge_off_axis(complex(delta, y))
-    rho = _jump_density([plus], [minus], p, 1, 2.0 * math.pi)
-    return float(_real_cast(rho, "density_mu2")[0])
+    iy = 1j * np.ravel(y).astype(float)
+    rho = _jump_density(iy - delta, iy + delta, p, 1, 2.0 * math.pi)
+    return _like(_real_cast(rho, "density_mu2"), y)
 
 
-def density_mu3(x: float, p: sf.SurfaceParams, delta: float = _DELTA) -> float:
+def density_mu3(x, p: sf.SurfaceParams, delta: float = _DELTA):
     """Density of mu3 at x: (1/2 pi i)[(xi_{3,+} - xi_{3,-}) - tau (s_{2,+} - s_{2,-})](x)."""
-    if x == 0.0:
+    xs = np.ravel(x).astype(float)
+    if np.any(xs == 0.0):
         raise OutsideSupport("mu3 density undefined at the origin")
-    rho = _jump_density([complex(x, delta)], [complex(x, -delta)], p, 2,
-                        2.0j * math.pi)
-    return float(_real_cast(rho, "density_mu3")[0])
+    rho = _jump_density(xs + 1j * delta, xs - 1j * delta, p, 2, 2.0j * math.pi)
+    return _like(_real_cast(rho, "density_mu3"), x)
 
 
-def sigma2_density(y: float, alpha: float, tau: float) -> float:
+def sigma2_density(y, alpha: float, tau: float):
     """Constraint density on the imaginary axis: (tau/pi) Re s(iy), s the
     cubic root of s^3 + alpha s = tau z with largest real part."""
-    roots = np.roots([1.0, 0.0, alpha, -tau * complex(0.0, y)])
-    return (tau / math.pi) * float(np.max(roots.real))
+    top = [np.max(np.roots([1.0, 0.0, alpha, -tau * complex(0.0, v)]).real)
+           for v in np.ravel(y).astype(float)]
+    return _like((tau / math.pi) * np.array(top), y)
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +123,9 @@ def _graded_mesh(a: float, b: float, grade_a: bool, grade_b: bool,
 
 def mass_mu1(p: sf.SurfaceParams, delta: float = _DELTA) -> float:
     """Total mass of mu1; contract: 1."""
-    edges = _graded_mesh(0.0, p.c, grade_a=True, grade_b=True)
-    x, w = sf._panel_nodes(edges)
-    xi1 = sf.xi_sheet_on_path(x + 1j * delta, p, sheet=0)
+    x, w = sf._panel_nodes(_graded_mesh(0.0, p.c, grade_a=True, grade_b=True))
     # factor 2 from even symmetry of the density
-    return 2.0 * float(w @ xi1.imag) / math.pi
+    return 2.0 * float(w @ density_mu1(x, p, delta))
 
 
 def _far_mesh(cutoff: float) -> np.ndarray:
@@ -185,11 +192,8 @@ def mass_mu3(p: sf.SurfaceParams, cutoff: float = 200.0,
 
 def xi_integral_check(p: sf.SurfaceParams, delta: float = _DELTA) -> tuple[float, float]:
     """(Im int_{-c}^c xi_{1,+}, Im int_{-c}^c xi_{2,+}); contract (pi, -pi)."""
-    edges = _graded_mesh(0.0, p.c, grade_a=True, grade_b=True)
-    x, w = sf._panel_nodes(edges)
-    out = []
-    for sheet in (0, 1):
-        vals_right = sf.xi_sheet_on_path(x + 1j * delta, p, sheet)
-        vals_left = sf.xi_sheet_on_path(-x[::-1] + 1j * delta, p, sheet)
-        out.append(float(w @ vals_right.imag) + float(w[::-1] @ vals_left.imag))
-    return out[0], out[1]
+    x, w = sf._panel_nodes(_graded_mesh(0.0, p.c, grade_a=True, grade_b=True))
+    line = np.concatenate([-x[::-1], x]) + 1j * delta
+    w = np.concatenate([w[::-1], w])
+    return tuple(float(w @ sf.xi_sheet_on_path(line, p, sheet).imag)
+                 for sheet in (0, 1))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 
 import numpy as np
@@ -130,16 +130,12 @@ def scaled_params(a: float, b: float, n: int) -> tuple[float, float]:
 # Quadrants and axis handling
 
 
-def _nudge_off_axis(z: complex) -> complex:
-    """One-sided-limit convention for axis points (see module docstring)."""
-    x, y = z.real, z.imag
-    if x != 0.0 and y != 0.0:
-        return z
-    scale = _AXIS_NUDGE * max(1.0, abs(z))
-    if y == 0.0:
-        z = complex(x, scale)
-    if z.real == 0.0:
-        z = complex(-scale, z.imag)
+def _nudge_off_axis(points) -> np.ndarray:
+    """The points, flat, with axis points moved per the module docstring."""
+    z = np.array(points, dtype=complex).ravel()
+    scale = _AXIS_NUDGE * np.maximum(1.0, np.abs(z))
+    z.imag = np.where(z.imag == 0.0, scale, z.imag)
+    z.real = np.where(z.real == 0.0, -scale, z.real)
     return z
 
 
@@ -215,6 +211,24 @@ def _march(roots: np.ndarray, z0: complex, points, coeffs) -> np.ndarray:
     return out
 
 
+def _along(points, reference, coeffs) -> np.ndarray:
+    """Roots of ``coeffs(z)`` at ``points``, one row per point in input order.
+
+    Axis points are one-sided limits (module docstring).  Each quadrant's
+    points are marched outward in |z| from ``reference(quadrant)``, an
+    interior point of the quadrant and the labeled roots there.
+    """
+    z = _nudge_off_axis(points)
+    quads = np.array([_quadrant(w) for w in z])
+    out = np.empty((len(z), len(coeffs(0.0)) - 1), dtype=complex)
+    for quad in dict.fromkeys(quads):
+        group = np.flatnonzero(quads == quad)
+        group = group[np.argsort(np.abs(z[group]), kind="stable")]
+        z0, roots = reference(quad)
+        out[group] = _march(roots, z0, z[group], coeffs)
+    return out
+
+
 def _quartic(p: SurfaceParams):
     """Coefficients of (w^2 + gamma^3)^2 - z w^3 as a function of z."""
     g3 = p.gamma**3
@@ -235,20 +249,10 @@ def _reference_roots(quadrant: str, p: SurfaceParams) -> tuple[complex, np.ndarr
 
 
 def _w_along(points, p: SurfaceParams) -> np.ndarray:
-    """w_j at each point of a polyline inside one quadrant, shape (n, 4).
-
-    Labels are fixed at the reference point of the first point's quadrant
-    and marched point-to-point from there.
-    """
-    z_ref, roots = _reference_roots(_quadrant(points[0]), p)
-    return _march(roots, z_ref, points, _quartic(p))
-
-
-def _tracked_roots(z: complex, p: SurfaceParams) -> tuple[np.ndarray, str]:
-    z = _nudge_off_axis(z)
-    if z == 0.0:
+    """w_j at each of ``points`` (see ``_along``), shape (n, 4)."""
+    if np.any(np.asarray(points) == 0.0):
         raise DegenerateRoots("z = 0 is a branch point")
-    return _w_along([z], p)[0], _quadrant(z)
+    return _along(points, lambda quad: _reference_roots(quad, p), _quartic(p))
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +279,14 @@ def _xi_from_w(w: np.ndarray, p: SurfaceParams) -> np.ndarray:
 
 def w_branches(z: complex, p: SurfaceParams) -> SheetValues:
     """The four quartic roots w_j(z), modulus-ordered and quadrant-continuous."""
-    w, quad = _tracked_roots(complex(z), p)
-    return SheetValues(z=complex(z), quadrant=quad, w=w)
+    z = complex(z)
+    return SheetValues(z, _quadrant(_nudge_off_axis(z)[0]), _w_along([z], p)[0])
 
 
 def xi_branches(z: complex, p: SurfaceParams) -> SheetValues:
     """The modified xi-functions on the four sheets at z."""
-    w, quad = _tracked_roots(complex(z), p)
-    return SheetValues(z=complex(z), quadrant=quad, w=w, xi=_xi_from_w(w, p))
+    sv = w_branches(z, p)
+    return replace(sv, xi=_xi_from_w(sv.w, p))
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +319,11 @@ def _lambda_integral(z: complex, p: SurfaceParams, panels: int = 8) -> np.ndarra
     phi = cmath.phase(z)
     phi0 = _QUADRANT_ANGLE[_quadrant(z)]
     radius = abs(z)
-    # radial leg at angle phi0, marched inward from the outermost node
+    # radial leg at angle phi0; the arc continues from its outermost node
     u, wq = _panel_nodes(np.linspace(0.0, math.sqrt(radius), panels + 1))
-    ray = (u * u)[::-1] * cmath.exp(1j * phi0)
-    xi_vals = _xi_from_w(_w_along(ray, p), p)[::-1]
+    ray = (u * u) * cmath.exp(1j * phi0)
+    w_ray = _w_along(ray, p)
+    xi_vals = _xi_from_w(w_ray, p)
     total = wq @ (2.0 * u[:, None] * cmath.exp(1j * phi0) * xi_vals)
     # arc leg from phi0 to phi
     if phi != phi0:
@@ -331,7 +336,7 @@ def _lambda_integral(z: complex, p: SurfaceParams, panels: int = 8) -> np.ndarra
         edges.append(phi)
         th, wq = _panel_nodes(edges)
         pts = radius * np.exp(1j * th)
-        xi_vals = _xi_from_w(_w_along(pts, p), p)
+        xi_vals = _xi_from_w(_march(w_ray[-1], ray[-1], pts, _quartic(p)), p)
         total = total + wq @ (1j * pts[:, None] * xi_vals)
     return total
 
@@ -350,23 +355,21 @@ def lambda_branches(z: complex, p: SurfaceParams) -> SheetValues:
     else:
         lam[0] += shift
         lam[3] += shift
-    w, _ = _tracked_roots(z, p)
-    return SheetValues(z=z, quadrant=quad, w=w, xi=_xi_from_w(w, p), lam=lam)
+    return replace(xi_branches(z, p), lam=lam)
 
 
 def xi_sheet_on_path(points: np.ndarray, p: SurfaceParams, sheet: int) -> np.ndarray:
-    """xi_{sheet} at each point of a polyline that stays inside one quadrant.
+    """xi_{sheet} at any finite ``points`` (z = 0 raises), in input order.
 
-    Branch labels are fixed at the first point (tracked from the quadrant
-    reference) and then marched point-to-point, which is much cheaper than
-    re-tracking from the reference for every point.
+    Each quadrant's points are marched outward in |z| from its reference
+    (see ``_along``), which is much cheaper than tracking each point.
     """
     return _xi_from_w(_w_along(points, p)[:, sheet], p)
 
 
 def cubic_sheet_on_path(points: np.ndarray, alpha: float, tau: float,
                         sheet: int) -> np.ndarray:
-    """s_{sheet} at each point of a polyline inside one half-plane (Re != 0)."""
+    """s_{sheet} at each of any finite ``points``, marched as in ``xi_sheet_on_path``."""
     return _s_along(points, alpha, tau)[:, sheet]
 
 
@@ -407,21 +410,24 @@ def _ordered_real_cubic(x: float, alpha: float, tau: float) -> np.ndarray:
 
 
 def _s_along(points, alpha: float, tau: float) -> np.ndarray:
-    """s_j at each point of a polyline inside one half-plane, shape (n, 3).
+    """s_j at each of ``points`` (see ``_along``), shape (n, 3).
 
-    Labels are fixed on the real window at x_ref = +-x*/20 (the side of the
-    first point); the path rises off the real axis to x_ref +- i x*/2 before
-    heading to the first point, so it keeps clear of the branch points
+    Labels are fixed on the real window at x_ref = +-x*/20 (the quadrant's
+    side); the path rises off the real axis to x_ref +- i x*/2 before
+    heading into the quadrant, so it keeps clear of the branch points
     +-x* when a point sits just off the real axis beyond the window.
     """
     xs = x_star(alpha, tau)
-    first = points[0]
-    x_ref = 0.05 * xs if first.real > 0.0 else -0.05 * xs
-    side = first.imag if first.imag != 0.0 else 1.0
-    lift = complex(x_ref, math.copysign(0.5 * xs, side))
-    s_ref = _ordered_real_cubic(x_ref, alpha, tau)
-    return _march(s_ref, complex(x_ref), np.concatenate([[lift], points]),
-                  _cubic(alpha, tau))[1:]
+    coeffs = _cubic(alpha, tau)
+
+    def reference(quad: str) -> tuple[complex, np.ndarray]:
+        side = cmath.exp(1j * _QUADRANT_ANGLE[quad])
+        x_ref = math.copysign(0.05 * xs, side.real)
+        lift = complex(x_ref, math.copysign(0.5 * xs, side.imag))
+        return lift, _continue_roots(_ordered_real_cubic(x_ref, alpha, tau),
+                                     complex(x_ref), lift, coeffs)
+
+    return _along(points, reference, coeffs)
 
 
 def theta_branches(z: complex, alpha: float, tau: float) -> ThetaValues:
@@ -438,7 +444,7 @@ def theta_branches(z: complex, alpha: float, tau: float) -> ThetaValues:
     if z.imag == 0.0 and abs(z.real) < x_star(alpha, tau):
         s = _ordered_real_cubic(z.real, alpha, tau)
     else:
-        s = _s_along([_nudge_off_axis(z)], alpha, tau)[0]
+        s = _s_along([z], alpha, tau)[0]
     theta = -_w_potential(s, alpha) + tau * z * s
     return ThetaValues(z=z, s=s, theta=theta)
 

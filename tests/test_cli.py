@@ -45,6 +45,35 @@ def test_density_grid(runner, tmp_path):
     assert abs(first) < 1e-6 and abs(last) < 1e-6
 
 
+@pytest.mark.parametrize("measure,grid,zero_at", [
+    ("mu1", "4:5:3", [4.0, 4.5, 5.0]),
+    ("mu3", "-1:1:3", [0.0]),
+], ids=["mu1-outside-support", "mu3-through-origin"])
+def test_density_zero_outside_support(runner, tmp_path, measure, grid, zero_at):
+    # [TRIVIAL] grid points outside the support, all of them or only x = 0
+    # for mu3, are written as density 0 and the command succeeds
+    result, out, _ = _run(
+        runner, tmp_path,
+        ["density", "--measure", measure, "--alpha", "-1", "--tau", "1",
+         "--grid", grid])
+    assert result.exit_code == 0, result.output
+    rows = [tuple(map(float, line.split(",")))
+            for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    for x, rho in rows:
+        assert (rho == 0.0) == (x in zero_at)
+
+
+def test_hm_pii_residual_from_second_derivative(runner, tmp_path):
+    # [DERIVED] the reported residual of q'' = sigma q + 2 q^3 sees the
+    # solution's own error (~1e-13), not that of a finite difference
+    result, _, report = _run(runner, tmp_path, ["hm", "--grid", "-8:8:161"])
+    assert result.exit_code == 0, result.output
+    checks = {ck["name"]: ck for ck in json.loads(report.read_text())["checks"]}
+    assert checks["pii_residual"]["value"] < 1e-12
+    assert checks["pii_residual"]["tolerance"] == 1e-5
+
+
 @pytest.mark.parametrize("which", ["cr", "tac", "pii"])
 def test_kernel_diagonal_dispatch(runner, tmp_path, which):
     # [TRIVIAL] u == v gives the library's diagonal value

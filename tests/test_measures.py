@@ -96,6 +96,39 @@ def test_densities_real_cast():
     ms.density_mu3(0.7, CRIT)
 
 
+# one grid spanning both half-lines, shuffled, with the origin in it
+_GRID = np.random.default_rng(13).permutation(
+    np.concatenate([np.linspace(-2.9, 2.9, 23), [0.0, 1e-6, -1e-6]]))
+
+
+@pytest.mark.parametrize("density,grid", [
+    (lambda x: ms.density_mu1(x, CRIT), _GRID),
+    (lambda y: ms.density_mu2(y, CRIT), _GRID),
+    (lambda x: ms.density_mu3(x, CRIT), _GRID[_GRID != 0.0]),
+    (lambda y: ms.sigma2_density(y, -1.2, 0.9), _GRID),
+], ids=["mu1", "mu2", "mu3", "sigma2"])
+def test_array_call_equals_scalar_calls(density, grid):
+    # [TRIVIAL] one array call returns, in input order, exactly what the
+    # scalar calls return; a scalar still gives a float, an empty array
+    # an empty array
+    per_point = [density(float(x)) for x in grid]
+    assert all(type(v) is float for v in per_point)
+    assert np.array_equal(density(grid), per_point)
+    assert np.array_equal(density(grid.reshape(-1, 1)).ravel(), per_point)
+    empty = density(np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+@pytest.mark.parametrize("density,grid,bad", [
+    (ms.density_mu1, np.array([0.5, CRIT.c + 0.25, -1.0]), f"x = {CRIT.c + 0.25}"),
+    (ms.density_mu3, np.array([0.5, 0.0, -1.0]), "origin"),
+], ids=["mu1", "mu3"])
+def test_array_outside_support_raises(density, grid, bad):
+    # [TRIVIAL] one point outside the support fails the whole call, by name
+    with pytest.raises(OutsideSupport, match=bad):
+        density(grid, CRIT)
+
+
 @pytest.mark.parametrize("call", [
     lambda: sf.xi_branches(math.nan, CRIT),
     lambda: sf.theta_branches(math.nan, -1.0, 1.0),

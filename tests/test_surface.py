@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from critkernels import surface as sf
-from critkernels.errors import PathOnCut
+from critkernels.errors import DegenerateRoots, PathOnCut
 
 CRIT = sf.SurfaceParams.critical()
 
@@ -364,6 +364,33 @@ def test_path_and_point_tracking_agree(rotation):
         on_path = sf.cubic_sheet_on_path(points, -1.0, 1.0, j)
         per_point = [sf.theta_branches(z, -1.0, 1.0).s[j] for z in points]
         assert np.max(np.abs(on_path - per_point)) < 1e-12
+
+
+def test_path_over_all_quadrants_keeps_input_order():
+    # [TRIVIAL] points from all four quadrants and both axes, in shuffled
+    # order, get exactly the labels of per-point tracking, row for row
+    rng = np.random.default_rng(3)
+    points = np.concatenate([
+        rng.uniform(-4, 4, 12) + 1j * rng.uniform(-4, 4, 12),
+        [2.0, -1.0, 3.5j, -0.5j, 1e-3 + 0j, 5.0]])
+    points = rng.permutation(points)
+    for j in range(4):
+        per_point = [sf.xi_branches(z, CRIT).xi[j] for z in points]
+        assert np.array_equal(sf.xi_sheet_on_path(points, CRIT, j), per_point)
+    for j in range(3):
+        per_point = [sf.cubic_sheet_on_path([z], -1.0, 1.0, j)[0] for z in points]
+        assert np.array_equal(sf.cubic_sheet_on_path(points, -1.0, 1.0, j),
+                              per_point)
+
+
+def test_origin_is_a_branch_point_of_the_quartic():
+    # [PAPER] z = 0 is a branch point of the quartic sheets and is refused,
+    # on its own and inside a path; the cubic is regular there
+    with pytest.raises(DegenerateRoots, match="z = 0 is a branch point"):
+        sf.xi_branches(0.0, CRIT)
+    with pytest.raises(DegenerateRoots, match="z = 0 is a branch point"):
+        sf.xi_sheet_on_path(np.array([1.0 + 1j, 0.0]), CRIT, 0)
+    assert np.all(np.isfinite(sf.theta_branches(0.0, -1.0, 1.0).s))
 
 
 def test_continue_roots_bisects_only_crowded_roots(monkeypatch):
