@@ -97,9 +97,9 @@ def density_mu3(x, p: sf.SurfaceParams, delta: float = _DELTA):
 def sigma2_density(y, alpha: float, tau: float):
     """Constraint density on the imaginary axis: (tau/pi) Re s(iy), s the
     cubic root of s^3 + alpha s = tau z with largest real part."""
-    top = [np.max(np.roots([1.0, 0.0, alpha, -tau * complex(0.0, v)]).real)
-           for v in np.ravel(y).astype(float)]
-    return _like((tau / math.pi) * np.array(top), y)
+    iy = 1j * np.ravel(y).astype(float)
+    roots = sf._companion_eigvals(sf._cubic(alpha, tau)(iy))
+    return _like((tau / math.pi) * roots.real.max(axis=1), y)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import numpy as np
 
@@ -150,64 +150,143 @@ _QUADRANT_ANGLE = {"I": 0.25 * math.pi, "II": 0.75 * math.pi,
 
 
 # ---------------------------------------------------------------------------
-# Root tracking.  One tracker serves the quartic (w) and cubic (s) sheets; it
-# takes the polynomial's coefficients as a function of z.
+# Root tracking.  One batched tracker serves the quartic (w) and cubic (s)
+# sheets; it takes the polynomial's coefficient rows as a function of an
+# array of z.
+
+root_evaluations = 0    # points whose roots were solved, midpoints included
+
+_BLOCK = 256            # path points solved per stacked eigvals call
 
 
-def _polished_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of the polynomial ``coeffs``, polished by two Newton steps."""
-    roots = np.roots(coeffs)
-    deriv = np.polyder(coeffs)
+def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the companion matrix of each row of ``coeffs``
+    (leading coefficient first), the matrices ``np.roots`` builds, in one
+    stacked call."""
+    m, n = coeffs.shape[0], coeffs.shape[1] - 1
+    comp = np.zeros((m, n, n), dtype=coeffs.dtype)
+    comp[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    return np.linalg.eigvals(comp)
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row of ``coeffs`` evaluated at the same row of ``x``."""
+    y = np.zeros_like(x)
+    for c in coeffs.T:
+        y = y * x + c[:, None]
+    return y
+
+
+def _roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of each row of ``coeffs``, polished by two Newton steps."""
+    global root_evaluations
+    root_evaluations += len(coeffs)
+    roots = _companion_eigvals(coeffs)
+    deriv = coeffs[:, :-1] * np.arange(coeffs.shape[1] - 1, 0, -1)
     for _ in range(2):
-        fp = np.polyval(deriv, roots)
+        fp = _horner(deriv, roots)
         mask = np.abs(fp) > 0.0
-        roots[mask] -= np.polyval(coeffs, roots[mask]) / fp[mask]
+        roots[mask] -= _horner(coeffs, roots)[mask] / fp[mask]
     return roots
 
 
+def _composition(perms: list) -> list:
+    """table[q][s]: the index in ``perms`` of s followed by q, (q[s[i]])_i."""
+    index = {p: k for k, p in enumerate(perms)}
+    return [[index[tuple(q[i] for i in s)] for s in perms] for q in perms]
+
+
 _PERMS = {n: np.array(list(permutations(range(n)))) for n in (3, 4)}
+_COMPOSE = {n: _composition(list(permutations(range(n)))) for n in (3, 4)}
 
 
-def _continue_roots(prev: np.ndarray, z0: complex, z1: complex, coeffs,
-                    depth: int = 0) -> np.ndarray:
-    """Continue labeled roots of ``coeffs(z)`` from z0 to z1 along the segment.
+def _match(za, zb, ra, rb) -> tuple[np.ndarray, np.ndarray]:
+    """Match the roots ``rb`` at ``zb`` to ``ra`` at ``za``, one pair per row.
 
-    The roots at z1 are permuted so that the largest movement is least
-    (the first of equal candidates wins); the step is bisected until every
-    root moves at most 0.3 times its own nearest-neighbour distance at z1,
-    so only steps where roots crowd are refined.
+    Returns, per row, the index into ``_PERMS`` of the permutation q (root i
+    of ``ra`` continues as root q[i] of ``rb``) whose largest movement is
+    least, the first of equal candidates winning, and whether the step is
+    accepted: every root moves at most 0.3 times its own nearest-neighbour
+    distance at zb, or the step is below roundoff.
     """
-    new = _polished_roots(coeffs(z1))
-    cands = new[_PERMS[len(new)]]
-    cost = np.max(np.abs(cands - prev), axis=1)
-    best = int(np.argmin(cost))
-    roots = cands[best]
-    near = np.sort(np.abs(roots[:, None] - roots), axis=1)[:, 1]
-    if (np.all(np.abs(roots - prev) <= 0.3 * near)
-            or abs(z1 - z0) < 1e-14 * max(1.0, abs(z1))):
-        return roots
-    if depth > 60:
-        raise DegenerateRoots(
-            f"root continuation failed to separate branches near z = {z1}")
-    mid = 0.5 * (z0 + z1)
-    half = _continue_roots(prev, z0, mid, coeffs, depth + 1)
-    return _continue_roots(half, mid, z1, coeffs, depth + 1)
+    perms = _PERMS[ra.shape[1]]
+    dist = np.abs(rb[:, None, :] - ra[:, :, None])           # dist[k, i, j]
+    cost = dist[:, 0, perms[:, 0]]                            # cost[k, q]
+    for i in range(1, ra.shape[1]):
+        np.maximum(cost, dist[:, i, perms[:, i]], out=cost)
+    best = np.argmin(cost, axis=1)
+    k, q = np.arange(len(ra))[:, None], perms[best]
+    near = np.sort(np.abs(rb[:, :, None] - rb[:, None, :]), axis=2)[:, :, 1]
+    ok = (np.all(dist[k, np.arange(ra.shape[1]), q] <= 0.3 * near[k, q], axis=1)
+          | (np.abs(zb - za) < 1e-14 * np.maximum(1.0, np.abs(zb))))
+    return best, ok
 
 
 def _march(roots: np.ndarray, z0: complex, points, coeffs) -> np.ndarray:
     """Continue ``roots``, labeled at z0, through ``points`` in order.
 
-    Returns shape (len(points), number of roots).
+    Returns shape (len(points), number of roots).  The points are solved
+    ``_BLOCK`` at a time.  Each step between consecutive points takes the
+    permutation of ``_match``, relative to the previous point's roots as
+    solved (so the first of equal candidates wins in that order).  Refused
+    steps are bisected in rounds: each round tests the first ``_BLOCK``
+    pending steps in path order together and solves their midpoints in one
+    call.  Taking the leftmost steps first keeps the pending steps bounded
+    however many the bisection makes, and a step refused at depth 61 raises
+    ``DegenerateRoots`` as soon as the rounds reach it.  The accepted
+    permutations compose into labels in one integer scan along the path.
     """
     points = np.asarray(points, dtype=complex)
     bad = ~np.isfinite(points)
     if bad.any():
         raise ValueError(f"non-finite point z = {points[bad][0]}")
+    compose = _COMPOSE[len(roots)]
     out = np.empty((len(points), len(roots)), dtype=complex)
-    for k, z in enumerate(points):
-        roots = _continue_roots(roots, z0, z, coeffs)
-        z0 = z
-        out[k] = roots
+    label = 0                       # the identity: roots are in label order
+    for lo in range(0, len(points), _BLOCK):
+        zs = points[lo:lo + _BLOCK]
+        raw = _roots(coeffs(zs))
+        # the pending steps in path order; a refused step becomes its halves
+        za, zb = np.concatenate([[z0], zs[:-1]]), zs
+        ra, rb = np.concatenate([roots[None], raw[:-1]]), raw
+        ends = np.ones(len(zs), dtype=bool)     # the step ends at a path point
+        depth = np.zeros(len(zs), dtype=int)
+        step = np.full(len(zs), -1)             # accepted permutation, or -1
+        accepted, ended = [], []                # dropped steps, in path order
+        while len(step):
+            todo = np.flatnonzero(step[:_BLOCK] < 0)
+            best, ok = _match(za[todo], zb[todo], ra[todo], rb[todo])
+            step[todo[ok]] = best[ok]
+            split = todo[~ok]
+            if len(split):
+                deep = split[depth[split] > 60]
+                if len(deep):
+                    raise DegenerateRoots("root continuation failed to separate "
+                                          f"branches near z = {zb[deep[0]]}")
+                mid = 0.5 * (za[split] + zb[split])
+                rmid = _roots(coeffs(mid))
+                depth[split] += 1
+                twice = np.ones(len(step), dtype=int)
+                twice[split] = 2
+                first = (np.cumsum(twice) - 2)[split]
+                za, zb, ra, rb, ends, depth, step = (
+                    np.repeat(a, twice, axis=0)
+                    for a in (za, zb, ra, rb, ends, depth, step))
+                zb[first], rb[first], ends[first] = mid, rmid, False
+                za[first + 1], ra[first + 1] = mid, rmid
+            # set aside the accepted steps that lead the path
+            done = np.flatnonzero(np.append(step, -1) < 0)[0]
+            accepted.append(step[:done])
+            ended.append(ends[:done])
+            za, zb, ra, rb, ends, depth, step = (
+                a[done:] for a in (za, zb, ra, rb, ends, depth, step))
+        scan = accumulate(np.concatenate(accepted).tolist(),
+                          lambda s, q: compose[q][s], initial=label)
+        labels = np.fromiter(scan, dtype=int)[1:][np.concatenate(ended)]
+        perm = _PERMS[len(roots)][labels]
+        out[lo:lo + len(zs)] = np.take_along_axis(raw, perm, axis=1)
+        z0, roots, label = zs[-1], raw[-1], int(labels[-1])
     return out
 
 
@@ -220,7 +299,7 @@ def _along(points, reference, coeffs) -> np.ndarray:
     """
     z = _nudge_off_axis(points)
     quads = np.array([_quadrant(w) for w in z])
-    out = np.empty((len(z), len(coeffs(0.0)) - 1), dtype=complex)
+    out = np.empty((len(z), coeffs(z[:0]).shape[1] - 1), dtype=complex)
     for quad in dict.fromkeys(quads):
         group = np.flatnonzero(quads == quad)
         group = group[np.argsort(np.abs(z[group]), kind="stable")]
@@ -229,16 +308,21 @@ def _along(points, reference, coeffs) -> np.ndarray:
     return out
 
 
+def _rows(*coeffs) -> np.ndarray:
+    """Coefficient rows, one per point, from scalars and arrays of points."""
+    return np.stack(np.broadcast_arrays(*coeffs), axis=-1)
+
+
 def _quartic(p: SurfaceParams):
-    """Coefficients of (w^2 + gamma^3)^2 - z w^3 as a function of z."""
+    """Rows of coefficients of (w^2 + gamma^3)^2 - z w^3 at an array of z."""
     g3 = p.gamma**3
-    return lambda z: np.array([1.0, -z, 2.0 * g3, 0.0, g3 * g3])
+    return lambda z: _rows(1.0, -z, 2.0 * g3, 0.0, g3 * g3)
 
 
 def _reference_roots(quadrant: str, p: SurfaceParams) -> tuple[complex, np.ndarray]:
     """The quadrant's interior reference point and its modulus-ordered roots."""
     z_ref = 1.5 * p.c * cmath.exp(1j * _QUADRANT_ANGLE[quadrant])
-    roots = _polished_roots(_quartic(p)(z_ref))
+    roots = _roots(_quartic(p)(np.array([z_ref])))[0]
     order = np.argsort(-np.abs(roots))
     roots = roots[order]
     mods = np.abs(roots)
@@ -398,13 +482,13 @@ def x_star(alpha: float, tau: float) -> float:
 
 
 def _cubic(alpha: float, tau: float):
-    """Coefficients of s^3 + alpha s - tau z as a function of z."""
-    return lambda z: np.array([1.0, 0.0, alpha, -tau * z])
+    """Rows of coefficients of s^3 + alpha s - tau z at an array of z."""
+    return lambda z: _rows(1.0, 0.0, alpha, -tau * z)
 
 
 def _ordered_real_cubic(x: float, alpha: float, tau: float) -> np.ndarray:
     """Real roots on (-x*, x*), ordered by W(s) - tau x s ascending."""
-    roots = np.real(_polished_roots(_cubic(alpha, tau)(x)))
+    roots = np.real(_roots(_cubic(alpha, tau)(np.array([x])))[0])
     crit = _w_potential(roots, alpha) - tau * x * roots
     return roots[np.argsort(crit)].astype(complex)
 
@@ -424,8 +508,8 @@ def _s_along(points, alpha: float, tau: float) -> np.ndarray:
         side = cmath.exp(1j * _QUADRANT_ANGLE[quad])
         x_ref = math.copysign(0.05 * xs, side.real)
         lift = complex(x_ref, math.copysign(0.5 * xs, side.imag))
-        return lift, _continue_roots(_ordered_real_cubic(x_ref, alpha, tau),
-                                     complex(x_ref), lift, coeffs)
+        return lift, _march(_ordered_real_cubic(x_ref, alpha, tau),
+                            complex(x_ref), [lift], coeffs)[0]
 
     return _along(points, reference, coeffs)
 

@@ -5,8 +5,11 @@ where the library itself relies on it), so that agreement is meaningful.
 """
 
 import math
+from itertools import permutations
 
-__all__ = ["airy_ai", "airy_ai_prime"]
+import numpy as np
+
+__all__ = ["airy_ai", "airy_ai_prime", "march_roots"]
 
 _AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 _AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
@@ -65,3 +68,66 @@ def airy_ai(x: float) -> float:
 
 def airy_ai_prime(x: float) -> float:
     return (_airy_series(x) if x < 5.5 else _airy_asymptotic(x))[1]
+
+
+# ---------------------------------------------------------------------------
+# Root continuation one point at a time, with recursive bisection: the tracker
+# that critkernels.surface used before its batched march.
+
+
+def _polished_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of the polynomial ``coeffs``, polished by two Newton steps."""
+    roots = np.roots(coeffs)
+    deriv = np.polyder(coeffs)
+    for _ in range(2):
+        fp = np.polyval(deriv, roots)
+        mask = np.abs(fp) > 0.0
+        roots[mask] -= np.polyval(coeffs, roots[mask]) / fp[mask]
+    return roots
+
+
+_PERMS = {n: np.array(list(permutations(range(n)))) for n in (3, 4)}
+
+
+def _continue_roots(prev: np.ndarray, z0: complex, z1: complex, coeffs,
+                    calls: list, depth: int = 0) -> np.ndarray:
+    """Continue labeled roots of ``coeffs(z)`` from z0 to z1 along the segment.
+
+    The roots at z1 are permuted so that the largest movement is least
+    (the first of equal candidates wins); the step is bisected until every
+    root moves at most 0.3 times its own nearest-neighbour distance at z1.
+    Each call appends z1 to ``calls``.
+    """
+    calls.append(z1)
+    new = _polished_roots(coeffs(z1))
+    cands = new[_PERMS[len(new)]]
+    cost = np.max(np.abs(cands - prev), axis=1)
+    best = int(np.argmin(cost))
+    roots = cands[best]
+    near = np.sort(np.abs(roots[:, None] - roots), axis=1)[:, 1]
+    if (np.all(np.abs(roots - prev) <= 0.3 * near)
+            or abs(z1 - z0) < 1e-14 * max(1.0, abs(z1))):
+        return roots
+    if depth > 60:
+        raise RuntimeError(
+            f"root continuation failed to separate branches near z = {z1}")
+    mid = 0.5 * (z0 + z1)
+    half = _continue_roots(prev, z0, mid, coeffs, calls, depth + 1)
+    return _continue_roots(half, mid, z1, coeffs, calls, depth + 1)
+
+
+def march_roots(roots: np.ndarray, z0: complex, points,
+                coeffs) -> tuple[np.ndarray, int]:
+    """Continue ``roots``, labeled at z0, through ``points`` in order.
+
+    ``coeffs`` maps a scalar z to the polynomial's coefficient vector.
+    Returns the labeled roots, shape (len(points), number of roots), and the
+    number of continuation calls; each call solves one polynomial.
+    """
+    calls: list = []
+    out = np.empty((len(points), len(roots)), dtype=complex)
+    for k, z in enumerate(points):
+        roots = _continue_roots(roots, z0, z, coeffs, calls)
+        z0 = z
+        out[k] = roots
+    return out, len(calls)

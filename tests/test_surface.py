@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import march_roots
 
+from critkernels import measures as ms
 from critkernels import surface as sf
 from critkernels.errors import DegenerateRoots, PathOnCut
 
@@ -393,27 +395,96 @@ def test_origin_is_a_branch_point_of_the_quartic():
     assert np.all(np.isfinite(sf.theta_branches(0.0, -1.0, 1.0).s))
 
 
-def test_continue_roots_bisects_only_crowded_roots(monkeypatch):
+def test_continue_roots_bisects_only_crowded_roots():
     # [DERIVED] far up the imaginary axis w1 ~ z moves with z while the three
     # small roots sit ~0.4 apart and barely move: one step of the mass_mu2
     # path from 50i to 61i needs no bisection down to the small roots'
-    # separation (255 calls when every root was held to it), and keeps the
-    # labels a fine march assigns
+    # separation (255 evaluations when every root was held to it), and keeps
+    # the labels a fine march assigns
     z0, z1 = complex(-1e-8, 50.0), complex(-1e-8, 61.0)
     coeffs = sf._quartic(CRIT)
     start = sf._w_along([z0], CRIT)[0]
     fine = sf._march(start, z0, np.linspace(z0, z1, 2001)[1:], coeffs)[-1]
-    calls = []
-    step = sf._continue_roots
-
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return step(*args, **kwargs)
-
-    monkeypatch.setattr(sf, "_continue_roots", counted)
-    roots = sf._continue_roots(start, z0, z1, coeffs)
-    assert len(calls) <= 50
+    before = sf.root_evaluations
+    roots = sf._march(start, z0, [z1], coeffs)[0]
+    assert sf.root_evaluations - before <= 50
     assert np.array_equal(roots, fine)
+
+
+def test_march_refuses_a_step_onto_a_double_root():
+    # [TRIVIAL] w1 = w2 at the branch point z = c, so no piece of a step
+    # onto it is accepted by the distance test; from 1e6 the pieces at
+    # depth 61 are 4e-13 long, above the roundoff floor, so the step is
+    # refused, naming the point
+    z0 = complex(1e6, 0.0)
+    coeffs = sf._quartic(CRIT)
+    start = sf._roots(coeffs(np.array([z0])))[0]
+    with pytest.raises(DegenerateRoots, match=r"near z = \(3\.0792"):
+        sf._march(start, z0, [complex(CRIT.c)], coeffs)
+
+
+def test_march_refuses_far_out_point_at_the_first_deep_step():
+    # [DERIVED] from the quadrant reference to 1e20 + i, w1's move ties the
+    # min-max match of the small roots' permutations down to depth 61.
+    # Rounds take the leftmost pending steps first, so the refusal names the
+    # first such step on the path, as a depth-first bisection does, after a
+    # few thousand evaluations instead of a level-by-level tree
+    before = sf.root_evaluations
+    with pytest.raises(DegenerateRoots, match=r"near z = \(46\.63"):
+        sf.xi_branches(1e20 + 1j, CRIT)
+    assert sf.root_evaluations - before < 20_000
+
+
+def _spy_marches(monkeypatch) -> list:
+    """Record every ``sf._march`` call: its arguments, its result and the
+    root evaluations it made."""
+    calls = []
+    march = sf._march
+
+    def spy(roots, z0, points, coeffs):
+        before = sf.root_evaluations
+        out = march(roots, z0, points, coeffs)
+        calls.append((roots, z0, points, coeffs, out, sf.root_evaluations - before))
+        return out
+
+    monkeypatch.setattr(sf, "_march", spy)
+    return calls
+
+
+def _assert_matches_recursive_tracker(calls):
+    evaluations = oracle_calls = 0
+    for roots, z0, points, coeffs, out, count in calls:
+        want, n = march_roots(roots, z0, points, lambda z: coeffs(np.array([z]))[0])
+        assert np.array_equal(out, want)
+        evaluations += count
+        oracle_calls += n
+    assert evaluations <= oracle_calls
+
+
+@pytest.mark.parametrize("mass", [ms.mass_mu2, ms.mass_mu3], ids=["mu2", "mu3"])
+def test_march_equals_recursive_tracker_on_mass_paths(monkeypatch, mass):
+    # [DERIVED] the batched march labels every node of the mass paths, on
+    # both sides of the carrier and for both polynomials, exactly as the
+    # point-by-point recursive tracker does, and solves no more polynomials;
+    # the paths are longer than one block, so block seams are crossed
+    calls = _spy_marches(monkeypatch)
+    mass(CRIT)
+    assert max(len(points) for _, _, points, *_ in calls) > sf._BLOCK
+    _assert_matches_recursive_tracker(calls)
+
+
+def test_march_equals_recursive_tracker_on_shuffled_grid(monkeypatch):
+    # [DERIVED] as above, on a shuffled grid over all four quadrants with
+    # points on both axes
+    rng = np.random.default_rng(8)
+    points = rng.permutation(np.concatenate([
+        rng.uniform(-4, 4, 40) + 1j * rng.uniform(-4, 4, 40),
+        [2.0, -1.0, 3.5j, -0.5j, 1e-3 + 0j, 5.0, -7.0]]))
+    calls = _spy_marches(monkeypatch)
+    sf.xi_sheet_on_path(points, CRIT, 0)
+    sf.cubic_sheet_on_path(points, -1.0, 1.0, 0)
+    assert len(calls) == 4 + 2 * 4      # quartic quadrants; cubic lifts and quadrants
+    _assert_matches_recursive_tracker(calls)
 
 
 # ---------------------------------------------------------------------------
