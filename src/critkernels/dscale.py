@@ -36,10 +36,10 @@ It is solved as R_- = I + C_-[R_-(J - I)] by GMRES (FFT Cauchy
 projections on the circles, Legendre expansions with exact
 principal-value weights on the segments; Olver, Numer. Math. 122 (2012)).
 
-The kernel is then assembled from M3 = R P with the balanced bilinear
-form; the overall conjugation by e^{a^3 (g1+g2)/2} (which cancels in
-the diagonal and in 2x2 determinants) is stripped, so off-diagonal
-values are reported up to that conjugation.
+The kernel is then the K_cr form of `kernels._form` in M3 = R P; the
+overall conjugation by e^{a^3 (g1+g2)/2} (which cancels in the diagonal
+and in 2x2 determinants) is stripped, so off-diagonal values are
+reported up to that conjugation.
 
 The Airy model parametrix is exact: with omega = e^{2 pi i/3},
 vA = (Ai(xi), Ai'(xi)), vB = (Ai(omega^2 xi), omega^2 Ai'(omega^2 xi)),
@@ -65,7 +65,7 @@ from scipy.special import airy
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import laxpair, painleve
-from .errors import DomainRestriction, IntegrationFailure
+from .errors import DomainRestriction, IntegrationFailure, _finite
 from .piisolver import get_pii_solver
 
 __all__ = ["DoubleScaling", "double_scaling_gap"]
@@ -157,32 +157,21 @@ def _segment(A: complex, B: complex) -> _Piece:
 
 
 class DoubleScaling:
-    """Kernel evaluator at (s, t) = (a^2/2, -a(1 - sigma/a^2)), a >= 2."""
+    """Kernel evaluator at (s, t) = (a^2/2, -a(1 - sigma/a^2)), a >= 2; U0 radius eps."""
 
-    def __init__(self, a: float, sigma: float, u_points=()):
+    def __init__(self, a: float, sigma: float, eps: float = 0.64):
         self.a = float(a)
         self.sigma = float(sigma)
         self.p = 1.0 - sigma / a ** 2
         self.nu0 = 2.0 ** (5.0 / 3.0) * sigma
         self.pii = get_pii_solver(complex(self.nu0))
         self.q_nu = complex(painleve.default_solution()(self.nu0)[1])
-        self.eps = self._choose_eps(u_points)
+        self.eps = float(eps)
         self.delta = min(0.97 - self.eps, 0.32)
         self._build_contour()
         self._solve()
 
     # -- geometry; z is a scalar or an array throughout --------------------
-
-    def _choose_eps(self, u_points) -> float:
-        # keep the Airy disks at radius >= 0.25 (so a^2 delta is large
-        # enough for the local variable) while staying away from the
-        # evaluation points on the imaginary axis
-        cands = np.arange(0.50, 0.721, 0.02)
-        if not len(u_points):
-            return 0.64
-        us = np.abs(np.asarray(u_points, dtype=float))
-        best = max(cands, key=lambda e: min(abs(us - e).min(), 0.10) + 0.001 * e)
-        return float(best)
 
     def gs(self, z) -> np.ndarray:
         """(g1, g2, g3, g4) at z, stacked on a leading axis."""
@@ -364,61 +353,68 @@ class DoubleScaling:
         self.F = (np.eye(4) + self.X) @ JmI
         self.resid_norm = float(np.max(np.abs(apply(sol) - rhs)))
 
-    def r_eval(self, z: complex) -> np.ndarray:
-        """R(z) off the contour."""
-        ker = (self.weights / (self.nodes - z))[:, None, None] / (2j * np.pi)
-        return np.eye(4, dtype=complex) + np.sum(ker * self.F, axis=0)
+    def r_eval(self, z) -> np.ndarray:
+        """R(z) off the contour at a scalar or an array of z, summed in node order."""
+        z = np.asarray(z, dtype=complex)[..., None]
+        ker = (self.weights / (self.nodes - z))[..., None, None] / (2j * np.pi)
+        return np.eye(4, dtype=complex) + np.sum(ker * self.F, axis=-3)
 
     # -- kernel assembly ---------------------------------------------------
 
-    def _col(self, v: float) -> np.ndarray:
-        z = 1j * v
-        if abs(v) < self.eps:
-            psi = self.psi_local(z)[2]
-            vec = np.zeros(4, dtype=complex)
-            vec[:2] = psi @ np.array([1.0, 1.0])
-        else:
-            d = 0.5 * self.a ** 3 * (self.g(z, 1) - self.g(z, 2))
-            vec = np.array([cmath.exp(d), cmath.exp(-d), 0.0, 0.0])
-        return self.r_eval(z) @ (self.p_inf(z) @ vec)
+    def _balanced(self, us) -> tuple[np.ndarray, np.ndarray]:
+        """(M3, zero logs) with M3(iu) = R(iu) P_inf(iu) Lambda(u) at each u.
 
-    def _row(self, u: float) -> np.ndarray:
-        z = 1j * u
-        if abs(u) < self.eps:
-            psi = self.psi_local(z)[2]
-            vec = np.zeros(4, dtype=complex)
-            vec[:2] = np.linalg.solve(psi.T, np.array([-1.0, 1.0]))
-        else:
-            d = 0.5 * self.a ** 3 * (self.g(z, 1) - self.g(z, 2))
-            vec = np.array([-cmath.exp(-d), cmath.exp(d), 0.0, 0.0])
-        M = self.r_eval(z) @ self.p_inf(z)
-        return np.linalg.solve(M.T, vec)
+        Lambda is blockdiag(Psi(w; nu), I) inside U0, from one `psi_local`
+        call, and diag(e^d, e^{-d}, 1, 1), d = a^3 (g1 - g2)/2, outside.
+        """
+        us = np.asarray(us, dtype=float)
+        z = 1j * us
+        inside = np.abs(us) < self.eps
+        lam = np.broadcast_to(np.eye(4, dtype=complex), z.shape + (4, 4)).copy()
+        if inside.any():
+            lam[inside, :2, :2] = self.psi_local(z[inside])[2]
+        G = self.gs(z[~inside])
+        d = 0.5 * self.a ** 3 * (G[0] - G[1])
+        lam[~inside, 0, 0], lam[~inside, 1, 1] = np.exp(d), np.exp(-d)
+        return self.r_eval(z) @ self.p_inf(z) @ lam, np.zeros(z.shape + (4,))
 
-    def kernel(self, x: float, y: float) -> complex:
+    def kernel(self, x, y):
         """Scaled kernel 2^{5/3} a K_cr(2^{5/3}a x, 2^{5/3}a y) (reduced).
 
+        x and y are scalars or broadcastable arrays, as for `kernel_cr`,
+        and the value is the K_cr form of `kernels._form` in M3.  The
+        diagonal is the mean over (x, x +- 1e-3), so no pair coincides.
         Off-diagonal values carry the conjugation e^{a^3(h(x)-h(y))/2},
         h = g1 + g2, which cancels in the diagonal, in products
         K(x,y)K(y,x), and in determinants.
         """
+        from .kernels import _CR_COL, _CR_ROW, _form
+
+        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        h = np.where(x == y, 1e-3, 0.0).ravel()
         c = 2.0 ** (5.0 / 3.0) / self.a
-        u, v = c * x, c * y
-        if x == y:
-            h = 1e-3
-            return 0.5 * (self.kernel(x, y + h) + self.kernel(x, y - h))
-        num = self._row(u) @ self._col(v)
-        return complex(num / (2j * math.pi * (x - y)))
+        K = _form(None, lambda p: self._balanced(c * p), np.tile(x.ravel(), 2),
+                  np.concatenate([y.ravel() + h, y.ravel() - h]), 1.0,
+                  _CR_ROW, _CR_COL)
+        K = 0.5 * (K[:h.size] + K[h.size:])
+        return complex(K[0]) if x.shape == () else K.reshape(x.shape)
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_ds(a: float, sigma: float, ukey: tuple) -> DoubleScaling:
-    return DoubleScaling(a, sigma, u_points=ukey)
+def _choose_eps(us) -> float:
+    # keep the Airy disks at radius >= 0.25 (so a^2 delta is large
+    # enough for the local variable) while staying away from the
+    # evaluation points iu on the imaginary axis
+    cands = np.arange(0.50, 0.721, 0.02)
+    us = np.abs(np.asarray(us, dtype=float))
+    return float(max(cands, key=lambda e: min(abs(us - e).min(), 0.10) + 0.001 * e))
+
+
+_cached_ds = functools.lru_cache(maxsize=8)(DoubleScaling)
 
 
 def _ds_for(a: float, sigma: float, xs) -> DoubleScaling:
     c = 2.0 ** (5.0 / 3.0) / a
-    ukey = tuple(sorted({round(c * abs(x), 6) for x in xs}))
-    return _cached_ds(float(a), float(sigma), ukey)
+    return _cached_ds(float(a), float(sigma), _choose_eps(c * np.asarray(xs)))
 
 
 def double_scaling_gap(a: float, sigma: float, x: float, y: float) -> float:
@@ -432,20 +428,20 @@ def double_scaling_gap(a: float, sigma: float, x: float, y: float) -> float:
     """
     from . import kernels
 
+    _finite(a=a, sigma=sigma, x=x, y=y)
     if a < 2.0:
         raise DomainRestriction(
             "double_scaling_gap requires a >= 2 (below that the direct "
             "kernel_cr evaluation is the appropriate tool)")
     ds = _ds_for(a, sigma, (x, y))
-    nu = 2.0 ** (5.0 / 3.0) * sigma
-    xy = [x] if x == y else [x, y]
-    k_s = [[ds.kernel(v, w) for w in xy] for v in xy]
-    pts = np.array(xy)
-    k_p = kernels.kernel_pii(pts[:, None], pts, nu, solver=ds.pii).tolist()
+    pts = np.array([x] if x == y else [x, y], dtype=float)
+    k_s = ds.kernel(pts[:, None], pts)
+    k_p = kernels.kernel_pii(pts[:, None], pts, 2.0 ** (5.0 / 3.0) * sigma,
+                             solver=ds.pii)
 
     def det(K):
-        if len(K) == 1:
-            return K[0][0].real
-        return K[0][0].real * K[1][1].real - (K[0][1] * K[1][0]).real
+        # the real diagonal and K01 K10 are free of the conjugation
+        off = (K[0, 1] * K[1, 0]).real if len(K) > 1 else 0.0
+        return K.diagonal().real.prod() - off
 
     return abs(det(k_s) - det(k_p))

@@ -39,15 +39,16 @@ every step the columns are rebalanced, so each column is carried as
 its steps in `taylor_steps`.
 
 The stepper yields every step's start, end, Taylor coefficients and
-logs, and two readers consume them.  `transport` evaluates its radii as
-the steps go by and keeps none of them.  A recorded `Sweep` (dense
-Taylor output) keeps them all: `SectoralSolver.sweep` builds one per
-ray, block of columns and start on first use, and stores it, and
-`Sweep.at` evaluates any radius by the Horner sum of its step, taking
-more steps only when a radius lies beyond the recorded ones.  Since
-the grid depends on r and the start only, an extended sweep takes the
-same steps as a fresh one: a recorded value equals that of a one-ray
-transport bit for bit, whatever was asked of the sweep before.
+logs, and two readers consume them.  `transport` runs outward from
+Phi(0) = I on a batch of rays and evaluates its radii as the steps go
+by, keeping none of them.  A recorded `Sweep` (dense Taylor output)
+keeps them all: `SectoralSolver.sweep` builds one per ray, block of
+columns and start on first use, and stores it, and `Sweep.at` evaluates
+any radius by the Horner sum of its step, taking more steps only when a
+radius lies beyond the recorded ones.  Every inward leg is a sweep.
+Since the grid depends on r and the start only, an extended sweep takes
+the same steps as a fresh one: a recorded value equals that of a fresh
+sweep bit for bit, whatever was asked of the sweep before.
 
 The jump relations tie the C_k together; `split_solve` deliberately
 omits the links across one opposite pair of rays so that those two
@@ -157,8 +158,7 @@ class SectoralSolver:
             hi = self.RAYS[(k + 1) % n] + (2.0 * math.pi if k == n - 1 else 0.0)
             angles += [lo + _EDGE, 0.5 * (lo + hi), hi - _EDGE]
         directions = [cmath.exp(1j * ang) for ang in angles]
-        P, logs = self.transport(directions, np.eye(self.dim),
-                                 np.zeros(self.dim), 0.0, radii)
+        P, logs = self.transport(directions, radii)
         self._anchors = [[] for _ in range(n)]
         for i, direction in enumerate(directions):
             for r, Pr, lr in zip(radii, P[i], logs[i]):
@@ -203,36 +203,29 @@ class SectoralSolver:
 
     # -- fundamental solution ----------------------------------------------
 
-    def transport(self, directions, Y, logs, r_from: float,
-                  radii) -> tuple[np.ndarray, np.ndarray]:
-        """(Yhat, logs) at the radii for dY/dzeta = L Y on a batch of rays.
+    def transport(self, directions, radii) -> tuple[np.ndarray, np.ndarray]:
+        """(Phihat, logs) of Phi, Phi(0) = I, at the radii on a batch of rays.
 
-        Ray b runs along directions[b] (unit modulus).  Y diag(e^{logs})
-        is the d x k block of solutions at r_from * directions[b]; Y and
-        logs are shared by all rays or carry a leading batch axis.  radii
-        has shape (m,), shared, or (b, m); they may lie on either side of
-        r_from.  Returns Yhat of shape (b, m, d, k), every column at unit
-        max, and logs of shape (b, m, k).
+        Ray b runs outward along directions[b] (unit modulus); radii >= 0
+        has shape (m,), shared, or (b, m).  Phi(r directions[b]) is Phihat
+        diag(e^{logs}), Phihat of shape (b, m, d, d) with unit-max columns
+        and logs of shape (b, m, d).  Inward legs are sweeps (`sweep`).
         """
         dirs = np.atleast_1d(np.asarray(directions, dtype=complex))
         radii = np.asarray(radii, dtype=float)
         radii = np.broadcast_to(radii, (len(dirs),) + radii.shape[-1:])
-        Y = np.asarray(Y, dtype=complex)
-        Y = np.broadcast_to(Y, (len(dirs),) + Y.shape[-2:])
-        start = balance_columns(Y, np.broadcast_to(logs, (len(dirs), Y.shape[-1])))
-        out = (np.empty(radii.shape + Y.shape[1:], dtype=complex),
-               np.empty(radii.shape + Y.shape[2:]))
-        bi, mi = np.nonzero(radii == r_from)
-        out[0][bi, mi], out[1][bi, mi] = start[0][bi], start[1][bi]
-        for sign in (1.0, -1.0):
-            pending = sign * (radii - r_from) > 0.0
-            steps = self._march(dirs, *start, r_from, sign)
-            while pending.any():
-                r, r_next, T, logs = next(steps)
-                bi, mi = np.nonzero(pending & (sign * (radii - r_next) <= 0.0))
-                out[0][bi, mi], out[1][bi, mi] = balance_columns(
-                    _taylor_sum(T[bi], radii[bi, mi] - r), logs[bi])
-                pending[bi, mi] = False
+        b, d = len(dirs), self.dim
+        out = (np.empty(radii.shape + (d, d), dtype=complex),
+               np.empty(radii.shape + (d,)))
+        pending = np.ones(radii.shape, dtype=bool)
+        eye = np.broadcast_to(np.eye(d, dtype=complex), (b, d, d))
+        steps = self._march(dirs, eye, np.zeros((b, d)), 0.0, 1.0)
+        while pending.any():
+            r, r_next, T, logs = next(steps)
+            bi, mi = np.nonzero(pending & (radii <= r_next))
+            out[0][bi, mi], out[1][bi, mi] = balance_columns(
+                _taylor_sum(T[bi], radii[bi, mi] - r), logs[bi])
+            pending[bi, mi] = False
         if not np.all(np.isfinite(out[0])):
             raise IntegrationFailure("Lax transport produced non-finite values")
         return out
@@ -306,8 +299,7 @@ class SectoralSolver:
         out = np.tile(np.eye(self.dim, dtype=complex), (len(flat), 1, 1))
         far = r >= 1e-14
         if far.any():
-            P, logs = self.transport(flat[far] / r[far], np.eye(self.dim),
-                                     np.zeros(self.dim), 0.0, r[far, None])
+            P, logs = self.transport(flat[far] / r[far], r[far, None])
             out[far] = P[:, 0] * np.exp(logs[:, 0, None, :])
         return out.reshape(z.shape + (self.dim, self.dim))
 

@@ -139,10 +139,12 @@ def _nudge_off_axis(points) -> np.ndarray:
     return z
 
 
-def _quadrant(z: complex) -> str:
-    if z.real > 0.0:
-        return "I" if z.imag > 0.0 else "IV"
-    return "II" if z.imag > 0.0 else "III"
+def _quadrant(z):
+    """The quadrant label of z, "I" to "IV"; an array of labels for an array."""
+    z = np.asarray(z)
+    q = np.where(z.real > 0.0, np.where(z.imag > 0.0, "I", "IV"),
+                 np.where(z.imag > 0.0, "II", "III"))
+    return q.item() if q.ndim == 0 else q
 
 
 _QUADRANT_ANGLE = {"I": 0.25 * math.pi, "II": 0.75 * math.pi,
@@ -298,7 +300,7 @@ def _along(points, reference, coeffs) -> np.ndarray:
     interior point of the quadrant and the labeled roots there.
     """
     z = _nudge_off_axis(points)
-    quads = np.array([_quadrant(w) for w in z])
+    quads = _quadrant(z)
     out = np.empty((len(z), coeffs(z[:0]).shape[1] - 1), dtype=complex)
     for quad in dict.fromkeys(quads):
         group = np.flatnonzero(quads == quad)

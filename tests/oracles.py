@@ -4,12 +4,13 @@ These deliberately avoid the library's own code paths (and scipy.special
 where the library itself relies on it), so that agreement is meaningful.
 """
 
+import cmath
 import math
 from itertools import permutations
 
 import numpy as np
 
-__all__ = ["airy_ai", "airy_ai_prime", "march_roots"]
+__all__ = ["airy_ai", "airy_ai_prime", "ds_gap", "ds_kernel", "march_roots"]
 
 _AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 _AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
@@ -131,3 +132,64 @@ def march_roots(roots: np.ndarray, z0: complex, points,
         z0 = z
         out[k] = roots
     return out, len(calls)
+
+
+# ---------------------------------------------------------------------------
+# The double-scaling kernel one point at a time: the scalar assembly that
+# critkernels.dscale used before it went through kernels._form.  It reads
+# the evaluator's contour solve (nodes, weights, F) and its parametrices.
+
+
+def _ds_r(ds, z: complex) -> np.ndarray:
+    ker = (ds.weights / (ds.nodes - z))[:, None, None] / (2j * np.pi)
+    return np.eye(4, dtype=complex) + np.sum(ker * ds.F, axis=0)
+
+
+def _ds_col(ds, v: float) -> np.ndarray:
+    z = 1j * v
+    if abs(v) < ds.eps:
+        psi = ds.psi_local(z)[2]
+        vec = np.zeros(4, dtype=complex)
+        vec[:2] = psi @ np.array([1.0, 1.0])
+    else:
+        d = 0.5 * ds.a ** 3 * (ds.g(z, 1) - ds.g(z, 2))
+        vec = np.array([cmath.exp(d), cmath.exp(-d), 0.0, 0.0])
+    return _ds_r(ds, z) @ (ds.p_inf(z) @ vec)
+
+
+def _ds_row(ds, u: float) -> np.ndarray:
+    z = 1j * u
+    if abs(u) < ds.eps:
+        psi = ds.psi_local(z)[2]
+        vec = np.zeros(4, dtype=complex)
+        vec[:2] = np.linalg.solve(psi.T, np.array([-1.0, 1.0]))
+    else:
+        d = 0.5 * ds.a ** 3 * (ds.g(z, 1) - ds.g(z, 2))
+        vec = np.array([-cmath.exp(-d), cmath.exp(d), 0.0, 0.0])
+    M = _ds_r(ds, z) @ ds.p_inf(z)
+    return np.linalg.solve(M.T, vec)
+
+
+def ds_kernel(ds, x: float, y: float) -> complex:
+    """Scaled K_cr of the evaluator ds at one pair; the diagonal is the
+    mean over y +- 1e-3."""
+    c = 2.0 ** (5.0 / 3.0) / ds.a
+    if x == y:
+        h = 1e-3
+        return 0.5 * (ds_kernel(ds, x, y + h) + ds_kernel(ds, x, y - h))
+    num = _ds_row(ds, c * x) @ _ds_col(ds, c * y)
+    return complex(num / (2j * math.pi * (x - y)))
+
+
+def ds_gap(ds, k_pii, x: float, y: float) -> float:
+    """The double-scaling gap from ds_kernel and the K_PII matrix k_pii,
+    both on the points [x] (x == y) or [x, y]."""
+    xy = [x] if x == y else [x, y]
+    k_s = [[ds_kernel(ds, v, w) for w in xy] for v in xy]
+
+    def det(K):
+        if len(K) == 1:
+            return K[0][0].real
+        return K[0][0].real * K[1][1].real - (K[0][1] * K[1][0]).real
+
+    return abs(det(k_s) - det(k_pii.tolist()))

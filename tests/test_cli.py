@@ -133,7 +133,8 @@ def test_config_error_exit_2(runner, tmp_path):
     for args in (["kernel", "--which", "tac", "--u", "-1", "--v", "1"],
                  ["kernel", "--which", "cr", "--u", "nan", "--v", "1"],
                  ["density", "--alpha", "-1", "--tau", "-1"],
-                 ["hm", "--grid", "-20:20:5"]):
+                 ["hm", "--grid", "-20:20:5"],
+                 ["double-scaling", "--a", "4", "--sigma", "0.5", "--u", "inf"]):
         result, _, _ = _run(runner, tmp_path, args)
         assert result.exit_code == 2, result.output
         assert "Traceback" not in result.output

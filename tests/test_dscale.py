@@ -2,20 +2,27 @@
 
 import cmath
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from critkernels import kernels
-from critkernels.dscale import (DoubleScaling, _circle_cauchy_minus, _segment_cauchy_minus,
-                                airy_model, double_scaling_gap)
+from critkernels.dscale import (DoubleScaling, _choose_eps, _circle_cauchy_minus, _ds_for,
+                                _segment_cauchy_minus, airy_model, double_scaling_gap)
 from critkernels.errors import DomainRestriction
+
+from oracles import ds_gap, ds_kernel
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import GAP_POOL  # noqa: E402
 
 
 @pytest.fixture(scope="module")
 def ds3():
     c = 2.0 ** (5.0 / 3.0) / 3.0
-    return DoubleScaling(3.0, 0.5, u_points=(c * 0.5, c * 0.7))
+    return DoubleScaling(3.0, 0.5, _choose_eps((c * 0.5, c * 0.7)))
 
 
 def test_airy_model_jumps():
@@ -126,7 +133,7 @@ def test_validates_against_direct_solver():
     a, sigma = 2.0, 0.5
     scale = 2.0 ** (5.0 / 3.0) * a
     c = scale / a ** 2
-    ds = DoubleScaling(a, sigma, u_points=(c * 0.5, c * 0.7))
+    ds = DoubleScaling(a, sigma, _choose_eps((c * 0.5, c * 0.7)))
     s_par, t_par = a * a / 2.0, -a * (1.0 - sigma / a ** 2)
     for x in (-0.5, 0.7):
         ks = ds.kernel(x, x).real
@@ -151,3 +158,56 @@ def test_gap_precondition():
     # [TRIVIAL] a >= 2 is required
     with pytest.raises(DomainRestriction):
         double_scaling_gap(1.5, 0.5, -0.5, 0.7)
+
+
+def test_gap_rejects_non_finite_inputs_by_name():
+    # [TRIVIAL] a non-finite argument is named before any evaluator is
+    # built (x = inf used to recurse without end, a = inf to hit a
+    # singular matrix, sigma = nan to fail in Hastings-McLeod)
+    for args, bad in (((math.inf, 0.5, -0.5, 0.7), "a"),
+                      ((4.0, math.nan, -0.5, 0.7), "sigma"),
+                      ((4.0, 0.5, math.inf, 0.7), "x"),
+                      ((4.0, 0.5, math.nan, 0.7), "x"),
+                      ((4.0, 0.5, -0.5, -math.inf), "y")):
+        with pytest.raises(ValueError, match=f"^{bad} must be finite"):
+            double_scaling_gap(*args)
+
+
+def test_kernel_matrix_matches_scalar_oracle(ds3):
+    # [DERIVED] the kernel through kernels._form agrees with the scalar
+    # row/column assembly on the same contour solve; the diagonal, a
+    # mean over y +- 1e-3, carries 1e3 times the roundoff of a pair,
+    # so the bound is relative to the matrix's largest entry
+    xs = np.array([-0.7, -0.5, -0.3, 0.2, 0.3, 0.5, 0.7])
+    K = ds3.kernel(xs[:, None], xs)
+    O = np.array([[ds_kernel(ds3, x, y) for y in xs] for x in xs])
+    assert np.max(np.abs(K - O)) <= 1e-13 * np.max(np.abs(O))
+
+
+def test_kernel_entry_equals_its_own_call(ds3):
+    # [TRIVIAL] an entry of a matrix call equals its own 1x1 call
+    xs = np.array([-0.5, 0.2, 0.7])
+    K = ds3.kernel(xs[:, None], xs)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(xs):
+            k = ds3.kernel(x, y)
+            assert isinstance(k, complex)
+            assert abs(k - K[i, j]) <= 1e-14 * abs(K[i, j])
+
+
+@pytest.mark.parametrize("a,x,y", [(a, -0.5, 0.7) for a in (3.0, 4.0, 5.0)]
+                         + [(4.0, x, y) for x, y in GAP_POOL])
+def test_gap_matches_scalar_oracle(a, x, y):
+    # [DERIVED] at the criterion-10 points and the benchmark's gap pool
+    # the gap equals the pairwise one of the scalar assembly
+    ds = _ds_for(a, 0.5, (x, y))
+    pts = np.array([x] if x == y else [x, y])
+    k_p = kernels.kernel_pii(pts[:, None], pts, 2.0 ** (5.0 / 3.0) * 0.5, solver=ds.pii)
+    assert abs(double_scaling_gap(a, 0.5, x, y) - ds_gap(ds, k_p, x, y)) <= 1e-12
+
+
+def test_one_evaluator_per_disk_radius():
+    # [TRIVIAL] requests that choose the same eps share one DoubleScaling
+    c = 2.0 ** (5.0 / 3.0) / 4.0
+    assert _choose_eps((c * 0.3, c * 0.3)) == _choose_eps((c * 0.5, c * 0.7))
+    assert _ds_for(4.0, 0.5, (-0.3, 0.3)) is _ds_for(4.0, 0.5, (-0.5, 0.7))

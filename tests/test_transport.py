@@ -35,7 +35,7 @@ def rh():
 def test_outward_rh(rh):
     # [DERIVED] Phi along rays in every sector, out to the anchor radius
     dirs = np.exp(1j * np.linspace(0.05, 2 * np.pi + 0.05, 10, endpoint=False))
-    Yhat, logs = rh.transport(dirs, np.eye(4), np.zeros(4), 0.0, [14.0])
+    Yhat, logs = rh.transport(dirs, [14.0])
     for b, d in enumerate(dirs):
         ref = _oracle(rh, d, np.eye(4), 0.0, 14.0)
         assert _column_error(Yhat[b, 0], logs[b, 0], ref) < 1e-10, d
@@ -46,10 +46,10 @@ def test_inward_rh(rh):
     # are recessive outward, carried from the series frame at 14 to 0.5
     F, g = rh._series_frame(14.0j, 2)
     Y0 = F[:, [2, 3]]
-    Yhat, logs = rh.transport([1j], Y0, g[[2, 3]], 14.0, [0.5, 3.0])
+    Yhat, logs = rh.sweep(1j, 2, (2, 3), 14.0).at([0.5, 3.0])
     for m, r in enumerate((0.5, 3.0)):
         ref = _oracle(rh, 1j, Y0, 14.0, r)
-        assert _column_error(Yhat[0, m], logs[0, m], ref, shift=g[[2, 3]]) < 1e-10, r
+        assert _column_error(Yhat[m], logs[m], ref, shift=g[[2, 3]]) < 1e-10, r
 
 
 def test_pii_on_double_scaling_nodes():
@@ -59,7 +59,7 @@ def test_pii_on_double_scaling_nodes():
     pii = get_pii_solver(complex(2.0 ** (5.0 / 3.0) * 0.5))
     w = 1j * ds.a * np.array([ds.f1(z) for z in ds.pieces[0].nodes[::8]])
     r = np.abs(w)
-    Yhat, logs = pii.transport(w / r, np.eye(2), np.zeros(2), 0.0, r[:, None])
+    Yhat, logs = pii.transport(w / r, r[:, None])
     for b in range(len(w)):
         ref = _oracle(pii, w[b] / r[b], np.eye(2), 0.0, r[b])
         assert _column_error(Yhat[b, 0], logs[b, 0], ref) < 1e-10, w[b]
