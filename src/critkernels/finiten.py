@@ -18,8 +18,8 @@ m_l = int y^l e^{-n(W(y) - tau^2 y^2/2)} dy, which satisfy the exact
 recursion n(m_{l+4} + beta m_{l+2}) = (l+1) m_l with beta = alpha -
 tau^2; only m_0 and m_2 need quadrature.  The transforms Q_k(x) are
 combinations of I_j(x) = int t^j e^{-n(W(t) - tau x t)} dt, which
-satisfy n(I_{j+3} + alpha I_{j+1} - tau x I_j) = j I_{j-1}; so each
-point of K_n needs three quadratures (I_0, I_1, I_2) whatever n is.
+satisfy n(I_{j+3} + alpha I_{j+1} - tau x I_j) = j I_{j-1}; I_0, I_1, I_2
+are series in the tau = 0 moments m_l, one table per family, not quadratures.
 The factorization is exponentially ill-conditioned in n, so all of this
 runs in mpmath arbitrary-precision arithmetic (default 64 * ceil(n/6)
 bits, with one doubling retry if the factorization loses positivity).
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import mpmath as mp
 import numpy as np
 
-from .errors import DomainRestriction, QuadratureFailure
+from .errors import DomainRestriction, QuadratureFailure, _finite
 
 __all__ = [
     "BimomentMatrix",
@@ -124,6 +124,7 @@ class BiorthogonalFamily:
 def bimoment_matrix(n: int, alpha: float, tau: float,
                     precision_bits: int | None = None) -> BimomentMatrix:
     """Bimoment matrix of the coupled weight at size (n+1) x (n+1)."""
+    _finite(alpha=alpha, tau=tau)
     if n > 36:
         raise DomainRestriction("n is capped at 36 (convergence rate makes "
                                 "larger n uninformative)")
@@ -224,40 +225,64 @@ def polynomial_zeros(fam: BiorthogonalFamily, k: int | None = None):
     with mp.workprec(fam.precision_bits):
         coeffs = list(reversed(fam.p_coeffs[k]))      # highest degree first
         roots = mp.polyroots(coeffs, maxsteps=200, extraprec=fam.precision_bits)
-        out = []
-        for r in roots:
-            out.append(complex(r))
-    arr = np.array(out)
+        arr = np.array([complex(r) for r in roots])
     return np.sort(arr.real) + 1j * arr.imag[np.argsort(arr.real)]
 
 
+@functools.lru_cache(maxsize=8)
+def _w_table(n: int, alpha: float, bits: int) -> list:
+    """M_l = m_l at tau = 0 for l <= 2n; ``_t_moments`` extends it in place."""
+    with mp.workprec(bits):
+        return _y_moments(n, alpha, 0.0, 2 * n)
+
+
 def _t_moments(n: int, alpha: float, tau: float, y):
-    """I_j(y), j < n: I_0, I_1, I_2 by quadrature, the rest by the
-    recursion of the module docstring."""
+    """I_j(y), j < n: I_0..I_2 as sum_{k = j mod 2} (n tau y)^k / k! M_{j+k}
+    with 16 guard bits, stopped past the peak once a term is below epsilon
+    (at most 4096 terms); the rest by the module docstring's recursion.
+    The terms share a sign, so magnitudes summing past twice the sum mean
+    moments lost to the recursion (alpha > 0, far out): redo at 2x bits."""
     tyb = mp.mpf(tau) * mp.mpf(y)
-    Y = _tail_cutoff(n, alpha, 2 * n, mp.mp.prec) + abs(y) + 2.0
-
-    def weight(t):
-        return mp.e ** (-n * (t ** 4 / 4 + alpha * t ** 2 / 2 - tyb * t))
-
-    pts = [mp.mpf(-Y), mp.mpf(-1.5), mp.mpf(0), mp.mpf(1.5), mp.mpf(Y)]
-    m = [mp.quad(weight, pts), mp.quad(lambda t: t * weight(t), pts),
-         mp.quad(lambda t: t ** 2 * weight(t), pts)]
+    with mp.extraprec(16):
+        z, M, m = n * tyb, _w_table(n, alpha, mp.mp.prec), []
+        for j in range(3):
+            k, c, total, size, prev = j % 2, (z if j % 2 else 1), 0, 0, 0
+            while k <= 4096:
+                while len(M) <= j + k:
+                    M.append((len(M) - 3) * M[-4] / n - alpha * M[-2])
+                term = c * M[j + k]
+                total, size = total + term, size + abs(term)
+                if abs(term) <= min(abs(prev) / 2, mp.eps * size):
+                    break
+                prev, c, k = term, c * z * z / ((k + 1) * (k + 2)), k + 2
+            else:
+                raise QuadratureFailure(f"I_{j} at y = {y} needs > 4096 terms")
+            if size > 2 * abs(total):
+                with mp.workprec(2 * mp.mp.prec):
+                    return _t_moments(n, alpha, tau, y)
+            m.append(total)
     for j in range(n - 3):
         m.append((j * m[j - 1] if j else 0) / n - alpha * m[j + 1] + tyb * m[j])
     return m
 
 
-def kernel_n(x: float, y: float, fam: BiorthogonalFamily) -> float:
-    """K_n(x, y) = sum_{k<n} p_k(x) Q_k(y) / h_k^2, with
-    Q_k(y) = e^{-n y^2/2} sum_j q_kj I_j(y) (see ``_t_moments``)."""
+def kernel_n(x, y, fam: BiorthogonalFamily):
+    """K_n(x, y) = sum_{k<n} p_k(x) Q_k(y) / h_k^2 with Q_k(y) = e^{-n y^2/2}
+    sum_j q_kj I_j(y), each y once; x and y broadcast (a float for scalars)."""
+    _finite(x=x, y=y)
+    bx, by = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                 np.asarray(y, dtype=float))
+    xs, ys = bx.ravel().tolist(), by.ravel().tolist()
     with mp.workprec(fam.precision_bits):
-        moms = _t_moments(fam.n, fam.alpha, fam.tau, y)
-        gauss = mp.e ** (-fam.n * mp.mpf(y) ** 2 / 2)
-        total = mp.mpf(0)
-        for p, q, h2 in zip(fam.p_coeffs, fam.q_coeffs, fam.h2):
-            total += mp.polyval(p[::-1], x) * (gauss * mp.fdot(q, moms)) / h2
-        return float(total)
+        P = {v: [mp.polyval(p[::-1], v) for p in fam.p_coeffs] for v in {*xs}}
+        Q = {}
+        for v in {*ys}:
+            moms = _t_moments(fam.n, fam.alpha, fam.tau, v)
+            gauss = mp.e ** (-fam.n * mp.mpf(v) ** 2 / 2)
+            Q[v] = [gauss * mp.fdot(q, moms) for q in fam.q_coeffs]
+        out = [float(sum(p * q / h2 for p, q, h2 in zip(P[a], Q[b], fam.h2)))
+               for a, b in zip(xs, ys)]
+    return out[0] if not bx.ndim else np.reshape(out, bx.shape)
 
 
 @functools.lru_cache(maxsize=4)
@@ -275,11 +300,11 @@ def _mu1_cdf(alpha: float, tau: float):
 def zero_counting_kolmogorov(fam: BiorthogonalFamily) -> float:
     """Kolmogorov distance between the zero-counting measure of p_{n,n}
     and the limiting measure mu1 at the family's (alpha, tau)."""
-    zeros = polynomial_zeros(fam).real
-    grid, cdf = _mu1_cdf(fam.alpha, fam.tau)
-    n = len(zeros)
-    dist = 0.0
-    for i, z in enumerate(zeros):
-        F = np.interp(z, grid, cdf, left=0.0, right=1.0)
-        dist = max(dist, abs((i + 1) / n - F), abs(i / n - F))
-    return dist
+    return _kolmogorov(polynomial_zeros(fam), fam.alpha, fam.tau)
+
+
+def _kolmogorov(zeros, alpha: float, tau: float) -> float:
+    """``zero_counting_kolmogorov`` from the zeros of ``polynomial_zeros``."""
+    F = np.interp(zeros.real, *_mu1_cdf(alpha, tau), left=0.0, right=1.0)
+    i = np.arange(len(F))
+    return float(np.max(np.abs(np.r_[(i + 1) / len(F) - F, i / len(F) - F])))

@@ -152,6 +152,36 @@ def test_non_finite_deformation_exit_2(runner, tmp_path, args, bad):
     assert json.loads(report.read_text())["error"].startswith(f"{bad} must be finite")
 
 
+@pytest.mark.parametrize("args,bad", [
+    (["finite-n", "--n", "6", "--alpha", "nan"], "alpha"),
+    (["finite-n", "--n", "6", "--tau", "inf"], "tau"),
+])
+def test_finite_n_non_finite_exit_2(runner, tmp_path, args, bad):
+    # [TRIVIAL] a non-finite alpha or tau is a configuration error naming it
+    result, _, report = _run(runner, tmp_path, args)
+    assert result.exit_code == 2, result.output
+    assert json.loads(report.read_text())["error"].startswith(f"{bad} must be finite")
+
+
+def test_finite_n_solves_zeros_once(runner, tmp_path, monkeypatch):
+    # [TRIVIAL] the zeros and their Kolmogorov distance share one
+    # polyroots solve
+    import mpmath
+
+    calls = []
+    polyroots = mpmath.polyroots
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return polyroots(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "polyroots", counted)
+    result, out, report = _run(runner, tmp_path, ["finite-n", "--n", "6"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+    assert len(out.read_text().splitlines()) == 7
+
+
 def test_config_error_writes_report(runner, tmp_path):
     # [TRIVIAL] a configuration error still writes the report, with the
     # command, its parameters and the error in place of checks

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from critkernels import finiten
-from critkernels.errors import DomainRestriction
+from critkernels.errors import DomainRestriction, QuadratureFailure
 
 ALPHA, TAU = -1.0, 1.0
 
@@ -145,6 +145,107 @@ def test_t_moment_recursion_against_quadrature(n):
             assert abs(moms[n - 1] - direct) < 1e-30 * abs(direct), y
 
 
+def _quad_t_moments(n, alpha, tau, y):
+    """I_0, I_1, I_2 by direct mp.quad over [-Y, Y], split at 0 and
+    +-1.5, at the current precision."""
+    tyb = mp.mpf(tau) * mp.mpf(y)
+    Y = finiten._tail_cutoff(n, alpha, 2 * n, mp.mp.prec) + abs(y) + 2.0
+
+    def weight(t):
+        return mp.e ** (-n * (t ** 4 / 4 + alpha * t ** 2 / 2 - tyb * t))
+
+    pts = [mp.mpf(-Y), mp.mpf(-1.5), mp.mpf(0), mp.mpf(1.5), mp.mpf(Y)]
+    return [mp.quad(lambda t, j=j: t ** j * weight(t), pts) for j in range(3)]
+
+
+@pytest.mark.parametrize("n,alpha,tau", [
+    (12, ALPHA, TAU),
+    pytest.param(36, ALPHA, TAU, marks=pytest.mark.slow),
+    (12, 2.0, 0.7),
+])
+def test_t_moment_series_against_quadrature(n, alpha, tau):
+    # [DERIVED] the moment-table series for I_0, I_1, I_2 agrees with
+    # direct quadrature to 1e-30 relative; I_1(0) vanishes by parity
+    with mp.workprec(finiten._default_bits(n)):
+        for y in (-3.0, -1.2, 0.0, 0.7, 3.0):
+            got = finiten._t_moments(n, alpha, tau, y)[:3]
+            ref = _quad_t_moments(n, alpha, tau, y)
+            for j in range(3):
+                if y == 0.0 and j == 1:
+                    assert got[1] == 0 and abs(ref[1]) < 1e-30 * ref[0]
+                else:
+                    assert abs(got[j] - ref[j]) < 1e-30 * abs(ref[j]), (y, j)
+
+
+def test_t_moment_series_redone_when_moments_are_lost():
+    # [DERIVED] for alpha > 0 the forward moment recursion is unstable;
+    # at tau y = 12 the series' magnitudes outgrow its sum at 128 bits,
+    # so it is redone on a 2x-precision table and still matches quadrature
+    n, alpha, tau, y = 12, 2.0, 1.5, 8.0
+    finiten._w_table.cache_clear()
+    with mp.workprec(finiten._default_bits(n)):
+        got = finiten._t_moments(n, alpha, tau, y)[:3]
+        assert finiten._w_table.cache_info().currsize == 2
+        with mp.workprec(2 * mp.mp.prec):
+            ref = _quad_t_moments(n, alpha, tau, y)
+        for j in range(3):
+            assert abs(got[j] - ref[j]) < 1e-30 * abs(ref[j]), j
+
+
+def test_kernel_n_term_cap_names_y(fam6):
+    # [TRIVIAL] a y whose series would pass 4096 terms is refused by name
+    with pytest.raises(QuadratureFailure, match="y = 1000.0"):
+        finiten.kernel_n(0.0, 1000.0, fam6)
+
+
+def test_kernel_n_array_path(fam6):
+    # [TRIVIAL] x and y broadcast over one moment table; every entry
+    # equals its 1x1 call, and scalars give floats
+    xs = np.array([-0.8, 0.0, 0.3, 0.8])
+    ys = np.array([[-0.5], [0.3], [1.1]])
+    finiten._w_table.cache_clear()
+    K = finiten.kernel_n(xs, ys, fam6)
+    assert finiten._w_table.cache_info().misses == 1
+    assert K.shape == (3, 4)
+    for i, y in enumerate(ys[:, 0]):
+        for j, x in enumerate(xs):
+            val = finiten.kernel_n(float(x), float(y), fam6)
+            assert type(val) is float and K[i, j] == val, (x, y)
+    assert type(finiten.kernel_n(np.array(0.3), 0.3, fam6)) is float
+    assert finiten.kernel_n([0.3], 0.3, fam6).shape == (1,)
+
+
+def test_kernel_n_independent_of_table_state(fam12):
+    # [TRIVIAL] a value does not depend on how far earlier requests
+    # extended the cached moment table
+    finiten._w_table.cache_clear()
+    cold = finiten.kernel_n(0.3, 0.3, fam12)
+    finiten.kernel_n(0.0, 5.0, fam12)
+    warm = finiten.kernel_n(0.3, 0.3, fam12)
+    finiten._w_table.cache_clear()
+    finiten.kernel_n(0.0, -5.0, fam12)
+    assert finiten.kernel_n(0.3, 0.3, fam12) == cold == warm
+
+
+@pytest.mark.parametrize("x,y,bad", [(np.nan, 0.3, "x"), (-np.inf, 0.3, "x"),
+                                     (0.3, np.inf, "y"), (0.3, np.nan, "y"),
+                                     ([0.1, np.nan], 0.3, "x")])
+def test_kernel_n_rejects_non_finite(fam6, x, y, bad):
+    # [TRIVIAL] a non-finite point is refused by name, not returned as nan
+    with pytest.raises(ValueError, match=f"^{bad} must be finite"):
+        finiten.kernel_n(x, y, fam6)
+
+
+@pytest.mark.parametrize("alpha,tau,bad", [(np.nan, TAU, "alpha"),
+                                           (np.inf, TAU, "alpha"),
+                                           (ALPHA, np.inf, "tau")])
+def test_bimoments_reject_non_finite(alpha, tau, bad):
+    # [TRIVIAL] a non-finite alpha or tau is refused by name before any
+    # quadrature, not reported as a missing cutoff or lost positivity
+    with pytest.raises(ValueError, match=f"^{bad} must be finite"):
+        finiten.bimoment_matrix(6, alpha, tau)
+
+
 def test_kernel_values_pinned(fam12):
     # [DERIVED] K_12 values frozen from one mp.quad per Q_k
     for (x, y), ref in (((-1.2, -1.2), 2.348140589478186),
@@ -159,7 +260,7 @@ def test_kernel_trace(fam6):
     t, w = np.polynomial.legendre.leggauss(80)
     half = 5.0
     xs = half * t
-    vals = np.array([finiten.kernel_n(float(x), float(x), fam6) for x in xs])
+    vals = finiten.kernel_n(xs, xs, fam6)
     trace = half * float(np.sum(w * vals))
     assert abs(trace - 6.0) < 1e-4
 
@@ -172,6 +273,17 @@ def test_kolmogorov_decreasing(fam6, fam12, fam18):
     d18 = finiten.zero_counting_kolmogorov(fam18)
     assert d12 <= 0.15
     assert d6 > d12 > d18
+
+
+def test_kolmogorov_equals_loop_reference(fam12):
+    # [TRIVIAL] the vectorized distance equals the per-zero loop it replaced
+    zeros = finiten.polynomial_zeros(fam12).real
+    grid, cdf = finiten._mu1_cdf(fam12.alpha, fam12.tau)
+    n, dist = len(zeros), 0.0
+    for i, z in enumerate(zeros):
+        F = np.interp(z, grid, cdf, left=0.0, right=1.0)
+        dist = max(dist, abs((i + 1) / n - F), abs(i / n - F))
+    assert finiten.zero_counting_kolmogorov(fam12) == dist
 
 
 def test_domain_errors():
