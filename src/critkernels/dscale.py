@@ -32,9 +32,10 @@ kinds of jump, one formula each on arrays of nodes:
             (P_inf B_U0 inside U0), the exponentially small remnants
             of the lens rays and of the real axis.
 
-It is solved as R_- = I + C_-[R_-(J - I)] by GMRES (FFT Cauchy
-projections on the circles, Legendre expansions with exact
-principal-value weights on the segments; Olver, Numer. Math. 122 (2012)).
+It is solved as R_- = I + C_-[R_-(J - I)] by restarted GMRES (`_gmres`,
+Arnoldi with Givens rotations) with FFT Cauchy projections on the circles
+and Legendre expansions with exact principal-value weights on the
+segments (Olver, Numer. Math. 122 (2012)).
 
 The kernel is then the K_cr form of `kernels._form` in M3 = R P; the
 overall conjugation by e^{a^3 (g1+g2)/2} (which cancels in the diagonal
@@ -49,7 +50,10 @@ c3 = sqrt(2 pi) e^{5 i pi/12}, the sector solutions are
 [c1 vA, c2 vB] on (0, 2pi/3), [c1 vA - c2 vB, c2 vB] on (2pi/3, pi),
 [c2 vB, c3 vC] on (-pi, -2pi/3) and [c1 vA, c3 vC] on (-2pi/3, 0);
 the connection formula makes every column numerically stable in its
-sector and gives the Stokes jumps exactly.
+sector and gives the Stokes jumps exactly.  Ai and Ai' come from exact
+Taylor steps of y'' = xi y (`_airy`): outward from Ai(0) where Ai is
+dominant or oscillatory, inward from its asymptotic series where it is
+recessive.
 """
 
 from __future__ import annotations
@@ -61,8 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.special import airy
-from scipy.sparse.linalg import LinearOperator, gmres
+from numpy.polynomial.polynomial import polyval
 
 from . import laxpair, painleve
 from .errors import DomainRestriction, IntegrationFailure, _finite
@@ -85,6 +88,51 @@ _S1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _S3 = np.diag([1.0, -1.0]).astype(complex)
 _N_CIRCLE = 160          # nodes on the circle about 0; the circles about +-1 get half
 _N_SEG = 24              # Gauss-Legendre nodes per straight contour piece
+_GMRES_RTOL, _GMRES_RESTART, _GMRES_MAXITER = 1e-11, 80, 400
+_R_SERIES = 9.5          # |w| from which 30 terms of the Ai series are at roundoff
+_N_TAYLOR = 36           # Taylor terms per step of y'' = w y
+# u_k, v_k of Ai ~ e^{-zeta} sum u_k (-zeta)^{-k} / (2 sqrt(pi) w^{1/4}) and Ai' ~
+# -w^{1/4} e^{-zeta} sum v_k (-zeta)^{-k} / (2 sqrt(pi)), zeta = (2/3) w^{3/2} (DLMF 9.7)
+_U = np.cumprod([1.0] + [(6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
+                         for k in range(1, 30)])
+_V = _U * np.array([1.0] + [-(6 * k + 1) / (6 * k - 1) for k in range(1, 30)])
+
+
+def _airy(w) -> tuple[np.ndarray, np.ndarray]:
+    """(Ai(w), Ai'(w)) at an array of w, each marched along its ray the way Ai grows.
+
+    Recessive points (|arg w| < pi/3) start from the series at |w| = _R_SERIES,
+    or at w if farther out, the others from Ai(0).  All take the same number
+    of exact Taylor steps of y'' = w y, h <= 1 with h sqrt|w| <= 4, so the
+    omitted terms are below 4^36/36! (about 5e-19) of the step's start.
+    """
+    w = np.asarray(w, dtype=complex)
+    flat, ang = w.ravel(), np.angle(w.ravel())
+    rec = np.abs(ang) < math.pi / 3.0
+    start = np.where(rec, np.where(np.abs(flat) < _R_SERIES, _R_SERIES * np.exp(1j * ang),
+                                   flat), 0.0)
+    y = np.full(flat.shape, 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0), dtype=complex)
+    yp = np.full(flat.shape, -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0), dtype=complex)
+    zeta = (2.0 / 3.0) * start[rec] ** 1.5
+    q, e = start[rec] ** 0.25, np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
+    y[rec], yp[rec] = e / q * polyval(-1.0 / zeta, _U), -q * e * polyval(-1.0 / zeta, _V)
+    go = np.flatnonzero(flat != start)
+    z, end = start[go], flat[go]
+    n = math.ceil(np.max(np.abs(end - z) * np.maximum(1.0, np.abs(end) ** 0.5 / 4), initial=0))
+    dz = (end - z) / n
+    dz3 = dz ** 3
+    # c_m = a_m dz^m for y(z + s) = sum a_m s^m: (m+2)(m+1) a_{m+2} = z a_m + a_{m-1}
+    c = np.empty((_N_TAYLOR, go.size), dtype=complex)
+    c[0], c[1] = y[go], yp[go] * dz
+    for _ in range(n):
+        p = z * dz * dz
+        c[2] = 0.5 * p * c[0]
+        for m in range(3, _N_TAYLOR):
+            c[m] = (p * c[m - 2] + dz3 * c[m - 3]) / (m * (m - 1))
+        c[0], c[1] = c.sum(axis=0), np.arange(_N_TAYLOR) @ c
+        z = z + dz
+    y[go], yp[go] = c[0], c[1] / dz
+    return y.reshape(w.shape), yp.reshape(w.shape)
 
 
 def airy_model(xi) -> np.ndarray:
@@ -94,10 +142,9 @@ def airy_model(xi) -> np.ndarray:
     """
     xi = np.asarray(xi, dtype=complex)
     ang = np.angle(xi)[..., None]
-    vA, vB, vC = (c * np.stack([ai, w * aip], axis=-1)
-                  for c, w, (ai, aip, _, _) in ((_C1, 1.0, airy(xi)),
-                                                (_C2, _OMEGA ** 2, airy(_OMEGA ** 2 * xi)),
-                                                (_C3, _OMEGA, airy(_OMEGA * xi))))
+    ai, aip = _airy(np.stack([xi, _OMEGA ** 2 * xi, _OMEGA * xi]))
+    vA, vB, vC = (c * np.stack([ai[k], w * aip[k]], axis=-1)
+                  for k, (c, w) in enumerate(((_C1, 1.0), (_C2, _OMEGA ** 2), (_C3, _OMEGA))))
     first = np.where(ang > 2.0 * math.pi / 3.0, vA - vB,
                      np.where(ang < -2.0 * math.pi / 3.0, vB, vA))
     return np.stack([first, np.where(ang >= 0.0, vB, vC)], axis=-1)
@@ -117,6 +164,9 @@ def _circle_cauchy_minus(n: int) -> np.ndarray:
     return out
 
 
+_gauss_legendre = functools.cache(legendre.leggauss)     # shared arrays: never written
+
+
 @functools.cache
 def _segment_cauchy_minus(n: int) -> np.ndarray:
     """C_- on the n Gauss-Legendre nodes of a straight segment, any end points.
@@ -125,7 +175,7 @@ def _segment_cauchy_minus(n: int) -> np.ndarray:
     values of P_k are -Q_k, with the Legendre functions of the second
     kind from their three-term recurrence.
     """
-    t, wq = legendre.leggauss(n)
+    t, wq = _gauss_legendre(n)
     L = ((2.0 * np.arange(n) + 1.0) / 2.0)[:, None] * legendre.legvander(t, n - 1).T * wq
     Q = np.zeros((n, n))
     Q[:, 0] = np.log((1.0 - t) / (1.0 + t))
@@ -151,9 +201,52 @@ def _circle(c: float, rho: float, n: int) -> _Piece:
 
 
 def _segment(A: complex, B: complex) -> _Piece:
-    t, wq = legendre.leggauss(_N_SEG)
+    t, wq = _gauss_legendre(_N_SEG)
     mid, half = 0.5 * (A + B), 0.5 * (B - A)
     return _Piece(mid + half * t, half * wq, _segment_cauchy_minus(_N_SEG))
+
+
+def _gmres(apply, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(x, b - apply(x), Arnoldi steps) with |b - apply(x)| <= _GMRES_RTOL |b|.
+
+    Restarted GMRES from x = 0; Givens rotations make |g[j+1]| the residual
+    after step j.  Raises IntegrationFailure after _GMRES_MAXITER cycles, or
+    once a cycle leaves the residual as it was, since the next repeats it.
+    """
+    tol = _GMRES_RTOL * np.linalg.norm(b)
+    x, r, steps, last = np.zeros_like(b), b, 0, math.inf
+    for _ in range(_GMRES_MAXITER):
+        beta = np.linalg.norm(r)
+        if beta <= tol:
+            return x, r, steps
+        if beta >= last:
+            break
+        last = beta
+        V = np.empty((_GMRES_RESTART + 1, b.size), dtype=complex)
+        H = np.zeros((_GMRES_RESTART + 1, _GMRES_RESTART), dtype=complex)
+        G = np.empty((_GMRES_RESTART, 2, 2), dtype=complex)
+        g = np.zeros(_GMRES_RESTART + 1, dtype=complex)
+        V[0], g[0] = r / beta, beta
+        for j in range(_GMRES_RESTART):
+            v = apply(V[j])
+            for _ in range(2):
+                c = (V[:j + 1] @ v.conj()).conj()
+                v -= c @ V[:j + 1]
+                H[:j + 1, j] += c
+            norm = np.linalg.norm(v)
+            for i in range(j):
+                H[i:i + 2, j] = G[i] @ H[i:i + 2, j]
+            rho = math.hypot(abs(H[j, j]), norm)
+            G[j] = np.array([[H[j, j].conjugate(), norm], [-norm, H[j, j]]]) / rho
+            H[j, j], g[j:j + 2] = rho, G[j] @ g[j:j + 2]
+            if abs(g[j + 1]) <= tol:
+                break
+            V[j + 1] = v / norm
+        steps += j + 1
+        x = x + np.linalg.solve(H[:j + 1, :j + 1], g[:j + 1]) @ V[:j + 1]
+        r = b - apply(x)
+    raise IntegrationFailure(f"GMRES stopped at residual {np.linalg.norm(r):.3g} (tolerance "
+                             f"{tol:.3g}) after {steps} steps")
 
 
 class DoubleScaling:
@@ -344,14 +437,10 @@ class DoubleScaling:
             return (X - cauchy(X @ JmI)).reshape(-1)
 
         rhs = cauchy(JmI).reshape(-1)
-        op = LinearOperator((16 * n, 16 * n), matvec=apply, dtype=complex)
-        sol, info = gmres(op, rhs, rtol=1e-11, atol=0.0, maxiter=400,
-                          restart=80)
-        if info != 0:
-            raise IntegrationFailure(f"GMRES failed to converge (info={info})")
+        sol, resid, self.gmres_iterations = _gmres(apply, rhs)
         self.X = sol.reshape(n, 4, 4)          # R_- - I on the contour
         self.F = (np.eye(4) + self.X) @ JmI
-        self.resid_norm = float(np.max(np.abs(apply(sol) - rhs)))
+        self.resid_norm = float(np.max(np.abs(resid)))
 
     def r_eval(self, z) -> np.ndarray:
         """R(z) off the contour at a scalar or an array of z, summed in node order."""

@@ -103,7 +103,8 @@ def _form(solver, balanced, a, b, dz: complex, row, col) -> np.ndarray:
     select are formed, so exponent differences of unused columns never
     enter.
     """
-    points = np.unique(np.concatenate([a, b]))
+    points = np.sort(np.concatenate([a, b]))
+    points = points[np.diff(points, prepend=-np.inf) > 0.0]      # drop repeats
     Mhat, logs = balanced(points)
     ia, ib = np.searchsorted(points, a), np.searchsorted(points, b)
     Ma, la, Mb, lb = Mhat[ia], logs[ia], Mhat[ib], logs[ib]

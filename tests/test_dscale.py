@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from critkernels import kernels
-from critkernels.dscale import (DoubleScaling, _choose_eps, _circle_cauchy_minus, _ds_for,
-                                _segment_cauchy_minus, airy_model, double_scaling_gap)
-from critkernels.errors import DomainRestriction
+from critkernels.dscale import (DoubleScaling, _airy, _choose_eps, _circle_cauchy_minus,
+                                _ds_for, _gmres, _segment_cauchy_minus, airy_model,
+                                double_scaling_gap)
+from critkernels.errors import DomainRestriction, IntegrationFailure
 
 from oracles import ds_gap, ds_kernel
 
@@ -41,6 +42,56 @@ def test_airy_model_jumps():
             Pp, Pm = airy_model(xp), airy_model(xm)
             G = np.linalg.solve(Pm, Pp)
             assert np.max(np.abs(G - J)) < 1e-5, ang
+
+
+def _assert_airy_matches_scipy(w):
+    from scipy.special import airy      # a test oracle only
+
+    ai, aip = _airy(w)
+    ref_ai, ref_aip, _, _ = airy(w)
+    assert np.all(np.abs(ai - ref_ai) <= 1e-13 * np.abs(ref_ai))
+    assert np.all(np.abs(aip - ref_aip) <= 1e-13 * np.abs(ref_aip))
+
+
+@pytest.mark.parametrize("a", [2.0, 3.0, 4.0, 6.0, 8.0])
+def test_airy_matches_scipy_on_parametrix_circles(a):
+    # [DERIVED] Ai and Ai' at every argument the Airy brackets use: xi on
+    # both circles about +-1 (radius delta = 0.32 or 0.25) and its two
+    # rotations by omega = e^{2 pi i/3}
+    omega = cmath.exp(2j * math.pi / 3.0)
+    e = np.exp(2j * np.pi * np.arange(80) / 80)
+    for delta in (0.32, 0.25):
+        xi = a * a * np.concatenate([1.0 - (1.0 + delta * e), 1.0 + (-1.0 + delta * e)])
+        _assert_airy_matches_scipy(np.stack([xi, omega ** 2 * xi, omega * xi]))
+
+
+def test_airy_matches_scipy_near_origin_far_out_and_sector_lines():
+    # [DERIVED] all around |xi| = 1e-8 and |xi| = 30, and within 1e-6 of
+    # the lines where the march changes direction (arg = +-pi/3) and where
+    # Ai turns oscillatory (+-2 pi/3, pi), at the parametrix radii and
+    # at the series radius 9.5
+    angles = np.linspace(-np.pi, np.pi, 145)
+    _assert_airy_matches_scipy(np.outer([1e-8, 30.0], np.exp(1j * angles)))
+    lines = np.pi * np.array([1.0, -1.0, 2.0, -2.0, 3.0]) / 3.0
+    near = np.concatenate([lines - 1e-6, lines, lines + 1e-6])
+    _assert_airy_matches_scipy(np.outer([1.28, 2.88, 5.12, 9.5, 11.52, 20.48],
+                                        np.exp(1j * near)))
+
+
+def test_gmres_iterations():
+    # [TRIVIAL] the residual problem converges in a handful of Arnoldi
+    # steps, and the build records how many
+    for a in (2.0, 4.0, 8.0):
+        assert 5 <= DoubleScaling(a, 0.5).gmres_iterations <= 20, a
+
+
+def test_gmres_stagnation_raises():
+    # [DERIVED] on the cyclic shift GMRES makes no progress before step
+    # 500, so restarted every 80 steps it stagnates and must raise
+    b = np.zeros(500, dtype=complex)
+    b[0] = 1.0
+    with pytest.raises(IntegrationFailure, match="GMRES"):
+        _gmres(lambda v: np.roll(v, 1), b)
 
 
 def test_circle_cauchy_minus_keeps_negative_modes():

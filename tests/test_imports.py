@@ -27,8 +27,8 @@ def test_rh_modules_import_no_scipy_submodule():
                    "critkernels.laxpair, critkernels.rhsolver") == []
 
 
-def test_kernels_import_no_integrate_or_interpolate():
-    # [TRIVIAL] kernels still loads scipy.special and scipy.sparse (through
-    # dscale) but neither scipy.integrate nor scipy.interpolate
-    loaded = _loaded("import critkernels.kernels")
-    assert "scipy.integrate" not in loaded and "scipy.interpolate" not in loaded
+def test_kernels_and_dscale_import_no_scipy_submodule():
+    # [TRIVIAL] the kernels and the double-scaling evaluator (numpy Airy
+    # functions and GMRES) load none of scipy.integrate, .interpolate,
+    # .special or .sparse
+    assert _loaded("import critkernels.kernels, critkernels.dscale") == []
