@@ -16,8 +16,9 @@ and done in closed form (complete the square in the coupling term),
 reducing every bimoment to one-dimensional moments
 m_l = int y^l e^{-n(W(y) - tau^2 y^2/2)} dy, which satisfy the exact
 recursion n(m_{l+4} + beta m_{l+2}) = (l+1) m_l with beta = alpha -
-tau^2; only m_0 and m_2 need quadrature.  The transforms Q_k(x) are
-combinations of I_j(x) = int t^j e^{-n(W(t) - tau x t)} dt, which
+tau^2; m_0 and m_2 are closed forms in Kummer's and Tricomi's functions
+(see ``_y_moments``), so no moment is a quadrature.  The transforms Q_k(x)
+are combinations of I_j(x) = int t^j e^{-n(W(t) - tau x t)} dt, which
 satisfy n(I_{j+3} + alpha I_{j+1} - tau x I_j) = j I_{j-1}; I_0, I_1, I_2
 are series in the tau = 0 moments m_l, one table per family, not quadratures.
 The factorization is exponentially ill-conditioned in n, so all of this
@@ -51,40 +52,38 @@ def _default_bits(n: int) -> int:
     return 64 * math.ceil(n / 6)
 
 
-def _tail_cutoff(n: int, beta: float, lmax: int, bits: int) -> float:
-    """Y with y^l e^{-n(y^4/4 + beta y^2/2)} below the working epsilon."""
-    target = bits * math.log(2.0) + 40.0
-    Y = 3.0
-    while True:
-        expo = n * (Y ** 4 / 4.0 + beta * Y ** 2 / 2.0) - lmax * math.log(Y)
-        if expo > target:
-            return Y
-        Y += 0.5
-        if Y > 60.0:
-            raise QuadratureFailure("no usable quadrature cutoff found")
-
-
 def _y_moments(n: int, alpha: float, tau: float, lmax: int):
-    """Even moments m_l, l = 0..lmax, of e^{-n(W(y) - tau^2 y^2/2)}."""
+    """Even moments m_l, l = 0..lmax, of e^{-n(y^4/4 + beta y^2/2)} with
+    beta = alpha - tau^2.  Expanding e^{-n beta y^2/2} and integrating
+    term by term against e^{-n y^4/4} gives, with c = (l+1)/4 and
+    z = n beta^2/4 (M Kummer's, U Tricomi's function),
+
+        m_l = (n/4)^{-c}/2 [Gamma(c) M(c, 1/2, z)
+                            - sqrt(n) beta Gamma(c+1/2) M(c+1/2, 3/2, z)].
+
+    For beta <= 0 both terms are positive.  For beta > 0 they cancel, and
+    the bracket is the recessive Gamma(c) Gamma(c+1/2) U(c, 1/2, z)/sqrt(pi)
+    (DLMF 13.2.42), evaluated as such.  m_0 and m_2 come from this, the
+    rest from the module docstring's recursion."""
     beta = alpha - tau * tau
-    bits = mp.mp.prec
-    Y = _tail_cutoff(n, beta, lmax, bits)
     nb = mp.mpf(n)
     bb = mp.mpf(beta)
+    z = nb * bb ** 2 / 4
 
-    def weight(y):
-        return mp.e ** (-nb * (y ** 4 / 4 + bb * y ** 2 / 2))
+    def closed(l):
+        c = mp.mpf(l + 1) / 4
+        if beta > 0.0:
+            val = (mp.gamma(c) * mp.gamma(c + 0.5) / mp.sqrt(mp.pi)
+                   * mp.hyperu(c, 0.5, z))
+        else:
+            val = (mp.gamma(c) * mp.hyp1f1(c, 0.5, z) - mp.sqrt(nb) * bb
+                   * mp.gamma(c + 0.5) * mp.hyp1f1(c + 0.5, 1.5, z))
+        return val / (2 * (nb / 4) ** c)
 
-    # well of the weight (if beta < 0) guides the quadrature splits
-    pts = [mp.mpf(0)]
-    if beta < 0.0:
-        w = math.sqrt(-beta)
-        pts += [mp.mpf(0.5) * w, mp.mpf(w), mp.mpf(1.5) * w]
-    pts += [mp.mpf(Y)]
     m = [mp.mpf(0)] * (lmax + 1)
-    m[0] = 2 * mp.quad(weight, pts)
+    m[0] = closed(0)
     if lmax >= 2:
-        m[2] = 2 * mp.quad(lambda y: y ** 2 * weight(y), pts)
+        m[2] = closed(2)
     for l in range(0, lmax - 3, 2):
         m[l + 4] = (l + 1) * m[l] / nb - bb * m[l + 2]
     return m

@@ -12,6 +12,16 @@ from critkernels.errors import DomainRestriction, QuadratureFailure
 ALPHA, TAU = -1.0, 1.0
 
 
+def _tail_cutoff(n, beta, lmax, bits):
+    """Y with y^l e^{-n(y^4/4 + beta y^2/2)} below the working epsilon:
+    where the quadrature oracles below cut their integrals off."""
+    target = bits * math.log(2.0) + 40.0
+    Y = 3.0
+    while n * (Y ** 4 / 4 + beta * Y ** 2 / 2) - lmax * math.log(Y) <= target:
+        Y += 0.5
+    return Y
+
+
 @pytest.fixture(scope="module")
 def fam6():
     return finiten.biorthogonal(finiten.bimoment_matrix(6, ALPHA, TAU))
@@ -84,6 +94,67 @@ def test_moment_recurrence_consistency():
         assert abs(moms[8] - direct) < 1e-20 * abs(direct)
 
 
+def _quad_y_moment(n, beta, l):
+    """m_l = int y^l e^{-n(y^4/4 + beta y^2/2)} dy by direct mp.quad over
+    [0, Y], split at the well of the weight when beta < 0."""
+    Y = _tail_cutoff(n, beta, 8, mp.mp.prec)
+    pts = [mp.mpf(0)]
+    if beta < 0.0:
+        w = math.sqrt(-beta)
+        pts += [mp.mpf(0.5) * w, mp.mpf(w), mp.mpf(1.5) * w]
+    pts += [mp.mpf(Y)]
+    b = mp.mpf(beta)
+    return 2 * mp.quad(
+        lambda y: y ** l * mp.e ** (-n * (y ** 4 / 4 + b * y ** 2 / 2)), pts)
+
+
+@pytest.mark.parametrize("n", [6, 12,
+                               pytest.param(36, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("alpha,tau", [(ALPHA, TAU), (1.0, 1.0), (2.0, 0.7)])
+def test_y_moments_closed_form_against_quadrature(n, alpha, tau):
+    # [DERIVED] the Kummer (beta < 0), beta = 0 and Tricomi (beta > 0)
+    # forms of m_0, m_2, and m_8 by the recursion where beta <= 0, agree
+    # with direct quadrature at the default precision
+    beta = alpha - tau * tau
+    tol = 1e-17 if n == 6 else 1e-30
+    with mp.workprec(finiten._default_bits(n)):
+        moms = finiten._y_moments(n, alpha, tau, 8)
+        for l in (0, 2, 8) if beta <= 0.0 else (0, 2):
+            ref = _quad_y_moment(n, beta, l)
+            assert abs(moms[l] - ref) < tol * abs(ref), l
+
+
+def test_y_moments_continuous_across_branch_switch():
+    # [DERIVED] beta = +-1e-9 (Tricomi / Kummer form) against the beta = 0
+    # table to first order, dm_l/dbeta = -n m_{l+2}/2: what is left is
+    # O(beta^2), far below 1e-15 relative
+    n = 12
+    with mp.workprec(finiten._default_bits(n)):
+        at0 = finiten._y_moments(n, 1.0, 1.0, 4)
+        for alpha in (1.0 + 1e-9, 1.0 - 1e-9):
+            beta = mp.mpf(alpha) - 1
+            moms = finiten._y_moments(n, alpha, 1.0, 2)
+            for l in (0, 2):
+                first = at0[l] - n * beta * at0[l + 2] / 2
+                assert abs(moms[l] - first) < 1e-15 * at0[l], (alpha, l)
+
+
+def test_finite_n_takes_no_quadrature(monkeypatch):
+    # [TRIVIAL] bimoments, the LDU, a cold K_n table and the alpha > 0
+    # redo of the I_j series run without mp.quad
+    def refuse(*args, **kwargs):
+        raise AssertionError("mp.quad called")
+
+    monkeypatch.setattr(finiten.mp, "quad", refuse)
+    fam = finiten.biorthogonal(finiten.bimoment_matrix(12, ALPHA, TAU))
+    finiten._w_table.cache_clear()
+    assert math.isfinite(finiten.kernel_n(0.3, 0.3, fam))
+    finiten._w_table.cache_clear()
+    with mp.workprec(finiten._default_bits(12)):
+        finiten._t_moments(12, 2.0, 1.5, 8.0)
+    assert finiten._w_table.cache_info().currsize == 2
+
+
 def test_degree_zero(fam6):
     # [TRIVIAL] p0 = q0 = 1 and h0^2 = B[0][0]
     assert fam6.p_coeffs[0] == [1.0]
@@ -137,7 +208,7 @@ def test_t_moment_recursion_against_quadrature(n):
     with mp.workprec(finiten._default_bits(n)):
         for y in (-1.2, 0.7):
             moms = finiten._t_moments(n, ALPHA, TAU, y)
-            Y = finiten._tail_cutoff(n, ALPHA, 2 * n, mp.mp.prec) + abs(y) + 2.0
+            Y = _tail_cutoff(n, ALPHA, 2 * n, mp.mp.prec) + abs(y) + 2.0
             direct = mp.quad(
                 lambda t: t ** (n - 1) * mp.e ** (
                     -n * (t ** 4 / 4 + ALPHA * t ** 2 / 2 - TAU * y * t)),
@@ -149,7 +220,7 @@ def _quad_t_moments(n, alpha, tau, y):
     """I_0, I_1, I_2 by direct mp.quad over [-Y, Y], split at 0 and
     +-1.5, at the current precision."""
     tyb = mp.mpf(tau) * mp.mpf(y)
-    Y = finiten._tail_cutoff(n, alpha, 2 * n, mp.mp.prec) + abs(y) + 2.0
+    Y = _tail_cutoff(n, alpha, 2 * n, mp.mp.prec) + abs(y) + 2.0
 
     def weight(t):
         return mp.e ** (-n * (t ** 4 / 4 + alpha * t ** 2 / 2 - tyb * t))
@@ -241,7 +312,7 @@ def test_kernel_n_rejects_non_finite(fam6, x, y, bad):
                                            (ALPHA, np.inf, "tau")])
 def test_bimoments_reject_non_finite(alpha, tau, bad):
     # [TRIVIAL] a non-finite alpha or tau is refused by name before any
-    # quadrature, not reported as a missing cutoff or lost positivity
+    # moment is computed, not reported as lost positivity
     with pytest.raises(ValueError, match=f"^{bad} must be finite"):
         finiten.bimoment_matrix(6, alpha, tau)
 
@@ -298,6 +369,6 @@ def test_domain_errors():
 
 @pytest.mark.parametrize("n", [0, -6, -7])
 def test_nonpositive_n_rejected(n):
-    # [TRIVIAL] n < 6 is rejected by name, before any quadrature
+    # [TRIVIAL] n < 6 is rejected by name, before any moment is computed
     with pytest.raises(DomainRestriction, match="n must be a positive multiple of 6"):
         finiten.bimoment_matrix(n, ALPHA, TAU)
