@@ -43,7 +43,12 @@ class OutsideSupport(CritKernelsError):
 
 
 class QuadratureFailure(CritKernelsError):
-    """An adaptive quadrature did not reach its target tolerance."""
+    """A sum or factorization behind a density or K_n failed.
+
+    Raised when a K_n moment series needs more than 4096 terms, when the
+    bimoment LDU factorization loses positivity, and when a density has
+    a spurious imaginary part.
+    """
 
 
 class OutOfDomain(CritKernelsError):
@@ -51,7 +56,12 @@ class OutOfDomain(CritKernelsError):
 
 
 class IntegrationFailure(CritKernelsError):
-    """The ODE integrator failed to converge."""
+    """An iterative solve failed to converge.
+
+    Raised by the Lax transport and the complex-nu Painleve II
+    continuation, by the Hastings-McLeod Newton iteration, and when the
+    double-scaling GMRES solve stagnates.
+    """
 
 
 class DomainRestriction(CritKernelsError):

@@ -52,6 +52,15 @@ def _default_bits(n: int) -> int:
     return 64 * math.ceil(n / 6)
 
 
+def _extend_moments(m: list, n: int, beta, lmax: int) -> list:
+    """Extend m_0, m_1, ... in place through m_lmax by the module
+    docstring's recursion n(m_{l+4} + beta m_{l+2}) = (l+1) m_l."""
+    while len(m) <= lmax:
+        l = len(m) - 4
+        m.append((l + 1) * m[l] / n - beta * m[l + 2])
+    return m
+
+
 def _y_moments(n: int, alpha: float, tau: float, lmax: int):
     """Even moments m_l, l = 0..lmax, of e^{-n(y^4/4 + beta y^2/2)} with
     beta = alpha - tau^2.  Expanding e^{-n beta y^2/2} and integrating
@@ -64,7 +73,7 @@ def _y_moments(n: int, alpha: float, tau: float, lmax: int):
     For beta <= 0 both terms are positive.  For beta > 0 they cancel, and
     the bracket is the recessive Gamma(c) Gamma(c+1/2) U(c, 1/2, z)/sqrt(pi)
     (DLMF 13.2.42), evaluated as such.  m_0 and m_2 come from this, the
-    rest from the module docstring's recursion."""
+    rest from `_extend_moments`."""
     beta = alpha - tau * tau
     nb = mp.mpf(n)
     bb = mp.mpf(beta)
@@ -80,13 +89,8 @@ def _y_moments(n: int, alpha: float, tau: float, lmax: int):
                    * mp.gamma(c + 0.5) * mp.hyp1f1(c + 0.5, 1.5, z))
         return val / (2 * (nb / 4) ** c)
 
-    m = [mp.mpf(0)] * (lmax + 1)
-    m[0] = closed(0)
-    if lmax >= 2:
-        m[2] = closed(2)
-    for l in range(0, lmax - 3, 2):
-        m[l + 4] = (l + 1) * m[l] / nb - bb * m[l + 2]
-    return m
+    m = [closed(0), mp.mpf(0), closed(2), mp.mpf(0)]
+    return _extend_moments(m, n, bb, lmax)[:lmax + 1]
 
 
 @dataclass
@@ -218,11 +222,10 @@ def _unit_lower_inverse(L: mp.matrix) -> mp.matrix:
     return inv
 
 
-def polynomial_zeros(fam: BiorthogonalFamily, k: int | None = None):
-    """Zeros of p_{k,n} (default k = n), as a sorted real array."""
-    k = fam.n if k is None else k
+def polynomial_zeros(fam: BiorthogonalFamily):
+    """Zeros of p_{n,n}, as a sorted real array."""
     with mp.workprec(fam.precision_bits):
-        coeffs = list(reversed(fam.p_coeffs[k]))      # highest degree first
+        coeffs = list(reversed(fam.p_coeffs[fam.n]))  # highest degree first
         roots = mp.polyroots(coeffs, maxsteps=200, extraprec=fam.precision_bits)
         arr = np.array([complex(r) for r in roots])
     return np.sort(arr.real) + 1j * arr.imag[np.argsort(arr.real)]
@@ -247,9 +250,7 @@ def _t_moments(n: int, alpha: float, tau: float, y):
         for j in range(3):
             k, c, total, size, prev = j % 2, (z if j % 2 else 1), 0, 0, 0
             while k <= 4096:
-                while len(M) <= j + k:
-                    M.append((len(M) - 3) * M[-4] / n - alpha * M[-2])
-                term = c * M[j + k]
+                term = c * _extend_moments(M, n, alpha, j + k)[j + k]
                 total, size = total + term, size + abs(term)
                 if abs(term) <= min(abs(prev) / 2, mp.eps * size):
                     break

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
+_DT_STEP = 1e-4          # t-step of the Richardson derivative in the checks
 
 # constant unitary factor of the asymptotic frame
 _A = np.array(
@@ -77,23 +78,15 @@ class LaxCoefficients:
     k: float
 
 
-def lax_coefficients(s: float, t: float,
-                     hm: painleve.HmSolution | None = None) -> LaxCoefficients:
+def lax_coefficients(s: float, t: float) -> LaxCoefficients:
     """Coefficients (b, c, d, f, h, k) of the Lax pair at (s, t)."""
     _finite(s=s, t=t)
-    if hm is None:
-        hm = painleve.default_solution()
     arg = 2.0 ** (2.0 / 3.0) * (2.0 * s - t * t)
-    q, qp, u = hm(arg)
+    q, qp, u = painleve.default_solution()(arg)
     d = q / _CBRT2
     c = -u / _CBRT2 + s * s
-    # dd/dt = -2^{4/3} t q'(arg), so (1/(4t)) dd/dt = -2^{-2/3} q'(arg)
-    # identically in t; the explicit quotient is kept for |t| >= 1e-6 and
-    # the removable singularity at t = 0 is filled with the same value.
-    if abs(t) < 1e-6:
-        quarter = -(2.0 ** (-2.0 / 3.0)) * qp
-    else:
-        quarter = (-(2.0 ** (4.0 / 3.0)) * t * qp) / (4.0 * t)
+    # dd/dt = -2^{4/3} t q'(arg), so (1/(4t)) dd/dt = -2^{-2/3} q'(arg) for every t
+    quarter = -(2.0 ** (-2.0 / 3.0)) * qp
     b = quarter + d * c + t * d
     h = quarter + d * c - t * d
     f = 2.0 * d * t * t - c * (2.0 * quarter) - d * c * c - d**3 - 2.0 * d * s
@@ -128,41 +121,36 @@ def lax_matrices(zeta: complex, co: LaxCoefficients) -> tuple[np.ndarray, np.nda
     return U, W
 
 
-def _richardson_dt(fn, t: float, step: float):
+def _richardson_dt(fn, t: float):
     """Richardson-extrapolated centered first derivative in t."""
-    d1 = (fn(t + step) - fn(t - step)) / (2.0 * step)
-    d2 = (fn(t + step / 2.0) - fn(t - step / 2.0)) / step
+    d1 = (fn(t + _DT_STEP) - fn(t - _DT_STEP)) / (2.0 * _DT_STEP)
+    d2 = (fn(t + _DT_STEP / 2.0) - fn(t - _DT_STEP / 2.0)) / _DT_STEP
     return (4.0 * d2 - d1) / 3.0
 
 
-def compatibility_residual(zeta: complex, s: float, t: float,
-                           hm: painleve.HmSolution | None = None,
-                           step: float = 1e-4) -> float:
+def compatibility_residual(zeta: complex, s: float, t: float) -> float:
     """Max-norm of dW/dzeta - dU/dt - [U, W] at (zeta, s, t).
 
     dW/dzeta = diag(1, -1, 1, -1) exactly; dU/dt is taken by a
     Richardson-extrapolated centered difference.
     """
-    co = lax_coefficients(s, t, hm)
+    co = lax_coefficients(s, t)
     U, W = lax_matrices(zeta, co)
-    dU = _richardson_dt(lambda tt: lax_matrices(zeta, lax_coefficients(s, tt, hm))[0],
-                        t, step)
+    dU = _richardson_dt(lambda tt: lax_matrices(zeta, lax_coefficients(s, tt))[0], t)
     lhs = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
     res = lhs - dU - (U @ W - W @ U)
     return float(np.max(np.abs(res)))
 
 
-def identity_residuals(s: float, t: float,
-                       hm: painleve.HmSolution | None = None,
-                       step: float = 1e-4) -> dict[str, float]:
+def identity_residuals(s: float, t: float) -> dict[str, float]:
     """Residuals of the six scalar compatibility identities (primes = d/dt)."""
-    co = lax_coefficients(s, t, hm)
+    co = lax_coefficients(s, t)
 
     def coeff_vec(tt: float) -> np.ndarray:
-        c2 = lax_coefficients(s, tt, hm)
+        c2 = lax_coefficients(s, tt)
         return np.array([c2.b, c2.c, c2.d, c2.f, c2.h, c2.k])
 
-    bp, cp, dp, fp, hp, kp = _richardson_dt(coeff_vec, t, step)
+    bp, cp, dp, fp, hp, kp = _richardson_dt(coeff_vec, t)
     b, c, d, f, h, k = co.b, co.c, co.d, co.f, co.h, co.k
     return {
         "c_prime": abs(cp - 2.0 * (h - b) * d),

@@ -1,13 +1,14 @@
 """Hastings-McLeod solution of Painleve II and its Hamiltonian.
 
 q'' = 2 q^3 + sigma q with q(sigma) ~ Ai(sigma) as sigma -> +infinity.
-The solution is a polynomial on Chebyshev-Lobatto nodes of
-[sigma_min, sigma_max] (Fornberg & Weideman, Found. Comput. Math. 14,
-2014): collocation with the Chebyshev differentiation matrix D, solved
-by Newton iteration, with Ai(sigma_max) pinned at the right end and the
-plateau asymptote sqrt(-sigma/2) (1 + 1/(8 sigma^3) - 73/(128 sigma^6))
-at the left.  The node values of q' are D q, and point evaluations use
-the barycentric formula on the nodes.
+The solution is a polynomial on Chebyshev-Lobatto nodes of [-12, 12]
+(Fornberg & Weideman, Found. Comput. Math. 14, 2014): collocation with
+the Chebyshev differentiation matrix D, solved by Newton iteration, with
+Ai(12) pinned at the right end and the plateau asymptote
+sqrt(-sigma/2) (1 + 1/(8 sigma^3) - 73/(128 sigma^6)) at the left.  The
+node values of q' are D q, and point evaluations use the barycentric
+formula on the nodes.  The solution is unique: `default_solution` is the
+one instance that every other module reads.
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ import numpy as np
 
 from .errors import IntegrationFailure, OutOfDomain
 
-__all__ = ["HmSolution", "solve_hastings_mcleod", "plateau_asymptote"]
+__all__ = ["HmSolution", "solve_hastings_mcleod", "default_solution",
+           "plateau_asymptote"]
+
+_SIGMA_MIN, _SIGMA_MAX = -12.0, 12.0
 
 
 def plateau_asymptote(sigma: float) -> float:
@@ -32,7 +36,7 @@ def plateau_asymptote(sigma: float) -> float:
 
 
 class HmSolution:
-    """Immutable Hastings-McLeod solution on [sigma_min, sigma_max]."""
+    """Immutable Hastings-McLeod solution on the collocation interval."""
 
     def __init__(self, nodes: np.ndarray, weights: np.ndarray, values: np.ndarray):
         """Barycentric nodes and weights, and rows (q, q', q'') of node values."""
@@ -58,9 +62,6 @@ class HmSolution:
     def q(self, sigma: float) -> float:
         return self(sigma)[0]
 
-    def qprime(self, sigma: float) -> float:
-        return self(sigma)[1]
-
     def u(self, sigma: float) -> float:
         return self(sigma)[2]
 
@@ -72,20 +73,19 @@ class HmSolution:
         return self._interpolate(sigma, slice(2, 3))[0]
 
 
-def solve_hastings_mcleod(sigma_min: float = -12.0, sigma_max: float = 12.0,
-                          n_nodes: int = 160) -> HmSolution:
+def solve_hastings_mcleod(n_nodes: int = 160) -> HmSolution:
     """Chebyshev collocation of the Hastings-McLeod boundary-value problem."""
     x = np.cos(np.pi * np.arange(n_nodes + 1) / n_nodes)
     c = (-1.0) ** np.arange(n_nodes + 1)
     c[[0, -1]] *= 2.0
     D = np.outer(c, 1.0 / c) / (np.subtract.outer(x, x) + np.eye(n_nodes + 1))
-    D = (D - np.diag(D.sum(axis=1))) * (2.0 / (sigma_max - sigma_min))
-    sigma = 0.5 * (sigma_max + sigma_min) + 0.5 * (sigma_max - sigma_min) * x
+    D = (D - np.diag(D.sum(axis=1))) * (2.0 / (_SIGMA_MAX - _SIGMA_MIN))
+    sigma = 0.5 * (_SIGMA_MAX + _SIGMA_MIN) + 0.5 * (_SIGMA_MAX - _SIGMA_MIN) * x
     D2 = (D @ D)[1:-1]
     # sqrt(-sigma/2) on the left, decaying like e^{-sigma/2} on the right;
     # the end values stay pinned and Newton moves the interior nodes only
     q = np.sqrt(0.5 * np.log1p(np.exp(-sigma)))
-    q[[0, -1]] = float(mpmath.airyai(sigma_max)), plateau_asymptote(sigma_min)
+    q[[0, -1]] = float(mpmath.airyai(_SIGMA_MAX)), plateau_asymptote(_SIGMA_MIN)
     for _ in range(30):
         qi, si = q[1:-1], sigma[1:-1]
         J = D2[:, 1:-1] - np.diag(6.0 * qi * qi + si)
@@ -101,6 +101,7 @@ def solve_hastings_mcleod(sigma_min: float = -12.0, sigma_max: float = 12.0,
     return HmSolution(sigma, 1.0 / c, np.stack([q, D @ q, D @ (D @ q)]))
 
 
-@functools.lru_cache(maxsize=4)
-def default_solution(sigma_min: float = -12.0, sigma_max: float = 12.0) -> HmSolution:
-    return solve_hastings_mcleod(sigma_min, sigma_max)
+@functools.cache
+def default_solution() -> HmSolution:
+    """The Hastings-McLeod solution, solved once per process."""
+    return solve_hastings_mcleod()

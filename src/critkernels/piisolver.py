@@ -57,18 +57,18 @@ PII_JUMPS = (
 )
 
 _SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
+_R0 = 4.2                # outer anchor radius of the sector-constant fit
+_SERIES_ORDER = 12       # coefficients P_1.._SERIES_ORDER of the series frame
 
 
-def hm_at(nu, hm: painleve.HmSolution | None = None):
+def hm_at(nu):
     """(q, q') of the Hastings-McLeod solution at real or complex nu.
 
     Complex arguments are reached by integrating Painleve II
     q'' = nu q + 2 q^3 from Re(nu) along the imaginary direction.
     """
-    if hm is None:
-        hm = painleve.default_solution()
     nu = complex(nu)
-    q0, qp0, _ = hm(nu.real)
+    q0, qp0, _ = painleve.default_solution()(nu.real)
     if nu.imag == 0.0:
         return complex(q0), complex(qp0)
     from scipy.integrate import solve_ivp
@@ -107,15 +107,14 @@ class PiiSolver(SectoralSolver):
     INNER = 0.8
     LOW_SECTOR = 3          # arg in [0, pi/6]: the wrap-around sector
 
-    def __init__(self, nu, r0: float = 4.2, series_order: int = 12,
-                 hm: painleve.HmSolution | None = None):
+    def __init__(self, nu):
         self.nu = complex(nu)
-        self.q, self.qp = hm_at(self.nu, hm)
+        self.q, self.qp = hm_at(self.nu)
         self.lax_coeffs = _lax_coeffs(self.nu, self.q, self.qp)
         # Psi = (I + sum_k P_k zeta^{-k}) E with E'E^{-1} = -theta' sigma3
         G = {0: -1j * self.nu * _SIGMA3, 2: -4j * _SIGMA3}
-        self.coeffs = series.formal_series(self.lax_coeffs, G, 1, series_order, 1.0)
-        super().__init__(r0)
+        self.coeffs = series.formal_series(self.lax_coeffs, G, 1, _SERIES_ORDER, 1.0)
+        super().__init__(_R0)
 
     def theta(self, zeta: complex) -> complex:
         return 1j * ((4.0 / 3.0) * zeta ** 3 + self.nu * zeta)
@@ -132,17 +131,15 @@ class PiiSolver(SectoralSolver):
     def det_psi(self, zeta: complex) -> complex:
         return complex(np.linalg.det(self.psi(zeta)))
 
-    def q_extract(self, r_points=None) -> complex:
+    def q_extract(self) -> complex:
         """2i times the fitted residue lim zeta (Psi E^{-1} - I)_{12}.
 
         Recovers q(nu): the raw residue equals -(i/2) q(nu) (see module
-        docstring).  Sampled on the upper imaginary axis, where column 2
-        of Psi is dominant and therefore relatively accurate.
+        docstring).  Sampled on the upper imaginary axis from 2.6 to r0,
+        where column 2 of Psi is dominant and therefore relatively accurate.
         """
-        if r_points is None:
-            r_points = np.arange(2.6, self.r0 + 1e-9, 0.2)
         rows, rhs = [], []
-        for r in r_points:
+        for r in np.arange(2.6, self.r0 + 1e-9, 0.2):
             zeta = 1j * float(r)
             Psi = self.psi(zeta)
             p12 = Psi[0, 1] * cmath.exp(-self.theta(zeta))
@@ -161,4 +158,4 @@ class PiiSolver(SectoralSolver):
 @functools.lru_cache(maxsize=16)
 def get_pii_solver(nu: complex) -> PiiSolver:
     """Cached Painleve II model-RH solver at parameter nu."""
-    return PiiSolver(nu, hm=painleve.default_solution())
+    return PiiSolver(nu)

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from . import laxpair, painleve, series
+from . import laxpair, series
 from .sectoral import SectoralSolver, balance_columns
 
 __all__ = ["RAY_ANGLES", "JUMPS", "RhSolver", "get_solver"]
@@ -77,15 +77,13 @@ class RhSolver(SectoralSolver):
     INNER = 0.75
     LOW_SECTOR = 0          # arg 0 lies on ray 0; take its plus side
 
-    def __init__(self, s: float, t: float, r0: float = 12.0,
-                 series_order: int = 14, hm=None):
+    def __init__(self, s: float, t: float, r0: float = 14.0,
+                 series_order: int = 16):
         self.s = float(s)
         self.t = float(t)
-        self.co = laxpair.lax_coefficients(s, t, hm)
-        self.fs = {
-            "+": series.build_series(s, t, "+", order=series_order, hm=hm),
-            "-": series.build_series(s, t, "-", order=series_order, hm=hm),
-        }
+        self.co = laxpair.lax_coefficients(s, t)
+        self.fs = {v: series.build_series(s, t, v, order=series_order)
+                   for v in "+-"}
         self.lax_coeffs = (laxpair.lax_matrices(0.0, self.co)[0], laxpair.U1)
         super().__init__(r0)
 
@@ -100,8 +98,8 @@ class RhSolver(SectoralSolver):
 
     M = SectoralSolver.sectional
 
-    def det_m(self, zeta: complex, sector: int | None = None) -> complex:
-        return complex(np.linalg.det(self.M(zeta, sector)))
+    def det_m(self, zeta: complex) -> complex:
+        return complex(np.linalg.det(self.M(zeta)))
 
     # axis name -> (direction, sector, columns transported outward from
     # M(0) = C_sector, switch to the series frame; None stands for r0).
@@ -175,8 +173,6 @@ class RhSolver(SectoralSolver):
 
 
 @functools.lru_cache(maxsize=8)
-def get_solver(s: float, t: float, r0: float = 14.0,
-               order: int = 16) -> RhSolver:
+def get_solver(s: float, t: float, r0: float = 14.0) -> RhSolver:
     """Cached model-RH solver at deformation parameters (s, t)."""
-    return RhSolver(s, t, r0=r0, series_order=order,
-                    hm=painleve.default_solution())
+    return RhSolver(s, t, r0=r0)

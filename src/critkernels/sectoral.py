@@ -370,18 +370,16 @@ class SectoralSolver:
 
     # -- evaluation and checks --------------------------------------------
 
-    def sectional(self, zeta, sector: int | None = None,
-                  constants: list[np.ndarray] | None = None) -> np.ndarray:
+    def sectional(self, zeta) -> np.ndarray:
         """The RH solution at zeta (sectional boundary values on rays).
 
-        zeta may be a scalar or an array, as for `phi`; without a given
-        sector each point takes the constants of its own sector.
+        zeta may be a scalar or an array, as for `phi`; each point takes
+        the constants of its own sector.
         """
         z = np.asarray(zeta, dtype=complex)
-        if sector is None:
-            sector = np.array([self.sector_of(w) for w in z.reshape(-1)],
-                              dtype=int).reshape(z.shape)
-        return self.phi(z) @ np.asarray(constants or self.C)[sector]
+        sector = np.array([self.sector_of(w) for w in z.reshape(-1)],
+                          dtype=int).reshape(z.shape)
+        return self.phi(z) @ np.asarray(self.C)[sector]
 
     def matching_residual(self, k: int) -> float:
         """Normalized residual of the asymptotic match in sector k."""

@@ -152,15 +152,14 @@ class FrameSeries:
         base = laxpair.asymptotic_frame(zeta, self.s, self.t, self.variant)
         return self.prefactor(zeta, order) @ base
 
-    def frame_scaled(self, zeta: complex,
-                     order: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def frame_scaled(self, zeta: complex) -> tuple[np.ndarray, np.ndarray]:
         """(F, g) with the series frame F diag(e^{g_j}); safe at any scale."""
         base, g = laxpair.frame_base_scaled(zeta, self.s, self.t, self.variant)
-        return self.prefactor(zeta, order) @ base, g
+        return self.prefactor(zeta) @ base, g
 
 
-def build_series(s: float, t: float, variant: str = "+", order: int = 10,
-                 hm=None) -> FrameSeries:
+def build_series(s: float, t: float, variant: str = "+",
+                 order: int = 10) -> FrameSeries:
     """The variant's 4x4 series: `formal_series` with q = 2 and L = U.
 
     Raises AssertionError if the consistency conditions G_2 = U1,
@@ -175,7 +174,7 @@ def build_series(s: float, t: float, variant: str = "+", order: int = 10,
     beta = max(1, |c|)^{1/2}; for small (s, t) this is the identity
     scaling.
     """
-    co = laxpair.lax_coefficients(s, t, hm)
+    co = laxpair.lax_coefficients(s, t)
     U0, _ = laxpair.lax_matrices(0.0, co)
     G = frame_log_derivative_parts(s, t, variant)
     if np.max(np.abs(G[2] - laxpair.U1)) > _CHECK_TOL:

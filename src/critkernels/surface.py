@@ -391,7 +391,7 @@ def _panel_nodes(edges) -> tuple[np.ndarray, np.ndarray]:
     return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
-def _lambda_integral(z: complex, p: SurfaceParams, panels: int = 8) -> np.ndarray:
+def _lambda_integral(z: complex, p: SurfaceParams) -> np.ndarray:
     """int_0^z xi_j(s) ds for j = 1..4, along a path inside the quadrant.
 
     The path runs radially from 0 at the quadrant's center angle out to
@@ -406,7 +406,7 @@ def _lambda_integral(z: complex, p: SurfaceParams, panels: int = 8) -> np.ndarra
     phi0 = _QUADRANT_ANGLE[_quadrant(z)]
     radius = abs(z)
     # radial leg at angle phi0; the arc continues from its outermost node
-    u, wq = _panel_nodes(np.linspace(0.0, math.sqrt(radius), panels + 1))
+    u, wq = _panel_nodes(np.linspace(0.0, math.sqrt(radius), 9))    # 8 panels
     ray = (u * u) * cmath.exp(1j * phi0)
     w_ray = _w_along(ray, p)
     xi_vals = _xi_from_w(w_ray, p)
@@ -539,6 +539,9 @@ def theta_branches(z: complex, alpha: float, tau: float) -> ThetaValues:
 # Phase classifier
 
 
+_ON_CURVE = 1e-12        # a point this close to a phase curve lies on it
+
+
 class PhaseCase:
     """Phase-diagram classification labels."""
 
@@ -552,17 +555,17 @@ class PhaseCase:
     UndeterminedII_III = "UndeterminedII_III"
 
 
-def classify_phase(alpha: float, tau: float, tol: float = 1e-12) -> str:
+def classify_phase(alpha: float, tau: float) -> str:
     """Classify (alpha, tau) by the curves tau = sqrt(alpha+2), tau = sqrt(-1/alpha)."""
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    if abs(alpha + 1.0) <= tol and abs(tau - 1.0) <= tol:
+    if abs(alpha + 1.0) <= _ON_CURVE and abs(tau - 1.0) <= _ON_CURVE:
         return PhaseCase.Multicritical
     parabola = math.sqrt(alpha + 2.0) if alpha >= -2.0 else None
     hyperbola = math.sqrt(-1.0 / alpha) if alpha < 0.0 else None
-    if parabola is not None and abs(tau - parabola) <= tol:
+    if parabola is not None and abs(tau - parabola) <= _ON_CURVE:
         return PhaseCase.BoundaryI_II
-    if alpha <= -1.0 and hyperbola is not None and abs(tau - hyperbola) <= tol:
+    if alpha <= -1.0 and hyperbola is not None and abs(tau - hyperbola) <= _ON_CURVE:
         return PhaseCase.BoundaryIII_IV
     if alpha >= -1.0:
         if parabola is not None and tau < parabola:

@@ -22,7 +22,7 @@ CRIT = surface.SurfaceParams.critical()
 
 @functools.lru_cache(maxsize=None)
 def _solver(s, t, r0, order):
-    return RhSolver(s, t, r0=r0, series_order=order, hm=HM)
+    return RhSolver(s, t, r0=r0, series_order=order)
 
 
 # -- 1. spectral-curve closure ------------------------------------------
@@ -106,11 +106,11 @@ def test_criterion_5_lax():
     zetas = (0.8 + 0.3j, -1.2 + 0.7j, 1.6j)
     ss = (0.0, 0.4, 1.0)
     ts = (-0.8, 0.0, 0.5)
-    worst = max(laxpair.compatibility_residual(z, s, t, HM)
+    worst = max(laxpair.compatibility_residual(z, s, t)
                 for z in zetas for s in ss for t in ts)
     assert worst < 1e-6
     for s, t in ((0.0, 0.0), (0.4, -0.8)):
-        idents = laxpair.identity_residuals(s, t, HM)
+        idents = laxpair.identity_residuals(s, t)
         assert max(idents.values()) < 1e-6, (s, t)
 
 

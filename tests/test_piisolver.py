@@ -14,7 +14,7 @@ HM = painleve.default_solution()
 
 @pytest.fixture(scope="module")
 def solver():
-    return PiiSolver(0.0, hm=HM)
+    return PiiSolver(0.0)
 
 
 def test_cyclic_jump_product():
@@ -61,7 +61,7 @@ def test_q_recovery(solver):
 
 def test_q_recovery_other_nu():
     # [PAPER] same recovery away from nu = 0
-    sv = PiiSolver(1.0, hm=HM)
+    sv = PiiSolver(1.0)
     assert abs(sv.q_extract() - HM(1.0)[0]) < 1e-3
 
 
@@ -141,8 +141,8 @@ def test_kernel_pii_reflection():
 @pytest.mark.parametrize("nu", [0.0, 1.0, 0.3 + 0.2j])
 def test_series_residue_is_q(nu):
     # [DERIVED] the zeta^1 relation forces (P_1)_12 = -(i/2) q(nu)
-    sv = PiiSolver(nu, hm=HM)
-    q = hm_at(nu, HM)[0]
+    sv = PiiSolver(nu)
+    q = hm_at(nu)[0]
     assert abs(sv.coeffs[0][0, 1] + 0.5j * q) < 1e-12
 
 
@@ -150,7 +150,7 @@ def test_series_residue_is_q(nu):
 def test_series_residual_decays_with_order(nu):
     # [DERIVED] the truncated prefactor solves P' = A P - P E'E^{-1} to
     # increasing order
-    sv = PiiSolver(nu, hm=HM)
+    sv = PiiSolver(nu)
     zeta = 6.0 + 2.0j
     h = 1e-5 * abs(zeta)
     G = -1j * (4.0 * zeta ** 2 + sv.nu) * np.diag([1.0, -1.0])

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from critkernels.painleve import default_solution
-from critkernels.rhsolver import JUMPS, RAY_ANGLES, RhSolver
+from critkernels.rhsolver import JUMPS, RAY_ANGLES, RhSolver, get_solver
 
 HM = default_solution()
 
 
 @functools.lru_cache(maxsize=None)
 def solver(s, t, r0=12.0, order=14):
-    return RhSolver(s, t, r0=r0, series_order=order, hm=HM)
+    return RhSolver(s, t, r0=r0, series_order=order)
 
 
 def test_cyclic_jump_product():
@@ -145,12 +145,21 @@ def test_m_balanced_request_independent_beyond_r0():
                        S.m_balanced([5.0, 20.0])[5.0]) <= 1e-15
 
 
+def test_default_solver_is_the_cached_one():
+    # [TRIVIAL] RhSolver's defaults are the r0 and series order that
+    # get_solver builds with, so both give the same sector constants
+    fresh, cached = RhSolver(0.3, -0.2), get_solver(0.3, -0.2)
+    assert fresh.r0 == cached.r0
+    assert len(fresh.fs["+"].coeffs) == len(cached.fs["+"].coeffs)
+    assert np.array_equal(fresh.C, cached.C)
+
+
 def test_m_balanced_cache_state_independent():
     # [DERIVED] a solver that has evaluated other points before gives the
     # same values, bit for bit, as a fresh one
     points = [0.5, 3.3, 12.0]
-    cold = RhSolver(0.0, 0.0, r0=14.0, series_order=16, hm=HM)
-    warm = RhSolver(0.0, 0.0, r0=14.0, series_order=16, hm=HM)
+    cold = RhSolver(0.0, 0.0, r0=14.0, series_order=16)
+    warm = RhSolver(0.0, 0.0, r0=14.0, series_order=16)
     for axis in ("imag+", "imag-"):
         warm.m_balanced([0.25, 7.0, 20.0], axis)
         a, b = cold.m_balanced(points, axis), warm.m_balanced(points, axis)

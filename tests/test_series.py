@@ -5,9 +5,6 @@ import pytest
 
 from critkernels import laxpair as lx
 from critkernels import series as se
-from critkernels.painleve import default_solution
-
-HM = default_solution()
 
 
 def _log_residual(fs, co, zeta, order):
@@ -31,22 +28,22 @@ def test_consistency_conditions():
 
 def test_p1_vanishes():
     # [DERIVED] the zeta^{-1/2} coefficient vanishes: the expansion is in 1/zeta
-    fs = se.build_series(0.5, 0.3, "+", order=10, hm=HM)
+    fs = se.build_series(0.5, 0.3, "+", order=10)
     assert np.max(np.abs(fs.coeffs[0])) < 1e-10
 
 
 def test_variants_agree_on_n1():
     # [DERIVED] independent branch choices give the same N1
-    fs_p = se.build_series(0.5, 0.3, "+", order=10, hm=HM)
-    fs_m = se.build_series(0.5, 0.3, "-", order=10, hm=HM)
+    fs_p = se.build_series(0.5, 0.3, "+", order=10)
+    fs_m = se.build_series(0.5, 0.3, "-", order=10)
     assert np.max(np.abs(fs_p.n1 - fs_m.n1)) < 1e-10
 
 
 def test_n1_closed_form_entries():
     # [PAPER] entries of N1 against the Lax coefficient functions
     s, t = 0.5, 0.3
-    co = lx.lax_coefficients(s, t, HM)
-    N1 = se.build_series(s, t, "+", order=10, hm=HM).n1
+    co = lx.lax_coefficients(s, t)
+    N1 = se.build_series(s, t, "+", order=10).n1
     i = 1.0j
     assert N1[0, 1] == pytest.approx(co.b, abs=1e-10)
     assert N1[1, 0] == pytest.approx(-co.b, abs=1e-10)
@@ -65,8 +62,8 @@ def test_n1_closed_form_entries():
 def test_frame_residual_decays_with_order():
     # [DERIVED] the truncated series solves the zeta-ODE to increasing order
     s, t = 0.5, 0.3
-    co = lx.lax_coefficients(s, t, HM)
-    fs = se.build_series(s, t, "+", order=12, hm=HM)
+    co = lx.lax_coefficients(s, t)
+    fs = se.build_series(s, t, "+", order=12)
     zeta = 25.0 + 10.0j
     r2 = _log_residual(fs, co, zeta, 2)
     r6 = _log_residual(fs, co, zeta, 6)
@@ -79,13 +76,13 @@ def test_frame_residual_decays_with_order():
 def test_frame_residual_lower_half_plane():
     # [DERIVED] the '-' variant serves the lower half-plane
     s, t = 0.2, -0.4
-    co = lx.lax_coefficients(s, t, HM)
-    fs = se.build_series(s, t, "-", order=12, hm=HM)
+    co = lx.lax_coefficients(s, t)
+    fs = se.build_series(s, t, "-", order=12)
     assert _log_residual(fs, co, 20.0 - 12.0j, 10) < 1e-6
 
 
 @pytest.mark.parametrize("build", [
-    lambda: se.build_series(0.5, 0.3, "x", order=10, hm=HM),
+    lambda: se.build_series(0.5, 0.3, "x", order=10),
     lambda: lx.frame_exponents(1.0j, 0.5, 0.3, "x"),
 ], ids=["build_series", "frame_exponents"])
 def test_unknown_variant_rejected(build):
