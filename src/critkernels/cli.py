@@ -63,21 +63,15 @@ def _emit(command: str, params: dict, checks: list[dict],
 
 
 def _write_report(out: str, command: str, params: dict, **outcome) -> None:
-    """<out>.report.json: command, params, the outcome fields, versions."""
-    import mpmath
-    import scipy
+    """<out>.report.json: command, params, the outcome fields, versions.
 
-    report = {
-        "command": command,
-        "params": params,
-        **outcome,
-        "versions": {
-            "critkernels": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "mpmath": mpmath.__version__,
-        },
-    }
+    Versions of scipy and mpmath are recorded if the command loaded them.
+    """
+    versions = {"critkernels": __version__, "numpy": np.__version__}
+    versions.update((name, sys.modules[name].__version__)
+                    for name in ("scipy", "mpmath") if name in sys.modules)
+    report = {"command": command, "params": params, **outcome,
+              "versions": versions}
     with open(out + ".report.json", "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")

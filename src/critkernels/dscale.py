@@ -331,19 +331,19 @@ class DoubleScaling:
         out[..., 3, 2] = np.where(ang > 2.0 * math.pi / 3.0, small, 0.0)
         return out
 
-    def airy_bracket(self, z, side: int) -> np.ndarray:
-        """N^{-1} xi^{s3/4} Phi_A e^{(2/3)xi^{3/2} s3} at +-1, embedded in I_4.
+    def airy_bracket(self, z) -> np.ndarray:
+        """N^{-1} xi^{s3/4} Phi_A e^{(2/3)xi^{3/2} s3} at +1, embedded in I_4.
 
-        It fills rows and columns (1, 3) for side +1 and (2, 4) for -1.
+        xi = a^2 (1 - z); it fills rows and columns (1, 3).  The bracket
+        at -1, in xi = a^2 (1 + z), is the same in rows and columns (2, 4).
         """
         z = np.asarray(z, dtype=complex)
-        xi = self.a ** 2 * (1.0 - z if side > 0 else 1.0 + z)
+        xi = self.a ** 2 * (1.0 - z)
         r34 = (2.0 / 3.0) * xi * np.sqrt(xi)
         pref = np.stack([xi ** 0.25, xi ** -0.25], axis=-1)[..., None]
         expf = np.stack([np.exp(r34), np.exp(-r34)], axis=-1)[..., None, :]
-        idx = np.array([0, 2] if side > 0 else [1, 3])
         out = np.broadcast_to(np.eye(4, dtype=complex), z.shape + (4, 4)).copy()
-        out[..., idx[:, None], idx] = _N2_INV @ (pref * airy_model(xi) * expf)
+        out[..., [[0], [2]], [0, 2]] = _N2_INV @ (pref * airy_model(xi) * expf)
         return out
 
     # -- contour and jumps -------------------------------------------------
@@ -393,8 +393,11 @@ class DoubleScaling:
         zs = np.concatenate([pc.nodes for pc in segs])
         # the U0 bracket of every node that needs it, from one psi call
         B0 = self.u0_bracket(np.concatenate([z0, zs[inside]]))
-        B = np.concatenate([B0[:len(z0)], self.airy_bracket(circles[1].nodes, 1),
-                            self.airy_bracket(circles[2].nodes, -1)])
+        # xi on the -1 circle is xi on the +1 circle half a turn on: its
+        # brackets are those of +1, rolled and moved to rows/columns (2, 4)
+        Bp, swap = self.airy_bracket(circles[1].nodes), [1, 0, 3, 2]
+        Bm = np.roll(Bp, len(Bp) // 2, axis=0)[:, swap][:, :, swap]
+        B = np.concatenate([B0[:len(z0)], Bp, Bm])
         P = self.p_inf(np.concatenate([pc.nodes for pc in circles]))
         J_circles = P @ np.linalg.inv(B) @ np.linalg.inv(P)
         W = self.p_inf(zs)

@@ -14,7 +14,10 @@ dM/dzeta = L M, evaluated along the line zeta = dz * x:
                  sits at the second argument,
                  K_tac(u, v) = row M_+(v)^{-1} M_+(u) col^T / (2 pi i (u - v));
   K_PII(x, y)  = K(x, y), dz = 1, row (1,-1), col (1,1), with M the
-                 Painleve II RH solution Psi on the real line.
+                 Painleve II RH solution Psi on the real line (sector 3
+                 for x >= 0, sector 1 for x < 0).
+All three read M from the solver's `m_balanced` (recorded sweeps), so
+an entry whose points the sweeps have passed takes no Taylor step.
 
 Since row . col = 0, the diagonal is the derivative limit through the
 Lax equation: K(a, a) = -row M^{-1} (dz L(dz a)) M col^T / (2 pi i).
@@ -127,21 +130,25 @@ _CR_ROW = np.array([-1.0, 1.0, 0.0, 0.0])
 _CR_COL = np.array([1.0, 1.0, 0.0, 0.0])
 
 
-def _stacked(data: dict, points) -> tuple:
+def _stacked(solver, data: dict, points) -> tuple:
     """(Mhat, logs) arrays of `m_balanced` data at the points, in order."""
-    return (np.array([data[u][0] for u in points]).reshape(-1, 4, 4),
-            np.array([data[u][1] for u in points]).reshape(-1, 4))
+    d = solver.dim
+    return (np.array([data[u][0] for u in points]).reshape(-1, d, d),
+            np.array([data[u][1] for u in points]).reshape(-1, d))
 
 
-def _signed_data(solver: RhSolver, points) -> tuple:
-    """Column-balanced M(iu) at sorted nonzero points u: (Mhat, logs)."""
-    pos, neg = points[points > 0], points[points < 0]
+def _signed_data(solver, axes: tuple, points) -> tuple:
+    """Column-balanced M at sorted points x: (Mhat, logs).
+
+    x >= 0 reads the first axis of `axes` at x, x < 0 the second at -x.
+    """
+    pos, neg = points[points >= 0], points[points < 0]
     out = {}
     if pos.size:
-        out.update(solver.m_balanced(pos, "imag+"))
+        out.update(solver.m_balanced(pos, axes[0]))
     if neg.size:
-        out.update({-u: d for u, d in solver.m_balanced(-neg, "imag-").items()})
-    return _stacked(out, points)
+        out.update({-u: d for u, d in solver.m_balanced(-neg, axes[1]).items()})
+    return _stacked(solver, out, points)
 
 
 def _cr_terms(a, b):
@@ -189,8 +196,8 @@ def kernel_cr(u, v, s: float, t: float, solver: RhSolver | None = None):
     a, b, shape = _coincide(u, v, 1.0)
     rows, a, b, w = _cr_terms(a, b)
     K = np.zeros(math.prod(shape), dtype=complex)
-    np.add.at(K, rows, w * _form(solver, functools.partial(_signed_data, solver),
-                                 a, b, 1j, _CR_ROW, _CR_COL))
+    data = functools.partial(_signed_data, solver, ("imag+", "imag-"))
+    np.add.at(K, rows, w * _form(solver, data, a, b, 1j, _CR_ROW, _CR_COL))
     return complex(K[0]) if shape == () else K.reshape(shape)
 
 
@@ -230,7 +237,8 @@ def kernel_tac(u, v, r: float, s: float, solver: RhSolver | None = None):
     if solver is None:
         solver = get_solver(s * r ** (-1.0 / 3.0), 0.0)
     a, b, shape = _coincide(u, v, c)
-    K = -c * _form(solver, lambda p: _stacked(solver.m_balanced(p, "real+"), p),
+    K = -c * _form(solver,
+                   lambda p: _stacked(solver, solver.m_balanced(p, "real+"), p),
                    c * b, c * a, 1.0, _TAC_ROW, _TAC_COL)
     return complex(K[0]) if shape == () else K.reshape(shape)
 
@@ -259,8 +267,8 @@ def kernel_pii(x, y, nu, solver: PiiSolver | None = None):
     if solver is None:
         solver = get_pii_solver(complex(nu))
     a, b, shape = _coincide(x, y, 1.0)
-    K = _form(solver, lambda p: (solver.psi(p), np.zeros((p.size, 2))),
-              a, b, 1.0, _PII_ROW, _PII_COL)
+    data = functools.partial(_signed_data, solver, ("real+", "real-"))
+    K = _form(solver, data, a, b, 1.0, _PII_ROW, _PII_COL)
     return complex(K[0]) if shape == () else K.reshape(shape)
 
 

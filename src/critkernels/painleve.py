@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 
-import mpmath
 import numpy as np
 
 from .errors import IntegrationFailure, OutOfDomain
@@ -25,6 +24,7 @@ __all__ = ["HmSolution", "solve_hastings_mcleod", "default_solution",
            "plateau_asymptote"]
 
 _SIGMA_MIN, _SIGMA_MAX = -12.0, 12.0
+_AI_MAX = 1.3931846888753607e-13     # Ai(_SIGMA_MAX), float(mpmath.airyai(12))
 
 
 def plateau_asymptote(sigma: float) -> float:
@@ -85,7 +85,7 @@ def solve_hastings_mcleod(n_nodes: int = 160) -> HmSolution:
     # sqrt(-sigma/2) on the left, decaying like e^{-sigma/2} on the right;
     # the end values stay pinned and Newton moves the interior nodes only
     q = np.sqrt(0.5 * np.log1p(np.exp(-sigma)))
-    q[[0, -1]] = float(mpmath.airyai(_SIGMA_MAX)), plateau_asymptote(_SIGMA_MIN)
+    q[[0, -1]] = _AI_MAX, plateau_asymptote(_SIGMA_MIN)
     for _ in range(30):
         qi, si = q[1:-1], sigma[1:-1]
         J = D2[:, 1:-1] - np.diag(6.0 * qi * qi + si)

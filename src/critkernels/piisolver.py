@@ -106,6 +106,12 @@ class PiiSolver(SectoralSolver):
     JUMPS = PII_JUMPS
     INNER = 0.8
     LOW_SECTOR = 3          # arg in [0, pi/6]: the wrap-around sector
+    # real half-lines for `m_balanced`: both columns of Psi oscillate
+    # there, so both go outward from Psi(0) = C_sector, with no switch
+    _AXES = {
+        "real+": (1.0, LOW_SECTOR, (0, 1), math.inf),
+        "real-": (-1.0, 1, (0, 1), math.inf),
+    }
 
     def __init__(self, nu):
         self.nu = complex(nu)

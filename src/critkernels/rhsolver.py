@@ -8,9 +8,8 @@ U = U0 + U1 zeta from `laxpair`, and the series frame of `series` uses
 its '+' branch in sectors 0-4 and its '-' branch in sectors 5-9.  The
 sector constants are found by the shared engine of `sectoral`.
 
-On top of the engine, `m_balanced` gives column-balanced M along the
-imaginary half-axes (K_cr) and the positive real axis (K_tac): the
-series frame beyond a switch, transported columns below it.
+The engine's `m_balanced` reads column-balanced M along the `_AXES`
+below: the imaginary half-axes (K_cr) and the positive real axis (K_tac).
 `hm_extract` recovers the Hastings-McLeod value from the 1/zeta
 coefficient of M.
 """
@@ -23,7 +22,7 @@ import math
 import numpy as np
 
 from . import laxpair, series
-from .sectoral import SectoralSolver, balance_columns
+from .sectoral import SectoralSolver
 
 __all__ = ["RAY_ANGLES", "JUMPS", "RhSolver", "get_solver"]
 
@@ -101,49 +100,13 @@ class RhSolver(SectoralSolver):
     def det_m(self, zeta: complex) -> complex:
         return complex(np.linalg.det(self.M(zeta)))
 
-    # axis name -> (direction, sector, columns transported outward from
-    # M(0) = C_sector, switch to the series frame; None stands for r0).
-    # The remaining columns are recessive or neutral along the axis and
-    # are transported inward from the series frame at r0.
+    # axis name -> (direction, sector, outward columns, switch); see
+    # `SectoralSolver.m_balanced`.  None stands for r0 as the switch.
     _AXES = {
         "imag+": (1j, 2, (0, 1), None),
         "imag-": (-1j, 7, (0, 1), None),
         "real+": (1.0, 0, (0, 1, 2, 3), _REAL_SWITCH),
     }
-
-    def m_balanced(self, u_values, axis: str = "imag+") -> dict:
-        """Column-balanced M along an axis: u -> (Mhat, logs).
-
-        M(u * direction) = Mhat diag(e^{logs_j}) with every column of
-        Mhat normalized to unit max entry.  At or beyond the axis's
-        switch M is the sector's asymptotic series frame.  Below it the
-        dominant columns are transported outward from M(0) = C_k, and
-        the others (recessive or neutral along the axis, hence swamped
-        there by the roundoff of the dominant ones) inward from the
-        series frame at r0, the stable direction for them.  Each leg is
-        one recorded sweep of the solver (`SectoralSolver.sweep`), so a
-        value depends on u alone, not on the rest of the request or on
-        what was asked before, and a solver keeps at most one sweep per
-        leg and axis.  The per-column normalization keeps all scales
-        explicit, so kernel bilinear forms can be assembled without
-        overflow and with a well-conditioned inverse.
-        """
-        direction, sector, outward_cols, switch = self._AXES[axis]
-        inward_cols = tuple(j for j in range(4) if j not in outward_cols)
-        us = sorted(float(u) for u in u_values)
-        if us and us[0] <= 0.0:
-            raise ValueError("u values must be positive")
-        n = sum(u < (self.r0 if switch is None else switch) for u in us)
-        Mhat = np.empty((len(us), 4, 4), dtype=complex)
-        logs = np.empty((len(us), 4))
-        for cols, r_from in ((outward_cols, 0.0), (inward_cols, self.r0)):
-            if n and cols:
-                Mhat[:n, :, cols], logs[:n, cols] = self.sweep(
-                    direction, sector, cols, r_from).at(us[:n])
-        for i in range(n, len(us)):
-            Mhat[i], logs[i] = balance_columns(
-                *self._series_frame(us[i] * direction, sector))
-        return dict(zip(us, zip(Mhat, logs)))
 
     def hm_extract(self, u_points=None) -> complex:
         """Fitted (N1)_{14} from zeta (P - I)_{14} on the imaginary axis.
@@ -172,7 +135,12 @@ class RhSolver(SectoralSolver):
         return complex(coef[0])
 
 
-@functools.lru_cache(maxsize=8)
+_solvers = functools.lru_cache(maxsize=8)(RhSolver)
+
+
 def get_solver(s: float, t: float, r0: float = 14.0) -> RhSolver:
-    """Cached model-RH solver at deformation parameters (s, t)."""
-    return RhSolver(s, t, r0=r0)
+    """Cached model-RH solver at (s, t), one per value of (s, t, r0)."""
+    return _solvers(float(s), float(t), float(r0))
+
+
+get_solver.cache_info = _solvers.cache_info     # hits and misses, as for lru_cache

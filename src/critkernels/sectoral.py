@@ -39,16 +39,18 @@ every step the columns are rebalanced, so each column is carried as
 its steps in `taylor_steps`.
 
 The stepper yields every step's start, end, Taylor coefficients and
-logs, and two readers consume them.  `transport` runs outward from
-Phi(0) = I on a batch of rays and evaluates its radii as the steps go
-by, keeping none of them.  A recorded `Sweep` (dense Taylor output)
-keeps them all: `SectoralSolver.sweep` builds one per ray, block of
-columns and start on first use, and stores it, and `Sweep.at` evaluates
-any radius by the Horner sum of its step, taking more steps only when a
-radius lies beyond the recorded ones.  Every inward leg is a sweep.
-Since the grid depends on r and the start only, an extended sweep takes
-the same steps as a fresh one: a recorded value equals that of a fresh
-sweep bit for bit, whatever was asked of the sweep before.
+logs; a reader evaluates a step at a radius by one matmul of the powers
+of s against the coefficients (`_taylor_sum`).  `transport` runs
+outward from Phi(0) = I on a batch of rays and evaluates its radii as
+the steps go by, keeping none of them.  A recorded `Sweep` (dense
+Taylor output) keeps them all: `SectoralSolver.sweep` builds one per
+ray, block of columns and start on first use, and stores it, and
+`Sweep.at` evaluates any radius by the Taylor sum of its step, taking
+more steps only when a radius lies beyond the recorded ones.  Since the
+grid depends on r and the start only, a recorded value equals that of
+a fresh sweep bit for bit, whatever was asked of the sweep before.  The
+axis reader `m_balanced`, shared by K_cr, K_tac and K_PII, reads the
+half-lines of a solver's `_AXES` table from sweeps alone.
 
 The jump relations tie the C_k together; `split_solve` deliberately
 omits the links across one opposite pair of rays so that those two
@@ -81,12 +83,13 @@ def balance_columns(M: np.ndarray, logs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _taylor_sum(coeffs: np.ndarray, s) -> np.ndarray:
-    """sum_n coeffs[:, n] s^n by Horner's rule; s is a scalar or one per row."""
-    s = np.reshape(s, (-1, 1, 1))
-    acc = coeffs[:, -1]
-    for n in range(coeffs.shape[1] - 2, -1, -1):
-        acc = acc * s + coeffs[:, n]
-    return acc
+    """sum_n coeffs[:, n] s^n as one matmul of the powers of s against coeffs.
+
+    s is a scalar or one per row; coeffs has shape (b, n) + block.
+    """
+    b, n, *block = coeffs.shape
+    powers = np.vander(np.reshape(s, -1), n, increasing=True)[:, None]
+    return (powers @ coeffs.reshape(b, n, math.prod(block))).reshape([b] + block)
 
 
 class Sweep:
@@ -94,7 +97,7 @@ class Sweep:
 
     `steps` is a `SectoralSolver._march` over a batch of one ray in the
     given direction (sign +1 outward, -1 inward).  Every step taken is
-    kept, so a radius already passed costs one Horner sum.
+    kept, so a radius already passed costs one Taylor sum.
     """
 
     def __init__(self, steps, sign: float):
@@ -136,6 +139,7 @@ class SectoralSolver:
     JUMPS: tuple[np.ndarray, ...]
     INNER: float            # inner anchor radius as a fraction of r0
     LOW_SECTOR: int         # sector of the arguments in [0, RAYS[0]]
+    _AXES: dict             # axis name -> the legs of `m_balanced`
     lax_coeffs: tuple[np.ndarray, ...]
 
     def __init__(self, r0: float):
@@ -268,8 +272,8 @@ class SectoralSolver:
         It runs along the ray of the given direction: outward from
         Y(0) = C_sector when r_from is 0, inward from the series frame at
         r_from otherwise.  Built on first use and kept, so what a solver
-        keeps is bounded by what its callers ask for: `RhSolver.m_balanced`
-        asks for at most five sweeps, each between 0 and its axis's
+        keeps is bounded by what its callers ask for: `m_balanced` asks
+        for at most two sweeps per axis, each between 0 and the axis's
         switch to the series frame.
         """
         key = (direction, sector, cols, r_from)
@@ -286,6 +290,37 @@ class SectoralSolver:
                                 Y, logs, r_from, sign)
             self._sweeps[key] = Sweep(steps, sign)
         return self._sweeps[key]
+
+    def m_balanced(self, u_values, axis: str | None = None) -> dict:
+        """Column-balanced M along an axis: u -> (Mhat, logs), u >= 0.
+
+        The axis is an entry (direction, sector, outward columns, switch)
+        of `_AXES`, by default the first; a switch None stands for r0.
+        M(u * direction) = Mhat diag(e^{logs_j}), each column of Mhat at
+        unit max, so kernel forms never overflow.  At or beyond the
+        switch M is the series frame.  Below it the outward (dominant)
+        columns come from one sweep outward from M(0) = C_sector, the
+        others (swamped there by the dominant ones' roundoff) from one
+        sweep inward from the series frame at r0, so a value depends on
+        u alone, not on the request or on what was asked before.
+        """
+        direction, sector, outward_cols, switch = self._AXES[
+            next(iter(self._AXES)) if axis is None else axis]
+        inward_cols = tuple(j for j in range(self.dim) if j not in outward_cols)
+        us = sorted(float(u) for u in u_values)
+        if us and us[0] < 0.0:
+            raise ValueError("u values must be nonnegative")
+        n = sum(u < (self.r0 if switch is None else switch) for u in us)
+        Mhat = np.empty((len(us), self.dim, self.dim), dtype=complex)
+        logs = np.empty((len(us), self.dim))
+        for cols, r_from in ((outward_cols, 0.0), (inward_cols, self.r0)):
+            if n and cols:
+                Mhat[:n, :, cols], logs[:n, cols] = self.sweep(
+                    direction, sector, cols, r_from).at(us[:n])
+        for i in range(n, len(us)):
+            Mhat[i], logs[i] = balance_columns(
+                *self._series_frame(us[i] * direction, sector))
+        return dict(zip(us, zip(Mhat, logs)))
 
     def phi(self, zeta) -> np.ndarray:
         """The fundamental solution Phi(zeta), with Phi(0) = I.

@@ -149,6 +149,23 @@ def test_kernel_cr_warm_pairs_take_no_steps():
     assert solver.taylor_steps == steps
 
 
+def test_kernel_pii_warm_entries_take_no_steps():
+    # [DERIVED] K_PII reads Psi from the solver's recorded sweeps along
+    # the real half-lines: once the diagonal of a 5x5 matrix through the
+    # origin has been evaluated, its 20 off-diagonal entries take no new
+    # Taylor step
+    nu = 2.0 ** (5.0 / 3.0) * 0.5
+    points = [-1.6, -0.3, 0.0, 0.6, 1.5]
+    solver = kernels.get_pii_solver(complex(nu))
+    kernels.kernel_pii_diag(points, nu, solver)
+    steps = solver.taylor_steps
+    pairs = [(x, y) for x in points for y in points if x != y]
+    for x, y in pairs:
+        kernels.kernel_pii(x, y, nu, solver)
+    assert len(pairs) == 20
+    assert solver.taylor_steps == steps
+
+
 def test_kernel_cr_far_out_takes_no_transport():
     # [DERIVED] at and beyond r0, M on the imaginary axis is the series
     # frame: a far-out K_cr diagonal takes no Taylor step and keeps no new

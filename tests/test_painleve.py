@@ -97,3 +97,10 @@ def test_node_refinement():
     fine = pv.solve_hastings_mcleod(n_nodes=240)
     for x in np.linspace(-12.0, 12.0, 1201):
         assert abs(fine.q(x) - HM.q(x)) < 1e-12
+
+
+def test_pinned_airy_value_is_mpmath_ai12():
+    # [TRIVIAL] the right end value pinned by the collocation is Ai(12)
+    # from mpmath, bit for bit
+    import mpmath
+    assert pv._AI_MAX == float(mpmath.airyai(pv._SIGMA_MAX))

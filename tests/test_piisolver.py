@@ -97,6 +97,16 @@ def test_psi_array_matches_scalar(solver):
         assert np.max(np.abs(batch[idx] - one)) <= 1e-14 * np.max(np.abs(one))
 
 
+def test_m_balanced_matches_psi(solver):
+    # [DERIVED] the recorded real-axis sweeps of m_balanced reproduce
+    # Psi(x) = Phi(x) C_k (sector 3 for x >= 0, sector 1 for x < 0),
+    # and x = 0 reads C_3 itself
+    for axis, sign in (("real+", 1.0), ("real-", -1.0)):
+        for x, (Mhat, logs) in solver.m_balanced([0.0, 0.4, 1.7, 3.0], axis).items():
+            Psi = solver.psi(sign * x) if x else solver.C[3]
+            assert np.max(np.abs(Mhat * np.exp(logs) - Psi)) <= 1e-13 * np.max(np.abs(Psi))
+
+
 def test_hm_complex_continuation():
     # [DERIVED] complex-nu continuation reduces to the real solution on
     # the real axis and satisfies Painleve II off it

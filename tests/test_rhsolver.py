@@ -154,6 +154,12 @@ def test_default_solver_is_the_cached_one():
     assert np.array_equal(fresh.C, cached.C)
 
 
+def test_get_solver_caches_by_value():
+    # [TRIVIAL] the keyword and the default r0 name one solver
+    assert get_solver(0, 0, r0=14.0) is get_solver(0, 0)
+    assert get_solver(0.3, -0.2, 14) is get_solver(0.3, -0.2)
+
+
 def test_m_balanced_cache_state_independent():
     # [DERIVED] a solver that has evaluated other points before gives the
     # same values, bit for bit, as a fresh one

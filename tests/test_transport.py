@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 from critkernels import kernels
 from critkernels.dscale import DoubleScaling
 from critkernels.piisolver import get_pii_solver
+from critkernels.sectoral import _taylor_sum
 
 
 def _oracle(solver, direction, Y0, r_from, r_to):
@@ -63,3 +64,21 @@ def test_pii_on_double_scaling_nodes():
     for b in range(len(w)):
         ref = _oracle(pii, w[b] / r[b], np.eye(2), 0.0, r[b])
         assert _column_error(Yhat[b, 0], logs[b, 0], ref) < 1e-10, w[b]
+
+
+def test_taylor_sum_matches_horner():
+    # [TRIVIAL] the one-matmul Taylor sum equals Horner's rule to 1e-15
+    # relative for |s| <= 1, per row or with one s for all, and an empty
+    # batch gives an empty sum
+    rng = np.random.default_rng(3)
+    decay = 2.0 ** np.arange(31) / np.cumprod([1.0] + list(range(1, 31)))
+    T = (rng.standard_normal((40, 31, 4, 2))
+         + 1j * rng.standard_normal((40, 31, 4, 2))) * decay[:, None, None]
+    for s in (rng.uniform(-1.0, 1.0, 40), 1.0, -0.6):
+        acc = T[:, -1]
+        for n in range(29, -1, -1):
+            acc = acc * np.reshape(s, (-1, 1, 1)) + T[:, n]
+        err = np.max(np.abs(_taylor_sum(T, s) - acc), axis=(1, 2))
+        assert np.all(err <= 1e-15 * np.max(np.abs(acc), axis=(1, 2)))
+    assert _taylor_sum(T[:0], 0.5).shape == (0, 4, 2)
+    assert _taylor_sum(T[:0], np.empty(0)).shape == (0, 4, 2)
