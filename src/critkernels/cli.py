@@ -22,6 +22,7 @@ from . import __version__
 from .errors import CritKernelsError
 
 _CSV_FMT = "{:.17g}"
+_AI_8 = 4.6922076160992316e-08      # Ai(8), float(mpmath.airyai(8.0))
 # what exits 2: `_output` writes the report and raises a click.UsageError
 _CONFIG_ERRORS = (CritKernelsError, ValueError, click.UsageError)
 
@@ -166,8 +167,6 @@ def density(measure: str, alpha: float, tau: float, grid: str,
 @_output("hm.csv")
 def hm(grid: str, out: str, fmt: str) -> None:
     """Hastings-McLeod solution q, q', u on a grid."""
-    import mpmath
-
     from . import painleve
 
     sol = painleve.default_solution()
@@ -177,10 +176,9 @@ def hm(grid: str, out: str, fmt: str) -> None:
     sig = np.linspace(max(xs[0], -8.0), min(xs[-1], 8.0), 33)
     q = np.array([sol.q(x) for x in sig])
     resid = np.max(np.abs(sol.qsecond(sig) - (sig * q + 2.0 * q ** 3)))
-    ai8 = float(mpmath.airyai(8.0))
     checks = [
         _check("pii_residual", resid, 1e-5),
-        _check("airy_match_at_8", sol.q(8.0) / ai8 - 1.0, 1e-4),
+        _check("airy_match_at_8", sol.q(8.0) / _AI_8 - 1.0, 1e-4),
     ]
     _emit("hm", {"grid": grid}, checks, out, fmt,
           ["sigma", "q", "qprime", "u"], rows)

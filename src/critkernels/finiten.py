@@ -24,6 +24,23 @@ are series in the tau = 0 moments m_l, one table per family, not quadratures.
 The factorization is exponentially ill-conditioned in n, so all of this
 runs in mpmath arbitrary-precision arithmetic (default 64 * ceil(n/6)
 bits, with one doubling retry if the factorization loses positivity).
+
+Because V is quadratic and W an even quartic, the p_k satisfy the banded
+recurrence x p_k = p_{k+1} + b_k p_{k-1} + c_k p_{k-3} (Bertola, Eynard &
+Harnad, Comm. Math. Phys. 229 (2002)), so the zeros of p_n are the
+eigenvalues of the n x n upper Hessenberg matrix with ones below the
+diagonal, b_k above it and c_k three above (column k holds the recurrence
+for x p_k).  b_k and c_k are read off the leading coefficients of p_k and
+p_{k+1} in mp; the eigenvalues are found in double precision and each is
+polished by Newton on p_n at the family's precision.  The matrix is not
+normal, so its double-precision eigenvalues drift from the zeros as n
+grows: at (alpha, tau) = (-1, 1) by 7e-13, 2e-11 and 5e-8 at n = 96, 144
+and 192, at (-2, 1.5) by 8e-8 and 1e-4 at n = 96 and 144.  (Its transpose,
+which LAPACK must first reduce to Hessenberg form, drifts by 2e-6 at
+n = 96, (-1, 1), and splits the edge zeros into complex pairs at
+(-2, 1.5) from n = 72.)  The cost is the family, about n^4: bimoments and LDU take 4 s
+at n = 96, 14 s at n = 144 and 42 s at n = 192 on one core, so n is
+capped at 144.
 """
 
 from __future__ import annotations
@@ -46,6 +63,13 @@ __all__ = [
     "kernel_n",
     "zero_counting_kolmogorov",
 ]
+
+
+_N_MAX = 144                # measured; see the module docstring
+_EPS = np.finfo(float).eps
+# Newton steps per zero: a few from an eigenvalue, and about 30 into a
+# double zero, where each step halves the error
+_NEWTON_MAX = 40
 
 
 def _default_bits(n: int) -> int:
@@ -128,9 +152,10 @@ def bimoment_matrix(n: int, alpha: float, tau: float,
                     precision_bits: int | None = None) -> BimomentMatrix:
     """Bimoment matrix of the coupled weight at size (n+1) x (n+1)."""
     _finite(alpha=alpha, tau=tau)
-    if n > 36:
-        raise DomainRestriction("n is capped at 36 (convergence rate makes "
-                                "larger n uninformative)")
+    if n > _N_MAX:
+        raise DomainRestriction(
+            f"n is capped at {_N_MAX}, where the family takes 14 s on one "
+            "core and grows as n^4 (see the module docstring)")
     if n < 6 or n % 6 != 0:
         raise DomainRestriction("n must be a positive multiple of 6")
     bits = _default_bits(n) if precision_bits is None else int(precision_bits)
@@ -222,13 +247,60 @@ def _unit_lower_inverse(L: mp.matrix) -> mp.matrix:
     return inv
 
 
-def polynomial_zeros(fam: BiorthogonalFamily):
-    """Zeros of p_{n,n}, as a sorted real array."""
+def _band_coefficients(fam: BiorthogonalFamily) -> tuple[list, list]:
+    """b_k and c_k, k < n, of x p_k = p_{k+1} + b_k p_{k-1} + c_k p_{k-3}
+    (zero where p_{k-1} or p_{k-3} does not exist), matched on the
+    coefficients a_{k,j} of x^{k-1} and x^{k-3}; a_{k,k-1} = a_{k,k-3} = 0
+    by parity."""
+    def a(k, j):
+        return fam.p_coeffs[k][j] if j >= 0 else 0
+
     with mp.workprec(fam.precision_bits):
-        coeffs = list(reversed(fam.p_coeffs[fam.n]))  # highest degree first
-        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=fam.precision_bits)
-        arr = np.array([complex(r) for r in roots])
-    return np.sort(arr.real) + 1j * arr.imag[np.argsort(arr.real)]
+        b = [a(k, k - 2) - a(k + 1, k - 1) for k in range(fam.n)]
+        c = [a(k, k - 4) - a(k + 1, k - 3) - b[k] * a(k - 1, k - 3)
+             for k in range(fam.n)]
+    return b, c
+
+
+def polynomial_zeros(fam: BiorthogonalFamily):
+    """Zeros of p_{n,n}, as a complex array sorted by real part: the
+    eigenvalues of the recurrence matrix, each polished by Newton on p_n.
+    Raises QuadratureFailure if a zero's Newton iteration has not settled
+    after _NEWTON_MAX steps, or if two eigenvalues polish onto one zero."""
+    n = fam.n
+    b, c = _band_coefficients(fam)
+    H, k = np.zeros((n, n)), np.arange(n)      # column k: x p_k
+    H[k[1:], k[:-1]] = 1.0
+    H[k[:-1], k[1:]] = [float(v) for v in b[1:]]
+    H[k[:-3], k[3:]] = [float(v) for v in c[3:]]
+    eigs = np.linalg.eigvals(H)
+    coeffs = fam.p_coeffs[n][::-1]              # highest degree first
+    zeros = []
+    with mp.workprec(fam.precision_bits):
+        for e in eigs:
+            x = mp.mpc(e) if e.imag else mp.mpf(e.real)
+            for _ in range(_NEWTON_MAX):
+                p, dp = mp.polyval(coeffs, x, derivative=True)
+                step = p / dp if p else p     # an eigenvalue exactly on a zero
+                x -= step
+                if abs(step) <= _EPS * abs(x):
+                    break
+            else:
+                raise QuadratureFailure(
+                    f"Newton on p_{n} from the eigenvalue {e:.17g} moves by "
+                    f"{float(abs(step)):.3g} after {_NEWTON_MAX} steps")
+            zeros.append(complex(x))
+    z = np.array(zeros)
+    # Newton stops within eps |z| of a simple or a double zero, so polished
+    # eigenvalues within 4 eps |z| of each other found one zero
+    close = np.abs(z[:, None] - z) <= 4 * _EPS * np.abs(z)
+    np.fill_diagonal(close, False)
+    if close.any():
+        i, j = np.argwhere(close)[0]
+        raise QuadratureFailure(f"the eigenvalues {eigs[i]:.17g} and "
+                                f"{eigs[j]:.17g} both polish onto the zero "
+                                f"{z[i]:.17g} of p_{n}")
+    return z[np.argsort(z.real)]
 
 
 @functools.lru_cache(maxsize=8)

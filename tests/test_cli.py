@@ -74,6 +74,15 @@ def test_hm_pii_residual_from_second_derivative(runner, tmp_path):
     assert checks["pii_residual"]["tolerance"] == 1e-5
 
 
+def test_pinned_airy_value_is_mpmath_ai8():
+    # [TRIVIAL] the Ai(8) that hm's airy_match_at_8 divides by is
+    # mpmath's, bit for bit
+    import mpmath
+
+    from critkernels import cli
+    assert cli._AI_8 == float(mpmath.airyai(8.0))
+
+
 @pytest.mark.parametrize("which", ["cr", "tac", "pii"])
 def test_kernel_diagonal_dispatch(runner, tmp_path, which):
     # [TRIVIAL] u == v gives the library's diagonal value
@@ -165,17 +174,17 @@ def test_finite_n_non_finite_exit_2(runner, tmp_path, args, bad):
 
 def test_finite_n_solves_zeros_once(runner, tmp_path, monkeypatch):
     # [TRIVIAL] the zeros and their Kolmogorov distance share one
-    # polyroots solve
-    import mpmath
+    # polynomial_zeros solve
+    from critkernels import finiten
 
     calls = []
-    polyroots = mpmath.polyroots
+    polynomial_zeros = finiten.polynomial_zeros
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return polyroots(*args, **kwargs)
+        return polynomial_zeros(*args, **kwargs)
 
-    monkeypatch.setattr(mpmath, "polyroots", counted)
+    monkeypatch.setattr(finiten, "polynomial_zeros", counted)
     result, out, report = _run(runner, tmp_path, ["finite-n", "--n", "6"])
     assert result.exit_code == 0, result.output
     assert len(calls) == 1

@@ -194,6 +194,98 @@ def test_zeros_real_simple(fam12):
     assert np.min(np.diff(z.real)) > 1e-8
 
 
+def _polyroots_zeros(fam):
+    """Zeros of p_n by mp.polyroots at twice the family's bits, sorted by
+    real part: an oracle independent of the recurrence."""
+    with mp.workprec(fam.precision_bits):
+        roots = mp.polyroots(fam.p_coeffs[fam.n][::-1], maxsteps=200,
+                             extraprec=fam.precision_bits)
+    z = np.array([complex(r) for r in roots])
+    return z[np.argsort(z.real)]
+
+
+@pytest.mark.parametrize("n", [6, 12, 18, 24, 30, 36,
+                               pytest.param(48, marks=pytest.mark.slow)])
+def test_zeros_against_polyroots(n):
+    # [DERIVED] the polished eigenvalues of the recurrence matrix are the
+    # zeros mp.polyroots finds from the coefficients of p_n
+    fam = finiten.biorthogonal(finiten.bimoment_matrix(n, ALPHA, TAU))
+    z = finiten.polynomial_zeros(fam)
+    assert np.max(np.abs(z - _polyroots_zeros(fam))) < 1e-13
+
+
+def test_band_recurrence_residual():
+    # [PAPER] V quadratic and W an even quartic make the recurrence for p_k
+    # banded: x p_k = p_{k+1} + b_k p_{k-1} + c_k p_{k-3}.  At n = 24 every
+    # coefficient of the remainder, relative to the largest coefficient of
+    # p_{k+1}, is below 2^{-bits/2} (measured: 3e-61 against 3e-39)
+    fam = finiten.biorthogonal(finiten.bimoment_matrix(24, ALPHA, TAU))
+    b, c = finiten._band_coefficients(fam)
+    P = fam.p_coeffs
+    with mp.workprec(fam.precision_bits):
+        bound = mp.mpf(2) ** (-fam.precision_bits / 2)
+        for k in range(fam.n):
+            r = [mp.mpf(0)] + P[k]
+            for j, v in enumerate(P[k + 1]):
+                r[j] -= v
+            for j, v in enumerate(P[k - 1] if k >= 1 else []):
+                r[j] -= b[k] * v
+            for j, v in enumerate(P[k - 3] if k >= 3 else []):
+                r[j] -= c[k] * v
+            scale = max(abs(v) for v in P[k + 1])
+            assert max(abs(v) for v in r) < bound * scale, k
+
+
+def _family_from_band(b, c, bits=128):
+    """A family whose p_0..p_n follow x p_k = p_{k+1} + b_k p_{k-1}
+    + c_k p_{k-3}, k < n = len(b); only p_coeffs and n are meaningful."""
+    with mp.workprec(bits):
+        P = [[mp.mpf(1)]]
+        for k in range(len(b)):
+            nxt = [mp.mpf(0)] + P[k]
+            for j, v in enumerate(P[k - 1] if k >= 1 else []):
+                nxt[j] -= b[k] * v
+            for j, v in enumerate(P[k - 3] if k >= 3 else []):
+                nxt[j] -= c[k] * v
+            P.append(nxt)
+    return finiten.BiorthogonalFamily(
+        n=len(b), alpha=ALPHA, tau=TAU, precision_bits=bits, p_coeffs=P,
+        q_coeffs=[], h2=[])
+
+
+@pytest.mark.parametrize("b,c,expected", [
+    # p_4 = x^4 + 4, zeros +-1 +- i
+    ([0, 1, -2, 1], [0, 0, 0, -3], [1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]),
+    # b_k = -1: p_k(x) = (-i)^k U_k(ix/2), zeros -2i cos(j pi/13)
+    ([0] + [-1] * 11, [0] * 12,
+     [-2j * math.cos(j * math.pi / 13) for j in range(1, 13)]),
+])
+def test_complex_zeros_keep_imaginary_parts(b, c, expected):
+    # [DERIVED] a recurrence with a negative b_k has complex zeros; they
+    # come back with their imaginary parts, sorted by real part
+    fam = _family_from_band(b, c)
+    z = finiten.polynomial_zeros(fam)
+    assert len(z) == len(expected) and np.all(np.diff(z.real) >= 0)
+    for w in expected:
+        assert np.min(np.abs(z - w)) < 1e-13, w
+
+
+def test_band_coefficients_recovered():
+    # [TRIVIAL] b_k and c_k read off the coefficients are those the
+    # polynomials were built with
+    b, c = [0, 0.5, -1.25, 2, 0.75, 1], [0, 0, 0, 0.25, -0.5, 1.5]
+    got_b, got_c = finiten._band_coefficients(_family_from_band(b, c))
+    assert [float(v) for v in got_b] == b and [float(v) for v in got_c] == c
+
+
+def test_double_zero_refused():
+    # [TRIVIAL] p_4 = (x^2 - 1)^2: two eigenvalues polish onto each double
+    # zero, and that is refused by name rather than returned twice
+    fam = _family_from_band([0, 1, 0.5, 0.5], [0, 0, 0, -0.5])
+    with pytest.raises(QuadratureFailure, match="both polish onto the zero"):
+        finiten.polynomial_zeros(fam)
+
+
 def test_kernel_density_symmetry(fam6):
     # [TRIVIAL] even potentials make the density even
     a = finiten.kernel_n(0.8, 0.8, fam6)
@@ -346,6 +438,15 @@ def test_kolmogorov_decreasing(fam6, fam12, fam18):
     assert d6 > d12 > d18
 
 
+@pytest.mark.slow
+def test_kolmogorov_falls_past_n_36():
+    # [PAPER] the zero-counting distance to mu1 keeps falling past n = 36
+    # (0.014 at n = 48, 0.0073 at n = 96), up to the measured cap
+    d48, d96 = (finiten.zero_counting_kolmogorov(finiten.biorthogonal(
+        finiten.bimoment_matrix(n, ALPHA, TAU))) for n in (48, 96))
+    assert d48 > d96
+
+
 def test_kolmogorov_equals_loop_reference(fam12):
     # [TRIVIAL] the vectorized distance equals the per-zero loop it replaced
     zeros = finiten.polynomial_zeros(fam12).real
@@ -362,7 +463,7 @@ def test_domain_errors():
     with pytest.raises(DomainRestriction):
         finiten.bimoment_matrix(7, ALPHA, TAU)
     with pytest.raises(DomainRestriction):
-        finiten.bimoment_matrix(42, ALPHA, TAU)
+        finiten.bimoment_matrix(150, ALPHA, TAU)
     with pytest.raises(DomainRestriction):
         finiten.bimoment_matrix(12, ALPHA, TAU, precision_bits=64)
 

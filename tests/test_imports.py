@@ -37,12 +37,13 @@ def test_kernels_and_dscale_import_no_scipy_submodule():
 
 
 @pytest.mark.parametrize("command", [
+    "hm --grid -8:8:161",
     "kernel --which cr --s 0 --t 0 --u 1.0 --v 1.0",
     "rh-check --s 0 --t 0 --r0 14",
     "double-scaling --a 4 --sigma 0.5",
 ])
 def test_rh_commands_load_no_mpmath_or_scipy(command, tmp_path):
-    # [TRIVIAL] the README's kernel, rh-check and double-scaling commands
+    # [TRIVIAL] the README's hm, kernel, rh-check and double-scaling commands
     # run to the end, report written, without loading mpmath or scipy
     run = f"from critkernels.cli import main\nmain({command.split()!r}, standalone_mode=False)"
     assert _loaded(run, ("mpmath", "scipy"), cwd=tmp_path) == []
