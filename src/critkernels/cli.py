@@ -66,11 +66,11 @@ def _emit(command: str, params: dict, checks: list[dict],
 def _write_report(out: str, command: str, params: dict, **outcome) -> None:
     """<out>.report.json: command, params, the outcome fields, versions.
 
-    Versions of scipy and mpmath are recorded if the command loaded them.
+    The mpmath version is recorded if the command loaded mpmath.
     """
     versions = {"critkernels": __version__, "numpy": np.__version__}
-    versions.update((name, sys.modules[name].__version__)
-                    for name in ("scipy", "mpmath") if name in sys.modules)
+    if "mpmath" in sys.modules:
+        versions["mpmath"] = sys.modules["mpmath"].__version__
     report = {"command": command, "params": params, **outcome,
               "versions": versions}
     with open(out + ".report.json", "w") as fh:

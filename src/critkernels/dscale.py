@@ -67,7 +67,7 @@ import numpy as np
 from numpy.polynomial import legendre
 from numpy.polynomial.polynomial import polyval
 
-from . import laxpair, painleve
+from . import laxpair
 from .errors import DomainRestriction, IntegrationFailure, _finite
 from .piisolver import get_pii_solver
 
@@ -257,8 +257,8 @@ class DoubleScaling:
         self.sigma = float(sigma)
         self.p = 1.0 - sigma / a ** 2
         self.nu0 = 2.0 ** (5.0 / 3.0) * sigma
-        self.pii = get_pii_solver(complex(self.nu0))
-        self.q_nu = complex(painleve.default_solution()(self.nu0)[1])
+        self.pii = get_pii_solver(self.nu0)
+        self.q_nu = self.pii.qp
         self.eps = float(eps)
         self.delta = min(0.97 - self.eps, 0.32)
         self._build_contour()

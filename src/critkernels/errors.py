@@ -59,9 +59,8 @@ class OutOfDomain(CritKernelsError):
 class IntegrationFailure(CritKernelsError):
     """An iterative solve failed to converge.
 
-    Raised by the Lax transport and the complex-nu Painleve II
-    continuation, by the Hastings-McLeod Newton iteration, and when the
-    double-scaling GMRES solve stagnates.
+    Raised by the Lax transport, by the Hastings-McLeod Newton
+    iteration, and when the double-scaling GMRES solve stagnates.
     """
 
 

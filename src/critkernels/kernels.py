@@ -69,14 +69,7 @@ __all__ = [
     "double_scaling_gap",
 ]
 
-_ORIGIN_EPS = 1e-3       # |u| below which the kernel is extrapolated
 _COINCIDE_EPS = 1e-6     # relative |u - v| treated as the diagonal
-# nodes of the least-squares quadratic through 0, in units of _ORIGIN_EPS;
-# its value at x is (P_0 + y P_1 + y^2 P_2) @ (node values), y = x/_ORIGIN_EPS,
-# with P_k the rows of the pseudo-inverse of the nodes' Vandermonde matrix
-_ORIGIN_K = np.array([-3.0, -2.0, 2.0, 3.0])
-_ORIGIN_NODES = _ORIGIN_K * _ORIGIN_EPS
-_ORIGIN_PINV = np.linalg.pinv(np.vander(_ORIGIN_K, 3, increasing=True))
 
 
 # -- pairs and the bilinear form --------------------------------------------
@@ -151,53 +144,20 @@ def _signed_data(solver, axes: tuple, points) -> tuple:
     return _stacked(solver, out, points)
 
 
-def _cr_terms(a, b):
-    """K_cr(a, b) as weighted forms: K[r] = sum of w K(a', b') over rows == r.
-
-    The pairs have passed `_coincide`.  A first argument near the origin
-    is extrapolated from the pairs (node, b), or (node, node) on the
-    diagonal, then a second argument near the origin from the pairs
-    (a, node); an entry with both points near it is the nested
-    extrapolation.
-    """
-    rows, w = np.arange(a.size), np.ones(a.size)
-    for first in (True, False):
-        x = a if first else b
-        near = (np.abs(x) < _ORIGIN_EPS) & (first | (a != b))
-        if not near.any():
-            continue
-        nodes = np.broadcast_to(_ORIGIN_NODES, (near.sum(), 4))
-        if first:
-            na, nb = nodes, np.where((a == b)[near, None], nodes, b[near, None])
-        else:
-            na, nb = a[near, None], nodes
-        na, nb, _ = _coincide(na, nb, 1.0)
-        y = x[near, None] / _ORIGIN_EPS
-        wx = _ORIGIN_PINV[0] + y * (_ORIGIN_PINV[1] + y * _ORIGIN_PINV[2])
-        rows = np.concatenate([rows[~near], np.repeat(rows[near], 4)])
-        w = np.concatenate([w[~near], (w[near, None] * wx).ravel()])
-        a, b = np.concatenate([a[~near], na]), np.concatenate([b[~near], nb])
-    return rows, a, b, w
-
-
 def kernel_cr(u, v, s: float, t: float, solver: RhSolver | None = None):
     """The critical kernel K_cr(u, v; s, t).
 
     u and v are scalars or broadcastable arrays; the result has their
     broadcast shape, a complex for scalars.  Coincident arguments take
-    the derivative limit at their midpoint.  Arguments within 1e-3 of
-    the origin are extrapolated by the least-squares quadratic through
-    four nodes outside (the kernel is analytic at 0 but the RH
-    evaluation degrades there).
+    the derivative limit at their midpoint.  Every entry, u = 0
+    included, is the one bilinear form `_form`.
     """
     _finite(u=u, v=v, s=s, t=t)
     if solver is None:
         solver = get_solver(s, t)
     a, b, shape = _coincide(u, v, 1.0)
-    rows, a, b, w = _cr_terms(a, b)
-    K = np.zeros(math.prod(shape), dtype=complex)
     data = functools.partial(_signed_data, solver, ("imag+", "imag-"))
-    np.add.at(K, rows, w * _form(solver, data, a, b, 1j, _CR_ROW, _CR_COL))
+    K = _form(solver, data, a, b, 1j, _CR_ROW, _CR_COL)
     return complex(K[0]) if shape == () else K.reshape(shape)
 
 
@@ -265,7 +225,7 @@ def kernel_pii(x, y, nu, solver: PiiSolver | None = None):
     """
     _finite(x=x, y=y, nu=nu)
     if solver is None:
-        solver = get_pii_solver(complex(nu))
+        solver = get_pii_solver(nu)
     a, b, shape = _coincide(x, y, 1.0)
     data = functools.partial(_signed_data, solver, ("real+", "real-"))
     K = _form(solver, data, a, b, 1.0, _PII_ROW, _PII_COL)

@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from . import painleve, series
-from .errors import IntegrationFailure
+from .errors import DomainRestriction, _finite
 from .sectoral import SectoralSolver
 
 __all__ = ["PII_RAY_ANGLES", "PII_JUMPS", "PiiSolver", "get_pii_solver", "hm_at"]
@@ -61,37 +61,23 @@ _R0 = 4.2                # outer anchor radius of the sector-constant fit
 _SERIES_ORDER = 12       # coefficients P_1.._SERIES_ORDER of the series frame
 
 
-def hm_at(nu):
-    """(q, q') of the Hastings-McLeod solution at real or complex nu.
-
-    Complex arguments are reached by integrating Painleve II
-    q'' = nu q + 2 q^3 from Re(nu) along the imaginary direction.
-    """
+def hm_at(nu) -> tuple[complex, complex]:
+    """(q, q') of the Hastings-McLeod solution at real nu."""
+    _finite(nu=nu)
     nu = complex(nu)
-    q0, qp0, _ = painleve.default_solution()(nu.real)
-    if nu.imag == 0.0:
-        return complex(q0), complex(qp0)
-    from scipy.integrate import solve_ivp
-
-    def rhs(s, y):
-        # y = (q, q') along nu = Re(nu) + i s
-        z = complex(nu.real, s)
-        return np.array([y[1], z * y[0] + 2.0 * y[0] ** 3], dtype=complex) * 1j
-
-    sol = solve_ivp(rhs, (0.0, nu.imag), np.array([q0, qp0], dtype=complex),
-                    method="DOP853", rtol=1e-12, atol=1e-14)
-    if not sol.success:
-        raise IntegrationFailure(f"PII continuation: {sol.message}")
-    return complex(sol.y[0, -1]), complex(sol.y[1, -1])
+    if nu.imag != 0.0:
+        raise DomainRestriction(f"Painleve II parameter nu must be real, got {nu!r}")
+    q, qp, _ = painleve.default_solution()(nu.real)
+    return complex(q), complex(qp)
 
 
-def _fn_matrix(zeta: complex, nu: complex, q: complex, qp: complex) -> np.ndarray:
+def _fn_matrix(zeta: complex, nu: float, q: complex, qp: complex) -> np.ndarray:
     d = 1j * (4.0 * zeta * zeta + nu + 2.0 * q * q)
     off = 4.0 * zeta * q
     return np.array([[-d, off + 2j * qp], [off - 2j * qp, d]], dtype=complex)
 
 
-def _lax_coeffs(nu: complex, q: complex, qp: complex) -> tuple:
+def _lax_coeffs(nu: float, q: complex, qp: complex) -> tuple:
     """(A0, A1, A2) with the Flaschka-Newell matrix A = A0 + A1 zeta + A2 zeta^2."""
     A0 = np.array([[-1j * (nu + 2.0 * q * q), 2j * qp],
                    [-2j * qp, 1j * (nu + 2.0 * q * q)]], dtype=complex)
@@ -114,8 +100,8 @@ class PiiSolver(SectoralSolver):
     }
 
     def __init__(self, nu):
-        self.nu = complex(nu)
-        self.q, self.qp = hm_at(self.nu)
+        self.q, self.qp = hm_at(nu)
+        self.nu = complex(nu).real
         self.lax_coeffs = _lax_coeffs(self.nu, self.q, self.qp)
         # Psi = (I + sum_k P_k zeta^{-k}) E with E'E^{-1} = -theta' sigma3
         G = {0: -1j * self.nu * _SIGMA3, 2: -4j * _SIGMA3}
@@ -162,6 +148,6 @@ class PiiSolver(SectoralSolver):
 
 
 @functools.lru_cache(maxsize=16)
-def get_pii_solver(nu: complex) -> PiiSolver:
+def get_pii_solver(nu: float) -> PiiSolver:
     """Cached Painleve II model-RH solver at parameter nu."""
     return PiiSolver(nu)

@@ -52,7 +52,7 @@ def test_kernel_cr_negative_arguments():
 
 
 def test_kernel_cr_origin_extrapolation():
-    # [DERIVED] quadratic extrapolation bridges the origin smoothly
+    # [DERIVED] the kernel varies smoothly from the origin outward
     s, t = 0.0, 0.0
     inner = kernels.kernel_cr_diag(5e-4, s, t)
     outer = kernels.kernel_cr_diag(2e-3, s, t)
@@ -60,6 +60,35 @@ def test_kernel_cr_origin_extrapolation():
     off = kernels.kernel_cr(5e-4, 1.0, s, t)
     ref = kernels.kernel_cr(2e-3, 1.0, s, t)
     assert abs(off - ref) < 5e-3
+
+
+@pytest.mark.parametrize("s,t", [(0.0, 0.0), (0.3, -0.2)])
+def test_kernel_cr_continuous_at_1e3(s, t):
+    # [DERIVED] no seam at |u| = 1e-3: moving u by 1e-12 there, in either
+    # argument and on the diagonal, moves K_cr by less than 1e-11
+    # relative, however far or near the other argument lies
+    for edge in (-1e-3, 1e-3):
+        inner, outer = edge * (1.0 - 1e-9), edge
+        for v in (-2.0, -0.3, 0.5, 1.0, -3e-4, 3e-4):
+            for a, b in (((inner, v), (outer, v)), ((v, inner), (v, outer))):
+                Ka, Kb = kernels.kernel_cr(*a, s, t), kernels.kernel_cr(*b, s, t)
+                assert abs(Ka - Kb) < 1e-11 * max(1.0, abs(Kb)), (a, b)
+        Ka = kernels.kernel_cr_diag(inner, s, t)
+        Kb = kernels.kernel_cr_diag(outer, s, t)
+        assert abs(Ka - Kb) < 1e-11 * max(1.0, abs(Kb)), edge
+
+
+@pytest.mark.parametrize("s,t", [(0.0, 0.0), (0.3, -0.2)])
+def test_kernel_cr_at_origin_matches_reference_solver(s, t):
+    # [DERIVED] at and near the critical point u = 0, on the diagonal and
+    # against v = -2, 0.5 and 0, K_cr agrees with the same form on a
+    # solver with a larger r0 and series order
+    ref = RhSolver(s, t, r0=26.0, series_order=22)
+    u = np.array([0.0, 1e-5, -1e-5, 5e-4, -5e-4])
+    for v in (u, -2.0, 0.5, 0.0):
+        K = kernels.kernel_cr(u, v, s, t)
+        R = kernels.kernel_cr(u, v, s, t, ref)
+        assert np.max(np.abs(K - R) / np.maximum(1.0, np.abs(R))) < 1e-8, v
 
 
 def test_cr_diag_expansion_window():

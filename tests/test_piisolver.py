@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from critkernels import kernels, painleve, series
+from critkernels.errors import DomainRestriction
 from critkernels.piisolver import PII_JUMPS, PII_RAY_ANGLES, PiiSolver, hm_at
 
 HM = painleve.default_solution()
@@ -107,16 +108,26 @@ def test_m_balanced_matches_psi(solver):
             assert np.max(np.abs(Mhat * np.exp(logs) - Psi)) <= 1e-13 * np.max(np.abs(Psi))
 
 
-def test_hm_complex_continuation():
-    # [DERIVED] complex-nu continuation reduces to the real solution on
-    # the real axis and satisfies Painleve II off it
-    q, qp = hm_at(0.5)
-    assert abs(q - HM(0.5)[0]) < 1e-12
-    nu = 0.5 + 0.3j
-    h = 1e-4
-    qs = [hm_at(complex(nu.real, nu.imag + d))[0] for d in (-h, 0.0, h)]
-    qpp = (qs[0] - 2.0 * qs[1] + qs[2]) / (1j * h) ** 2
-    assert abs(qpp - (nu * qs[1] + 2.0 * qs[1] ** 3)) < 1e-5
+def test_hm_at_is_the_real_solution():
+    # [TRIVIAL] hm_at reads the one Hastings-McLeod solution, and a
+    # complex nu with zero imaginary part is the same real nu
+    q, qp, _ = HM(0.5)
+    assert hm_at(0.5) == hm_at(complex(0.5)) == (q, qp)
+    nu = PiiSolver(complex(0.5)).nu
+    assert isinstance(nu, float) and nu == 0.5
+
+
+@pytest.mark.parametrize("build", [
+    hm_at, PiiSolver, kernels.get_pii_solver,
+    lambda nu: kernels.kernel_pii(0.3, -0.6, nu),
+], ids=["hm_at", "PiiSolver", "get_pii_solver", "kernel_pii"])
+def test_nu_must_be_real_and_finite(build):
+    # [TRIVIAL] Painleve II is solved for real nu only: a non-real nu
+    # raises DomainRestriction naming it, a non-finite one ValueError
+    with pytest.raises(DomainRestriction, match="nu must be real"):
+        build(0.3 + 0.2j)
+    with pytest.raises(ValueError, match="^nu must be finite"):
+        build(math.nan)
 
 
 def test_kernel_pii_reality():
@@ -148,7 +159,7 @@ def test_kernel_pii_reflection():
     assert abs(a - b) < 1e-10
 
 
-@pytest.mark.parametrize("nu", [0.0, 1.0, 0.3 + 0.2j])
+@pytest.mark.parametrize("nu", [0.0, 1.0])
 def test_series_residue_is_q(nu):
     # [DERIVED] the zeta^1 relation forces (P_1)_12 = -(i/2) q(nu)
     sv = PiiSolver(nu)
@@ -156,7 +167,7 @@ def test_series_residue_is_q(nu):
     assert abs(sv.coeffs[0][0, 1] + 0.5j * q) < 1e-12
 
 
-@pytest.mark.parametrize("nu", [0.0, 1.0, 0.3 + 0.2j])
+@pytest.mark.parametrize("nu", [0.0, 1.0])
 def test_series_residual_decays_with_order(nu):
     # [DERIVED] the truncated prefactor solves P' = A P - P E'E^{-1} to
     # increasing order
