@@ -46,7 +46,7 @@ class QuadratureFailure(CritKernelsError):
     """A sum or factorization behind a density or K_n failed.
 
     Raised when a K_n moment series needs more than 4096 terms, when the
-    bimoment LDU factorization loses positivity, when the Newton polish
+    bimoment elimination loses positivity, when the Newton polish
     of a zero of p_n does not settle or lands two eigenvalues on one
     zero, and when a density has a spurious imaginary part.
     """

@@ -10,7 +10,7 @@ where {p_k}, {q_k} are the monic biorthogonal families of the weight
 e^{-n(V(x) + W(y) - tau x y)} with V(x) = x^2/2 and
 W(y) = y^4/4 + alpha y^2/2.
 
-The polynomials come from an LDU factorization of the bimoment matrix
+The polynomials come from Gaussian elimination on the bimoment matrix
 B[j][k] = iint x^j y^k e^{-n(...)} dx dy.  The x-integral is Gaussian
 and done in closed form (complete the square in the coupling term),
 reducing every bimoment to one-dimensional moments
@@ -21,9 +21,9 @@ tau^2; m_0 and m_2 are closed forms in Kummer's and Tricomi's functions
 are combinations of I_j(x) = int t^j e^{-n(W(t) - tau x t)} dt, which
 satisfy n(I_{j+3} + alpha I_{j+1} - tau x I_j) = j I_{j-1}; I_0, I_1, I_2
 are series in the tau = 0 moments m_l, one table per family, not quadratures.
-The factorization is exponentially ill-conditioned in n, so all of this
+The elimination is exponentially ill-conditioned in n, so all of this
 runs in mpmath arbitrary-precision arithmetic (default 64 * ceil(n/6)
-bits, with one doubling retry if the factorization loses positivity).
+bits, with one doubling retry if the elimination loses positivity).
 
 Because V is quadratic and W an even quartic, the p_k satisfy the banded
 recurrence x p_k = p_{k+1} + b_k p_{k-1} + c_k p_{k-3} (Bertola, Eynard &
@@ -38,9 +38,9 @@ grows: at (alpha, tau) = (-1, 1) by 7e-13, 2e-11 and 5e-8 at n = 96, 144
 and 192, at (-2, 1.5) by 8e-8 and 1e-4 at n = 96 and 144.  (Its transpose,
 which LAPACK must first reduce to Hessenberg form, drifts by 2e-6 at
 n = 96, (-1, 1), and splits the edge zeros into complex pairs at
-(-2, 1.5) from n = 72.)  The cost is the family, about n^4: bimoments and LDU take 4 s
-at n = 96, 14 s at n = 144 and 42 s at n = 192 on one core, so n is
-capped at 144.
+(-2, 1.5) from n = 72.)  That drift, not the cost, caps n at 144.  The
+cost is the family, about 0.3 n^3 multiply-adds at 64 ceil(n/6) bits:
+bimoments and elimination take 1 s at n = 96 and 4 s at n = 144 on one core.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def _y_moments(n: int, alpha: float, tau: float, lmax: int):
 @dataclass
 class BimomentMatrix:
     """Bimoments B[j][k], 0 <= j,k <= n (one extra row/column so that
-    the degree-n polynomial p_{n,n} is available from the factorization)."""
+    the degree-n polynomial p_{n,n} is available from the elimination)."""
 
     n: int
     alpha: float
@@ -154,8 +154,9 @@ def bimoment_matrix(n: int, alpha: float, tau: float,
     _finite(alpha=alpha, tau=tau)
     if n > _N_MAX:
         raise DomainRestriction(
-            f"n is capped at {_N_MAX}, where the family takes 14 s on one "
-            "core and grows as n^4 (see the module docstring)")
+            f"n is capped at {_N_MAX}, where the double-precision "
+            "eigenvalues of the recurrence matrix drift from the zeros by "
+            "1e-4 (see the module docstring)")
     if n < 6 or n % 6 != 0:
         raise DomainRestriction("n must be a positive multiple of 6")
     bits = _default_bits(n) if precision_bits is None else int(precision_bits)
@@ -163,88 +164,65 @@ def bimoment_matrix(n: int, alpha: float, tau: float,
         raise DomainRestriction("precision_bits must be at least 8 n")
     with mp.workprec(bits):
         size = n + 1
-        lmax = 2 * size
-        moms = _y_moments(n, alpha, tau, lmax)
-        nb = mp.mpf(n)
-        tb = mp.mpf(tau)
-        # Gaussian moments G_m = int u^m e^{-n u^2/2} du (even m)
-        G = [mp.mpf(0)] * (size + 1)
-        G[0] = mp.sqrt(2 * mp.pi / nb)
-        for mdeg in range(2, size + 1, 2):
-            G[mdeg] = G[mdeg - 2] * (mdeg - 1) / nb
+        moms = _y_moments(n, alpha, tau, 2 * size)
+        nb, tb = mp.mpf(n), mp.mpf(tau)
+        # Gaussian moments G_l = int u^l e^{-n u^2/2} du and powers tau^l
+        G, tp = [mp.sqrt(2 * mp.pi / nb), mp.mpf(0)], [mp.mpf(1)]
+        for l in range(1, size):
+            G.append(G[l - 1] * l / nb)
+            tp.append(tp[-1] * tb)
+        # expanding x^j about tau y: B[j][k] = sum_l c_j[l] m_{k+l} with
+        # c_j[l] = C(j, l) tau^l G_{j-l}, l = j mod 2; j + k odd stays 0
         B = mp.matrix(size, size)
         for j in range(size):
-            binom = [mp.binomial(j, mdeg) for mdeg in range(j + 1)]
-            for k in range(size):
-                if (j + k) % 2:
-                    continue
-                acc = mp.mpf(0)
-                for mdeg in range(0, j + 1, 2):
-                    acc += binom[mdeg] * tb ** (j - mdeg) * G[mdeg] \
-                        * moms[k + j - mdeg]
-                B[j, k] = acc
+            c = [math.comb(j, l) * tp[l] * G[j - l]
+                 for l in range(j % 2, j + 1, 2)]
+            for k in range(j % 2, size, 2):
+                B[j, k] = mp.fdot(c, moms[k + j % 2:k + j + 1:2])
     return BimomentMatrix(n=n, alpha=alpha, tau=tau, precision_bits=bits,
                           entries=B)
 
 
 def biorthogonal(B: BimomentMatrix) -> BiorthogonalFamily:
-    """Monic biorthogonal families by LDU factorization of the bimoments.
+    """Monic biorthogonal families by elimination on the bimoments.
 
-    Writing B = L D U with L, U unit-triangular, the coefficient rows of
-    p_k are the rows of L^{-1} and those of q_k the columns of U^{-1};
-    h_k^2 = D[k, k].  Retries once at doubled precision if positivity of
-    the norms is lost.
+    Elimination without pivoting writes B = L D U, L and U unit triangular:
+    p_k holds row k of L^{-1}, q_k column k of U^{-1} and h_k^2 = D[k, k].
+    Each step's row (column) multipliers update the Schur complement and
+    P (Q), which start as I and so build L^{-1} (U^{-1} transposed).
+    Entries with j + k odd stay zero, so every loop steps by 2.  Retries
+    once at doubled precision if positivity of the norms is lost.
     """
     for attempt in range(2):
         bits = B.precision_bits * (2 ** attempt)
         if attempt:
             B = bimoment_matrix(B.n, B.alpha, B.tau, precision_bits=bits)
+        size = B.n + 1
         with mp.workprec(bits):
-            size = B.n + 1
-            M = B.entries.copy()
-            # Doolittle, no pivoting: M is totally positive-like here
-            L = mp.eye(size)
-            U = mp.eye(size)
-            d = [mp.mpf(0)] * size
-            ok = True
+            M = B.entries.tolist()
+            P = [[mp.mpf(j == k) for j in range(k + 1)] for k in range(size)]
+            Q = [row[:] for row in P]
+            h2 = []
             for i in range(size):
-                piv = M[i, i]
+                piv = M[i][i]
                 if piv <= 0:
-                    ok = False
                     break
-                d[i] = piv
-                for r in range(i + 1, size):
-                    L[r, i] = M[r, i] / piv
-                for c in range(i + 1, size):
-                    U[i, c] = M[i, c] / piv
-                for r in range(i + 1, size):
-                    for c in range(i + 1, size):
-                        M[r, c] -= L[r, i] * piv * U[i, c]
-            if not ok:
-                continue
-            Linv = _unit_lower_inverse(L)
-            Uinv = _unit_lower_inverse(U.T)    # columns of U^{-1}
-            p_coeffs = [[Linv[k, j] for j in range(k + 1)]
-                        for k in range(size)]
-            q_coeffs = [[Uinv[k, j] for j in range(k + 1)]
-                        for k in range(size)]
-        return BiorthogonalFamily(n=B.n, alpha=B.alpha, tau=B.tau,
-                                  precision_bits=bits, p_coeffs=p_coeffs,
-                                  q_coeffs=q_coeffs, h2=d[:B.n])
-    raise QuadratureFailure("bimoment factorization lost positivity even "
+                h2.append(piv)
+                lo, hi = i % 2, i + 2
+                for r in range(hi, size, 2):
+                    lr, ur = M[r][i] / piv, M[i][r] / piv
+                    M[r][hi::2] = [a - lr * b for a, b
+                                   in zip(M[r][hi::2], M[i][hi::2])]
+                    P[r][lo:hi:2] = [a - lr * b for a, b
+                                     in zip(P[r][lo:hi:2], P[i][lo::2])]
+                    Q[r][lo:hi:2] = [a - ur * b for a, b
+                                     in zip(Q[r][lo:hi:2], Q[i][lo::2])]
+            else:
+                return BiorthogonalFamily(
+                    n=B.n, alpha=B.alpha, tau=B.tau, precision_bits=bits,
+                    p_coeffs=P, q_coeffs=Q, h2=h2[:B.n])
+    raise QuadratureFailure("bimoment elimination lost positivity even "
                             "after doubling the working precision")
-
-
-def _unit_lower_inverse(L: mp.matrix) -> mp.matrix:
-    n = L.rows
-    inv = mp.eye(n)
-    for i in range(n):
-        for j in range(i):
-            acc = mp.mpf(0)
-            for k in range(j, i):
-                acc -= L[i, k] * inv[k, j]
-            inv[i, j] = acc
-    return inv
 
 
 def _band_coefficients(fam: BiorthogonalFamily) -> tuple[list, list]:

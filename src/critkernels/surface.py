@@ -23,7 +23,7 @@ from itertools import accumulate, permutations
 
 import numpy as np
 
-from .errors import DegenerateRoots, NoRootOnBranch, PathOnCut
+from .errors import DegenerateRoots, DomainRestriction, NoRootOnBranch, PathOnCut
 
 __all__ = [
     "SurfaceParams",
@@ -479,7 +479,8 @@ def _w_potential(s: np.ndarray, alpha: float) -> np.ndarray:
 def x_star(alpha: float, tau: float) -> float:
     """Edge of the real three-root window: (2/tau) (-alpha/3)^{3/2}."""
     if alpha >= 0.0:
-        raise ValueError("x_star requires alpha < 0")
+        raise DomainRestriction(
+            f"x_star requires alpha < 0, got alpha = {alpha}, tau = {tau}")
     return (2.0 / tau) * (-alpha / 3.0) ** 1.5
 
 
@@ -525,7 +526,8 @@ def theta_branches(z: complex, alpha: float, tau: float) -> ThetaValues:
     see the module docstring).
     """
     if tau <= 0.0 or alpha >= 0.0:
-        raise ValueError("theta requires tau > 0 and alpha < 0")
+        raise DomainRestriction("theta requires tau > 0 and alpha < 0, got "
+                                f"alpha = {alpha}, tau = {tau}")
     z = complex(z)
     if z.imag == 0.0 and abs(z.real) < x_star(alpha, tau):
         s = _ordered_real_cubic(z.real, alpha, tau)

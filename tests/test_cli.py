@@ -143,10 +143,14 @@ def test_config_error_exit_2(runner, tmp_path):
                  ["kernel", "--which", "cr", "--u", "nan", "--v", "1"],
                  ["density", "--alpha", "-1", "--tau", "-1"],
                  ["hm", "--grid", "-20:20:5"],
-                 ["double-scaling", "--a", "4", "--sigma", "0.5", "--u", "inf"]):
-        result, _, _ = _run(runner, tmp_path, args)
+                 ["double-scaling", "--a", "4", "--sigma", "0.5", "--u", "inf"],
+                 ["density", "--measure", "mu2", "--alpha", "1", "--tau", "1"]):
+        result, _, report = _run(runner, tmp_path, args)
         assert result.exit_code == 2, result.output
         assert "Traceback" not in result.output
+        doc = json.loads(report.read_text())
+        assert doc["command"] == args[0] and "error" in doc, args
+        report.unlink()
 
 
 @pytest.mark.parametrize("args,bad", [

@@ -140,8 +140,8 @@ def test_y_moments_continuous_across_branch_switch():
 
 
 def test_finite_n_takes_no_quadrature(monkeypatch):
-    # [TRIVIAL] bimoments, the LDU, a cold K_n table and the alpha > 0
-    # redo of the I_j series run without mp.quad
+    # [TRIVIAL] bimoments, the elimination, a cold K_n table and the
+    # alpha > 0 redo of the I_j series run without mp.quad
     def refuse(*args, **kwargs):
         raise AssertionError("mp.quad called")
 
@@ -170,21 +170,60 @@ def test_norms_positive(fam12):
 
 
 def test_biorthogonality_residual(fam12):
-    # [PAPER] A B C^T is diagonal with the norms on the diagonal
-    B = finiten.bimoment_matrix(12, ALPHA, TAU,
-                                precision_bits=fam12.precision_bits)
-    n = 12
-    with mp.workprec(fam12.precision_bits):
-        scale = max(float(h) for h in fam12.h2)
-        for j in range(n):
-            for k in range(n):
-                acc = mp.mpf(0)
-                for a in range(j + 1):
-                    for b in range(k + 1):
-                        acc += (fam12.p_coeffs[j][a] * fam12.q_coeffs[k][b]
-                                * B.entries[a, b])
-                target = fam12.h2[j] if j == k else mp.mpf(0)
-                assert abs(acc - target) < 1e-10 * scale, (j, k)
+    # [PAPER] A B C^T is diagonal with the norms on the diagonal, at n = 12
+    # and 24; entries with j + k odd of B, p_k and q_k are exactly zero,
+    # the parity the elimination's stepped loops rely on
+    fam24 = finiten.biorthogonal(finiten.bimoment_matrix(24, ALPHA, TAU))
+    for fam in (fam12, fam24):
+        n = fam.n
+        B = finiten.bimoment_matrix(n, ALPHA, TAU,
+                                    precision_bits=fam.precision_bits)
+        for j in range(n + 1):
+            for k in range(n + 1):
+                if (j + k) % 2:
+                    assert B.entries[j, k] == 0, (n, j, k)
+            for coeffs in (fam.p_coeffs[j], fam.q_coeffs[j]):
+                assert len(coeffs) == j + 1
+                assert all(v == 0 for v in coeffs[(j + 1) % 2::2]), (n, j)
+        rows = B.entries.tolist()
+        with mp.workprec(fam.precision_bits):
+            scale = max(float(h) for h in fam.h2)
+            for j in range(n):
+                for k in range(n):
+                    acc = mp.fdot(fam.p_coeffs[j],
+                                  [mp.fdot(fam.q_coeffs[k], row[:k + 1])
+                                   for row in rows[:j + 1]])
+                    target = fam.h2[j] if j == k else mp.mpf(0)
+                    assert abs(acc - target) < 1e-10 * scale, (n, j, k)
+
+
+def test_biorthogonal_retries_at_doubled_bits():
+    # [TRIVIAL] a non-positive pivot redoes the bimoments once at twice
+    # the bits, and the family is the one built there directly
+    B = finiten.bimoment_matrix(6, ALPHA, TAU)
+    B.entries[2, 2] = -B.entries[2, 2]
+    fam = finiten.biorthogonal(B)
+    ref = finiten.biorthogonal(
+        finiten.bimoment_matrix(6, ALPHA, TAU, precision_bits=128))
+    assert fam.precision_bits == 2 * B.precision_bits == 128
+    assert (fam.p_coeffs, fam.q_coeffs, fam.h2) == \
+        (ref.p_coeffs, ref.q_coeffs, ref.h2)
+
+
+def test_biorthogonal_gives_up_after_one_doubling(monkeypatch):
+    # [TRIVIAL] when the retry loses positivity too, the failure is named
+    build, calls = finiten.bimoment_matrix, []
+
+    def corrupted(*args, **kwargs):
+        B = build(*args, **kwargs)
+        B.entries[2, 2] = -B.entries[2, 2]
+        calls.append(B.precision_bits)
+        return B
+
+    monkeypatch.setattr(finiten, "bimoment_matrix", corrupted)
+    with pytest.raises(QuadratureFailure, match="even after doubling"):
+        finiten.biorthogonal(finiten.bimoment_matrix(6, ALPHA, TAU))
+    assert calls == [64, 128]
 
 
 def test_zeros_real_simple(fam12):

@@ -7,7 +7,7 @@ import pytest
 
 from critkernels import measures as ms
 from critkernels import surface as sf
-from critkernels.errors import OutsideSupport
+from critkernels.errors import DomainRestriction, OutsideSupport
 
 CRIT = sf.SurfaceParams.critical()
 
@@ -138,6 +138,18 @@ def test_array_outside_support_raises(density, grid, bad):
 def test_non_finite_point_rejected(call):
     # [TRIVIAL] a NaN or inf point is rejected by name at the root tracker
     with pytest.raises(ValueError, match="non-finite point"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ms.mass_mu2(sf.SurfaceParams.from_alpha_tau(1.0, 1.0)),
+    lambda: sf.x_star(1.0, 1.0),
+    lambda: sf.theta_branches(0.5, 1.0, 1.0),
+], ids=["mass_mu2", "x_star", "theta_branches"])
+def test_positive_alpha_is_a_named_domain_error(call):
+    # [TRIVIAL] the cubic's real window needs alpha < 0; outside it the
+    # error is a DomainRestriction naming alpha and tau, not a ValueError
+    with pytest.raises(DomainRestriction, match=r"alpha = 1\.0, tau = 1\.0"):
         call()
 
 
