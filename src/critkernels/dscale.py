@@ -37,7 +37,7 @@ Arnoldi with Givens rotations) with FFT Cauchy projections on the circles
 and Legendre expansions with exact principal-value weights on the
 segments (Olver, Numer. Math. 122 (2012)).
 
-The kernel is then the K_cr form of `kernels._form` in M3 = R P; the
+The kernel is then the K_cr form `sectoral.kernel_form` in M3 = R P; the
 overall conjugation by e^{a^3 (g1+g2)/2} (which cancels in the diagonal
 and in 2x2 determinants) is stripped, so off-diagonal values are
 reported up to that conjugation.
@@ -69,7 +69,9 @@ from numpy.polynomial.polynomial import polyval
 
 from . import laxpair
 from .errors import DomainRestriction, IntegrationFailure, _finite
-from .piisolver import get_pii_solver
+from .piisolver import PII_COL, PII_ROW, get_pii_solver
+from .rhsolver import CR_COL, CR_ROW
+from .sectoral import coincide, kernel_form
 
 __all__ = ["DoubleScaling", "double_scaling_gap"]
 
@@ -453,13 +455,14 @@ class DoubleScaling:
 
     # -- kernel assembly ---------------------------------------------------
 
-    def _balanced(self, us) -> tuple[np.ndarray, np.ndarray]:
-        """(M3, zero logs) with M3(iu) = R(iu) P_inf(iu) Lambda(u) at each u.
+    def m_balanced(self, xs, line: str) -> tuple[np.ndarray, np.ndarray]:
+        """(M3, zero logs) with M3(iu) = R(iu) P_inf(iu) Lambda(u), u = 2^{5/3} x/a.
 
-        Lambda is blockdiag(Psi(w; nu), I) inside U0, from one `psi_local`
-        call, and diag(e^d, e^{-d}, 1, 1), d = a^3 (g1 - g2)/2, outside.
+        The line is "imag", the only one M3 is read on.  Lambda is
+        blockdiag(Psi(w; nu), I) inside U0, from one `psi_local` call, and
+        diag(e^d, e^{-d}, 1, 1), d = a^3 (g1 - g2)/2, outside.
         """
-        us = np.asarray(us, dtype=float)
+        us = 2.0 ** (5.0 / 3.0) / self.a * np.asarray(xs, dtype=float)
         z = 1j * us
         inside = np.abs(us) < self.eps
         lam = np.broadcast_to(np.eye(4, dtype=complex), z.shape + (4, 4)).copy()
@@ -474,20 +477,17 @@ class DoubleScaling:
         """Scaled kernel 2^{5/3} a K_cr(2^{5/3}a x, 2^{5/3}a y) (reduced).
 
         x and y are scalars or broadcastable arrays, as for `kernel_cr`,
-        and the value is the K_cr form of `kernels._form` in M3.  The
-        diagonal is the mean over (x, x +- 1e-3), so no pair coincides.
-        Off-diagonal values carry the conjugation e^{a^3(h(x)-h(y))/2},
-        h = g1 + g2, which cancels in the diagonal, in products
-        K(x,y)K(y,x), and in determinants.
+        and the value is the K_cr form `sectoral.kernel_form` in M3, read
+        by `m_balanced` in x.  The diagonal is the mean over
+        (x, x +- 1e-3), so no pair coincides.  Off-diagonal values carry
+        the conjugation e^{a^3(h(x)-h(y))/2}, h = g1 + g2, which cancels
+        in the diagonal, in products K(x,y)K(y,x), and in determinants.
         """
-        from .kernels import _CR_COL, _CR_ROW, _form
-
         x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
         h = np.where(x == y, 1e-3, 0.0).ravel()
-        c = 2.0 ** (5.0 / 3.0) / self.a
-        K = _form(None, lambda p: self._balanced(c * p), np.tile(x.ravel(), 2),
-                  np.concatenate([y.ravel() + h, y.ravel() - h]), 1.0,
-                  _CR_ROW, _CR_COL)
+        K = kernel_form(self, "imag", np.tile(x.ravel(), 2),
+                        np.concatenate([y.ravel() + h, y.ravel() - h]), 1.0,
+                        CR_ROW, CR_COL)
         K = 0.5 * (K[:h.size] + K[h.size:])
         return complex(K[0]) if x.shape == () else K.reshape(x.shape)
 
@@ -518,8 +518,6 @@ def double_scaling_gap(a: float, sigma: float, x: float, y: float) -> float:
     steepest-descent representation (the direct evaluation is not
     numerically meaningful at these parameters).
     """
-    from . import kernels
-
     _finite(a=a, sigma=sigma, x=x, y=y)
     if a < 2.0:
         raise DomainRestriction(
@@ -528,8 +526,8 @@ def double_scaling_gap(a: float, sigma: float, x: float, y: float) -> float:
     ds = _ds_for(a, sigma, (x, y))
     pts = np.array([x] if x == y else [x, y], dtype=float)
     k_s = ds.kernel(pts[:, None], pts)
-    k_p = kernels.kernel_pii(pts[:, None], pts, 2.0 ** (5.0 / 3.0) * sigma,
-                             solver=ds.pii)
+    u, v, shape = coincide(pts[:, None], pts, 1.0)
+    k_p = kernel_form(ds.pii, "real", u, v, 1.0, PII_ROW, PII_COL).reshape(shape)
 
     def det(K):
         # the real diagonal and K01 K10 are free of the conjugation

@@ -11,12 +11,13 @@ e^{-n(V(x) + W(y) - tau x y)} with V(x) = x^2/2 and
 W(y) = y^4/4 + alpha y^2/2.
 
 The polynomials come from Gaussian elimination on the bimoment matrix
-B[j][k] = iint x^j y^k e^{-n(...)} dx dy.  The x-integral is Gaussian
-and done in closed form (complete the square in the coupling term),
-reducing every bimoment to one-dimensional moments
-m_l = int y^l e^{-n(W(y) - tau^2 y^2/2)} dy, which satisfy the exact
-recursion n(m_{l+4} + beta m_{l+2}) = (l+1) m_l with beta = alpha -
-tau^2; m_0 and m_2 are closed forms in Kummer's and Tricomi's functions
+B[j][k] = iint x^j y^k e^{-n(...)} dx dy.  The x-integral is Gaussian,
+B[0][k] = sqrt(2 pi/n) m_k, and integration by parts in x gives
+B[j+1][k] = (j/n) B[j-1][k] + tau B[j][k+1], whose two terms share one
+sign for either sign of tau (y -> -y flips both).  The moments
+m_l = int y^l e^{-n(W(y) - tau^2 y^2/2)} dy satisfy the exact recursion
+n(m_{l+4} + beta m_{l+2}) = (l+1) m_l with beta = alpha - tau^2; m_0
+and m_2 are closed forms in Kummer's and Tricomi's functions
 (see ``_y_moments``), so no moment is a quadrature.  The transforms Q_k(x)
 are combinations of I_j(x) = int t^j e^{-n(W(t) - tau x t)} dt, which
 satisfy n(I_{j+3} + alpha I_{j+1} - tau x I_j) = j I_{j-1}; I_0, I_1, I_2
@@ -39,8 +40,8 @@ and 192, at (-2, 1.5) by 8e-8 and 1e-4 at n = 96 and 144.  (Its transpose,
 which LAPACK must first reduce to Hessenberg form, drifts by 2e-6 at
 n = 96, (-1, 1), and splits the edge zeros into complex pairs at
 (-2, 1.5) from n = 72.)  That drift, not the cost, caps n at 144.  The
-cost is the family, about 0.3 n^3 multiply-adds at 64 ceil(n/6) bits:
-bimoments and elimination take 1 s at n = 96 and 4 s at n = 144 on one core.
+cost is the elimination, n^3/6 multiply-adds at 64 ceil(n/6) bits (the
+bimoments take 1.5 n^2): 0.5 s at n = 96 and 2.2 s at n = 144 on one core.
 """
 
 from __future__ import annotations
@@ -163,22 +164,18 @@ def bimoment_matrix(n: int, alpha: float, tau: float,
     if bits < 8 * n:
         raise DomainRestriction("precision_bits must be at least 8 n")
     with mp.workprec(bits):
-        size = n + 1
-        moms = _y_moments(n, alpha, tau, 2 * size)
         nb, tb = mp.mpf(n), mp.mpf(tau)
-        # Gaussian moments G_l = int u^l e^{-n u^2/2} du and powers tau^l
-        G, tp = [mp.sqrt(2 * mp.pi / nb), mp.mpf(0)], [mp.mpf(1)]
-        for l in range(1, size):
-            G.append(G[l - 1] * l / nb)
-            tp.append(tp[-1] * tb)
-        # expanding x^j about tau y: B[j][k] = sum_l c_j[l] m_{k+l} with
-        # c_j[l] = C(j, l) tau^l G_{j-l}, l = j mod 2; j + k odd stays 0
-        B = mp.matrix(size, size)
-        for j in range(size):
-            c = [math.comb(j, l) * tp[l] * G[j - l]
-                 for l in range(j % 2, j + 1, 2)]
-            for k in range(j % 2, size, 2):
-                B[j, k] = mp.fdot(c, moms[k + j % 2:k + j + 1:2])
+        # B[0][k] = sqrt(2 pi/n) m_k; integrating by parts in x, B[j+1][k] =
+        # (j/n) B[j-1][k] + tau B[j][k+1] (j = 0 reads row 0 times 0).  Row j
+        # runs to k = 2n - j, as the rows below need; j + k odd stays 0
+        rows = [[mp.sqrt(2 * mp.pi / nb) * m for m in _y_moments(n, alpha, tau, 2 * n)]]
+        for j in range(n):
+            row, jn = rows[j], j / nb
+            nxt = [mp.mpf(0)] * (len(row) - 1)
+            for k in range(1 - j % 2, len(nxt), 2):
+                nxt[k] = jn * rows[j - 1][k] + tb * row[k + 1]
+            rows.append(nxt)
+        B = mp.matrix([row[:n + 1] for row in rows])
     return BimomentMatrix(n=n, alpha=alpha, tau=tau, precision_bits=bits,
                           entries=B)
 

@@ -16,11 +16,10 @@ dM/dzeta = L M, evaluated along the line zeta = dz * x:
   K_PII(x, y)  = K(x, y), dz = 1, row (1,-1), col (1,1), with M the
                  Painleve II RH solution Psi on the real line (sector 3
                  for x >= 0, sector 1 for x < 0).
-All three read M from the solver's `m_balanced` (recorded sweeps), so
-an entry whose points the sweeps have passed takes no Taylor step.
-
-Since row . col = 0, the diagonal is the derivative limit through the
-Lax equation: K(a, a) = -row M^{-1} (dz L(dz a)) M col^T / (2 pi i).
+All three are `sectoral.kernel_form`, whose diagonal is the derivative
+limit through the Lax matrix, reading M from the solver's `m_balanced`
+(recorded sweeps) on a line of its `_LINES`, so an entry whose points
+the sweeps have passed takes no Taylor step.
 
 Numerically the forms are assembled from the column-balanced
 factorization M = Mhat diag(e^{l_j}) provided by the solver: the entries
@@ -31,7 +30,7 @@ well-conditioned.
 
 The kernels take broadcastable arrays of points, so a matrix is one call,
 kernel_cr(x[:, None], x, s, t): M is balanced once for the distinct
-points and `_form` treats all pairs in one batched solve.  An entry
+points and `kernel_form` treats all pairs in one batched solve.  An entry
 equals its own 1x1 call; `kernel_*_diag(u)` is `kernel_*(u, u)`.
 
 The module also provides the closed-form large-u diagonal comparators:
@@ -45,15 +44,15 @@ the +-side boundary of the positive real axis.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .dscale import double_scaling_gap
 from .errors import DomainRestriction, _finite
-from .piisolver import PiiSolver, get_pii_solver
-from .rhsolver import RhSolver, get_solver
+from .piisolver import PII_COL, PII_ROW, PiiSolver, get_pii_solver
+from .rhsolver import CR_COL, CR_ROW, RhSolver, get_solver
+from .sectoral import coincide, kernel_form
 
 __all__ = [
     "get_solver",
@@ -69,79 +68,8 @@ __all__ = [
     "double_scaling_gap",
 ]
 
-_COINCIDE_EPS = 1e-6     # relative |u - v| treated as the diagonal
-
-
-# -- pairs and the bilinear form --------------------------------------------
-
-
-def _coincide(u, v, c: float):
-    """(a, b, shape): u and v broadcast and flat, coincident pairs at (m, m).
-
-    |c u - c v| <= _COINCIDE_EPS max(1, |c u|) makes a pair coincident;
-    m = (u + v)/2, and equal arguments take the derivative limit.
-    """
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
-                               np.asarray(v, dtype=float))
-    same = np.abs(c * u - c * v) <= _COINCIDE_EPS * np.maximum(1.0, np.abs(c * u))
-    m = 0.5 * (u + v)
-    return np.where(same, m, u).ravel(), np.where(same, m, v).ravel(), u.shape
-
-
-def _form(solver, balanced, a, b, dz: complex, row, col) -> np.ndarray:
-    """row M(a)^{-1} M(b) col / (2 pi i (a - b)), M at dz*a, dz*b, per pair.
-
-    a and b are 1-D arrays of pairs; balanced(points) gives the balanced
-    factors (Mhat, logs) of M at sorted points, here the distinct ones of
-    a and b.  Where a == b the value is the derivative limit
-    -row M^{-1} (dz L(dz a)) M col / (2 pi i), from dM/dzeta = L M and
-    row . col = 0.  Only the entries on the columns that row and col
-    select are formed, so exponent differences of unused columns never
-    enter.
-    """
-    points = np.sort(np.concatenate([a, b]))
-    points = points[np.diff(points, prepend=-np.inf) > 0.0]      # drop repeats
-    Mhat, logs = balanced(points)
-    ia, ib = np.searchsorted(points, a), np.searchsorted(points, b)
-    Ma, la, Mb, lb = Mhat[ia], logs[ia], Mhat[ib], logs[ib]
-    same = a == b
-    Z = np.empty_like(Ma)
-    if not same.all():
-        Z[~same] = np.linalg.solve(Ma[~same], Mb[~same])
-    if same.any():
-        Md = Ma[same]
-        Z[same] = -np.linalg.solve(Md, dz * solver.lax(dz * a[same]) @ Md)
-    i = np.flatnonzero((row != 0.0) | (col != 0.0))
-    scale = np.exp(lb[:, None, i] - la[:, i, None])
-    num = row[i] @ (Z[:, i[:, None], i] * scale) @ col[i]
-    return num / np.where(same, 2.0j * math.pi, 2.0j * math.pi * (a - b))
-
 
 # -- K_cr ------------------------------------------------------------------
-
-_CR_ROW = np.array([-1.0, 1.0, 0.0, 0.0])
-_CR_COL = np.array([1.0, 1.0, 0.0, 0.0])
-
-
-def _stacked(solver, data: dict, points) -> tuple:
-    """(Mhat, logs) arrays of `m_balanced` data at the points, in order."""
-    d = solver.dim
-    return (np.array([data[u][0] for u in points]).reshape(-1, d, d),
-            np.array([data[u][1] for u in points]).reshape(-1, d))
-
-
-def _signed_data(solver, axes: tuple, points) -> tuple:
-    """Column-balanced M at sorted points x: (Mhat, logs).
-
-    x >= 0 reads the first axis of `axes` at x, x < 0 the second at -x.
-    """
-    pos, neg = points[points >= 0], points[points < 0]
-    out = {}
-    if pos.size:
-        out.update(solver.m_balanced(pos, axes[0]))
-    if neg.size:
-        out.update({-u: d for u, d in solver.m_balanced(-neg, axes[1]).items()})
-    return _stacked(solver, out, points)
 
 
 def kernel_cr(u, v, s: float, t: float, solver: RhSolver | None = None):
@@ -150,14 +78,13 @@ def kernel_cr(u, v, s: float, t: float, solver: RhSolver | None = None):
     u and v are scalars or broadcastable arrays; the result has their
     broadcast shape, a complex for scalars.  Coincident arguments take
     the derivative limit at their midpoint.  Every entry, u = 0
-    included, is the one bilinear form `_form`.
+    included, is the one bilinear form `kernel_form`.
     """
     _finite(u=u, v=v, s=s, t=t)
     if solver is None:
         solver = get_solver(s, t)
-    a, b, shape = _coincide(u, v, 1.0)
-    data = functools.partial(_signed_data, solver, ("imag+", "imag-"))
-    K = _form(solver, data, a, b, 1j, _CR_ROW, _CR_COL)
+    a, b, shape = coincide(u, v, 1.0)
+    K = kernel_form(solver, "imag", a, b, 1j, CR_ROW, CR_COL)
     return complex(K[0]) if shape == () else K.reshape(shape)
 
 
@@ -196,10 +123,8 @@ def kernel_tac(u, v, r: float, s: float, solver: RhSolver | None = None):
     c = r ** (2.0 / 3.0)
     if solver is None:
         solver = get_solver(s * r ** (-1.0 / 3.0), 0.0)
-    a, b, shape = _coincide(u, v, c)
-    K = -c * _form(solver,
-                   lambda p: _stacked(solver, solver.m_balanced(p, "real+"), p),
-                   c * b, c * a, 1.0, _TAC_ROW, _TAC_COL)
+    a, b, shape = coincide(u, v, c)
+    K = -c * kernel_form(solver, "real+", c * b, c * a, 1.0, _TAC_ROW, _TAC_COL)
     return complex(K[0]) if shape == () else K.reshape(shape)
 
 
@@ -209,10 +134,6 @@ def kernel_tac_diag(u, r: float, s: float, solver: RhSolver | None = None):
 
 
 # -- K_PII -----------------------------------------------------------------
-
-_PII_ROW = np.array([1.0, -1.0])
-_PII_COL = np.array([1.0, 1.0])
-
 
 def kernel_pii(x, y, nu, solver: PiiSolver | None = None):
     """The Painleve II kernel K_PII(x, y; nu) on the real line.
@@ -226,9 +147,8 @@ def kernel_pii(x, y, nu, solver: PiiSolver | None = None):
     _finite(x=x, y=y, nu=nu)
     if solver is None:
         solver = get_pii_solver(nu)
-    a, b, shape = _coincide(x, y, 1.0)
-    data = functools.partial(_signed_data, solver, ("real+", "real-"))
-    K = _form(solver, data, a, b, 1.0, _PII_ROW, _PII_COL)
+    a, b, shape = coincide(x, y, 1.0)
+    K = kernel_form(solver, "real", a, b, 1.0, PII_ROW, PII_COL)
     return complex(K[0]) if shape == () else K.reshape(shape)
 
 

@@ -10,8 +10,8 @@ at 2^{2/3}(2s - t^2).  Compatibility of the overdetermined system
 is equivalent to q solving Painleve II, and yields six scalar first-order
 identities among the coefficient functions which the test-suite verifies.
 The module also provides the explicit leading-order asymptotic frame
-B(zeta) A E(zeta) of the solution at zeta -> infinity and its first
-correction matrix N1.
+B(zeta) A E(zeta) of the solution at zeta -> infinity; its corrections
+are the series of `series`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "lax_matrices",
     "compatibility_residual",
     "identity_residuals",
-    "n1_matrix",
     "asymptotic_frame",
     "frame_exponents",
     "frame_base_scaled",
@@ -160,21 +159,6 @@ def identity_residuals(s: float, t: float) -> dict[str, float]:
         "k_prime": abs(kp - 2.0 * (h * h - b * b)),
         "hb_prime": abs((hp + bp) - (-4.0 * f * t + 2.0 * (h - b) * (k - s))),
     }
-
-
-def n1_matrix(co: LaxCoefficients) -> np.ndarray:
-    """First correction matrix N1 of M = (I + N1/zeta + ...) B A E.
-
-    Computed by the order-by-order series engine; the entries with known
-    closed forms — (1,2) = b, (3,2) = (4,1) = i f, (1,4) = (2,3) = i d,
-    (1,3) = (2,4) = i c, (3,4) = h, and the diagonal differences
-    N1_33 - N1_11 = N1_22 - N1_44 = k — are verified by the test-suite.
-    In particular (N1)_{14} = i 2^{-1/3} q(2^{2/3}(2s - t^2)) underlies
-    the Hastings-McLeod extraction from the Riemann-Hilbert solution.
-    """
-    from . import series  # deferred: series imports this module
-
-    return series.build_series(co.s, co.t, "+", order=8).n1
 
 
 def _omega_q(variant: str) -> complex:

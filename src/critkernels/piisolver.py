@@ -40,7 +40,8 @@ from . import painleve, series
 from .errors import DomainRestriction, _finite
 from .sectoral import SectoralSolver
 
-__all__ = ["PII_RAY_ANGLES", "PII_JUMPS", "PiiSolver", "get_pii_solver", "hm_at"]
+__all__ = ["PII_RAY_ANGLES", "PII_JUMPS", "PII_ROW", "PII_COL", "PiiSolver",
+           "get_pii_solver", "hm_at"]
 
 PII_RAY_ANGLES = (
     math.pi / 6.0,
@@ -55,6 +56,10 @@ PII_JUMPS = (
     np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex),
     np.array([[1.0, -1.0], [0.0, 1.0]], dtype=complex),
 )
+
+# K_PII(x, y) = PII_ROW Psi(x)^{-1} Psi(y) PII_COL^T / (2 pi i (x - y))
+PII_ROW = np.array([1.0, -1.0])
+PII_COL = np.array([1.0, 1.0])
 
 _SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
 _R0 = 4.2                # outer anchor radius of the sector-constant fit
@@ -92,12 +97,9 @@ class PiiSolver(SectoralSolver):
     JUMPS = PII_JUMPS
     INNER = 0.8
     LOW_SECTOR = 3          # arg in [0, pi/6]: the wrap-around sector
-    # real half-lines for `m_balanced`: both columns of Psi oscillate
+    # the real line for `m_balanced`: both columns of Psi oscillate
     # there, so both go outward from Psi(0) = C_sector, with no switch
-    _AXES = {
-        "real+": (1.0, LOW_SECTOR, (0, 1), math.inf),
-        "real-": (-1.0, 1, (0, 1), math.inf),
-    }
+    _LINES = {"real": ((1.0, LOW_SECTOR, (0, 1), math.inf), (-1.0, 1, (0, 1), math.inf))}
 
     def __init__(self, nu):
         self.q, self.qp = hm_at(nu)

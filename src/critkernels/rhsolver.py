@@ -8,10 +8,10 @@ U = U0 + U1 zeta from `laxpair`, and the series frame of `series` uses
 its '+' branch in sectors 0-4 and its '-' branch in sectors 5-9.  The
 sector constants are found by the shared engine of `sectoral`.
 
-The engine's `m_balanced` reads column-balanced M along the `_AXES`
-below: the imaginary half-axes (K_cr) and the positive real axis (K_tac).
-`hm_extract` recovers the Hastings-McLeod value from the 1/zeta
-coefficient of M.
+The engine's `m_balanced` reads column-balanced M along the `_LINES`
+below: the imaginary line (K_cr, row `CR_ROW` and column `CR_COL`) and
+the positive real axis (K_tac).  `hm_extract` recovers the
+Hastings-McLeod value from the 1/zeta coefficient of M.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import laxpair, series
 from .sectoral import SectoralSolver
 
-__all__ = ["RAY_ANGLES", "JUMPS", "RhSolver", "get_solver"]
+__all__ = ["RAY_ANGLES", "JUMPS", "CR_ROW", "CR_COL", "RhSolver", "get_solver"]
 
 _PHI1 = math.pi / 6.0
 _PHI2 = math.pi / 3.0
@@ -67,6 +67,10 @@ _J[9] = _J[1]
 
 JUMPS = tuple(np.array(_J[k], dtype=complex) for k in range(10))
 
+# K_cr(u, v) = CR_ROW M(iu)^{-1} M(iv) CR_COL^T / (2 pi i (u - v))
+CR_ROW = np.array([-1.0, 1.0, 0.0, 0.0])
+CR_COL = np.array([1.0, 1.0, 0.0, 0.0])
+
 
 class RhSolver(SectoralSolver):
     """Solver for the model RH problem at deformation parameters (s, t)."""
@@ -100,12 +104,11 @@ class RhSolver(SectoralSolver):
     def det_m(self, zeta: complex) -> complex:
         return complex(np.linalg.det(self.M(zeta)))
 
-    # axis name -> (direction, sector, outward columns, switch); see
-    # `SectoralSolver.m_balanced`.  None stands for r0 as the switch.
-    _AXES = {
-        "imag+": (1j, 2, (0, 1), None),
-        "imag-": (-1j, 7, (0, 1), None),
-        "real+": (1.0, 0, (0, 1, 2, 3), _REAL_SWITCH),
+    # line name -> legs (direction, sector, outward columns, switch) for
+    # x >= 0 and x < 0; see `SectoralSolver.m_balanced`
+    _LINES = {
+        "imag": ((1j, 2, (0, 1), None), (-1j, 7, (0, 1), None)),
+        "real+": ((1.0, 0, (0, 1, 2, 3), _REAL_SWITCH), None),
     }
 
     def hm_extract(self, u_points=None) -> complex:
@@ -123,8 +126,8 @@ class RhSolver(SectoralSolver):
             u_points = np.arange(6.0, 16.01, 0.5)
         rows = []
         rhs = []
-        for u, (Mhat, logs) in self.m_balanced(u_points, "imag+").items():
-            zeta = 1j * u
+        for u, Mhat, logs in zip(u_points, *self.m_balanced(u_points, "imag")):
+            zeta = 1j * float(u)
             fr0 = laxpair.asymptotic_frame(zeta, self.s, self.t, "+")
             M = Mhat * np.exp(logs)
             f = zeta * (M @ np.linalg.inv(fr0) - np.eye(4))[0, 3]

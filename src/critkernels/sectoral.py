@@ -49,8 +49,9 @@ ray, block of columns and start on first use, and stores it, and
 more steps only when a radius lies beyond the recorded ones.  Since the
 grid depends on r and the start only, a recorded value equals that of
 a fresh sweep bit for bit, whatever was asked of the sweep before.  The
-axis reader `m_balanced`, shared by K_cr, K_tac and K_PII, reads the
-half-lines of a solver's `_AXES` table from sweeps alone.
+line reader `m_balanced` reads M at signed points of a line of a
+solver's `_LINES` table from sweeps alone, and `kernel_form`, the
+bilinear form that K_cr, K_tac and K_PII share (see `kernels`), reads it.
 
 The jump relations tie the C_k together; `split_solve` deliberately
 omits the links across one opposite pair of rays so that those two
@@ -66,11 +67,12 @@ import numpy as np
 
 from .errors import IntegrationFailure
 
-__all__ = ["SectoralSolver", "Sweep", "balance_columns"]
+__all__ = ["SectoralSolver", "Sweep", "balance_columns", "coincide", "kernel_form"]
 
 _ORDER = 30              # Taylor terms per transport step
 _STEP = 2.0              # transport step bound: h * sum_j ||L_j|| (|r|+1)^j
 _EDGE = 0.02             # anchor angle offset inside a sector's bounding rays
+_COINCIDE_EPS = 1e-6     # relative |a - b| treated as the diagonal
 
 
 def balance_columns(M: np.ndarray, logs) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +141,7 @@ class SectoralSolver:
     JUMPS: tuple[np.ndarray, ...]
     INNER: float            # inner anchor radius as a fraction of r0
     LOW_SECTOR: int         # sector of the arguments in [0, RAYS[0]]
-    _AXES: dict             # axis name -> the legs of `m_balanced`
+    _LINES: dict            # line name -> legs (x >= 0, x < 0) of `m_balanced`
     lax_coeffs: tuple[np.ndarray, ...]
 
     def __init__(self, r0: float):
@@ -273,8 +275,8 @@ class SectoralSolver:
         Y(0) = C_sector when r_from is 0, inward from the series frame at
         r_from otherwise.  Built on first use and kept, so what a solver
         keeps is bounded by what its callers ask for: `m_balanced` asks
-        for at most two sweeps per axis, each between 0 and the axis's
-        switch to the series frame.
+        for at most two sweeps per leg of a line, each between 0 and the
+        leg's switch to the series frame.
         """
         key = (direction, sector, cols, r_from)
         if key not in self._sweeps:
@@ -291,36 +293,43 @@ class SectoralSolver:
             self._sweeps[key] = Sweep(steps, sign)
         return self._sweeps[key]
 
-    def m_balanced(self, u_values, axis: str | None = None) -> dict:
-        """Column-balanced M along an axis: u -> (Mhat, logs), u >= 0.
+    def m_balanced(self, points, line: str) -> tuple[np.ndarray, np.ndarray]:
+        """(Mhat, logs): column-balanced M at signed points x of a line.
 
-        The axis is an entry (direction, sector, outward columns, switch)
-        of `_AXES`, by default the first; a switch None stands for r0.
-        M(u * direction) = Mhat diag(e^{logs_j}), each column of Mhat at
-        unit max, so kernel forms never overflow.  At or beyond the
-        switch M is the series frame.  Below it the outward (dominant)
-        columns come from one sweep outward from M(0) = C_sector, the
-        others (swamped there by the dominant ones' roundoff) from one
-        sweep inward from the series frame at r0, so a value depends on
-        u alone, not on the request or on what was asked before.
+        A line of `_LINES` has a leg (direction, sector, outward columns,
+        switch) for x >= 0 and one for x < 0, or None for no such leg; a
+        switch None stands for r0.  M(|x| direction) = Mhat diag(e^{logs_j}),
+        each column of Mhat at unit max, so kernel forms never overflow;
+        the rows follow the points.  At or beyond the switch M is the
+        series frame.  Below it the outward (dominant) columns come from
+        one sweep outward from M(0) = C_sector, the others (swamped there
+        by the dominant ones' roundoff) from one sweep inward from the
+        series frame at r0, so a value depends on x alone, not on the
+        request or on what was asked before.
         """
-        direction, sector, outward_cols, switch = self._AXES[
-            next(iter(self._AXES)) if axis is None else axis]
-        inward_cols = tuple(j for j in range(self.dim) if j not in outward_cols)
-        us = sorted(float(u) for u in u_values)
-        if us and us[0] < 0.0:
-            raise ValueError("u values must be nonnegative")
-        n = sum(u < (self.r0 if switch is None else switch) for u in us)
-        Mhat = np.empty((len(us), self.dim, self.dim), dtype=complex)
-        logs = np.empty((len(us), self.dim))
-        for cols, r_from in ((outward_cols, 0.0), (inward_cols, self.r0)):
-            if n and cols:
-                Mhat[:n, :, cols], logs[:n, cols] = self.sweep(
-                    direction, sector, cols, r_from).at(us[:n])
-        for i in range(n, len(us)):
-            Mhat[i], logs[i] = balance_columns(
-                *self._series_frame(us[i] * direction, sector))
-        return dict(zip(us, zip(Mhat, logs)))
+        x = np.asarray(points, dtype=float).reshape(-1)
+        Mhat = np.empty((len(x), self.dim, self.dim), dtype=complex)
+        logs = np.empty((len(x), self.dim))
+        for leg, rows in zip(self._LINES[line], (np.flatnonzero(x >= 0.0),
+                                                 np.flatnonzero(x < 0.0))):
+            if not rows.size:
+                continue
+            if leg is None:
+                raise ValueError(f"line {line!r} has no points x < 0")
+            direction, sector, outward_cols, switch = leg
+            r = np.abs(x[rows])
+            near = r < (self.r0 if switch is None else switch)
+            if near.any():
+                idx, rn = rows[near, None], r[near]
+                inward_cols = tuple(j for j in range(self.dim) if j not in outward_cols)
+                for cols, r_from in ((outward_cols, 0.0), (inward_cols, self.r0)):
+                    if cols:
+                        Y, lY = self.sweep(direction, sector, cols, r_from).at(rn)
+                        Mhat[idx, :, cols], logs[idx, cols] = Y.transpose(0, 2, 1), lY
+            for i, u in zip(rows[~near], r[~near].tolist()):
+                Mhat[i], logs[i] = balance_columns(
+                    *self._series_frame(u * direction, sector))
+        return Mhat, logs
 
     def phi(self, zeta) -> np.ndarray:
         """The fundamental solution Phi(zeta), with Phi(0) = I.
@@ -442,3 +451,48 @@ class SectoralSolver:
         """max |Y_+ - Y_- J_ray| at the given radius, chain cut at the ray."""
         plus, minus = self._sides(ray, radius)
         return float(np.max(np.abs(plus - minus @ self.JUMPS[ray])))
+
+
+# -- the kernel form ---------------------------------------------------------
+
+
+def coincide(u, v, c: float):
+    """(a, b, shape): u and v broadcast and flat, coincident pairs at (m, m).
+
+    |c u - c v| <= _COINCIDE_EPS max(1, |c u|) makes a pair coincident;
+    m = (u + v)/2, and equal arguments take the derivative limit.
+    """
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
+                               np.asarray(v, dtype=float))
+    same = np.abs(c * u - c * v) <= _COINCIDE_EPS * np.maximum(1.0, np.abs(c * u))
+    m = 0.5 * (u + v)
+    return np.where(same, m, u).ravel(), np.where(same, m, v).ravel(), u.shape
+
+
+def kernel_form(solver, line: str, a, b, dz: complex, row, col) -> np.ndarray:
+    """row M(dz a)^{-1} M(dz b) col / (2 pi i (a - b)) per pair.
+
+    a and b are 1-D arrays of pairs; `solver.m_balanced(points, line)`
+    gives the balanced factors (Mhat, logs) of M at the distinct points
+    of a and b.  Where a == b the value is the derivative limit
+    -row M^{-1} (dz L(dz a)) M col / (2 pi i), from dM/dzeta = L M with
+    L = `solver.lax`, and row . col = 0.  Only the entries on the
+    columns that row and col select are formed, so exponent differences
+    of unused columns never enter.
+    """
+    points = np.sort(np.concatenate([a, b]))
+    points = points[np.diff(points, prepend=-np.inf) > 0.0]      # drop repeats
+    Mhat, logs = solver.m_balanced(points, line)
+    ia, ib = np.searchsorted(points, a), np.searchsorted(points, b)
+    Ma, la, Mb, lb = Mhat[ia], logs[ia], Mhat[ib], logs[ib]
+    same = a == b
+    Z = np.empty_like(Ma)
+    if not same.all():
+        Z[~same] = np.linalg.solve(Ma[~same], Mb[~same])
+    if same.any():
+        Md = Ma[same]
+        Z[same] = -np.linalg.solve(Md, dz * solver.lax(dz * a[same]) @ Md)
+    i = np.flatnonzero((row != 0.0) | (col != 0.0))
+    scale = np.exp(lb[:, None, i] - la[:, i, None])
+    num = row[i] @ (Z[:, i[:, None], i] * scale) @ col[i]
+    return num / np.where(same, 2.0j * math.pi, 2.0j * math.pi * (a - b))

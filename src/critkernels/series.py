@@ -137,7 +137,12 @@ class FrameSeries:
 
     @property
     def n1(self) -> np.ndarray:
-        """N1 = P_2, the coefficient of zeta^{-1}."""
+        """N1 = P_2, the coefficient of zeta^{-1} in M = (I + N1/zeta + ...) B A E.
+
+        Closed forms: (1,2) = b, (3,2) = (4,1) = i f, (1,4) = (2,3) = i d,
+        (1,3) = (2,4) = i c, (3,4) = h, N1_33 - N1_11 = N1_22 - N1_44 = k;
+        (N1)_{14} = i 2^{-1/3} q(2^{2/3}(2s - t^2)) underlies `hm_extract`.
+        """
         return self.coeffs[1]
 
     def prefactor(self, zeta: complex, order: int | None = None) -> np.ndarray:

@@ -208,9 +208,10 @@ def _match(za, zb, ra, rb) -> tuple[np.ndarray, np.ndarray]:
 
     Returns, per row, the index into ``_PERMS`` of the permutation q (root i
     of ``ra`` continues as root q[i] of ``rb``) whose largest movement is
-    least, the first of equal candidates winning, and whether the step is
-    accepted: every root moves at most 0.3 times its own nearest-neighbour
-    distance at zb, or the step is below roundoff.
+    least (ties broken by the next-largest movements in turn, then by the
+    first candidate), and whether the step is accepted: every root moves
+    at most 0.3 times its own nearest-neighbour distance at zb, or the
+    step is below roundoff.
     """
     perms = _PERMS[ra.shape[1]]
     dist = np.abs(rb[:, None, :] - ra[:, :, None])           # dist[k, i, j]
@@ -218,6 +219,12 @@ def _match(za, zb, ra, rb) -> tuple[np.ndarray, np.ndarray]:
     for i in range(1, ra.shape[1]):
         np.maximum(cost, dist[:, i, perms[:, i]], out=cost)
     best = np.argmin(cost, axis=1)
+    # far out, w1's move exceeds the others' spacing and ties the least maximum
+    least = cost == cost.min(axis=1, keepdims=True)
+    if np.count_nonzero(least) > len(cost):
+        tied = np.flatnonzero(least.sum(axis=1) > 1)
+        moves = np.sort(dist[tied][:, np.arange(ra.shape[1]), perms], axis=2)  # ascending
+        best[tied] = np.lexsort(np.moveaxis(moves, 2, 0), axis=-1)[:, 0]
     k, q = np.arange(len(ra))[:, None], perms[best]
     near = np.sort(np.abs(rb[:, :, None] - rb[:, None, :]), axis=2)[:, :, 1]
     ok = (np.all(dist[k, np.arange(ra.shape[1]), q] <= 0.3 * near[k, q], axis=1)

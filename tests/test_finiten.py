@@ -82,6 +82,37 @@ def test_bimoment_against_2d_quadrature():
         assert abs(B.entries[jk] - ref[jk]) <= 1e-10 * abs(ref[jk]) + 1e-12, jk
 
 
+def _expansion_bimoments(n, alpha, tau, bits):
+    """B[j][k] = sum_l C(j, l) tau^l G_{j-l} m_{k+l}, G_l the Gaussian
+    moments int u^l e^{-n u^2/2} du: x^j expanded about tau y."""
+    with mp.workprec(bits):
+        moms = finiten._y_moments(n, alpha, tau, 2 * n)
+        G = [mp.sqrt(2 * mp.pi / n), mp.mpf(0)]
+        for l in range(1, n):
+            G.append(G[l - 1] * l / mp.mpf(n))
+        return [[mp.fdot([math.comb(j, l) * mp.mpf(tau) ** l * G[j - l]
+                          for l in range(j + 1)], moms[k:k + j + 1])
+                 for k in range(n + 1)] for j in range(n + 1)]
+
+
+@pytest.mark.parametrize("n,alpha,tau", [(12, ALPHA, TAU), (12, -2.0, 1.5),
+                                         (12, ALPHA, -TAU), (48, ALPHA, TAU)])
+def test_bimoment_recursion_matches_expansion(n, alpha, tau):
+    # [DERIVED] the integration-by-parts recursion in x agrees with the
+    # binomial expansion of x^j to 4 units of the working precision, and
+    # entries with j + k odd are exactly 0 in both
+    B = finiten.bimoment_matrix(n, alpha, tau)
+    ref = _expansion_bimoments(n, alpha, tau, B.precision_bits)
+    eps = mp.mpf(2) ** (1 - B.precision_bits)
+    with mp.workprec(B.precision_bits):
+        for j in range(n + 1):
+            for k in range(n + 1):
+                if (j + k) % 2:
+                    assert B.entries[j, k] == 0 and ref[j][k] == 0, (j, k)
+                else:
+                    assert abs(B.entries[j, k] - ref[j][k]) <= 4 * eps * abs(ref[j][k]), (j, k)
+
+
 def test_moment_recurrence_consistency():
     # [DERIVED] the four-term moment recursion agrees with direct
     # quadrature of a higher moment

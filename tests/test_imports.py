@@ -1,5 +1,6 @@
 """What the library loads: every README command runs without scipy."""
 
+import ast
 import os
 import pathlib
 import re
@@ -28,6 +29,48 @@ def _loaded(statement: str, modules=HEAVY, cwd=None) -> list[str]:
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, cwd=cwd).stdout
     return out.splitlines()[-1].split()
+
+
+def _import_graph() -> dict:
+    """module -> the package modules it imports, at any level of its code."""
+    pkg = pathlib.Path(critkernels.__file__).parent
+    names = {f.stem for f in pkg.glob("*.py")}
+    graph = {}
+    for name in names:
+        graph[name] = set()
+        for node in ast.walk(ast.parse((pkg / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                top, _, rest = (node.module or "").partition(".")
+                if top == "critkernels":
+                    graph[name] |= ({rest} if rest else
+                                    {a.name for a in node.names} & names)
+            elif isinstance(node, ast.ImportFrom):
+                graph[name] |= ({node.module.split(".")[0]} if node.module else
+                                {a.name for a in node.names} & names)
+            elif isinstance(node, ast.Import):
+                graph[name] |= {a.name.split(".")[1] for a in node.names
+                                if a.name.startswith("critkernels.")}
+    return graph
+
+
+def test_no_import_cycle():
+    # [TRIVIAL] the package's modules import each other without a cycle,
+    # counting imports inside functions: a depth-first search meets no
+    # module that is still on its own path
+    graph = _import_graph()
+    state = {}
+
+    def visit(name, path):
+        state[name] = "open"
+        for dep in sorted(graph.get(name, ())):
+            assert state.get(dep) != "open", " -> ".join(path + [name, dep])
+            if dep not in state:
+                visit(dep, path + [name])
+        state[name] = "done"
+
+    for name in sorted(graph):
+        if name not in state:
+            visit(name, [])
 
 
 def test_rh_modules_import_no_scipy_submodule():

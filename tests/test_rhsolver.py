@@ -108,13 +108,15 @@ def test_ode_residual_of_m():
     assert rel < 1e-7
 
 
-@pytest.mark.parametrize("axis,sign", [("imag+", 1.0), ("imag-", -1.0)])
-def test_m_balanced_matches_m(axis, sign):
+@pytest.mark.parametrize("half,sign", [("imag+", 1.0), ("imag-", -1.0)])
+def test_m_balanced_matches_m(half, sign):
     # [DERIVED] both transport legs of m_balanced -- the dominant columns
     # outward from M(0), the others inward from the series -- reproduce
-    # the engine's M(+-iu) (sectors 2 and 7), column by column
+    # the engine's M(+-iu) (sectors 2 and 7) on each half of the imaginary
+    # line, column by column
     S = solver(0.0, 0.0, 14.0, 16)
-    for u, (Mhat, logs) in S.m_balanced([0.5, 1.0, 2.0], axis).items():
+    us = [0.5, 1.0, 2.0]
+    for u, Mhat, logs in zip(us, *S.m_balanced(sign * np.array(us), "imag")):
         M = S.M(sign * 1j * u)
         diff = np.max(np.abs(Mhat * np.exp(logs) - M), axis=0)
         assert np.max(diff / np.max(np.abs(M), axis=0)) < 1e-6, u
@@ -124,10 +126,13 @@ def test_m_balanced_request_independent():
     # [DERIVED] a point's balanced M does not depend on the other points
     # of the same request
     S = solver(0.0, 0.0, 14.0, 16)
-    Ma, la = S.m_balanced([0.5])[0.5]
-    Mb, lb = S.m_balanced([0.5, 3.3])[0.5]
+    Ma, la = (x[0] for x in S.m_balanced([0.5], "imag"))
+    Mb, lb = (x[0] for x in S.m_balanced([0.5, 3.3], "imag"))
     A, B = Ma * np.exp(la), Mb * np.exp(lb)
     assert np.max(np.abs(A - B)) <= 1e-15 * np.max(np.abs(A))
+    # a mixed-sign request gives the 0.5 row bit for bit
+    Mc, lc = (x[1] for x in S.m_balanced([-0.7, 0.5, 3.3], "imag"))
+    assert np.array_equal(Mc, Ma) and np.array_equal(lc, la)
 
 
 def _column_gap(a, b):
@@ -141,8 +146,8 @@ def test_m_balanced_request_independent_beyond_r0():
     # [DERIVED] a point beyond r0 in the same request does not move the
     # inward start of the others
     S = solver(0.0, 0.0, 14.0, 16)
-    assert _column_gap(S.m_balanced([5.0])[5.0],
-                       S.m_balanced([5.0, 20.0])[5.0]) <= 1e-15
+    assert _column_gap([x[0] for x in S.m_balanced([5.0], "imag")],
+                       [x[0] for x in S.m_balanced([5.0, 20.0], "imag")]) <= 1e-15
 
 
 def test_default_solver_is_the_cached_one():
@@ -166,12 +171,13 @@ def test_m_balanced_cache_state_independent():
     points = [0.5, 3.3, 12.0]
     cold = RhSolver(0.0, 0.0, r0=14.0, series_order=16)
     warm = RhSolver(0.0, 0.0, r0=14.0, series_order=16)
-    for axis in ("imag+", "imag-"):
-        warm.m_balanced([0.25, 7.0, 20.0], axis)
-        a, b = cold.m_balanced(points, axis), warm.m_balanced(points, axis)
-        for u in points:
-            assert np.array_equal(a[u][0], b[u][0]), (axis, u)
-            assert np.array_equal(a[u][1], b[u][1]), (axis, u)
+    for sign in (1.0, -1.0):
+        warm.m_balanced(sign * np.array([0.25, 7.0, 20.0]), "imag")
+        x = sign * np.array(points)
+        a, b = cold.m_balanced(x, "imag"), warm.m_balanced(x, "imag")
+        for i, u in enumerate(x):
+            assert np.array_equal(a[0][i], b[0][i]), u
+            assert np.array_equal(a[1][i], b[1][i]), u
 
 
 @pytest.mark.parametrize("s,t", [(0.0, 0.0), (0.5, -1.0), (1.0, 0.0)])

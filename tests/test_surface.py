@@ -424,15 +424,27 @@ def test_march_refuses_a_step_onto_a_double_root():
 
 
 def test_march_refuses_far_out_point_at_the_first_deep_step():
-    # [DERIVED] from the quadrant reference to 1e20 + i, w1's move ties the
-    # min-max match of the small roots' permutations down to depth 61.
-    # Rounds take the leftmost pending steps first, so the refusal names the
-    # first such step on the path, as a depth-first bisection does, after a
-    # few thousand evaluations instead of a level-by-level tree
+    # [DERIVED] from the quadrant reference to 1e20 + i, a step near
+    # 46.63 + 3.27i is refused down to depth 61.  Rounds take the leftmost
+    # pending steps first, so the refusal names the first such step on the
+    # path, as a depth-first bisection does, after a few thousand
+    # evaluations instead of a level-by-level tree
     before = sf.root_evaluations
     with pytest.raises(DegenerateRoots, match=r"near z = \(46\.63"):
         sf.xi_branches(1e20 + 1j, CRIT)
     assert sf.root_evaluations - before < 20_000
+
+
+def test_xi_branches_far_out_returns():
+    # [DERIVED] w1 ~ z moves by far more than the small roots' spacing on
+    # the way out; ties in its move no longer hide the small roots'
+    # matching, so a far-out point returns after a few dozen evaluations
+    # (1e8 + i took 2,010 and 1e10 + i did not return within 40 s)
+    for z in (1e8 + 1j, 1e10 + 1j, 1e12 + 1j):
+        before = sf.root_evaluations
+        w = sf.xi_branches(z, CRIT).w
+        assert sf.root_evaluations - before <= 200, z
+        assert abs(w[0] / z - 1.0) < 1e-12, z
 
 
 def _spy_marches(monkeypatch) -> list:
