@@ -137,7 +137,7 @@ class BiorthogonalFamily:
     ``p_coeffs[k]``/``q_coeffs[k]`` hold the coefficients of p_k / q_k in
     increasing degree (mpmath numbers, length k+1); ``h2[k]`` the norms
     h_k^2 for k = 0..n-1.  One extra p-polynomial (degree n) is kept for
-    zero studies.
+    zero studies; ``polynomial_zeros`` keeps its zeros on the family.
     """
 
     n: int
@@ -147,6 +147,8 @@ class BiorthogonalFamily:
     p_coeffs: list
     q_coeffs: list
     h2: list
+    _zeros: np.ndarray | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
 
 def bimoment_matrix(n: int, alpha: float, tau: float,
@@ -241,7 +243,15 @@ def polynomial_zeros(fam: BiorthogonalFamily):
     """Zeros of p_{n,n}, as a complex array sorted by real part: the
     eigenvalues of the recurrence matrix, each polished by Newton on p_n.
     Raises QuadratureFailure if a zero's Newton iteration has not settled
-    after _NEWTON_MAX steps, or if two eigenvalues polish onto one zero."""
+    after _NEWTON_MAX steps, or if two eigenvalues polish onto one zero.
+    The first solve is kept on ``fam``; each call returns a copy of it."""
+    if fam._zeros is None:
+        fam._zeros = _solve_zeros(fam)
+    return fam._zeros.copy()
+
+
+def _solve_zeros(fam: BiorthogonalFamily) -> np.ndarray:
+    """``polynomial_zeros`` without the family's copy."""
     n = fam.n
     b, c = _band_coefficients(fam)
     H, k = np.zeros((n, n)), np.arange(n)      # column k: x p_k

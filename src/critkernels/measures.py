@@ -100,7 +100,7 @@ def sigma2_density(y, alpha: float, tau: float):
     """Constraint density on the imaginary axis: (tau/pi) Re s(iy), s the
     cubic root of s^3 + alpha s = tau z with largest real part."""
     iy = 1j * np.ravel(y).astype(float)
-    roots = sf._companion_eigvals(sf._cubic(alpha, tau)(iy))
+    roots = sf._closed_form_roots(sf._cubic(alpha, tau)(iy))
     return _like((tau / math.pi) * roots.real.max(axis=1), y)
 
 

@@ -158,18 +158,71 @@ _QUADRANT_ANGLE = {"I": 0.25 * math.pi, "II": 0.75 * math.pi,
 
 root_evaluations = 0    # points whose roots were solved, midpoints included
 
-_BLOCK = 256            # path points solved per stacked eigvals call
+_BLOCK = 256            # path points solved per vectorized closed-form call
+
+_CUBE_ROOTS_OF_ONE = np.exp(2j * np.pi / 3 * np.arange(3))
+_SIGNS = np.array([-1.0, 1.0])
 
 
-def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the companion matrix of each row of ``coeffs``
-    (leading coefficient first), the matrices ``np.roots`` builds, in one
-    stacked call."""
-    m, n = coeffs.shape[0], coeffs.shape[1] - 1
-    comp = np.zeros((m, n, n), dtype=coeffs.dtype)
-    comp[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
-    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-    return np.linalg.eigvals(comp)
+def _cardano_cube(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
+    """(d1 + sqrt(d1^2 - 4 d0^3))/2, with the sign of the square root that
+    gives it the larger modulus: it is zero only where d0 = d1 = 0."""
+    root = np.sqrt(d1 * d1 - 4.0 * d0**3)
+    root *= np.copysign(1.0, (d1.conjugate() * root).real)
+    return 0.5 * (d1 + root)
+
+
+def _cardano(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Roots of s^3 + p s + q, a row of three per entry of ``p`` and ``q``:
+    -(u + d0/u)/3 over the three cube roots u of ``_cardano_cube(d0, d1)``,
+    d0 = -3p, d1 = 27q (where u = 0, d0 = 0 too and the roots are 0)."""
+    d0 = -3.0 * p
+    u = (_cardano_cube(d0, 27.0 * q) ** (1.0 / 3.0))[:, None] * _CUBE_ROOTS_OF_ONE
+    return (u + d0[:, None] / (u + (u == 0.0))) * (-1.0 / 3.0)
+
+
+def _trinomial_quartic(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Roots w of (w^2 + g)^2 - z w^3, r = 1/g > 0, a row of four per entry of z.
+
+    w = t^2 with t^4 - sqrt(z) t^3 + g = 0 (the other square root gives -t
+    and the same w), and v = 1/t solves v^4 + q v + r = 0 with q = -sqrt(z) r.
+    This form is regular at z = 0, where t^4 = -g has four distinct roots;
+    its only double roots are at the branch points +-c.  Ferrari: for a
+    root m of the resolvent m^3 - r m - q^2/8 and s = sqrt(2m),
+    v^4 + q v + r = (v^2 - s v + K1)(v^2 + s v + K2), K1,2 = m +- q/(2s),
+    K1 K2 = r.  The root m of largest modulus comes from the Cardano cube
+    root nearest the real axis (its d0 = 3r is positive); the sign of s
+    makes K1 the larger, and K2 = r/K1.  Each quadratic's larger root comes
+    from the formula and the other from Vieta.
+    """
+    q = np.sqrt(z) * -r
+    d0 = 3.0 * r
+    cube = _cardano_cube(d0, -3.375 * q * q)
+    sign = np.copysign(1.0, cube.real)
+    u = sign * (sign * cube) ** (1.0 / 3.0)
+    m = (u + d0 / u) * (-1.0 / 3.0)
+    s = np.sqrt(2.0 * m)
+    h = 0.5 * q / s
+    sign = np.copysign(1.0, (m.conjugate() * h).real)
+    k1 = m + sign * h
+    b = (sign * s)[:, None] * _SIGNS            # the quadratics v^2 + b v + K
+    k = np.empty_like(b)
+    k[:, 0], k[:, 1] = k1, r / k1
+    root = np.sqrt(b * b - 4.0 * k)
+    root *= np.copysign(1.0, (b.conjugate() * root).real)
+    v = np.empty((len(z), 4), dtype=complex)
+    v[:, :2] = -0.5 * (b + root)
+    v[:, 2:] = k / v[:, :2]
+    return 1.0 / (v * v)
+
+
+def _closed_form_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of each row of ``coeffs``, a row of the cubic family
+    (1, 0, alpha, -tau z) or of the quartic family (1, -z, 2g, 0, g^2)."""
+    coeffs = coeffs.astype(complex, copy=False)
+    if coeffs.shape[1] == 4:
+        return _cardano(coeffs[:, 2], coeffs[:, 3])
+    return _trinomial_quartic(-coeffs[:, 1], 2.0 / coeffs[:, 2])
 
 
 def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -181,10 +234,12 @@ def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of each row of ``coeffs``, polished by two Newton steps."""
+    """Roots of each row of ``coeffs`` in closed form, polished by two
+    Newton steps.  Each row's roots are elementwise in that row alone, so
+    they do not depend on the other rows of the call."""
     global root_evaluations
     root_evaluations += len(coeffs)
-    roots = _companion_eigvals(coeffs)
+    roots = _closed_form_roots(coeffs)
     deriv = coeffs[:, :-1] * np.arange(coeffs.shape[1] - 1, 0, -1)
     for _ in range(2):
         fp = _horner(deriv, roots)

@@ -2,6 +2,8 @@
 
 These deliberately avoid the library's own code paths (and scipy.special
 where the library itself relies on it), so that agreement is meaningful.
+The one exception is the root tracker's per-point solve, shared with the
+library so that the two trackers can be compared bit for bit.
 """
 
 import cmath
@@ -9,6 +11,8 @@ import math
 from itertools import permutations
 
 import numpy as np
+
+from critkernels import surface as sf
 
 __all__ = ["airy_ai", "airy_ai_prime", "ds_gap", "ds_kernel", "march_roots"]
 
@@ -73,18 +77,16 @@ def airy_ai_prime(x: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Root continuation one point at a time, with recursive bisection: the tracker
-# that critkernels.surface used before its batched march.
+# that critkernels.surface used before its batched march.  It is an oracle
+# for the tracking (labels, bisection, evaluation counts), not for the roots:
+# each point's roots are the library's own one-row solve, so the two trackers
+# see the same roots bit for bit (a row's roots do not depend on its batch;
+# test_surface pins the solve against numpy.roots separately).
 
 
 def _polished_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of the polynomial ``coeffs``, polished by two Newton steps."""
-    roots = np.roots(coeffs)
-    deriv = np.polyder(coeffs)
-    for _ in range(2):
-        fp = np.polyval(deriv, roots)
-        mask = np.abs(fp) > 0.0
-        roots[mask] -= np.polyval(coeffs, roots[mask]) / fp[mask]
-    return roots
+    """Roots of the polynomial ``coeffs`` as critkernels.surface solves one row."""
+    return sf._roots(coeffs[None])[0]
 
 
 _PERMS = {n: np.array(list(permutations(range(n)))) for n in (3, 4)}
@@ -136,8 +138,9 @@ def march_roots(roots: np.ndarray, z0: complex, points,
 
 # ---------------------------------------------------------------------------
 # The double-scaling kernel one point at a time: the scalar assembly that
-# critkernels.dscale used before it went through kernels._form.  It reads
-# the evaluator's contour solve (nodes, weights, F) and its parametrices.
+# critkernels.dscale used before it went through sectoral.kernel_form.  It
+# reads the evaluator's contour solve (nodes, weights, F) and its
+# parametrices.
 
 
 def _ds_r(ds, z: complex) -> np.ndarray:

@@ -225,7 +225,7 @@ def test_gap_rejects_non_finite_inputs_by_name():
 
 
 def test_kernel_matrix_matches_scalar_oracle(ds3):
-    # [DERIVED] the kernel through kernels._form agrees with the scalar
+    # [DERIVED] the kernel through sectoral.kernel_form agrees with the scalar
     # row/column assembly on the same contour solve; the diagonal, a
     # mean over y +- 1e-3, carries 1e3 times the roundoff of a pair,
     # so the bound is relative to the matrix's largest entry

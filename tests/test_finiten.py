@@ -528,6 +528,23 @@ def test_kolmogorov_equals_loop_reference(fam12):
     assert finiten.zero_counting_kolmogorov(fam12) == dist
 
 
+def test_zeros_solved_once_per_family(monkeypatch):
+    # [TRIVIAL] the Kolmogorov distance reuses the zeros a caller already
+    # solved, and each caller gets its own copy of them
+    fam = finiten.biorthogonal(finiten.bimoment_matrix(6, ALPHA, TAU))
+    solves = []
+    solve = finiten._solve_zeros
+    monkeypatch.setattr(finiten, "_solve_zeros",
+                        lambda f: solves.append(f) or solve(f))
+    zeros = finiten.polynomial_zeros(fam)
+    first = zeros.copy()
+    zeros[:] = 0.0
+    dist = finiten.zero_counting_kolmogorov(fam)
+    assert len(solves) == 1
+    assert np.array_equal(finiten.polynomial_zeros(fam), first)
+    assert dist == finiten._kolmogorov(first, fam.alpha, fam.tau)
+
+
 def test_domain_errors():
     # [TRIVIAL] preconditions on n and precision
     with pytest.raises(DomainRestriction):

@@ -21,6 +21,15 @@ def test_sigma2_at_zero():
     assert ms.sigma2_density(0.0, -1.0, 1.0) == pytest.approx(1.0 / math.pi, abs=1e-12)
 
 
+def test_sigma2_at_a_triple_root():
+    # [TRIVIAL] at alpha = 0, y = 0 the cubic s^3 = 0 has the triple root 0
+    # (Cardano's cube root vanishes there) and the density is 0; at y = 1
+    # the root of largest real part is e^{i pi/6}
+    assert ms.sigma2_density(0.0, 0.0, 1.0) == 0.0
+    assert ms.sigma2_density(1.0, 0.0, 1.0) == pytest.approx(
+        math.cos(math.pi / 6.0) / math.pi, abs=1e-15)
+
+
 def test_sigma2_large_y():
     # [DERIVED] density ~ (tau/pi) cos(pi/6) (tau |y|)^{1/3}
     y = 1e4

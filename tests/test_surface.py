@@ -395,6 +395,83 @@ def test_origin_is_a_branch_point_of_the_quartic():
     assert np.all(np.isfinite(sf.theta_branches(0.0, -1.0, 1.0).s))
 
 
+def _numpy_roots(row: np.ndarray) -> np.ndarray:
+    """numpy.roots of one coefficient row, polished by the two Newton steps
+    of sf._roots."""
+    roots = np.roots(row).astype(complex)
+    deriv = np.polyder(row)
+    for _ in range(2):
+        fp = np.polyval(deriv, roots)
+        ok = np.abs(fp) > 0.0
+        roots[ok] -= np.polyval(row, roots[ok]) / fp[ok]
+    return roots
+
+
+def _spy_root_rows(monkeypatch) -> list:
+    """Record the coefficient rows of every ``sf._roots`` call."""
+    rows = []
+    roots = sf._roots
+
+    def spy(coeffs):
+        rows.append(coeffs)
+        return roots(coeffs)
+
+    monkeypatch.setattr(sf, "_roots", spy)
+    return rows
+
+
+def _near(points, angles) -> np.ndarray:
+    """Points within 1e-12 to 1e-2 of each of ``points`` along ``angles``."""
+    d = np.geomspace(1e-12, 1e-2, 21)[:, None] * np.exp(1j * np.asarray(angles))
+    return np.concatenate([p + d.ravel() for p in points])
+
+
+def test_closed_form_roots_match_numpy_roots(monkeypatch):
+    # [DERIVED] the closed-form roots agree with numpy.roots polished by the
+    # same Newton steps on every row of the three mass paths, on rays out to
+    # |z| = 1e12 and near the branch points: each root matches exactly one
+    # reference root within 1e-11 of its modulus.  Within ~1e-10 of a
+    # double root the roots are ill-conditioned and any two double
+    # solvers differ by up to ~eps kappa (kappa the root's relative
+    # condition number; both solvers are within eps kappa of the exact
+    # roots there), so the bound is 1e-11 or 4 eps kappa, the larger
+    rows = _spy_root_rows(monkeypatch)
+    for mass in (ms.mass_mu1, ms.mass_mu2, ms.mass_mu3):
+        mass(CRIT)
+    monkeypatch.undo()
+    rays = (np.geomspace(1.0, 1e12, 60)[:, None]
+            * np.exp(1j * np.array([0.3, 2.0, -1.2, -2.8]))).ravel()
+    angles = [0.4, 1.9, -2.5, -0.6]
+    xs = sf.x_star(-1.0, 1.0)
+    rows.append(sf._quartic(CRIT)(
+        np.concatenate([rays, _near([0.0, CRIT.c, -CRIT.c], angles)])))
+    rows.append(sf._cubic(-1.0, 1.0)(np.concatenate([rays, _near([0.0, xs, -xs], angles)])))
+    eps = np.finfo(float).eps
+    for coeffs in rows:
+        got = sf._roots(coeffs)
+        for row, w in zip(coeffs, got):
+            want = _numpy_roots(row)
+            dist = np.abs(w[:, None] - want[None, :])
+            match = np.argmin(dist, axis=1)
+            assert len(set(match)) == len(w), (row, w, want)
+            powers = np.abs(w[:, None]) ** np.arange(len(row) - 1, -1, -1)
+            kappa = powers @ np.abs(row) / np.abs(w * np.polyval(np.polyder(row), w))
+            bound = np.maximum(1e-11, 4.0 * eps * kappa) * np.abs(w)
+            assert np.all(dist[np.arange(len(w)), match] <= bound), (row, w, want)
+
+
+def test_closed_form_roots_do_not_depend_on_the_batch():
+    # [TRIVIAL] a row solved alone is bit for bit the same row solved
+    # inside a block of _BLOCK rows, for both polynomial families
+    rng = np.random.default_rng(4)
+    n = sf._BLOCK
+    z = (rng.uniform(-6, 6, n) + 1j * rng.uniform(-6, 6, n)) * 10.0 ** rng.uniform(-3, 6, n)
+    for coeffs in (sf._quartic(CRIT)(z), sf._cubic(-1.0, 1.0)(z)):
+        block = sf._roots(coeffs)
+        for k in range(n):
+            assert np.array_equal(sf._roots(coeffs[k:k + 1])[0], block[k])
+
+
 def test_continue_roots_bisects_only_crowded_roots():
     # [DERIVED] far up the imaginary axis w1 ~ z moves with z while the three
     # small roots sit ~0.4 apart and barely move: one step of the mass_mu2
