@@ -157,7 +157,8 @@ def density(measure: str, alpha: float, tau: float, grid: str,
     vals[inside] = fn(xs[inside])
     rows = list(zip(xs.tolist(), vals.tolist()))
     checks = [_check("values_finite", 0.0 if np.all(np.isfinite(vals)) else 1.0,
-                     0.5)]
+                     0.5),
+              _check("nonnegative", max(0.0, -float(vals.min())), 0.0)]
     _emit("density", {"measure": measure, "alpha": alpha, "tau": tau,
                       "grid": grid}, checks, out, fmt, ["x", "density"], rows)
 

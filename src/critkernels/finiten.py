@@ -349,6 +349,10 @@ def _mu1_cdf(alpha: float, tau: float):
     p = surface.SurfaceParams.from_alpha_tau(alpha, tau)
     grid = np.linspace(-p.c + 1e-6, p.c - 1e-6, 801)
     dens = measures.density_mu1(grid, p)
+    if np.any(dens < 0.0):
+        raise DomainRestriction(
+            f"the mu1 density changes sign at (alpha, tau) = ({alpha}, {tau}): "
+            f"{dens.min():.3g} at x = {grid[np.argmin(dens)]:.6g}")
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1])
                                            * np.diff(grid))])
     return grid, cdf / cdf[-1]
@@ -356,7 +360,10 @@ def _mu1_cdf(alpha: float, tau: float):
 
 def zero_counting_kolmogorov(fam: BiorthogonalFamily) -> float:
     """Kolmogorov distance between the zero-counting measure of p_{n,n}
-    and the limiting measure mu1 at the family's (alpha, tau)."""
+    and the limiting measure mu1 at the family's (alpha, tau).
+
+    Raises DomainRestriction where the mu1 density of the surface changes
+    sign, so is no measure."""
     return _kolmogorov(polynomial_zeros(fam), fam.alpha, fam.tau)
 
 

@@ -17,41 +17,38 @@ from one weighted least-squares fit matching Phi C_k to the asymptotic
 series at anchors in all sectors simultaneously (three angles per
 sector, two radii).
 
-One stepper, `_march`, serves every integration of the Lax equation:
+One stepper, `_chunk`, serves every integration of the Lax equation:
 outward from the origin (Phi, and columns of M = Phi C_k) or inward from
 the asymptotic series, on any block of columns, for a batch of rays at
 once.  It is the high-order Taylor method (Jorba & Zou, Exp. Math. 14
-(2005)): L(zeta) = sum_j L_j zeta^j is a polynomial, so about a step start
-zeta = d r the Taylor coefficients of Y(d (r + s)) obey the exact
-recurrence (n+1) Y_{n+1} = sum_j B_j Y_{n-j}, with B_j the s^j
-coefficient of d L(d (r + s)).  Each step sums `_ORDER` terms over the
-length h(r) = `_STEP` / max(`_STEP`, sum_j ||L_j||_inf (|r| + 1)^j).
+(2005)).  L(zeta) = sum_j L_j zeta^j is a polynomial, so about a step
+start zeta = d r the step's propagator, Y(d (r + s)) = U(s) Y(d r), has
+Taylor coefficients U_0 = I, (n+1) U_{n+1} = sum_j B_j U_{n-j}, with B_j
+the s^j coefficient of d L(d (r + s)).  Each step sums `_ORDER` terms
+over h(r) = `_STEP` / max(`_STEP`, sum_j ||L_j||_inf (|r| + 1)^j).
 As h <= 1, ||L|| h <= `_STEP` on the whole disk |s| <= h, so the
 omitted terms are below _STEP^_ORDER / _ORDER! (about 4e-24) of the
-step's start value.  The step rule depends on r and the coefficients
-only, never on the direction or on the radii requested, so every ray of
-a batch steps on the same r-grid; a requested radius is reached by
-evaluating the Taylor polynomial of the step that contains it, never by
-shortening a step.  A value therefore does not depend on which other
-rays share the batch or on which other radii were requested.  After
-every step the columns are rebalanced, so each column is carried as
-(unit-max column, log scale) and never overflows.  The solver counts
-its steps in `taylor_steps`.
+step's start value.  The rule depends on r and the coefficients only, so
+all rays of a batch share one r-grid, and a radius is read from the
+Taylor polynomial of the step that contains it.  The grid is taken in
+chunks of at most `_CHUNK` ray-steps (a memory bound, like
+`surface._BLOCK`), a chunk ending early at the first step that reaches
+the farthest radius asked for.  One recurrence serves every (step, ray)
+pair of a chunk; then Y_{i+1} = (sum_n U_n h_i^n) Y_i, rebalanced so
+that each column is carried as (unit-max column, log scale).  A value
+depends on neither the other rays of a batch, the other radii asked for
+nor where chunks end.  `taylor_steps` counts steps, `taylor_passes` chunks.
 
-The stepper yields every step's start, end, Taylor coefficients and
-logs; a reader evaluates a step at a radius by one matmul of the powers
-of s against the coefficients (`_taylor_sum`).  `transport` runs
-outward from Phi(0) = I on a batch of rays and evaluates its radii as
-the steps go by, keeping none of them.  A recorded `Sweep` (dense
-Taylor output) keeps them all: `SectoralSolver.sweep` builds one per
-ray, block of columns and start on first use, and stores it, and
-`Sweep.at` evaluates any radius by the Taylor sum of its step, taking
-more steps only when a radius lies beyond the recorded ones.  Since the
-grid depends on r and the start only, a recorded value equals that of
-a fresh sweep bit for bit, whatever was asked of the sweep before.  The
-line reader `m_balanced` reads M at signed points of a line of a
-solver's `_LINES` table from sweeps alone, and `kernel_form`, the
-bilinear form that K_cr, K_tac and K_PII share (see `kernels`), reads it.
+Each Taylor sum is one matmul of the powers of s (`_taylor_sum`).
+`transport` runs outward from Phi(0) = I on a batch of rays, reads a
+radius as (sum_n U_n s^n) Y_i, and keeps no step.  A recorded `Sweep`
+keeps every step's T_i = U_i Y_i, one matmul per chunk, and sums that:
+`SectoralSolver.sweep` builds one per ray, block of columns and start on
+first use and stores it, and `Sweep.at` steps on only past the recorded
+radii, so a recorded value equals that of a fresh sweep bit for bit.
+`m_balanced` reads M at signed points of a line of a solver's `_LINES`
+from sweeps alone, and `kernel_form`, the bilinear form of K_cr, K_tac
+and K_PII (see `kernels`), reads it.
 
 The jump relations tie the C_k together; `split_solve` deliberately
 omits the links across one opposite pair of rays so that those two
@@ -71,6 +68,7 @@ __all__ = ["SectoralSolver", "Sweep", "balance_columns", "coincide", "kernel_for
 
 _ORDER = 30              # Taylor terms per transport step
 _STEP = 2.0              # transport step bound: h * sum_j ||L_j|| (|r|+1)^j
+_CHUNK = 256             # ray-steps per batched recurrence, at most
 _EDGE = 0.02             # anchor angle offset inside a sector's bounding rays
 _COINCIDE_EPS = 1e-6     # relative |a - b| treated as the diagonal
 
@@ -97,13 +95,15 @@ def _taylor_sum(coeffs: np.ndarray, s) -> np.ndarray:
 class Sweep:
     """A recorded march along one ray, extended on demand.
 
-    `steps` is a `SectoralSolver._march` over a batch of one ray in the
-    given direction (sign +1 outward, -1 inward).  Every step taken is
+    It grows by `SectoralSolver._chunk` calls on one ray (sign +1
+    outward, -1 inward) from state = (Y, logs, r).  Every step taken is
     kept, so a radius already passed costs one Taylor sum.
     """
 
-    def __init__(self, steps, sign: float):
-        self._steps = steps
+    def __init__(self, solver, direction: complex, state: tuple, sign: float):
+        self._chunk = lambda Y, logs, r, ahead: solver._chunk(
+            np.array([direction], dtype=complex), Y, logs, r, sign, sign * ahead)
+        self._state = state
         self._sign = sign
         self._ends: list[float] = []
         self._records: list[tuple] = []      # (start, coefficients, logs)
@@ -113,9 +113,11 @@ class Sweep:
         radii = np.asarray(radii, dtype=float)
         ahead = self._sign * radii
         while not self._ends or ahead.max() > self._sign * self._ends[-1]:
-            r, r_next, T, logs = next(self._steps)
-            self._ends.append(r_next)
-            self._records.append((r, T[0], logs[0]))
+            grid, U, Ys, logs, self._state = self._chunk(*self._state, ahead.max())
+            m, _, n, d, _ = U.shape
+            T = U[:, 0].reshape(m, n * d, d) @ Ys[:, 0]      # T_i = U_i Y_i, one matmul
+            self._ends += grid[1:]
+            self._records += zip(grid, T.reshape(m, n, d, -1), logs[:, 0])
         # the step containing a radius is the first whose end reaches it
         i = np.searchsorted(self._sign * np.asarray(self._ends), ahead)
         r, T, logs = (np.array(x) for x in zip(*(self._records[j] for j in i)))
@@ -147,6 +149,7 @@ class SectoralSolver:
     def __init__(self, r0: float):
         self.r0 = float(r0)
         self.taylor_steps = 0    # steps taken; one step serves a whole batch
+        self.taylor_passes = 0   # batched recurrences, one per chunk of steps
         self._sweeps: dict = {}
         self.dim = len(self.JUMPS[0])
         self._lax_norms = [float(np.max(np.sum(np.abs(L), axis=1)))
@@ -223,49 +226,58 @@ class SectoralSolver:
         b, d = len(dirs), self.dim
         out = (np.empty(radii.shape + (d, d), dtype=complex),
                np.empty(radii.shape + (d,)))
+        state = (np.broadcast_to(np.eye(d, dtype=complex), (b, d, d)), np.zeros((b, d)), 0.0)
         pending = np.ones(radii.shape, dtype=bool)
-        eye = np.broadcast_to(np.eye(d, dtype=complex), (b, d, d))
-        steps = self._march(dirs, eye, np.zeros((b, d)), 0.0, 1.0)
         while pending.any():
-            r, r_next, T, logs = next(steps)
-            bi, mi = np.nonzero(pending & (radii <= r_next))
-            out[0][bi, mi], out[1][bi, mi] = balance_columns(
-                _taylor_sum(T[bi], radii[bi, mi] - r), logs[bi])
+            grid, U, Ys, logs, state = self._chunk(dirs, *state, 1.0, radii.max())
+            bi, mi = np.nonzero(pending & (radii <= grid[-1]))
+            i = np.searchsorted(grid[1:], radii[bi, mi])     # first step to reach it
+            P = _taylor_sum(U[i, bi], radii[bi, mi] - np.take(grid, i))
+            out[0][bi, mi], out[1][bi, mi] = balance_columns(P @ Ys[i, bi], logs[i, bi])
             pending[bi, mi] = False
         if not np.all(np.isfinite(out[0])):
             raise IntegrationFailure("Lax transport produced non-finite values")
         return out
 
-    def _march(self, dirs, Y, logs, r: float, sign: float):
-        """Taylor steps from r toward sign * infinity, without end.
+    def _chunk(self, dirs, Y, logs, r: float, sign: float, until: float):
+        """Taylor steps from r toward sign * infinity, by one batched recurrence.
 
         Y diag(e^{logs}) is the batch of solutions at r * dirs[b], Y of
-        shape (b, d, k) with unit-max columns.  Yields (r, r_next, T,
-        logs) per step: the solution at (r + s) * dirs[b], for s between
-        0 and r_next - r, is sum_n T[b, n] s^n times diag(e^{logs[b]}).
+        shape (b, d, k) with unit-max columns; the steps stop at `until` or
+        after _CHUNK // b.  Returns (grid, U, Ys, logs, state): the solution
+        at (grid[i] + s) dirs[b], s up to grid[i + 1] - grid[i], is
+        (sum_n U[i, b, n] s^n) Ys[i, b] diag(e^{logs[i, b]}); state is (Y,
+        logs, r) at grid[-1].
         """
         p = len(self.lax_coeffs) - 1
         b, d, k = Y.shape
-        while True:
-            h = _STEP / max(_STEP, sum(n * (abs(r) + 1.0) ** j
-                                       for j, n in enumerate(self._lax_norms)))
-            # dY/ds = d L(d (r + s)) Y = sum_j B_j s^j Y
-            B = [sum(math.comb(m, j) * r ** (m - j) * dirs[:, None, None] ** (m + 1) * L
-                     for m, L in enumerate(self.lax_coeffs) if m >= j)
-                 for j in range(p + 1)]
-            Bcat = np.concatenate(B[::-1], axis=-1)
-            # T[:, p + n] holds the n-th Taylor coefficient; the p leading
-            # zeros let one window [Y_{n-p}, ..., Y_n] serve every order n
-            T = np.zeros((b, p + _ORDER + 1, d, k), dtype=complex)
-            T[:, p] = Y
-            for n in range(_ORDER):
-                window = T[:, n:n + p + 1].reshape(b, (p + 1) * d, k)
-                T[:, p + n + 1] = (Bcat @ window) / (n + 1.0)
-            self.taylor_steps += 1
-            r_next = r + sign * h
-            yield r, r_next, T[:, p:], logs
-            Y, logs = balance_columns(_taylor_sum(T[:, p:], sign * h), logs)
-            r = r_next
+        grid = [r]
+        while len(grid) < 2 or (sign * r < sign * until and len(grid) <= _CHUNK // b):
+            r += sign * _STEP / max(_STEP, sum(n * (abs(r) + 1.0) ** j
+                                               for j, n in enumerate(self._lax_norms)))
+            grid.append(r)
+        m = len(grid) - 1
+        # dU/ds = d L(d (r + s)) U = sum_j B_j s^j U, per (step, ray)
+        rs = np.reshape(grid[:-1], (m, 1, 1, 1))
+        B = [sum(math.comb(n, j) * rs ** (n - j) * dirs[:, None, None] ** (n + 1) * L
+                 for n, L in enumerate(self.lax_coeffs) if n >= j)
+             for j in range(p + 1)]
+        Bcat = np.concatenate(B[::-1], axis=-1).reshape(m * b, d, (p + 1) * d)
+        # U[:, p + n] holds the n-th Taylor coefficient; the p leading
+        # zeros let one window [U_{n-p}, ..., U_n] serve every order n
+        U = np.zeros((m * b, p + _ORDER + 1, d, d), dtype=complex)
+        U[:, p] = np.eye(d)
+        for n in range(_ORDER):
+            window = U[:, n:n + p + 1].reshape(m * b, (p + 1) * d, d)
+            U[:, p + n + 1] = (Bcat @ window) / (n + 1.0)
+        steps = _taylor_sum(U[:, p:], np.repeat(np.diff(grid), b)).reshape(m, b, d, d)
+        Ys, ls = np.empty((m, b, d, k), dtype=complex), np.empty((m, b, k))
+        for i, P in enumerate(steps):
+            Ys[i], ls[i] = Y, logs
+            Y, logs = balance_columns(P @ Y, logs)
+        self.taylor_steps += m
+        self.taylor_passes += 1
+        return grid, U[:, p:].reshape(m, b, _ORDER + 1, d, d), Ys, ls, (Y, logs, r)
 
     def sweep(self, direction: complex, sector: int, cols: tuple,
               r_from: float) -> Sweep:
@@ -287,10 +299,8 @@ class SectoralSolver:
             cols = list(cols)
             Y, logs = balance_columns(
                 Y[None][..., cols], np.broadcast_to(logs, (1, self.dim))[:, cols])
-            sign = 1.0 if r_from == 0.0 else -1.0
-            steps = self._march(np.array([direction], dtype=complex),
-                                Y, logs, r_from, sign)
-            self._sweeps[key] = Sweep(steps, sign)
+            self._sweeps[key] = Sweep(self, direction, (Y, logs, r_from),
+                                      1.0 if r_from == 0.0 else -1.0)
         return self._sweeps[key]
 
     def m_balanced(self, points, line: str) -> tuple[np.ndarray, np.ndarray]:

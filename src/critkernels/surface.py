@@ -298,7 +298,8 @@ def _march(roots: np.ndarray, z0: complex, points, coeffs) -> np.ndarray:
     pending steps in path order together and solves their midpoints in one
     call.  Taking the leftmost steps first keeps the pending steps bounded
     however many the bisection makes, and a step refused at depth 61 raises
-    ``DegenerateRoots`` as soon as the rounds reach it.  The accepted
+    ``DegenerateRoots`` as soon as the rounds reach it; so does a path
+    point whose roots overflow, before any step.  The accepted
     permutations compose into labels in one integer scan along the path.
     """
     points = np.asarray(points, dtype=complex)
@@ -310,7 +311,13 @@ def _march(roots: np.ndarray, z0: complex, points, coeffs) -> np.ndarray:
     label = 0                       # the identity: roots are in label order
     for lo in range(0, len(points), _BLOCK):
         zs = points[lo:lo + _BLOCK]
-        raw = _roots(coeffs(zs))
+        # far out (|w| ~ |z| beyond ~1e77, |tau z| beyond ~1e153) a row's
+        # roots overflow to nan; a bisection midpoint is nearer the origin
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = _roots(coeffs(zs))
+        if not np.isfinite(raw).all():
+            lost = zs[~np.all(np.isfinite(raw), axis=1)]
+            raise DegenerateRoots(f"the roots overflow at z = {lost[0]}")
         # the pending steps in path order; a refused step becomes its halves
         za, zb = np.concatenate([[z0], zs[:-1]]), zs
         ra, rb = np.concatenate([roots[None], raw[:-1]]), raw

@@ -127,6 +127,25 @@ def test_csv_deterministic(runner, tmp_path):
     assert b"\r" not in data1
 
 
+def test_density_sign_change_fails_nonnegative(runner, tmp_path):
+    # [DERIVED] at (-2, 1.5) the mu1 density of the modified surface dips
+    # to -2038 on this grid: the command writes its data and report and
+    # exits 1 on the nonnegative check; at (-1, 1) the check passes
+    result, out, report = _run(runner, tmp_path,
+                               ["density", "--measure", "mu1", "--alpha", "-2",
+                                "--tau", "1.5", "--grid", "-3:3:61"])
+    assert result.exit_code == 1, result.output
+    assert out.exists()
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    assert checks["values_finite"]["pass"] and not checks["nonnegative"]["pass"]
+    result, out, report = _run(runner, tmp_path,
+                               ["density", "--measure", "mu1", "--alpha", "-1",
+                                "--tau", "1", "--grid", "-3.1:3.1:400"])
+    assert result.exit_code == 0, result.output
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    assert checks["nonnegative"]["pass"]
+
+
 def test_config_error_exit_2(runner, tmp_path):
     # [TRIVIAL] bad grid and bad parameters exit 2
     result, _, _ = _run(runner, tmp_path,

@@ -517,6 +517,20 @@ def test_kolmogorov_falls_past_n_36():
     assert d48 > d96
 
 
+@pytest.mark.parametrize("alpha, tau", [(0.5, 2.0), (-3.0, 0.5)])
+def test_kolmogorov_refuses_a_signed_mu1_density(alpha, tau):
+    # [DERIVED] away from (-1, 1) the modified surface's mu1 density
+    # changes sign (its minimum on the CDF grid is -62 at (0.5, 2) and
+    # -253 at (-3, 0.5)), so it is no measure: the CDF and the distance to
+    # it are refused by name (unguarded, the "CDF" leaves [0, 1] and the
+    # distances read 3.44 and 1.31)
+    with pytest.raises(DomainRestriction, match="mu1 density changes sign"):
+        finiten._mu1_cdf(alpha, tau)
+    fam = finiten.biorthogonal(finiten.bimoment_matrix(6, alpha, tau))
+    with pytest.raises(DomainRestriction, match="mu1 density changes sign"):
+        finiten.zero_counting_kolmogorov(fam)
+
+
 def test_kolmogorov_equals_loop_reference(fam12):
     # [TRIVIAL] the vectorized distance equals the per-zero loop it replaced
     zeros = finiten.polynomial_zeros(fam12).real

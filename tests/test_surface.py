@@ -7,6 +7,8 @@ source material, [DERIVED] value computed by an independent oracle and frozen.
 
 import cmath
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -510,6 +512,26 @@ def test_march_refuses_far_out_point_at_the_first_deep_step():
     with pytest.raises(DegenerateRoots, match=r"near z = \(46\.63"):
         sf.xi_branches(1e20 + 1j, CRIT)
     assert sf.root_evaluations - before < 20_000
+
+
+@pytest.mark.parametrize("branches, z", [
+    (lambda z: sf.theta_branches(z, -1.0, 1.0), 1e160 + 1j),
+    (lambda z: sf.xi_branches(z, CRIT), 1e160 + 1j),
+    (lambda z: sf.xi_branches(z, CRIT), 1e100 + 1j),
+], ids=["theta-1e160", "xi-1e160", "xi-1e100"])
+def test_far_out_overflow_is_refused_at_the_point(branches, z):
+    # [DERIVED] far out the roots overflow to nan (the closed forms beyond
+    # |z| ~ 1e153, the quartic's Newton polish beyond ~1e77): the march
+    # refuses such a point at once, naming it, with no RuntimeWarning
+    # (unguarded, numpy's overflow warning is an error under -W error, and
+    # with warnings off theta's step bisects for 12,931 evaluations and the
+    # refusal names 4.3e141)
+    before = sf.root_evaluations
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateRoots, match=f"overflow at z = {re.escape(str(z))}"):
+            branches(z)
+    assert sf.root_evaluations - before < 100
 
 
 def test_xi_branches_far_out_returns():

@@ -6,7 +6,8 @@ from scipy.integrate import solve_ivp
 
 from critkernels import kernels
 from critkernels.dscale import DoubleScaling
-from critkernels.piisolver import get_pii_solver
+from critkernels.piisolver import PiiSolver, get_pii_solver
+from critkernels.rhsolver import RhSolver
 from critkernels.sectoral import _taylor_sum
 
 
@@ -82,3 +83,44 @@ def test_taylor_sum_matches_horner():
         assert np.all(err <= 1e-15 * np.max(np.abs(acc), axis=(1, 2)))
     assert _taylor_sum(T[:0], 0.5).shape == (0, 4, 2)
     assert _taylor_sum(T[:0], np.empty(0)).shape == (0, 4, 2)
+
+
+@pytest.mark.parametrize("build", [lambda: RhSolver(0.3, -0.2), lambda: PiiSolver(1.0)],
+                         ids=["rh", "pii"])
+def test_ray_alone_equals_ray_in_batch(build):
+    # [TRIVIAL] every ray of a batch steps on the same r-grid with its own
+    # recurrence, so a ray transported alone equals the same ray inside a
+    # batch of 30, bit for bit
+    solver = build()
+    dirs = np.exp(1j * np.linspace(0.1, 2 * np.pi + 0.1, 30, endpoint=False))
+    radii = [0.7, 5.0, 13.0]
+    Yhat, logs = solver.transport(dirs, radii)
+    for b in (0, 7, 29):
+        Y1, l1 = solver.transport(dirs[b:b + 1], radii)
+        assert np.array_equal(Y1[0], Yhat[b]) and np.array_equal(l1[0], logs[b])
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda: RhSolver(0.3, -0.2), (1j, 2, (2, 3), 14.0)),
+    (lambda: RhSolver(0.3, -0.2), (-1j, 7, (0, 1), 0.0)),
+    (lambda: PiiSolver(1.0), (1.0, 3, (0, 1), 0.0)),
+], ids=["rh-inward", "rh-outward", "pii-outward"])
+def test_sweep_extended_in_calls_equals_one_read(build, key):
+    # [TRIVIAL] a sweep extended by several `at` calls equals one read of
+    # the same radii in a single call, bit for bit
+    radii = [10.0, 6.0, 12.5, 0.5, 3.0, 2.0, 11.0] if key[3] else [1.0, 4.0, 0.2, 9.0, 7.5]
+    one = build().sweep(*key).at(radii)
+    sweep = build().sweep(*key)
+    parts = [sweep.at(radii[i:i + 2]) for i in range(0, len(radii), 2)]
+    for full, part in zip(one, (np.concatenate(p) for p in zip(*parts))):
+        assert np.array_equal(full, part)
+
+
+def test_taylor_steps_are_pinned():
+    # [DERIVED] the step grid depends on r and the Lax coefficients alone:
+    # the anchor transport at (0.3, -0.2) takes 65 steps, and the sweeps
+    # of a 6x6 K_cr diagonal 145 more
+    solver = RhSolver(0.3, -0.2)
+    assert solver.taylor_steps == 65
+    kernels.kernel_cr_diag([0.5, -0.8, 1.5, -2.0, 2.6, -3.3], 0.3, -0.2, solver)
+    assert solver.taylor_steps == 210
