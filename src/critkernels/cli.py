@@ -124,8 +124,8 @@ def phase(alpha: float, tau: float, out: str, fmt: str) -> None:
     from . import surface
 
     label = surface.classify_phase(alpha, tau)
-    click.echo(label)
     p = surface.SurfaceParams.from_alpha_tau(alpha, tau)
+    click.echo(label)
     checks = [_check("gamma_positive", 0.0 if p.gamma > 0 else 1.0, 0.5)]
     _emit("phase", {"alpha": alpha, "tau": tau, "phase": label}, checks,
           out, fmt, ["alpha", "tau", "gamma", "c"],

@@ -14,22 +14,6 @@ class CritKernelsError(Exception):
     """Base class for all library errors."""
 
 
-class NoRootOnBranch(CritKernelsError):
-    """Continuation of the gamma root from (-1, 1) lost the root.
-
-    Carries the last parameter point where the root was still found.
-    """
-
-    def __init__(self, alpha, tau, message=None):
-        self.alpha = alpha
-        self.tau = tau
-        super().__init__(
-            message
-            or f"gamma branch continuation failed; last good point "
-            f"(alpha, tau) = ({alpha}, {tau})"
-        )
-
-
 class DegenerateRoots(CritKernelsError):
     """Quartic roots degenerate at a branch point; use series expansions."""
 
@@ -65,4 +49,5 @@ class IntegrationFailure(CritKernelsError):
 
 
 class DomainRestriction(CritKernelsError):
-    """Kernel arguments outside the domain of definition."""
+    """Arguments outside the domain of definition, such as an (alpha, tau)
+    where gamma's cubic has three positive roots (``surface.gamma_of``)."""

@@ -23,7 +23,7 @@ from itertools import accumulate, permutations
 
 import numpy as np
 
-from .errors import DegenerateRoots, DomainRestriction, NoRootOnBranch, PathOnCut
+from .errors import DegenerateRoots, DomainRestriction, PathOnCut, _finite
 
 __all__ = [
     "SurfaceParams",
@@ -65,56 +65,30 @@ class SurfaceParams:
         return cls.from_alpha_tau(-1.0, 1.0)
 
 
-def _gamma_residual(g: float, alpha: float, tau: float) -> float:
-    return 3.0 / g - 9.0 * g * g + 5.0 * tau ** (4.0 / 3.0) * g - alpha * tau ** (2.0 / 3.0)
-
-
-def _gamma_newton(g0: float, alpha: float, tau: float) -> float | None:
-    """Newton iteration for the gamma equation; None on failure."""
-    g = g0
-    for _ in range(60):
-        f = _gamma_residual(g, alpha, tau)
-        fp = -3.0 / (g * g) - 18.0 * g + 5.0 * tau ** (4.0 / 3.0)
-        step = f / fp
-        g_new = g - step
-        if g_new <= 0.0 or not math.isfinite(g_new):
-            return None
-        if abs(g_new - g) < 1e-15 * max(1.0, abs(g_new)):
-            g = g_new
-            break
-        g = g_new
-    if abs(_gamma_residual(g, alpha, tau)) < 1e-12:
-        return g
-    return None
-
-
 def gamma_of(alpha: float, tau: float) -> float:
     """Root of alpha*tau^{2/3} = 3/gamma - 9 gamma^2 + 5 tau^{4/3} gamma.
 
-    Returns the branch continuous to gamma = 1 at (alpha, tau) = (-1, 1),
-    followed by straight-line homotopy in the (alpha, tau)-plane.
+    Times gamma/9 this is the cubic gamma^3 - (5/9) T^2 gamma^2 +
+    (alpha T/9) gamma - 1/3 = 0, T = tau^{2/3}, and gamma is its unique
+    positive root, with gamma(-1, 1) = 1.  For alpha <= 0 Descartes'
+    rule gives exactly one positive root.  For alpha > 0 the cubic has no
+    negative root, so where its discriminant is >= 0 it has three positive
+    roots and none is singled out: there it raises DomainRestriction.
+    Solved by Cardano after the shift gamma = s + 5 T^2/27.
     """
+    _finite(alpha=alpha, tau=tau)
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    g = 1.0
-    t = 0.0
-    step = 1.0
-    a_last, tau_last = -1.0, 1.0
-    while t < 1.0:
-        t_next = min(1.0, t + step)
-        a_cur = -1.0 + t_next * (alpha + 1.0)
-        tau_cur = 1.0 + t_next * (tau - 1.0)
-        g_new = _gamma_newton(g, a_cur, tau_cur) if tau_cur > 0.0 else None
-        if g_new is None:
-            step *= 0.5
-            if step < 1e-8:
-                raise NoRootOnBranch(a_last, tau_last)
-            continue
-        g, t = g_new, t_next
-        a_last, tau_last = a_cur, tau_cur
-        step = min(1.0 - t, step * 2.0) if t < 1.0 else 0.0
-        step = max(step, 1e-8) if t < 1.0 else 0.0
-    return g
+    t = tau ** (2.0 / 3.0)
+    shift = 5.0 * t * t / 27.0
+    b = alpha * t / 9.0
+    p, q = b - 3.0 * shift**2, shift * (b - 2.0 * shift**2) - 1.0 / 3.0
+    if alpha > 0.0 and 4.0 * p**3 + 27.0 * q * q <= 0.0:
+        raise DomainRestriction(
+            f"gamma's cubic has three positive roots at alpha = {alpha}, tau = {tau}")
+    g = _cardano(np.array([p], dtype=complex), np.array([q], dtype=complex))[0] + shift
+    # the positive root: alone with Re > 0 if alpha <= 0, the real one if not
+    return g[np.argmin(np.where(g.real > 0.0, np.abs(g.imag), np.inf))].real
 
 
 def scaled_params(a: float, b: float, n: int) -> tuple[float, float]:
@@ -227,24 +201,23 @@ def _closed_form_roots(coeffs: np.ndarray) -> np.ndarray:
 
 def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Each row of ``coeffs`` evaluated at the same row of ``x``."""
-    y = np.zeros_like(x)
-    for c in coeffs.T:
+    y = coeffs[:, :1]
+    for c in coeffs.T[1:]:
         y = y * x + c[:, None]
     return y
 
 
 def _roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of each row of ``coeffs`` in closed form, polished by two
-    Newton steps.  Each row's roots are elementwise in that row alone, so
+    """Roots of each row of ``coeffs`` in closed form, polished by one
+    Newton step.  Each row's roots are elementwise in that row alone, so
     they do not depend on the other rows of the call."""
     global root_evaluations
     root_evaluations += len(coeffs)
     roots = _closed_form_roots(coeffs)
     deriv = coeffs[:, :-1] * np.arange(coeffs.shape[1] - 1, 0, -1)
-    for _ in range(2):
-        fp = _horner(deriv, roots)
-        mask = np.abs(fp) > 0.0
-        roots[mask] -= _horner(coeffs, roots)[mask] / fp[mask]
+    fp = _horner(deriv, roots)
+    mask = np.abs(fp) > 0.0
+    roots[mask] -= _horner(coeffs, roots)[mask] / fp[mask]
     return roots
 
 
@@ -628,6 +601,7 @@ class PhaseCase:
 
 def classify_phase(alpha: float, tau: float) -> str:
     """Classify (alpha, tau) by the curves tau = sqrt(alpha+2), tau = sqrt(-1/alpha)."""
+    _finite(alpha=alpha, tau=tau)
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     if abs(alpha + 1.0) <= _ON_CURVE and abs(tau - 1.0) <= _ON_CURVE:

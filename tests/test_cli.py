@@ -30,6 +30,16 @@ def test_phase_multicritical(runner, tmp_path):
     assert out.exists() and report.exists()
 
 
+def test_phase_refused_gamma_exit_2(runner, tmp_path):
+    # [TRIVIAL] where gamma's cubic has three positive roots the command
+    # prints no phase label, exits 2 and writes the report naming the point
+    result, _, report = _run(runner, tmp_path,
+                             ["phase", "--alpha", "10", "--tau", "4"])
+    assert result.exit_code == 2, result.output
+    assert "Case" not in result.output
+    assert "alpha = 10.0, tau = 4.0" in json.loads(report.read_text())["error"]
+
+
 def test_density_grid(runner, tmp_path):
     # [PAPER] mu1 density CSV: requested row count, near-zero endpoints
     result, out, report = _run(

@@ -16,7 +16,7 @@ from oracles import march_roots
 
 from critkernels import measures as ms
 from critkernels import surface as sf
-from critkernels.errors import DegenerateRoots, PathOnCut
+from critkernels.errors import DegenerateRoots, DomainRestriction, PathOnCut
 
 CRIT = sf.SurfaceParams.critical()
 
@@ -36,11 +36,35 @@ def test_gamma_critical():
 
 
 def test_gamma_residual_small():
-    # [TRIVIAL] the defining equation holds to 1e-12
-    for alpha, tau in [(-1.1, 0.9), (-0.8, 1.2), (-1.0, 1.05)]:
+    # [TRIVIAL] the defining equation holds to 1e-12, alpha > 0 included
+    for alpha, tau in [(-1.1, 0.9), (-0.8, 1.2), (-1.0, 1.05), (1.0, 1.0), (0.5, 2.0)]:
         g = sf.gamma_of(alpha, tau)
         res = 3.0 / g - 9.0 * g * g + 5.0 * tau ** (4 / 3) * g - alpha * tau ** (2 / 3)
         assert abs(res) < 1e-12
+    # [DERIVED] values frozen from Newton continuation from gamma(-1, 1) = 1
+    for alpha, tau, g in [(-0.9, 1.05, 1.0168614429916663),
+                          (-2.0, 1.5, 1.3517666898661576),
+                          (1.0, 1.0, 0.8690543936922551)]:
+        assert sf.gamma_of(alpha, tau) == pytest.approx(g, rel=1e-13, abs=0.0)
+
+
+def test_gamma_refuses_three_positive_roots():
+    # [TRIVIAL] at (10, 4) the gamma cubic has the positive roots 2.433,
+    # 0.950 and 0.144, and none is singled out
+    with pytest.raises(DomainRestriction, match=r"alpha = 10\.0, tau = 4\.0"):
+        sf.gamma_of(10.0, 4.0)
+
+
+@pytest.mark.parametrize("fn", [sf.gamma_of, sf.classify_phase],
+                         ids=["gamma_of", "classify_phase"])
+@pytest.mark.parametrize("alpha, tau, bad", [
+    (math.nan, 1.0, "alpha"), (math.inf, 1.0, "alpha"), (-math.inf, 1.0, "alpha"),
+    (-1.0, math.nan, "tau"), (-1.0, math.inf, "tau"), (-1.0, -math.inf, "tau"),
+])
+def test_non_finite_alpha_tau_rejected_by_name(fn, alpha, tau, bad):
+    # [TRIVIAL] a non-finite alpha or tau is a ValueError naming it
+    with pytest.raises(ValueError, match=f"^{bad} must be finite"):
+        fn(alpha, tau)
 
 
 def test_gamma_scaling_a():
