@@ -255,6 +255,7 @@ class DoubleScaling:
     """Kernel evaluator at (s, t) = (a^2/2, -a(1 - sigma/a^2)), a >= 2; U0 radius eps."""
 
     def __init__(self, a: float, sigma: float, eps: float = 0.64):
+        _finite(a=a, sigma=sigma, eps=eps)
         self.a = float(a)
         self.sigma = float(sigma)
         self.p = 1.0 - sigma / a ** 2

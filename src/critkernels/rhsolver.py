@@ -5,8 +5,9 @@ M(zeta) is analytic off ten rays from the origin (at angles 0, +-pi/6,
 with the explicit unimodular jump matrices below, and behaves like
 (I + O(1/zeta)) B(zeta) A E(zeta) at infinity.  The Lax matrix is
 U = U0 + U1 zeta from `laxpair`, and the series frame of `series` uses
-its '+' branch in sectors 0-4 and its '-' branch in sectors 5-9.  The
-sector constants are found by the shared engine of `sectoral`.
+its '+' branch in sectors 0-4 and its '-' branch, the mirror D conj(P_k) D
+of the '+' coefficients (`MIRROR`), in sectors 5-9.  The sector
+constants are found by the shared engine of `sectoral`.
 
 The engine's `m_balanced` reads column-balanced M along the `_LINES`
 below: the imaginary line (K_cr, row `CR_ROW` and column `CR_COL`) and
@@ -79,23 +80,21 @@ class RhSolver(SectoralSolver):
     JUMPS = JUMPS
     INNER = 0.75
     LOW_SECTOR = 0          # arg 0 lies on ray 0; take its plus side
+    MIRROR = (1.0, np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex))   # sector k <-> 9 - k
 
     def __init__(self, s: float, t: float, r0: float = 14.0,
                  series_order: int = 16):
         self.s = float(s)
         self.t = float(t)
         self.co = laxpair.lax_coefficients(s, t)
-        self.fs = {v: series.build_series(s, t, v, order=series_order)
-                   for v in "+-"}
+        plus = series.build_series(s, t, "+", order=series_order)
+        minus = tuple(self.MIRROR[1] @ P.conj() @ self.MIRROR[1] for P in plus.coeffs)
+        self.fs = {"+": plus, "-": series.FrameSeries(s, t, "-", minus)}
         self.lax_coeffs = (laxpair.lax_matrices(0.0, self.co)[0], laxpair.U1)
         super().__init__(r0)
 
-    @staticmethod
-    def variant_of(k: int) -> str:
-        return "+" if k <= 4 else "-"
-
     def _series_frame(self, zeta: complex, sector: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.fs[self.variant_of(sector)].frame_scaled(zeta)
+        return self.fs["+" if sector <= 4 else "-"].frame_scaled(zeta)
 
     # -- evaluation --------------------------------------------------------
 

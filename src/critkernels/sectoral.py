@@ -15,7 +15,11 @@ are invisible there), so the engine works globally: Phi is integrated
 *outward* from the origin, which is stable, and the constants are found
 from one weighted least-squares fit matching Phi C_k to the asymptotic
 series at anchors in all sectors simultaneously (three angles per
-sector, two radii).
+sector, two radii).  Real parameters make each problem its own mirror
+image, Y(sign conj(zeta)) = D conj(Y(zeta)) D for a solver's `MIRROR` =
+(sign, D), and the transport keeps that bit for bit: only the anchors on
+one side of the mirror line or on it are transported, and each other one
+takes its partner's exact mirror direction and D conj(Phi) D as Phi.
 
 One stepper, `_chunk`, serves every integration of the Lax equation:
 outward from the origin (Phi, and columns of M = Phi C_k) or inward from
@@ -62,7 +66,7 @@ import math
 
 import numpy as np
 
-from .errors import IntegrationFailure
+from .errors import IntegrationFailure, _finite
 
 __all__ = ["SectoralSolver", "Sweep", "balance_columns", "coincide", "kernel_form"]
 
@@ -143,10 +147,14 @@ class SectoralSolver:
     JUMPS: tuple[np.ndarray, ...]
     INNER: float            # inner anchor radius as a fraction of r0
     LOW_SECTOR: int         # sector of the arguments in [0, RAYS[0]]
+    MIRROR: tuple           # (sign, D): Y(sign conj(zeta)) = D conj(Y(zeta)) D
     _LINES: dict            # line name -> legs (x >= 0, x < 0) of `m_balanced`
     lax_coeffs: tuple[np.ndarray, ...]
 
     def __init__(self, r0: float):
+        _finite(r0=r0)
+        if r0 <= 0.0:
+            raise ValueError(f"r0 must be positive, got {r0!r}")
         self.r0 = float(r0)
         self.taylor_steps = 0    # steps taken; one step serves a whole batch
         self.taylor_passes = 0   # batched recurrences, one per chunk of steps
@@ -167,7 +175,18 @@ class SectoralSolver:
             hi = self.RAYS[(k + 1) % n] + (2.0 * math.pi if k == n - 1 else 0.0)
             angles += [lo + _EDGE, 0.5 * (lo + hi), hi - _EDGE]
         directions = [cmath.exp(1j * ang) for ang in angles]
-        P, logs = self.transport(directions, radii)
+        # Phi at the first anchor of each mirror pair; the series frame at all
+        sign, D = self.MIRROR
+        first = [min(i, int(np.argmin(np.abs(np.subtract(directions, sign * w.conjugate())))))
+                 for i, w in enumerate(directions)]
+        far = [i for i, j in enumerate(first) if j < i]
+        for i in far:
+            directions[i] = sign * directions[first[i]].conjugate()
+        near, row = np.unique(first, return_inverse=True)
+        P, logs = self.transport(np.take(directions, near), radii)
+        P, logs = P[row], logs[row]
+        P[far] = D @ P[far].conj() @ D
+        self._directions = directions
         self._anchors = [[] for _ in range(n)]
         for i, direction in enumerate(directions):
             for r, Pr, lr in zip(radii, P[i], logs[i]):

@@ -194,6 +194,18 @@ def test_non_finite_deformation_exit_2(runner, tmp_path, args, bad):
     assert json.loads(report.read_text())["error"].startswith(f"{bad} must be finite")
 
 
+@pytest.mark.parametrize("r0,error", [("nan", "r0 must be finite"), ("inf", "r0 must be finite"),
+                                      ("0", "r0 must be positive"), ("-3", "r0 must be positive")])
+def test_rh_check_bad_r0_exit_2(runner, tmp_path, r0, error):
+    # [TRIVIAL] a non-finite or non-positive anchor radius is a
+    # configuration error naming r0, reported before any transport
+    result, out, report = _run(runner, tmp_path, ["rh-check", "--s", "0", "--t", "0", "--r0", r0])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert json.loads(report.read_text())["error"].startswith(error)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args,bad", [
     (["finite-n", "--n", "6", "--alpha", "nan"], "alpha"),
     (["finite-n", "--n", "6", "--tau", "inf"], "tau"),

@@ -224,6 +224,15 @@ def test_gap_rejects_non_finite_inputs_by_name():
             double_scaling_gap(*args)
 
 
+def test_double_scaling_rejects_non_finite_inputs_by_name():
+    # [TRIVIAL] the evaluator names a non-finite argument (a = nan used to
+    # fail with "cannot convert float NaN to integer")
+    for args, bad in (((math.nan, 0.5), "a"), ((4.0, math.inf), "sigma"),
+                      ((4.0, 0.5, math.nan), "eps")):
+        with pytest.raises(ValueError, match=f"^{bad} must be finite"):
+            DoubleScaling(*args)
+
+
 def test_kernel_matrix_matches_scalar_oracle(ds3):
     # [DERIVED] the kernel through sectoral.kernel_form agrees with the scalar
     # row/column assembly on the same contour solve; the diagonal, a

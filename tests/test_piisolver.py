@@ -72,6 +72,15 @@ def test_sigma1_symmetry(solver):
         assert solver.symmetry_residual(zeta) < 1e-6, zeta
 
 
+def test_psi_mirror_symmetry(solver):
+    # [PAPER] real nu makes Psi(-conj z) = conj(Psi(z)), with sectors 0
+    # and 2 mirrored onto themselves and sector 1 onto sector 3
+    for zeta in (0.7 + 0.4j, 1.5 + 0.3j, -0.3 + 1.1j, -2.0 + 0.5j, 0.2 - 1.5j, 1.8j):
+        Psi = solver.psi(zeta)
+        err = np.max(np.abs(solver.psi(-zeta.conjugate()) - Psi.conj()))
+        assert err <= 1e-13 * np.max(np.abs(Psi)), zeta
+
+
 def test_det_psi_is_one(solver):
     # [DERIVED] unimodular jumps and frame force det Psi = 1
     for zeta in (0.5 + 0.5j, 2j, 1.2 - 0.8j):

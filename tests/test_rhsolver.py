@@ -2,10 +2,12 @@
 
 import cmath
 import functools
+import math
 
 import numpy as np
 import pytest
 
+from critkernels import series
 from critkernels.painleve import default_solution
 from critkernels.rhsolver import JUMPS, RAY_ANGLES, RhSolver, get_solver
 
@@ -157,6 +159,39 @@ def test_default_solver_is_the_cached_one():
     assert fresh.r0 == cached.r0
     assert len(fresh.fs["+"].coeffs) == len(cached.fs["+"].coeffs)
     assert np.array_equal(fresh.C, cached.C)
+
+
+@pytest.mark.parametrize("r0", [math.nan, math.inf, 0.0, -3.0], ids=["nan", "inf", "0", "-3"])
+def test_bad_r0_rejected_by_name(r0):
+    # [TRIVIAL] a non-finite or non-positive r0 raises ValueError naming
+    # it before any transport (nan and inf used to step without end, 0
+    # to divide by zero, -3 to fit with a matching residual of 1.07)
+    for build in (RhSolver, get_solver):
+        with pytest.raises(ValueError, match="^r0 must be"):
+            build(0.0, 0.0, r0=r0)
+
+
+@pytest.mark.parametrize("s,t", [(0.3, -0.2), (3.0, 0.0), (-2.0, 1.0), (5.0, -4.0)])
+def test_minus_series_is_the_mirror_of_plus(s, t):
+    # [DERIVED] a solver forms its '-' series as D conj(P_k) D from the
+    # '+' one; that equals the '-' solve of build_series bit for bit
+    solver = RhSolver(s, t)
+    minus = series.build_series(s, t, "-", order=len(solver.fs["+"].coeffs))
+    assert solver.fs["-"].variant == "-"
+    assert len(solver.fs["-"].coeffs) == len(minus.coeffs)
+    for mirrored, solved in zip(solver.fs["-"].coeffs, minus.coeffs):
+        assert np.array_equal(mirrored, solved)
+
+
+def test_m_mirror_symmetry():
+    # [PAPER] real (s, t) make M(conj z) = D conj(M(z)) D, D = diag(1, 1, -1, -1),
+    # with z and conj z in mirrored sectors k and 9 - k
+    S = solver(0.3, -0.2, 14.0, 16)
+    D = np.diag([1.0, 1.0, -1.0, -1.0])
+    for z in (0.7 + 0.4j, 1.5 + 3.0j, -0.3 + 1.1j, -2.0 + 0.5j, 4.0 + 0.2j, -5.0 + 6.0j):
+        M = S.M(z)
+        err = np.max(np.abs(S.M(z.conjugate()) - D @ M.conj() @ D))
+        assert err <= 1e-13 * np.max(np.abs(M)), z
 
 
 def test_get_solver_caches_by_value():

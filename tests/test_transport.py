@@ -116,6 +116,30 @@ def test_sweep_extended_in_calls_equals_one_read(build, key):
         assert np.array_equal(full, part)
 
 
+@pytest.mark.parametrize("cls, args, transported", [
+    (RhSolver, (0.3, -0.2), 15), (PiiSolver, (1.0,), 7),
+], ids=["rh", "pii"])
+def test_mirrored_anchors_equal_their_transport(cls, args, transported, monkeypatch):
+    # [DERIVED] a solver transports the anchors on one side of its mirror
+    # line only (15 of 30 rays for RhSolver, 7 of 12 for PiiSolver, whose
+    # anchors at pi/2 and 3pi/2 lie on the line) and fills the others as
+    # D conj(Phi) D; every anchor's Phi equals a direct transport of its
+    # direction bit for bit
+    rays = []
+    transport = cls.transport
+    monkeypatch.setattr(cls, "transport", lambda self, dirs, radii: (
+        rays.append(len(dirs)), transport(self, dirs, radii))[1])
+    solver = cls(*args)
+    assert rays == [transported]
+    radii = (solver.r0, solver.INNER * solver.r0)
+    P, logs = transport(solver, solver._directions, radii)
+    for i in range(len(solver._directions)):
+        for m in range(2):
+            Phi, g, *_ = solver._anchors[i // 3][2 * (i % 3) + m]
+            assert g == np.max(logs[i, m]), (i, m)
+            assert np.array_equal(Phi, P[i, m] * np.exp(logs[i, m] - g)), (i, m)
+
+
 def test_taylor_steps_are_pinned():
     # [DERIVED] the step grid depends on r and the Lax coefficients alone:
     # the anchor transport at (0.3, -0.2) takes 65 steps, and the sweeps
