@@ -314,7 +314,7 @@ def finite_n(n_: int, alpha: float, tau: float, precision_bits: int | None,
     fam = finiten.biorthogonal(
         finiten.bimoment_matrix(n_, alpha, tau, precision_bits=precision_bits))
     zeros = finiten.polynomial_zeros(fam)
-    dist = finiten._kolmogorov(zeros, fam.alpha, fam.tau)
+    dist = finiten.zero_counting_kolmogorov(fam)
     rows = [(float(z.real), float(z.imag)) for z in zeros]
     checks = [
         _check("max_imag_zero", float(np.max(np.abs(zeros.imag))), 1e-10),

@@ -71,7 +71,7 @@ from . import laxpair
 from .errors import DomainRestriction, IntegrationFailure, _finite
 from .piisolver import PII_COL, PII_ROW, get_pii_solver
 from .rhsolver import CR_COL, CR_ROW
-from .sectoral import coincide, kernel_form
+from .sectoral import _coincident, kernel_form
 
 __all__ = ["DoubleScaling", "double_scaling_gap"]
 
@@ -479,18 +479,18 @@ class DoubleScaling:
 
         x and y are scalars or broadcastable arrays, as for `kernel_cr`,
         and the value is the K_cr form `sectoral.kernel_form` in M3, read
-        by `m_balanced` in x.  The diagonal is the mean over
-        (x, x +- 1e-3), so no pair coincides.  Off-diagonal values carry
-        the conjugation e^{a^3(h(x)-h(y))/2}, h = g1 + g2, which cancels
-        in the diagonal, in products K(x,y)K(y,x), and in determinants.
+        by `m_balanced` in x.  M3 has no Lax matrix, so a pair that the
+        form calls coincident is the mean over (m, m +- 1e-3) at its
+        midpoint m.  Off-diagonal values carry the conjugation
+        e^{a^3(h(x)-h(y))/2}, h = g1 + g2, which cancels in the diagonal,
+        in products K(x,y)K(y,x), and in determinants.
         """
         x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        h = np.where(x == y, 1e-3, 0.0).ravel()
-        K = kernel_form(self, "imag", np.tile(x.ravel(), 2),
-                        np.concatenate([y.ravel() + h, y.ravel() - h]), 1.0,
-                        CR_ROW, CR_COL)
-        K = 0.5 * (K[:h.size] + K[h.size:])
-        return complex(K[0]) if x.shape == () else K.reshape(x.shape)
+        same, m = _coincident(x, y), 0.5 * (x + y)
+        x, y, h = np.where(same, m, x), np.where(same, m, y), np.where(same, 1e-3, 0.0)
+        K = kernel_form(self, "imag", x, np.stack([y + h, y - h]), 1.0, CR_ROW, CR_COL)
+        K = 0.5 * (K[0] + K[1])
+        return complex(K) if x.shape == () else K
 
 
 def _choose_eps(us) -> float:
@@ -527,8 +527,7 @@ def double_scaling_gap(a: float, sigma: float, x: float, y: float) -> float:
     ds = _ds_for(a, sigma, (x, y))
     pts = np.array([x] if x == y else [x, y], dtype=float)
     k_s = ds.kernel(pts[:, None], pts)
-    u, v, shape = coincide(pts[:, None], pts, 1.0)
-    k_p = kernel_form(ds.pii, "real", u, v, 1.0, PII_ROW, PII_COL).reshape(shape)
+    k_p = kernel_form(ds.pii, "real", pts[:, None], pts, 1.0, PII_ROW, PII_COL)
 
     def det(K):
         # the real diagonal and K01 K10 are free of the conjugation

@@ -363,12 +363,8 @@ def zero_counting_kolmogorov(fam: BiorthogonalFamily) -> float:
     and the limiting measure mu1 at the family's (alpha, tau).
 
     Raises DomainRestriction where the mu1 density of the surface changes
-    sign, so is no measure."""
-    return _kolmogorov(polynomial_zeros(fam), fam.alpha, fam.tau)
-
-
-def _kolmogorov(zeros, alpha: float, tau: float) -> float:
-    """``zero_counting_kolmogorov`` from the zeros of ``polynomial_zeros``."""
-    F = np.interp(zeros.real, *_mu1_cdf(alpha, tau), left=0.0, right=1.0)
+    sign, so is no measure.  It reads the zeros that ``fam`` keeps."""
+    F = np.interp(polynomial_zeros(fam).real, *_mu1_cdf(fam.alpha, fam.tau),
+                  left=0.0, right=1.0)
     i = np.arange(len(F))
     return float(np.max(np.abs(np.r_[(i + 1) / len(F) - F, i / len(F) - F])))

@@ -7,7 +7,7 @@ dM/dzeta = L M, evaluated along the line zeta = dz * x:
 
   K_cr(u, v)   = K(u, v), dz = i, row (-1,1,0,0), col (1,1,0,0), with M
                  the model 4x4 RH solution on the imaginary axis (sector 2
-                 for u > 0, sector 7 for u < 0);
+                 for u >= 0, its mirror in sector 7 for u < 0);
   K_tac(u, v)  = -K(v, u), dz = 1, row (-1,0,1,0), col (1,0,1,0), with M
                  the boundary value M_+ from above on the positive real
                  axis at t = 0.  The arguments are swapped: the inverse
@@ -15,7 +15,7 @@ dM/dzeta = L M, evaluated along the line zeta = dz * x:
                  K_tac(u, v) = row M_+(v)^{-1} M_+(u) col^T / (2 pi i (u - v));
   K_PII(x, y)  = K(x, y), dz = 1, row (1,-1), col (1,1), with M the
                  Painleve II RH solution Psi on the real line (sector 3
-                 for x >= 0, sector 1 for x < 0).
+                 for x >= 0, its mirror in sector 1 for x < 0).
 All three are `sectoral.kernel_form`, whose diagonal is the derivative
 limit through the Lax matrix, reading M from the solver's `m_balanced`
 (recorded sweeps) on a line of its `_LINES`, so an entry whose points
@@ -52,7 +52,7 @@ from .dscale import double_scaling_gap
 from .errors import DomainRestriction, _finite
 from .piisolver import PII_COL, PII_ROW, PiiSolver, get_pii_solver
 from .rhsolver import CR_COL, CR_ROW, RhSolver, get_solver
-from .sectoral import coincide, kernel_form
+from .sectoral import kernel_form
 
 __all__ = [
     "get_solver",
@@ -83,9 +83,7 @@ def kernel_cr(u, v, s: float, t: float, solver: RhSolver | None = None):
     _finite(u=u, v=v, s=s, t=t)
     if solver is None:
         solver = get_solver(s, t)
-    a, b, shape = coincide(u, v, 1.0)
-    K = kernel_form(solver, "imag", a, b, 1j, CR_ROW, CR_COL)
-    return complex(K[0]) if shape == () else K.reshape(shape)
+    return kernel_form(solver, "imag", u, v, 1j, CR_ROW, CR_COL)
 
 
 def kernel_cr_diag(u, s: float, t: float, solver: RhSolver | None = None):
@@ -123,9 +121,8 @@ def kernel_tac(u, v, r: float, s: float, solver: RhSolver | None = None):
     c = r ** (2.0 / 3.0)
     if solver is None:
         solver = get_solver(s * r ** (-1.0 / 3.0), 0.0)
-    a, b, shape = coincide(u, v, c)
-    K = -c * kernel_form(solver, "real+", c * b, c * a, 1.0, _TAC_ROW, _TAC_COL)
-    return complex(K[0]) if shape == () else K.reshape(shape)
+    return -c * kernel_form(solver, "real+", np.multiply(c, v), np.multiply(c, u),
+                            1.0, _TAC_ROW, _TAC_COL)
 
 
 def kernel_tac_diag(u, r: float, s: float, solver: RhSolver | None = None):
@@ -147,9 +144,7 @@ def kernel_pii(x, y, nu, solver: PiiSolver | None = None):
     _finite(x=x, y=y, nu=nu)
     if solver is None:
         solver = get_pii_solver(nu)
-    a, b, shape = coincide(x, y, 1.0)
-    K = kernel_form(solver, "real", a, b, 1.0, PII_ROW, PII_COL)
-    return complex(K[0]) if shape == () else K.reshape(shape)
+    return kernel_form(solver, "real", x, y, 1.0, PII_ROW, PII_COL)
 
 
 def kernel_pii_diag(x, nu, solver: PiiSolver | None = None):

@@ -173,7 +173,8 @@ def _branch_arg(zeta: complex, variant: str) -> float:
 
     The fractional powers of zeta are continued from the positive real axis
     with arg zeta in (-pi/2, 3pi/2] for variant '+' (valid in the upper
-    sectors) and arg zeta in [-3pi/2, pi/2) for variant '-'.
+    sectors) and arg zeta in [-3pi/2, pi/2) for variant '-' (the tests'
+    reference for the solver's mirror of '+').
     """
     theta = cmath.phase(zeta)
     if variant == "+" and theta <= -math.pi / 2.0:

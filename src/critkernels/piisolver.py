@@ -98,9 +98,9 @@ class PiiSolver(SectoralSolver):
     INNER = 0.8
     LOW_SECTOR = 3          # arg in [0, pi/6]: the wrap-around sector
     MIRROR = (-1.0, np.eye(2, dtype=complex))   # sectors 0, 2 to themselves, 1 <-> 3
-    # the real line for `m_balanced`: both columns of Psi oscillate
-    # there, so both go outward from Psi(0) = C_sector, with no switch
-    _LINES = {"real": ((1.0, LOW_SECTOR, (0, 1), math.inf), (-1.0, 1, (0, 1), math.inf))}
+    # the real line for `m_balanced`, x < 0 its mirror in sector 1: both
+    # columns of Psi oscillate, so both go outward from Psi(0) = C_sector
+    _LINES = {"real": (1.0, LOW_SECTOR, (0, 1), math.inf)}
 
     def __init__(self, nu):
         self.q, self.qp = hm_at(nu)

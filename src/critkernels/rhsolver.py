@@ -4,10 +4,10 @@ M(zeta) is analytic off ten rays from the origin (at angles 0, +-pi/6,
 +-pi/3, +-2pi/3, +-5pi/6, pi), satisfies M_+ = M_- J_k across each ray
 with the explicit unimodular jump matrices below, and behaves like
 (I + O(1/zeta)) B(zeta) A E(zeta) at infinity.  The Lax matrix is
-U = U0 + U1 zeta from `laxpair`, and the series frame of `series` uses
-its '+' branch in sectors 0-4 and its '-' branch, the mirror D conj(P_k) D
-of the '+' coefficients (`MIRROR`), in sectors 5-9.  The sector
-constants are found by the shared engine of `sectoral`.
+U = U0 + U1 zeta from `laxpair`, and the series frame F is the '+' one
+of `series` in sectors 0-4 and its mirror D conj(F(conj zeta)) D
+(`MIRROR`) in sectors 5-9.  The sector constants are found by the
+shared engine of `sectoral`.
 
 The engine's `m_balanced` reads column-balanced M along the `_LINES`
 below: the imaginary line (K_cr, row `CR_ROW` and column `CR_COL`) and
@@ -87,14 +87,15 @@ class RhSolver(SectoralSolver):
         self.s = float(s)
         self.t = float(t)
         self.co = laxpair.lax_coefficients(s, t)
-        plus = series.build_series(s, t, "+", order=series_order)
-        minus = tuple(self.MIRROR[1] @ P.conj() @ self.MIRROR[1] for P in plus.coeffs)
-        self.fs = {"+": plus, "-": series.FrameSeries(s, t, "-", minus)}
+        self.fs = series.build_series(s, t, "+", order=series_order)
         self.lax_coeffs = (laxpair.lax_matrices(0.0, self.co)[0], laxpair.U1)
         super().__init__(r0)
 
     def _series_frame(self, zeta: complex, sector: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.fs["+" if sector <= 4 else "-"].frame_scaled(zeta)
+        if sector <= 4:
+            return self.fs.frame_scaled(zeta)
+        F, g = self.fs.frame_scaled(zeta.conjugate())
+        return self.MIRROR[1] @ F.conj() @ self.MIRROR[1], g
 
     # -- evaluation --------------------------------------------------------
 
@@ -103,11 +104,12 @@ class RhSolver(SectoralSolver):
     def det_m(self, zeta: complex) -> complex:
         return complex(np.linalg.det(self.M(zeta)))
 
-    # line name -> legs (direction, sector, outward columns, switch) for
-    # x >= 0 and x < 0; see `SectoralSolver.m_balanced`
+    # line name -> leg (direction, sector, outward columns, switch) for
+    # x >= 0; x < 0 on "imag" is its mirror in sector 7 (see
+    # `SectoralSolver.m_balanced`), and "real+" has no x < 0
     _LINES = {
-        "imag": ((1j, 2, (0, 1), None), (-1j, 7, (0, 1), None)),
-        "real+": ((1.0, 0, (0, 1, 2, 3), _REAL_SWITCH), None),
+        "imag": (1j, 2, (0, 1), None),
+        "real+": (1.0, 0, (0, 1, 2, 3), _REAL_SWITCH),
     }
 
     def hm_extract(self, u_points=None) -> complex:

@@ -17,9 +17,11 @@ from one weighted least-squares fit matching Phi C_k to the asymptotic
 series at anchors in all sectors simultaneously (three angles per
 sector, two radii).  Real parameters make each problem its own mirror
 image, Y(sign conj(zeta)) = D conj(Y(zeta)) D for a solver's `MIRROR` =
-(sign, D), and the transport keeps that bit for bit: only the anchors on
+(sign, D), and the engine keeps that bit for bit: only the anchors on
 one side of the mirror line or on it are transported, and each other one
-takes its partner's exact mirror direction and D conj(Phi) D as Phi.
+takes its partner's exact mirror direction and D conj(Phi) D as Phi;
+a line of `m_balanced` that is its own mirror image has one leg, x >= 0,
+and reads each x < 0 as the mirror of |x|.
 
 One stepper, `_chunk`, serves every integration of the Lax equation:
 outward from the origin (Phi, and columns of M = Phi C_k) or inward from
@@ -52,7 +54,7 @@ first use and stores it, and `Sweep.at` steps on only past the recorded
 radii, so a recorded value equals that of a fresh sweep bit for bit.
 `m_balanced` reads M at signed points of a line of a solver's `_LINES`
 from sweeps alone, and `kernel_form`, the bilinear form of K_cr, K_tac
-and K_PII (see `kernels`), reads it.
+and K_PII (see `kernels`) with its rule for coincident pairs, reads it.
 
 The jump relations tie the C_k together; `split_solve` deliberately
 omits the links across one opposite pair of rays so that those two
@@ -68,7 +70,7 @@ import numpy as np
 
 from .errors import IntegrationFailure, _finite
 
-__all__ = ["SectoralSolver", "Sweep", "balance_columns", "coincide", "kernel_form"]
+__all__ = ["SectoralSolver", "Sweep", "balance_columns", "kernel_form"]
 
 _ORDER = 30              # Taylor terms per transport step
 _STEP = 2.0              # transport step bound: h * sum_j ||L_j|| (|r|+1)^j
@@ -148,7 +150,7 @@ class SectoralSolver:
     INNER: float            # inner anchor radius as a fraction of r0
     LOW_SECTOR: int         # sector of the arguments in [0, RAYS[0]]
     MIRROR: tuple           # (sign, D): Y(sign conj(zeta)) = D conj(Y(zeta)) D
-    _LINES: dict            # line name -> legs (x >= 0, x < 0) of `m_balanced`
+    _LINES: dict            # line name -> its x >= 0 leg for `m_balanced`
     lax_coeffs: tuple[np.ndarray, ...]
 
     def __init__(self, r0: float):
@@ -306,8 +308,8 @@ class SectoralSolver:
         Y(0) = C_sector when r_from is 0, inward from the series frame at
         r_from otherwise.  Built on first use and kept, so what a solver
         keeps is bounded by what its callers ask for: `m_balanced` asks
-        for at most two sweeps per leg of a line, each between 0 and the
-        leg's switch to the series frame.
+        for at most two sweeps per line, each between 0 and the line's
+        switch to the series frame.
         """
         key = (direction, sector, cols, r_from)
         if key not in self._sweeps:
@@ -325,46 +327,47 @@ class SectoralSolver:
     def m_balanced(self, points, line: str) -> tuple[np.ndarray, np.ndarray]:
         """(Mhat, logs): column-balanced M at signed points x of a line.
 
-        A line of `_LINES` has a leg (direction, sector, outward columns,
-        switch) for x >= 0 and one for x < 0, or None for no such leg; a
-        switch None stands for r0.  M(|x| direction) = Mhat diag(e^{logs_j}),
-        each column of Mhat at unit max, so kernel forms never overflow;
-        the rows follow the points.  At or beyond the switch M is the
-        series frame.  Below it the outward (dominant) columns come from
-        one sweep outward from M(0) = C_sector, the others (swamped there
-        by the dominant ones' roundoff) from one sweep inward from the
-        series frame at r0, so a value depends on x alone, not on the
-        request or on what was asked before.
+        A line of `_LINES` is one leg (direction, sector, outward columns,
+        switch) for x >= 0; a switch None stands for r0.  M(x direction)
+        = Mhat diag(e^{logs_j}), each column of Mhat at unit max, so
+        kernel forms never overflow; the rows follow the points.  At or
+        beyond the switch M is the series frame.  Below it the outward
+        (dominant) columns come from one sweep outward from M(0) =
+        C_sector, the others (swamped there by the dominant ones'
+        roundoff) from one sweep inward from the series frame at r0, so a
+        value depends on x alone, not on the request or on what was asked
+        before.  A point x < 0 is the mirror of |x| (`MIRROR`): its row is
+        D conj(Mhat(|x|)) D with the same logs, which needs the line to
+        be its own mirror image, sign conj(direction) = -direction.
         """
         x = np.asarray(points, dtype=float).reshape(-1)
+        direction, sector, outward_cols, switch = self._LINES[line]
+        sign, D = self.MIRROR
+        neg = x < 0.0
+        if neg.any() and sign * complex(direction).conjugate() != -direction:
+            raise ValueError(f"line {line!r} has no points x < 0")
+        r = np.abs(x)
         Mhat = np.empty((len(x), self.dim, self.dim), dtype=complex)
         logs = np.empty((len(x), self.dim))
-        for leg, rows in zip(self._LINES[line], (np.flatnonzero(x >= 0.0),
-                                                 np.flatnonzero(x < 0.0))):
-            if not rows.size:
-                continue
-            if leg is None:
-                raise ValueError(f"line {line!r} has no points x < 0")
-            direction, sector, outward_cols, switch = leg
-            r = np.abs(x[rows])
-            near = r < (self.r0 if switch is None else switch)
-            if near.any():
-                idx, rn = rows[near, None], r[near]
-                inward_cols = tuple(j for j in range(self.dim) if j not in outward_cols)
-                for cols, r_from in ((outward_cols, 0.0), (inward_cols, self.r0)):
-                    if cols:
-                        Y, lY = self.sweep(direction, sector, cols, r_from).at(rn)
-                        Mhat[idx, :, cols], logs[idx, cols] = Y.transpose(0, 2, 1), lY
-            for i, u in zip(rows[~near], r[~near].tolist()):
-                Mhat[i], logs[i] = balance_columns(
-                    *self._series_frame(u * direction, sector))
+        near = r < (self.r0 if switch is None else switch)
+        if near.any():
+            idx, rn = np.flatnonzero(near)[:, None], r[near]
+            inward_cols = tuple(j for j in range(self.dim) if j not in outward_cols)
+            for cols, r_from in ((outward_cols, 0.0), (inward_cols, self.r0)):
+                if cols:
+                    Y, lY = self.sweep(direction, sector, cols, r_from).at(rn)
+                    Mhat[idx, :, cols], logs[idx, cols] = Y.transpose(0, 2, 1), lY
+        for i, u in zip(np.flatnonzero(~near), r[~near].tolist()):
+            Mhat[i], logs[i] = balance_columns(*self._series_frame(u * direction, sector))
+        Mhat[neg] = D @ Mhat[neg].conj() @ D
         return Mhat, logs
 
     def phi(self, zeta) -> np.ndarray:
         """The fundamental solution Phi(zeta), with Phi(0) = I.
 
         zeta may be a scalar or an array; an array of shape S gives an
-        array of shape S + (d, d) from one batched transport.
+        array of shape S + (d, d) from one batched transport.  Where Phi
+        exceeds the double range it raises IntegrationFailure naming zeta.
         """
         z = np.asarray(zeta, dtype=complex)
         flat = z.reshape(-1)
@@ -373,7 +376,12 @@ class SectoralSolver:
         far = r >= 1e-14
         if far.any():
             P, logs = self.transport(flat[far] / r[far], r[far, None])
-            out[far] = P[:, 0] * np.exp(logs[:, 0, None, :])
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[far] = P[:, 0] * np.exp(logs[:, 0, None, :])
+        bad = flat[~np.isfinite(out).all(axis=(1, 2))]
+        if bad.size:
+            raise IntegrationFailure(
+                f"Phi exceeds the double range at zeta = {complex(bad[0])}")
         return out.reshape(z.shape + (self.dim, self.dim))
 
     # -- chain solve -------------------------------------------------------
@@ -485,36 +493,31 @@ class SectoralSolver:
 # -- the kernel form ---------------------------------------------------------
 
 
-def coincide(u, v, c: float):
-    """(a, b, shape): u and v broadcast and flat, coincident pairs at (m, m).
+def _coincident(u, v) -> np.ndarray:
+    """|u - v| <= _COINCIDE_EPS max(1, |u|): the pairs read as the diagonal."""
+    return np.abs(u - v) <= _COINCIDE_EPS * np.maximum(1.0, np.abs(u))
 
-    |c u - c v| <= _COINCIDE_EPS max(1, |c u|) makes a pair coincident;
-    m = (u + v)/2, and equal arguments take the derivative limit.
+
+def kernel_form(solver, line: str, u, v, dz: complex, row, col):
+    """row M(dz u)^{-1} M(dz v) col / (2 pi i (u - v)) per pair of u and v.
+
+    u and v broadcast; the result has their shape, a complex for
+    scalars.  `solver.m_balanced(points, line)` gives the balanced
+    factors (Mhat, logs) of M at the distinct points of the pairs.  A
+    coincident pair (`_coincident`) is read at its midpoint a, where the
+    value is the derivative limit -row M^{-1} (dz L(dz a)) M col /
+    (2 pi i), from dM/dzeta = L M with L = `solver.lax`, and row . col
+    = 0.  Only the entries on the columns that row and col select are
+    formed, so exponent differences of unused columns never enter.
     """
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
-                               np.asarray(v, dtype=float))
-    same = np.abs(c * u - c * v) <= _COINCIDE_EPS * np.maximum(1.0, np.abs(c * u))
-    m = 0.5 * (u + v)
-    return np.where(same, m, u).ravel(), np.where(same, m, v).ravel(), u.shape
-
-
-def kernel_form(solver, line: str, a, b, dz: complex, row, col) -> np.ndarray:
-    """row M(dz a)^{-1} M(dz b) col / (2 pi i (a - b)) per pair.
-
-    a and b are 1-D arrays of pairs; `solver.m_balanced(points, line)`
-    gives the balanced factors (Mhat, logs) of M at the distinct points
-    of a and b.  Where a == b the value is the derivative limit
-    -row M^{-1} (dz L(dz a)) M col / (2 pi i), from dM/dzeta = L M with
-    L = `solver.lax`, and row . col = 0.  Only the entries on the
-    columns that row and col select are formed, so exponent differences
-    of unused columns never enter.
-    """
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    same, m = _coincident(u, v).ravel(), 0.5 * (u + v).ravel()
+    a, b = np.where(same, m, u.ravel()), np.where(same, m, v.ravel())
     points = np.sort(np.concatenate([a, b]))
     points = points[np.diff(points, prepend=-np.inf) > 0.0]      # drop repeats
     Mhat, logs = solver.m_balanced(points, line)
     ia, ib = np.searchsorted(points, a), np.searchsorted(points, b)
     Ma, la, Mb, lb = Mhat[ia], logs[ia], Mhat[ib], logs[ib]
-    same = a == b
     Z = np.empty_like(Ma)
     if not same.all():
         Z[~same] = np.linalg.solve(Ma[~same], Mb[~same])
@@ -524,4 +527,5 @@ def kernel_form(solver, line: str, a, b, dz: complex, row, col) -> np.ndarray:
     i = np.flatnonzero((row != 0.0) | (col != 0.0))
     scale = np.exp(lb[:, None, i] - la[:, i, None])
     num = row[i] @ (Z[:, i[:, None], i] * scale) @ col[i]
-    return num / np.where(same, 2.0j * math.pi, 2.0j * math.pi * (a - b))
+    K = num / np.where(same, 2.0j * math.pi, 2.0j * math.pi * (a - b))
+    return complex(K[0]) if u.shape == () else K.reshape(u.shape)

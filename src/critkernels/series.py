@@ -23,7 +23,8 @@ The relation for m = 2 is the consistency condition G_2 = U1, and with
 P_1 = 0 (the expansion is in 1/zeta) the one for m = 1 is G_1 = 0;
 `build_series` checks both.  Two branch variants of the frame (omega =
 -i and omega = +i) give independent expansions whose integer-order
-coefficients must agree.
+coefficients must agree.  `rhsolver` reads '-' as the mirror of '+';
+'-' stays as the reference the tests compare that mirror against.
 """
 
 from __future__ import annotations

@@ -218,18 +218,18 @@ def test_finite_n_non_finite_exit_2(runner, tmp_path, args, bad):
 
 
 def test_finite_n_solves_zeros_once(runner, tmp_path, monkeypatch):
-    # [TRIVIAL] the zeros and their Kolmogorov distance share one
-    # polynomial_zeros solve
+    # [TRIVIAL] the zeros and their Kolmogorov distance share one solve
+    # of the zeros, the one the family keeps
     from critkernels import finiten
 
     calls = []
-    polynomial_zeros = finiten.polynomial_zeros
+    solve_zeros = finiten._solve_zeros
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return polynomial_zeros(*args, **kwargs)
+        return solve_zeros(*args, **kwargs)
 
-    monkeypatch.setattr(finiten, "polynomial_zeros", counted)
+    monkeypatch.setattr(finiten, "_solve_zeros", counted)
     result, out, report = _run(runner, tmp_path, ["finite-n", "--n", "6"])
     assert result.exit_code == 0, result.output
     assert len(calls) == 1

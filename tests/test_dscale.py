@@ -205,6 +205,16 @@ def test_gap_decreasing():
     assert g4 < g3
 
 
+def test_gap_at_a_near_coincident_pair_is_finite():
+    # [TRIVIAL] a pair that the kernel form reads as coincident but not
+    # equal takes the evaluator's mean over +-1e-3 at its midpoint too
+    # (the evaluator has no Lax matrix for the derivative limit), so the
+    # gap is finite, and free of the cancellation of a direct 1e-9
+    # difference quotient (2.5e-7)
+    gap = double_scaling_gap(4.0, 0.5, 0.3, 0.3 + 1e-9)
+    assert math.isfinite(gap) and gap < 1e-7
+
+
 def test_gap_precondition():
     # [TRIVIAL] a >= 2 is required
     with pytest.raises(DomainRestriction):

@@ -556,7 +556,8 @@ def test_zeros_solved_once_per_family(monkeypatch):
     dist = finiten.zero_counting_kolmogorov(fam)
     assert len(solves) == 1
     assert np.array_equal(finiten.polynomial_zeros(fam), first)
-    assert dist == finiten._kolmogorov(first, fam.alpha, fam.tau)
+    fresh = finiten.biorthogonal(finiten.bimoment_matrix(6, ALPHA, TAU))
+    assert dist == finiten.zero_counting_kolmogorov(fresh)
 
 
 def test_domain_errors():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from critkernels import kernels, painleve, series
-from critkernels.errors import DomainRestriction
+from critkernels.errors import DomainRestriction, IntegrationFailure
 from critkernels.piisolver import PII_JUMPS, PII_RAY_ANGLES, PiiSolver, hm_at
 
 HM = painleve.default_solution()
@@ -105,6 +105,14 @@ def test_psi_array_matches_scalar(solver):
     for idx, z in np.ndenumerate(zs):
         one = solver.psi(z)
         assert np.max(np.abs(batch[idx] - one)) <= 1e-14 * np.max(np.abs(one))
+
+
+def test_psi_overflow_raises_by_name():
+    # [TRIVIAL] where Phi exceeds the double range, psi raises
+    # IntegrationFailure naming zeta, with no RuntimeWarning on the way
+    # (it used to return a nan matrix after "overflow encountered in exp")
+    with pytest.raises(IntegrationFailure, match=r"at zeta = \(0\.2\+9j\)"):
+        PiiSolver(1.0).psi(0.2 + 9j)
 
 
 def test_m_balanced_matches_psi(solver):

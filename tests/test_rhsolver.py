@@ -157,7 +157,7 @@ def test_default_solver_is_the_cached_one():
     # get_solver builds with, so both give the same sector constants
     fresh, cached = RhSolver(0.3, -0.2), get_solver(0.3, -0.2)
     assert fresh.r0 == cached.r0
-    assert len(fresh.fs["+"].coeffs) == len(cached.fs["+"].coeffs)
+    assert len(fresh.fs.coeffs) == len(cached.fs.coeffs)
     assert np.array_equal(fresh.C, cached.C)
 
 
@@ -172,15 +172,29 @@ def test_bad_r0_rejected_by_name(r0):
 
 
 @pytest.mark.parametrize("s,t", [(0.3, -0.2), (3.0, 0.0), (-2.0, 1.0), (5.0, -4.0)])
-def test_minus_series_is_the_mirror_of_plus(s, t):
-    # [DERIVED] a solver forms its '-' series as D conj(P_k) D from the
-    # '+' one; that equals the '-' solve of build_series bit for bit
+def test_lower_frames_are_the_mirror_of_plus(s, t):
+    # [DERIVED] a solver holds the '+' series only and reads sectors 5-9
+    # as its mirror D conj(F(conj zeta)) D; that equals the frame of the
+    # '-' solve of build_series bit for bit, at the anchors and at -iu
     solver = RhSolver(s, t)
-    minus = series.build_series(s, t, "-", order=len(solver.fs["+"].coeffs))
-    assert solver.fs["-"].variant == "-"
-    assert len(solver.fs["-"].coeffs) == len(minus.coeffs)
-    for mirrored, solved in zip(solver.fs["-"].coeffs, minus.coeffs):
-        assert np.array_equal(mirrored, solved)
+    minus = series.build_series(s, t, "-", order=len(solver.fs.coeffs))
+    radii = (solver.r0, solver.INNER * solver.r0)
+    for i in range(15, 30):
+        for m, r in enumerate(radii):
+            *_, F, g = solver._anchors[i // 3][2 * (i % 3) + m]
+            Fm, gm = minus.frame_scaled(r * solver._directions[i])
+            assert np.array_equal(F, Fm) and np.array_equal(g, gm), (i, r)
+    for u in (solver.r0, 20.0):
+        F, g = solver._series_frame(-1j * u, 7)
+        Fm, gm = minus.frame_scaled(-1j * u)
+        assert np.array_equal(F, Fm) and np.array_equal(g, gm), u
+
+
+def test_real_line_has_no_negative_points():
+    # [TRIVIAL] the positive real axis is not its own mirror image, so a
+    # point x < 0 on "real+" is rejected by name
+    with pytest.raises(ValueError, match="line 'real\\+' has no points x < 0"):
+        solver(0.0, 0.0, 14.0, 16).m_balanced([-1.0], "real+")
 
 
 def test_m_mirror_symmetry():

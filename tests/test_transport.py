@@ -142,9 +142,30 @@ def test_mirrored_anchors_equal_their_transport(cls, args, transported, monkeypa
 
 def test_taylor_steps_are_pinned():
     # [DERIVED] the step grid depends on r and the Lax coefficients alone:
-    # the anchor transport at (0.3, -0.2) takes 65 steps, and the sweeps
-    # of a 6x6 K_cr diagonal 145 more
+    # the anchor transport at (0.3, -0.2) takes 65 steps, and the two
+    # sweeps of a mixed-sign 6-point K_cr diagonal (its negative points
+    # read as mirrors) 74 more
     solver = RhSolver(0.3, -0.2)
     assert solver.taylor_steps == 65
     kernels.kernel_cr_diag([0.5, -0.8, 1.5, -2.0, 2.6, -3.3], 0.3, -0.2, solver)
-    assert solver.taylor_steps == 210
+    assert solver.taylor_steps == 139
+    assert len(solver._sweeps) == 2
+
+
+@pytest.mark.parametrize("build, line, xs", [
+    (lambda: RhSolver(0.3, -0.2), "imag", [0.3, 2.5, 9.0, 14.0, 20.0]),
+    (lambda: PiiSolver(1.0), "real", [0.2, 1.5, 3.0, 6.0]),
+], ids=["rh-imag", "pii-real"])
+def test_negative_points_read_the_mirror(build, line, xs):
+    # [DERIVED] a point x < 0 of a line that is its own mirror image reads
+    # D conj(Mhat(|x|)) D with the logs of |x|, bit for bit, on both sides
+    # of the switch to the series frame, and once the positive points are
+    # read the negative ones take no Taylor step
+    solver = build()
+    _, D = solver.MIRROR
+    xs = np.array(xs)
+    Mp, lp = solver.m_balanced(xs, line)
+    steps = solver.taylor_steps
+    Mn, ln = solver.m_balanced(-xs, line)
+    assert solver.taylor_steps == steps
+    assert np.array_equal(Mn, D @ Mp.conj() @ D) and np.array_equal(ln, lp)
