@@ -8,8 +8,9 @@ along the carrier, oriented left-to-right on the real axis and upward on
 the imaginary axis, so that the total masses come out as (1, 2/3, 1/3).
 
 Each density takes a scalar and returns a float, or takes an array and
-returns one of its shape, marched once per quadrant and sheet; a point
-outside the support raises ``OutsideSupport`` for the whole request.
+returns one of its shape, marched along one path per quadrant with all
+paths in one march per polynomial; a point outside the support raises
+``OutsideSupport`` for the whole request.
 """
 
 from __future__ import annotations
@@ -51,11 +52,11 @@ def _jump_density(plus, minus, p: sf.SurfaceParams, sheet: int,
                   scale: complex) -> np.ndarray:
     """(xi_{k,+} - xi_{k,-} - tau (s_{k-1,+} - s_{k-1,-})) / scale, k = sheet + 1,
     at the points ``plus`` and their mirror images ``minus``."""
-    xi_jump = (sf.xi_sheet_on_path(plus, p, sheet)
-               - sf.xi_sheet_on_path(minus, p, sheet))
-    s_jump = (sf.cubic_sheet_on_path(plus, p.alpha, p.tau, sheet - 1)
-              - sf.cubic_sheet_on_path(minus, p.alpha, p.tau, sheet - 1))
-    return (xi_jump - p.tau * s_jump) / scale
+    both = np.concatenate([plus, minus])        # the two sides share one march
+    xi_plus, xi_minus = np.split(sf.xi_sheet_on_path(both, p, sheet), 2)
+    s_plus, s_minus = np.split(
+        sf.cubic_sheet_on_path(both, p.alpha, p.tau, sheet - 1), 2)
+    return ((xi_plus - xi_minus) - p.tau * (s_plus - s_minus)) / scale
 
 
 def _like(values: np.ndarray, x):
@@ -111,9 +112,11 @@ def sigma2_density(y, alpha: float, tau: float):
 # under a change of variable that makes the integrand analytic.  At a
 # square-root end point x = end + h s^2; for |y| >= 1, u = |y|^{-2/3},
 # since the densities expand in powers of y^{-2/3} from y^{-5/3}, so that
-# rho dy = 1.5 u^{-5/2} rho du is a power series in u.  All nodes of a
-# mass are marched along one path (sequential branch continuation between
-# neighboring nodes) instead of re-tracking each point separately.
+# rho dy = 1.5 u^{-5/2} rho du is a power series in u.  The nodes of a
+# mass on each side of the carrier are marched along one path per quadrant
+# (sequential branch continuation between neighboring nodes) instead of
+# re-tracking each point separately, and all paths of the mass share one
+# march per polynomial.
 
 
 def _nodes(edges, x_of, dx_of) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +153,7 @@ def _mass_with_tail(near: tuple[np.ndarray, np.ndarray], density,
     ``near`` holds the nodes and weights on [0, 1].  The far field y >= 1
     takes u = y^{-2/3} on the panels [0, cutoff^{-2/3}, 1], the first of
     which is the tail y > cutoff.  The density is evaluated at all nodes
-    in one call, so all are marched along one path.
+    in one call, so they share one march.
     """
     far = _nodes([0.0, _CUTOFF ** (-2.0 / 3.0), 1.0],
                  lambda u: u ** -1.5, lambda u: 1.5 * u ** -2.5)

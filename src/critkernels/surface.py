@@ -55,6 +55,9 @@ class SurfaceParams:
     gamma: float
     c: float
 
+    def __post_init__(self):
+        _finite(alpha=self.alpha, tau=self.tau, gamma=self.gamma, c=self.c)
+
     @classmethod
     def from_alpha_tau(cls, alpha: float, tau: float) -> "SurfaceParams":
         g = gamma_of(alpha, tau)
@@ -93,6 +96,7 @@ def gamma_of(alpha: float, tau: float) -> float:
 
 def scaled_params(a: float, b: float, n: int) -> tuple[float, float]:
     """(alpha, tau) = (-1, 1) + a n^{-1/3} (2, 1) + b n^{-2/3} (-1, 2)."""
+    _finite(a=a, b=b)
     if n < 1:
         raise ValueError("n must be >= 1")
     e1 = n ** (-1.0 / 3.0)
@@ -131,8 +135,9 @@ _QUADRANT_ANGLE = {"I": 0.25 * math.pi, "II": 0.75 * math.pi,
 # array of z.
 
 root_evaluations = 0    # points whose roots were solved, midpoints included
+march_rounds = 0        # bisection rounds, one _match call each, all paths at once
 
-_BLOCK = 256            # path points solved per vectorized closed-form call
+_BLOCK = 256            # points solved per call; a path's steps tested per round
 
 _CUBE_ROOTS_OF_ONE = np.exp(2j * np.pi / 3 * np.arange(3))
 _SIGNS = np.array([-1.0, 1.0])
@@ -242,6 +247,11 @@ def _match(za, zb, ra, rb) -> tuple[np.ndarray, np.ndarray]:
     step is below roundoff.
     """
     perms = _PERMS[ra.shape[1]]
+    # each root's nearest-neighbour distance at zb, taken before the arrays
+    # below exist so that their peaks in memory do not add up
+    near = np.abs(rb[:, :, None] - rb[:, None, :])
+    near.sort(axis=2)
+    near = near[:, :, 1].copy()
     dist = np.abs(rb[:, None, :] - ra[:, :, None])           # dist[k, i, j]
     cost = dist[:, 0, perms[:, 0]]                            # cost[k, q]
     for i in range(1, ra.shape[1]):
@@ -254,107 +264,112 @@ def _match(za, zb, ra, rb) -> tuple[np.ndarray, np.ndarray]:
         moves = np.sort(dist[tied][:, np.arange(ra.shape[1]), perms], axis=2)  # ascending
         best[tied] = np.lexsort(np.moveaxis(moves, 2, 0), axis=-1)[:, 0]
     k, q = np.arange(len(ra))[:, None], perms[best]
-    near = np.sort(np.abs(rb[:, :, None] - rb[:, None, :]), axis=2)[:, :, 1]
     ok = (np.all(dist[k, np.arange(ra.shape[1]), q] <= 0.3 * near[k, q], axis=1)
           | (np.abs(zb - za) < 1e-14 * np.maximum(1.0, np.abs(zb))))
     return best, ok
 
 
-def _march(roots: np.ndarray, z0: complex, points, coeffs) -> np.ndarray:
-    """Continue ``roots``, labeled at z0, through ``points`` in order.
+def _march(paths, coeffs) -> list[np.ndarray]:
+    """Continue each path's ``roots``, labeled at its ``z0``, through its
+    ``points`` in order, for ``paths`` a list of (roots, z0, points).
 
-    Returns shape (len(points), number of roots).  The points are solved
-    ``_BLOCK`` at a time.  Each step between consecutive points takes the
-    permutation of ``_match``, relative to the previous point's roots as
-    solved (so the first of equal candidates wins in that order).  Refused
-    steps are bisected in rounds: each round tests the first ``_BLOCK``
-    pending steps in path order together and solves their midpoints in one
-    call.  Taking the leftmost steps first keeps the pending steps bounded
-    however many the bisection makes, and a step refused at depth 61 raises
+    Returns one array per path, shape (len(points), number of roots).  The
+    points of all paths are solved ``_BLOCK`` at a time.  Each step between consecutive points
+    takes the permutation of ``_match``, relative to the previous point's
+    roots as solved (so the first of equal candidates wins in that order),
+    so it does not depend on the labels.  Refused steps are bisected in
+    rounds shared by every path: each round tests, per path, the first
+    ``_BLOCK`` pending steps in path order, all paths in one ``_match``
+    call, and solves all their refused midpoints in one call.  Taking each
+    path's leftmost steps first keeps its pending steps bounded however many
+    the bisection makes, and a step refused at depth 61 raises
     ``DegenerateRoots`` as soon as the rounds reach it; so does a path
-    point whose roots overflow, before any step.  The accepted
-    permutations compose into labels in one integer scan along the path.
+    point whose roots overflow, before any step.  The accepted permutations
+    compose into labels in one integer scan along each path.
     """
-    points = np.asarray(points, dtype=complex)
-    bad = ~np.isfinite(points)
+    global march_rounds
+    sizes = [len(points) for _, _, points in paths]
+    # path after path, its start (taken as an accepted identity step) and
+    # its steps in path order, each from the end of the one before; a
+    # refused step becomes its halves
+    ends = np.ones(sum(sizes) + len(paths), dtype=bool)     # ends at a path point
+    ends[np.cumsum([0] + sizes[:-1]) + np.arange(len(paths))] = False
+    zb = np.empty(len(ends), dtype=complex)
+    zb[~ends] = [z0 for _, z0, _ in paths]
+    zb[ends] = np.concatenate([points for _, _, points in paths])
+    bad = ~np.isfinite(zb)
     if bad.any():
-        raise ValueError(f"non-finite point z = {points[bad][0]}")
-    compose = _COMPOSE[len(roots)]
-    out = np.empty((len(points), len(roots)), dtype=complex)
-    label = 0                       # the identity: roots are in label order
-    for lo in range(0, len(points), _BLOCK):
-        zs = points[lo:lo + _BLOCK]
-        # far out (|w| ~ |z| beyond ~1e77, |tau z| beyond ~1e153) a row's
-        # roots overflow to nan; a bisection midpoint is nearer the origin
-        with np.errstate(over="ignore", invalid="ignore"):
-            raw = _roots(coeffs(zs))
-        if not np.isfinite(raw).all():
-            lost = zs[~np.all(np.isfinite(raw), axis=1)]
-            raise DegenerateRoots(f"the roots overflow at z = {lost[0]}")
-        # the pending steps in path order; a refused step becomes its halves
-        za, zb = np.concatenate([[z0], zs[:-1]]), zs
-        ra, rb = np.concatenate([roots[None], raw[:-1]]), raw
-        ends = np.ones(len(zs), dtype=bool)     # the step ends at a path point
-        depth = np.zeros(len(zs), dtype=int)
-        step = np.full(len(zs), -1)             # accepted permutation, or -1
-        accepted, ended = [], []                # dropped steps, in path order
-        while len(step):
-            todo = np.flatnonzero(step[:_BLOCK] < 0)
-            best, ok = _match(za[todo], zb[todo], ra[todo], rb[todo])
-            step[todo[ok]] = best[ok]
-            split = todo[~ok]
-            if len(split):
-                deep = split[depth[split] > 60]
-                if len(deep):
-                    raise DegenerateRoots("root continuation failed to separate "
-                                          f"branches near z = {zb[deep[0]]}")
-                mid = 0.5 * (za[split] + zb[split])
-                rmid = _roots(coeffs(mid))
-                depth[split] += 1
-                twice = np.ones(len(step), dtype=int)
-                twice[split] = 2
-                first = (np.cumsum(twice) - 2)[split]
-                za, zb, ra, rb, ends, depth, step = (
-                    np.repeat(a, twice, axis=0)
-                    for a in (za, zb, ra, rb, ends, depth, step))
-                zb[first], rb[first], ends[first] = mid, rmid, False
-                za[first + 1], ra[first + 1] = mid, rmid
-            # set aside the accepted steps that lead the path
-            done = np.flatnonzero(np.append(step, -1) < 0)[0]
-            accepted.append(step[:done])
-            ended.append(ends[:done])
-            za, zb, ra, rb, ends, depth, step = (
-                a[done:] for a in (za, zb, ra, rb, ends, depth, step))
-        scan = accumulate(np.concatenate(accepted).tolist(),
-                          lambda s, q: compose[q][s], initial=label)
-        labels = np.fromiter(scan, dtype=int)[1:][np.concatenate(ended)]
-        perm = _PERMS[len(roots)][labels]
-        out[lo:lo + len(zs)] = np.take_along_axis(raw, perm, axis=1)
-        z0, roots, label = zs[-1], raw[-1], int(labels[-1])
-    return out
+        raise ValueError(f"non-finite point z = {zb[bad][0]}")
+    rb = np.empty((len(ends), len(paths[0][0])), dtype=complex)
+    rb[~ends] = [roots for roots, _, _ in paths]
+    # far out (|w| ~ |z| beyond ~1e77, |tau z| beyond ~1e153) a row's roots
+    # overflow to nan; a bisection midpoint is nearer the origin
+    with np.errstate(over="ignore", invalid="ignore"):
+        rb[ends] = np.concatenate([_roots(coeffs(z)) for z in np.split(
+            zb[ends], range(_BLOCK, sum(sizes), _BLOCK))])
+    lost = ~np.all(np.isfinite(rb), axis=1)
+    if lost.any():
+        raise DegenerateRoots(f"the roots overflow at z = {zb[lost][0]}")
+    path = np.cumsum(~ends) - 1
+    depth = np.zeros(len(ends), dtype=int)
+    step = np.where(ends, -1, 0)                # accepted permutation, or -1
+    while (pending := np.flatnonzero(step < 0)).size:
+        march_rounds += 1
+        # a path's window: _BLOCK steps from its first refused or untested one
+        owner = path[pending]
+        todo = pending[pending - pending[np.searchsorted(owner, owner)] < _BLOCK]
+        best, ok = _match(zb[todo - 1], zb[todo], rb[todo - 1], rb[todo])
+        step[todo[ok]] = best[ok]
+        split = todo[~ok]
+        if len(split):
+            deep = split[depth[split] > 60]
+            if len(deep):
+                raise DegenerateRoots("root continuation failed to separate "
+                                      f"branches near z = {zb[deep[0]]}")
+            mid = 0.5 * (zb[split - 1] + zb[split])
+            rmid = _roots(coeffs(mid))
+            depth[split] += 1
+            twice = np.ones(len(step), dtype=int)
+            twice[split] = 2
+            first = (np.cumsum(twice) - 2)[split]
+            zb, rb, ends, depth, step, path = (
+                np.repeat(a, twice, axis=0) for a in (zb, rb, ends, depth, step, path))
+            zb[first], rb[first], ends[first] = mid, rmid, False
+    compose, perms = _COMPOSE[rb.shape[1]], _PERMS[rb.shape[1]]
+    labels = np.concatenate([       # from the identity at the path's start
+        np.fromiter(accumulate(steps.tolist(), lambda s, q: compose[q][s]), dtype=int)
+        for steps in np.split(step, np.searchsorted(path, range(1, len(paths))))])
+    return np.split(np.take_along_axis(rb[ends], perms[labels[ends]], axis=1),
+                    np.cumsum(sizes[:-1]))
 
 
 def _along(points, reference, coeffs) -> np.ndarray:
     """Roots of ``coeffs(z)`` at ``points``, one row per point in input order.
 
     Axis points are one-sided limits (module docstring).  Each quadrant's
-    points are marched outward in |z| from ``reference(quadrant)``, an
-    interior point of the quadrant and the labeled roots there.
+    points are marched outward in |z| from its reference, an interior point
+    of the quadrant and the labeled roots there; ``reference`` maps the list
+    of quadrants to the list of (z0, roots).  All quadrants share one march.
     """
     z = _nudge_off_axis(points)
     quads = _quadrant(z)
     out = np.empty((len(z), coeffs(z[:0]).shape[1] - 1), dtype=complex)
-    for quad in dict.fromkeys(quads):
-        group = np.flatnonzero(quads == quad)
-        group = group[np.argsort(np.abs(z[group]), kind="stable")]
-        z0, roots = reference(quad)
-        out[group] = _march(roots, z0, z[group], coeffs)
+    order = list(dict.fromkeys(quads))
+    if order:
+        groups = [np.flatnonzero(quads == quad) for quad in order]
+        groups = [g[np.argsort(np.abs(z[g]), kind="stable")] for g in groups]
+        paths = [(roots, z0, z[g]) for (z0, roots), g in zip(reference(order), groups)]
+        out[np.concatenate(groups)] = np.concatenate(_march(paths, coeffs))
     return out
 
 
 def _rows(*coeffs) -> np.ndarray:
     """Coefficient rows, one per point, from scalars and arrays of points."""
-    return np.stack(np.broadcast_arrays(*coeffs), axis=-1)
+    rows = np.empty(np.broadcast(*coeffs).shape + (len(coeffs),),
+                    dtype=np.result_type(*coeffs))
+    for k, c in enumerate(coeffs):
+        rows[..., k] = c
+    return rows
 
 
 def _quartic(p: SurfaceParams):
@@ -380,7 +395,8 @@ def _w_along(points, p: SurfaceParams) -> np.ndarray:
     """w_j at each of ``points`` (see ``_along``), shape (n, 4)."""
     if np.any(np.asarray(points) == 0.0):
         raise DegenerateRoots("z = 0 is a branch point")
-    return _along(points, lambda quad: _reference_roots(quad, p), _quartic(p))
+    return _along(points, lambda quads: [_reference_roots(q, p) for q in quads],
+                  _quartic(p))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +480,7 @@ def _lambda_integral(z: complex, p: SurfaceParams) -> np.ndarray:
         edges.append(phi)
         th, wq = _panel_nodes(edges)
         pts = radius * np.exp(1j * th)
-        xi_vals = _xi_from_w(_march(w_ray[-1], ray[-1], pts, _quartic(p)), p)
+        xi_vals = _xi_from_w(_march([(w_ray[-1], ray[-1], pts)], _quartic(p))[0], p)
         total = total + wq @ (1j * pts[:, None] * xi_vals)
     return total
 
@@ -498,6 +514,7 @@ def xi_sheet_on_path(points: np.ndarray, p: SurfaceParams, sheet: int) -> np.nda
 def cubic_sheet_on_path(points: np.ndarray, alpha: float, tau: float,
                         sheet: int) -> np.ndarray:
     """s_{sheet} at each of any finite ``points``, marched as in ``xi_sheet_on_path``."""
+    _finite(alpha=alpha, tau=tau)
     return _s_along(points, alpha, tau)[:, sheet]
 
 
@@ -520,6 +537,7 @@ def _w_potential(s: np.ndarray, alpha: float) -> np.ndarray:
 
 def x_star(alpha: float, tau: float) -> float:
     """Edge of the real three-root window: (2/tau) (-alpha/3)^{3/2}."""
+    _finite(alpha=alpha, tau=tau)
     if alpha >= 0.0:
         raise DomainRestriction(
             f"x_star requires alpha < 0, got alpha = {alpha}, tau = {tau}")
@@ -549,12 +567,15 @@ def _s_along(points, alpha: float, tau: float) -> np.ndarray:
     xs = x_star(alpha, tau)
     coeffs = _cubic(alpha, tau)
 
-    def reference(quad: str) -> tuple[complex, np.ndarray]:
-        side = cmath.exp(1j * _QUADRANT_ANGLE[quad])
-        x_ref = math.copysign(0.05 * xs, side.real)
-        lift = complex(x_ref, math.copysign(0.5 * xs, side.imag))
-        return lift, _march(_ordered_real_cubic(x_ref, alpha, tau),
-                            complex(x_ref), [lift], coeffs)[0]
+    def reference(quads: list) -> list:
+        lifts = []
+        for quad in quads:
+            side = cmath.exp(1j * _QUADRANT_ANGLE[quad])
+            x_ref = math.copysign(0.05 * xs, side.real)
+            lifts.append((_ordered_real_cubic(x_ref, alpha, tau), complex(x_ref),
+                          [complex(x_ref, math.copysign(0.5 * xs, side.imag))]))
+        rows = _march(lifts, coeffs)
+        return [(lift[0], row[0]) for (_, _, lift), row in zip(lifts, rows)]
 
     return _along(points, reference, coeffs)
 
@@ -567,6 +588,7 @@ def theta_branches(z: complex, alpha: float, tau: float) -> ThetaValues:
     continuous continuation of that one (axis points are one-sided limits,
     see the module docstring).
     """
+    _finite(alpha=alpha, tau=tau)
     if tau <= 0.0 or alpha >= 0.0:
         raise DomainRestriction("theta requires tau > 0 and alpha < 0, got "
                                 f"alpha = {alpha}, tau = {tau}")

@@ -90,6 +90,24 @@ def test_scaled_params_values():
     assert (alpha, tau) == pytest.approx((-1.01, 1.02))
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: sf.theta_branches(1j, math.nan, 1.0), "alpha"),
+    (lambda: sf.theta_branches(1j, -1.0, math.inf), "tau"),
+    (lambda: sf.x_star(math.nan, 1.0), "alpha"),
+    (lambda: sf.scaled_params(math.nan, 0.0, 12), "a"),
+    (lambda: sf.cubic_sheet_on_path(np.array([1j]), -1.0, math.nan, 0), "tau"),
+    (lambda: sf.SurfaceParams(-1.0, 1.0, math.nan, CRIT.c), "gamma"),
+], ids=["theta-alpha", "theta-tau", "x_star", "scaled_params", "cubic_sheet",
+        "SurfaceParams"])
+def test_non_finite_parameter_is_refused_by_name(call, name):
+    # [TRIVIAL] a nan or inf parameter is refused at the entry, naming it,
+    # before any point is blamed, any root overflows or any warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            call()
+
+
 def test_c_value():
     # [PAPER] c* = 16/(3 sqrt 3) at criticality
     assert CRIT.c == pytest.approx(16.0 / (3.0 * math.sqrt(3.0)), abs=1e-14)
@@ -507,9 +525,9 @@ def test_continue_roots_bisects_only_crowded_roots():
     z0, z1 = complex(-1e-8, 50.0), complex(-1e-8, 61.0)
     coeffs = sf._quartic(CRIT)
     start = sf._w_along([z0], CRIT)[0]
-    fine = sf._march(start, z0, np.linspace(z0, z1, 2001)[1:], coeffs)[-1]
+    fine = sf._march([(start, z0, np.linspace(z0, z1, 2001)[1:])], coeffs)[0][-1]
     before = sf.root_evaluations
-    roots = sf._march(start, z0, [z1], coeffs)[0]
+    roots = sf._march([(start, z0, [z1])], coeffs)[0][0]
     assert sf.root_evaluations - before <= 50
     assert np.array_equal(roots, fine)
 
@@ -523,7 +541,7 @@ def test_march_refuses_a_step_onto_a_double_root():
     coeffs = sf._quartic(CRIT)
     start = sf._roots(coeffs(np.array([z0])))[0]
     with pytest.raises(DegenerateRoots, match=r"near z = \(3\.0792"):
-        sf._march(start, z0, [complex(CRIT.c)], coeffs)
+        sf._march([(start, z0, [complex(CRIT.c)])], coeffs)
 
 
 def test_march_refuses_far_out_point_at_the_first_deep_step():
@@ -570,30 +588,30 @@ def test_xi_branches_far_out_returns():
         assert abs(w[0] / z - 1.0) < 1e-12, z
 
 
-def _spy_marches(monkeypatch) -> list:
-    """Record every ``sf._march`` call: its arguments, its result and the
-    root evaluations it made."""
-    calls = []
+def _spy_marches(monkeypatch) -> tuple[list, list]:
+    """Record every ``sf._march`` call: each of its paths with the polynomial
+    and that path's result, and the root evaluations of each call."""
+    paths, counts = [], []
     march = sf._march
 
-    def spy(roots, z0, points, coeffs):
+    def spy(marched, coeffs):
         before = sf.root_evaluations
-        out = march(roots, z0, points, coeffs)
-        calls.append((roots, z0, points, coeffs, out, sf.root_evaluations - before))
+        out = march(marched, coeffs)
+        paths.extend((*path, coeffs, rows) for path, rows in zip(marched, out))
+        counts.append(sf.root_evaluations - before)
         return out
 
     monkeypatch.setattr(sf, "_march", spy)
-    return calls
+    return paths, counts
 
 
-def _assert_matches_recursive_tracker(calls):
-    evaluations = oracle_calls = 0
-    for roots, z0, points, coeffs, out, count in calls:
+def _assert_matches_recursive_tracker(paths, counts):
+    oracle_calls = 0
+    for roots, z0, points, coeffs, out in paths:
         want, n = march_roots(roots, z0, points, lambda z: coeffs(np.array([z]))[0])
         assert np.array_equal(out, want)
-        evaluations += count
         oracle_calls += n
-    assert evaluations <= oracle_calls
+    assert sum(counts) <= oracle_calls
 
 
 @pytest.mark.parametrize("mass,density", [(ms.mass_mu2, ms.density_mu2),
@@ -604,13 +622,13 @@ def test_march_equals_recursive_tracker_on_mass_paths(monkeypatch, mass, density
     # both sides of the carrier and for both polynomials, exactly as the
     # point-by-point recursive tracker does, and solves no more polynomials;
     # the mass paths (72 and 120 nodes, out to |y| ~ 1.7e6) are shorter
-    # than one block, so a 600-point grid of the same density is marched
-    # too, and block seams are crossed
-    calls = _spy_marches(monkeypatch)
+    # than one window of _BLOCK steps, so a 600-point grid of the same
+    # density is marched too, and its windows slide along each path
+    paths, counts = _spy_marches(monkeypatch)
     mass(CRIT)
     density(np.linspace(3.5, 40.0, 600), CRIT)
-    assert max(len(points) for _, _, points, *_ in calls) > sf._BLOCK
-    _assert_matches_recursive_tracker(calls)
+    assert max(len(points) for _, _, points, *_ in paths) > sf._BLOCK
+    _assert_matches_recursive_tracker(paths, counts)
 
 
 def test_march_equals_recursive_tracker_on_shuffled_grid(monkeypatch):
@@ -620,11 +638,47 @@ def test_march_equals_recursive_tracker_on_shuffled_grid(monkeypatch):
     points = rng.permutation(np.concatenate([
         rng.uniform(-4, 4, 40) + 1j * rng.uniform(-4, 4, 40),
         [2.0, -1.0, 3.5j, -0.5j, 1e-3 + 0j, 5.0, -7.0]]))
-    calls = _spy_marches(monkeypatch)
+    paths, counts = _spy_marches(monkeypatch)
     sf.xi_sheet_on_path(points, CRIT, 0)
     sf.cubic_sheet_on_path(points, -1.0, 1.0, 0)
-    assert len(calls) == 4 + 2 * 4      # quartic quadrants; cubic lifts and quadrants
-    _assert_matches_recursive_tracker(calls)
+    assert len(paths) == 4 + 2 * 4      # quartic quadrants; cubic lifts and quadrants
+    assert len(counts) == 3             # one march each for these three sets of paths
+    _assert_matches_recursive_tracker(paths, counts)
+
+
+def test_multi_path_march_equals_each_path_alone():
+    # [TRIVIAL] paths that share rounds are marched exactly as each alone:
+    # the same roots, labels and root evaluations, for both polynomials,
+    # for paths longer than one window of _BLOCK steps and for a path of
+    # one point
+    rng = np.random.default_rng(11)
+    for coeffs, roots_at in ((sf._quartic(CRIT), lambda z: sf._w_along([z], CRIT)[0]),
+                             (sf._cubic(-1.0, 1.0), lambda z: sf._s_along([z], -1.0, 1.0)[0])):
+        paths = []
+        for z0, z1, n in ((2 + 2j, 40 + 3j, 700), (-1 + 1j, -0.2 + 4j, 30),
+                          (1 - 1j, 6 - 0.01j, sf._BLOCK + 1), (-3 - 3j, -2 - 1j, 1)):
+            points = np.linspace(z0, z1, n + 1)[1:] + 1e-3 * rng.standard_normal(n)
+            paths.append((roots_at(z0), z0, points))
+        before = sf.root_evaluations
+        together = sf._march(paths, coeffs)
+        joint = sf.root_evaluations - before
+        alone = 0
+        for path, rows in zip(paths, together):
+            before = sf.root_evaluations
+            assert np.array_equal(sf._march([path], coeffs)[0], rows)
+            alone += sf.root_evaluations - before
+        assert joint == alone
+
+
+@pytest.mark.parametrize("mass, most", [(ms.mass_mu2, 25), (ms.mass_mu3, 40)],
+                         ids=["mu2", "mu3"])
+def test_mass_paths_share_rounds(mass, most):
+    # [DERIVED] each side of the carrier, each quadrant and each cubic lift
+    # of a mass shares the tracker's rounds: mass_mu2 takes 24 rounds and
+    # mass_mu3 38 (48 and 76 when each path was marched alone)
+    before = sf.march_rounds
+    mass(CRIT)
+    assert sf.march_rounds - before <= most
 
 
 # ---------------------------------------------------------------------------
