@@ -27,28 +27,35 @@ One stepper, `_chunk`, serves every integration of the Lax equation:
 outward from the origin (Phi, and columns of M = Phi C_k) or inward from
 the asymptotic series, on any block of columns, for a batch of rays at
 once.  It is the high-order Taylor method (Jorba & Zou, Exp. Math. 14
-(2005)).  L(zeta) = sum_j L_j zeta^j is a polynomial, so about a step
-start zeta = d r the step's propagator, Y(d (r + s)) = U(s) Y(d r), has
-Taylor coefficients U_0 = I, (n+1) U_{n+1} = sum_j B_j U_{n-j}, with B_j
-the s^j coefficient of d L(d (r + s)).  Each step sums `_ORDER` terms
-over h(r) = `_STEP` / max(`_STEP`, sum_j ||L_j||_inf (|r| + 1)^j).
-As h <= 1, ||L|| h <= `_STEP` on the whole disk |s| <= h, so the
-omitted terms are below _STEP^_ORDER / _ORDER! (about 4e-24) of the
+(2005)).  L(zeta) = sum_q L_q zeta^q is a polynomial, so on a step from
+zeta0 = d r along the ray of direction d the step's propagator, Y(zeta0
++ t) = U(t) Y(zeta0) with t = d s, has Taylor coefficients U_0 = I and
+(n+1) U_{n+1} = sum_q L_q (P_q)_n, where P_q = zeta^q U has (P_0)_n =
+U_n and (P_q)_n = zeta0 (P_{q-1})_n + (P_{q-1})_{n-1}.  Each step sums
+`_ORDER` terms over h(r) = `_STEP` / max(`_STEP`, sum_q ||L_q||_inf (|r|
++ 1)^q).  As h <= 1, ||L|| h <= `_STEP` on the whole disk |s| <= h, so
+the omitted terms are below _STEP^_ORDER / _ORDER! (about 4e-24) of the
 step's start value.  The rule depends on r and the coefficients only, so
-all rays of a batch share one r-grid, and a radius is read from the
-Taylor polynomial of the step that contains it.  The grid is taken in
-chunks of at most `_CHUNK` ray-steps (a memory bound, like
-`surface._BLOCK`), a chunk ending early at the first step that reaches
-the farthest radius asked for.  One recurrence serves every (step, ray)
-pair of a chunk; then Y_{i+1} = (sum_n U_n h_i^n) Y_i, rebalanced so
-that each column is carried as (unit-max column, log scale).  A value
-depends on neither the other rays of a batch, the other radii asked for
-nor where chunks end.  `taylor_steps` counts steps, `taylor_passes` chunks.
+all rays of a batch share one r-grid (`_grid`), and a radius is read
+from the Taylor polynomial of the step that contains it.  The grid is
+taken in chunks of at most `_CHUNK` matrix entries, ray-steps * d^2 (a
+memory bound, like `surface._BLOCK`), a chunk ending early at the first
+step that reaches the farthest radius asked for.  Each (step, ray) pair
+of a chunk is a block of d columns of one recurrence: an order is one
+gemm of [L_0 ... L_p] / (n+1) against the stacked (P_q)_n of all pairs,
+plus elementwise multiply-adds by each column's zeta0.  The step sums
+sum_n U_n (d h)^n are added up term by term as the orders come, so a
+chunk stores the coefficients of only the pairs its caller keeps; then
+Y_{i+1} = (sum_n U_n (d h_i)^n) Y_i, rebalanced so that each column is
+carried as (unit-max column, log scale).  A value depends on neither the
+other rays of a batch, the other radii asked for nor where chunks end.
+`taylor_steps` counts steps, `taylor_passes` chunks.
 
-Each Taylor sum is one matmul of the powers of s (`_taylor_sum`).
-`transport` runs outward from Phi(0) = I on a batch of rays, reads a
-radius as (sum_n U_n s^n) Y_i, and keeps no step.  A recorded `Sweep`
-keeps every step's T_i = U_i Y_i, one matmul per chunk, and sums that:
+A read at a radius is one matmul of the powers of t (`_taylor_sum`).
+`transport` runs outward from Phi(0) = I on a batch of rays, keeps the
+pairs that hold one of its radii, reads a radius as (sum_n U_n t^n) Y_i,
+and keeps no step.  A recorded `Sweep` keeps every step's T_i = U_i Y_i,
+one matmul per chunk, and sums that:
 `SectoralSolver.sweep` builds one per ray, block of columns and start on
 first use and stores it, and `Sweep.at` steps on only past the recorded
 radii, so a recorded value equals that of a fresh sweep bit for bit.
@@ -74,7 +81,7 @@ __all__ = ["SectoralSolver", "Sweep", "balance_columns", "kernel_form"]
 
 _ORDER = 30              # Taylor terms per transport step
 _STEP = 2.0              # transport step bound: h * sum_j ||L_j|| (|r|+1)^j
-_CHUNK = 256             # ray-steps per batched recurrence, at most
+_CHUNK = 256 * 16        # matrix entries, ray-steps * d^2, per batched recurrence
 _EDGE = 0.02             # anchor angle offset inside a sector's bounding rays
 _COINCIDE_EPS = 1e-6     # relative |a - b| treated as the diagonal
 
@@ -107,8 +114,8 @@ class Sweep:
     """
 
     def __init__(self, solver, direction: complex, state: tuple, sign: float):
-        self._chunk = lambda Y, logs, r, ahead: solver._chunk(
-            np.array([direction], dtype=complex), Y, logs, r, sign, sign * ahead)
+        self._solver = solver
+        self._direction = direction
         self._state = state
         self._sign = sign
         self._ends: list[float] = []
@@ -119,15 +126,18 @@ class Sweep:
         radii = np.asarray(radii, dtype=float)
         ahead = self._sign * radii
         while not self._ends or ahead.max() > self._sign * self._ends[-1]:
-            grid, U, Ys, logs, self._state = self._chunk(*self._state, ahead.max())
-            m, _, n, d, _ = U.shape
-            T = U[:, 0].reshape(m, n * d, d) @ Ys[:, 0]      # T_i = U_i Y_i, one matmul
+            Y, logs, r = self._state
+            grid = self._solver._grid(r, self._sign, self._sign * ahead.max(), 1)
+            U, Ys, logs, self._state = self._solver._chunk(
+                np.array([self._direction], dtype=complex), Y, logs, grid)
+            m, n, d, _ = U.shape
+            T = U.reshape(m, n * d, d) @ Ys[:, 0]      # T_i = U_i Y_i, one matmul
             self._ends += grid[1:]
             self._records += zip(grid, T.reshape(m, n, d, -1), logs[:, 0])
         # the step containing a radius is the first whose end reaches it
         i = np.searchsorted(self._sign * np.asarray(self._ends), ahead)
         r, T, logs = (np.array(x) for x in zip(*(self._records[j] for j in i)))
-        Y, logs = balance_columns(_taylor_sum(T, radii - r), logs)
+        Y, logs = balance_columns(_taylor_sum(T, (radii - r) * self._direction), logs)
         if not np.all(np.isfinite(Y)):
             raise IntegrationFailure("Lax transport produced non-finite values")
         return Y, logs
@@ -250,55 +260,81 @@ class SectoralSolver:
         state = (np.broadcast_to(np.eye(d, dtype=complex), (b, d, d)), np.zeros((b, d)), 0.0)
         pending = np.ones(radii.shape, dtype=bool)
         while pending.any():
-            grid, U, Ys, logs, state = self._chunk(dirs, *state, 1.0, radii.max())
+            grid = self._grid(state[2], 1.0, radii.max(), b)
             bi, mi = np.nonzero(pending & (radii <= grid[-1]))
             i = np.searchsorted(grid[1:], radii[bi, mi])     # first step to reach it
-            P = _taylor_sum(U[i, bi], radii[bi, mi] - np.take(grid, i))
+            U, Ys, logs, state = self._chunk(dirs, *state[:2], grid, i * b + bi)
+            P = _taylor_sum(U, (radii[bi, mi] - np.take(grid, i)) * dirs[bi])
             out[0][bi, mi], out[1][bi, mi] = balance_columns(P @ Ys[i, bi], logs[i, bi])
             pending[bi, mi] = False
         if not np.all(np.isfinite(out[0])):
             raise IntegrationFailure("Lax transport produced non-finite values")
         return out
 
-    def _chunk(self, dirs, Y, logs, r: float, sign: float, until: float):
-        """Taylor steps from r toward sign * infinity, by one batched recurrence.
+    def _grid(self, r: float, sign: float, until: float, rays: int) -> list[float]:
+        """One chunk's step grid from r toward sign * infinity.
 
-        Y diag(e^{logs}) is the batch of solutions at r * dirs[b], Y of
-        shape (b, d, k) with unit-max columns; the steps stop at `until` or
-        after _CHUNK // b.  Returns (grid, U, Ys, logs, state): the solution
-        at (grid[i] + s) dirs[b], s up to grid[i + 1] - grid[i], is
-        (sum_n U[i, b, n] s^n) Ys[i, b] diag(e^{logs[i, b]}); state is (Y,
-        logs, r) at grid[-1].
+        It ends at the first step that reaches `until`, or before the
+        chunk would hold more than _CHUNK matrix entries, steps * rays *
+        d^2; it takes at least one step.
         """
-        p = len(self.lax_coeffs) - 1
-        b, d, k = Y.shape
         grid = [r]
-        while len(grid) < 2 or (sign * r < sign * until and len(grid) <= _CHUNK // b):
+        while len(grid) < 2 or (sign * r < sign * until
+                                and len(grid) * rays * self.dim ** 2 <= _CHUNK):
             r += sign * _STEP / max(_STEP, sum(n * (abs(r) + 1.0) ** j
                                                for j, n in enumerate(self._lax_norms)))
             grid.append(r)
+        return grid
+
+    def _chunk(self, dirs, Y, logs, grid: list[float], keep=None):
+        """The Taylor steps of `grid` on a batch of rays, by one recurrence.
+
+        Y diag(e^{logs}) is the batch of solutions at grid[0] * dirs[j], Y
+        of shape (b, d, k) with unit-max columns.  Returns (U, Ys, logs,
+        state).  Step i of ray j is pair i * b + j; U holds the Taylor
+        coefficients of the pairs listed in `keep`, in its order, or of
+        all pairs if keep is None, shape (pairs, _ORDER + 1, d, d).  The
+        solution at (grid[i] + s) dirs[j], s up to grid[i + 1] - grid[i],
+        is (sum_n U[pair, n] (dirs[j] s)^n) Ys[i, j] diag(e^{logs[i, j]}),
+        and state is (Y, logs, grid[-1]).
+        """
+        p = len(self.lax_coeffs) - 1
+        b, d, k = Y.shape
         m = len(grid) - 1
-        # dU/ds = d L(d (r + s)) U = sum_j B_j s^j U, per (step, ray)
-        rs = np.reshape(grid[:-1], (m, 1, 1, 1))
-        B = [sum(math.comb(n, j) * rs ** (n - j) * dirs[:, None, None] ** (n + 1) * L
-                 for n, L in enumerate(self.lax_coeffs) if n >= j)
-             for j in range(p + 1)]
-        Bcat = np.concatenate(B[::-1], axis=-1).reshape(m * b, d, (p + 1) * d)
-        # U[:, p + n] holds the n-th Taylor coefficient; the p leading
-        # zeros let one window [U_{n-p}, ..., U_n] serve every order n
-        U = np.zeros((m * b, p + _ORDER + 1, d, d), dtype=complex)
-        U[:, p] = np.eye(d)
+        # pair i * b + j is the block of d columns from (i * b + j) * d on;
+        # z0 = dirs[j] grid[i] and h = dirs[j] (grid[i + 1] - grid[i]),
+        # one per column
+        z0 = np.repeat(np.multiply.outer(grid[:-1], dirs).reshape(-1), d)
+        h = np.repeat((np.diff(grid)[:, None] * dirs).reshape(-1), d)
+        keep = np.arange(m * b) if keep is None else np.asarray(keep)
+        cols = (keep[:, None] * d + np.arange(d)).reshape(-1)
+        # P[q] holds the n-th coefficients of zeta^q U, prev the (n-1)-th;
+        # (n+1) U_{n+1} = sum_q L_q P[q] is one gemm for every pair
+        P, prev = np.zeros((2, p + 1, d, m * b * d), dtype=complex)
+        P[0] = np.tile(np.eye(d), m * b)
+        L = np.concatenate(self.lax_coeffs, axis=1) / np.arange(1.0, _ORDER + 1)[:, None, None]
+        U = np.empty((_ORDER + 1, d, len(cols)), dtype=complex)
+        S, power, term = P[0].copy(), np.ones_like(h), np.empty_like(P[0])
         for n in range(_ORDER):
-            window = U[:, n:n + p + 1].reshape(m * b, (p + 1) * d, d)
-            U[:, p + n + 1] = (Bcat @ window) / (n + 1.0)
-        steps = _taylor_sum(U[:, p:], np.repeat(np.diff(grid), b)).reshape(m, b, d, d)
+            np.take(P[0], cols, axis=1, out=U[n], mode="clip")   # unbuffered
+            for q in range(1, p + 1):
+                np.multiply(z0, P[q - 1], out=P[q])
+                P[q] += prev[q - 1]
+            np.matmul(L[n], P.reshape((p + 1) * d, -1), out=prev[0])
+            P, prev = prev, P
+            # the step propagators S = sum_n U_n h^n, term by term
+            power *= h
+            np.multiply(P[0], power, out=term)
+            S += term
+        np.take(P[0], cols, axis=1, out=U[_ORDER], mode="clip")
         Ys, ls = np.empty((m, b, d, k), dtype=complex), np.empty((m, b, k))
-        for i, P in enumerate(steps):
+        for i, step in enumerate(S.T.reshape(m, b, d, d).swapaxes(-1, -2)):
             Ys[i], ls[i] = Y, logs
-            Y, logs = balance_columns(P @ Y, logs)
+            Y, logs = balance_columns(step @ Y, logs)
         self.taylor_steps += m
         self.taylor_passes += 1
-        return grid, U[:, p:].reshape(m, b, _ORDER + 1, d, d), Ys, ls, (Y, logs, r)
+        U = U.reshape(_ORDER + 1, d, -1, d).transpose(2, 0, 1, 3)
+        return U, Ys, ls, (Y, logs, grid[-1])
 
     def sweep(self, direction: complex, sector: int, cols: tuple,
               r_from: float) -> Sweep:

@@ -568,11 +568,13 @@ def _s_along(points, alpha: float, tau: float) -> np.ndarray:
     coeffs = _cubic(alpha, tau)
 
     def reference(quads: list) -> list:
-        lifts = []
+        lifts, labeled = [], {}
         for quad in quads:
             side = cmath.exp(1j * _QUADRANT_ANGLE[quad])
             x_ref = math.copysign(0.05 * xs, side.real)
-            lifts.append((_ordered_real_cubic(x_ref, alpha, tau), complex(x_ref),
+            if x_ref not in labeled:      # I and IV share it, as do II and III
+                labeled[x_ref] = _ordered_real_cubic(x_ref, alpha, tau)
+            lifts.append((labeled[x_ref], complex(x_ref),
                           [complex(x_ref, math.copysign(0.5 * xs, side.imag))]))
         rows = _march(lifts, coeffs)
         return [(lift[0], row[0]) for (_, _, lift), row in zip(lifts, rows)]

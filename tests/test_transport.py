@@ -89,15 +89,52 @@ def test_taylor_sum_matches_horner():
                          ids=["rh", "pii"])
 def test_ray_alone_equals_ray_in_batch(build):
     # [TRIVIAL] every ray of a batch steps on the same r-grid with its own
-    # recurrence, so a ray transported alone equals the same ray inside a
-    # batch of 30, bit for bit
+    # columns of the recurrence, so a ray transported alone equals the
+    # same ray inside a batch of 30, or of 208 (the double-scaling
+    # u0-circle count, whose chunks end at other steps), bit for bit
     solver = build()
-    dirs = np.exp(1j * np.linspace(0.1, 2 * np.pi + 0.1, 30, endpoint=False))
     radii = [0.7, 5.0, 13.0]
-    Yhat, logs = solver.transport(dirs, radii)
-    for b in (0, 7, 29):
-        Y1, l1 = solver.transport(dirs[b:b + 1], radii)
-        assert np.array_equal(Y1[0], Yhat[b]) and np.array_equal(l1[0], logs[b])
+    for n in (30, 208):
+        dirs = np.exp(1j * np.linspace(0.1, 2 * np.pi + 0.1, n, endpoint=False))
+        Yhat, logs = solver.transport(dirs, radii)
+        for b in (0, 7, 29, n - 1):
+            Y1, l1 = solver.transport(dirs[b:b + 1], radii)
+            assert np.array_equal(Y1[0], Yhat[b]) and np.array_equal(l1[0], logs[b]), (n, b)
+
+
+def test_chunks_are_bounded_by_matrix_entries(monkeypatch):
+    # [DERIVED] a chunk holds at most 256 * 16 matrix entries, so a 2x2
+    # batch takes four times the ray-steps of a 4x4 one: the 7 transported
+    # anchor rays of PiiSolver(1) march in one chunk, and the 208-node Psi
+    # read of a DoubleScaling(4, 0.5, 0.72) build in at most two
+    assert PiiSolver(1.0).taylor_passes == 1
+    pii = get_pii_solver(complex(2.0 ** (5.0 / 3.0) * 0.5))
+    reads = []
+    psi = type(pii).psi
+    monkeypatch.setattr(type(pii), "psi", lambda self, w: (
+        reads.append(np.size(w)), psi(self, w))[1])
+    passes = pii.taylor_passes
+    DoubleScaling(4.0, 0.5, 0.72)
+    assert reads == [208]
+    assert pii.taylor_passes - passes <= 2
+
+
+@pytest.mark.parametrize("build", [lambda: RhSolver(0.3, -0.2), lambda: PiiSolver(1.0)],
+                         ids=["rh", "pii"])
+def test_step_propagators_are_unimodular(build):
+    # [DERIVED] both Lax matrices are traceless, so every step propagator
+    # sum_n U_n (d h)^n of the anchor transport has determinant 1
+    # (Liouville), whatever recurrence built U
+    solver = build()
+    dirs = np.asarray(solver._directions)
+    d = solver.dim
+    state = (np.broadcast_to(np.eye(d, dtype=complex), (len(dirs), d, d)),
+             np.zeros((len(dirs), d)), 0.0)
+    while state[2] < solver.r0:
+        grid = solver._grid(state[2], 1.0, solver.r0, len(dirs))
+        U, *_, state = solver._chunk(dirs, *state[:2], grid)
+        S = _taylor_sum(U, (np.diff(grid)[:, None] * dirs).reshape(-1))
+        assert np.max(np.abs(np.linalg.det(S) - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("build, key", [
