@@ -46,7 +46,11 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _emit(command: str, params: dict, checks: list[dict],
-          out: str, fmt: str, header: list[str], rows) -> None:
+          out: str, fmt: str, header: list[str], rows, **extra) -> None:
+    """Write the data file and the report, echo the checks, exit 1 on a failure.
+
+    Extra keyword fields, such as ``diagnostics``, go into the report.
+    """
     if fmt == "csv":
         _write_csv(out, header, rows)
     else:
@@ -54,7 +58,7 @@ def _emit(command: str, params: dict, checks: list[dict],
         with open(out, "w") as fh:
             json.dump(data, fh, indent=1)
             fh.write("\n")
-    _write_report(out, command, params, checks=checks)
+    _write_report(out, command, params, checks=checks, **extra)
     for ck in checks:
         status = "pass" if ck["pass"] else "FAIL"
         click.echo(f"[{status}] {ck['name']} = {ck['value']:.6g} "
@@ -291,13 +295,16 @@ def asym_check(which: str, s_: float, t_: float, r_: float, grid: str,
 def double_scaling(a_: float, sigma: float, x_: float, y_: float,
                    out: str, fmt: str) -> None:
     """Gap between the rescaled critical kernel and K_PII."""
-    from .dscale import double_scaling_gap
+    from .dscale import _ds_for, double_scaling_gap
 
     gap = double_scaling_gap(a_, sigma, x_, y_)
+    ds = _ds_for(a_, sigma, (x_, y_))        # the evaluator the gap built, from its cache
+    diagnostics = {"gmres_iterations": ds.gmres_iterations, "resid_norm": ds.resid_norm,
+                   "ntot": ds.ntot, "eps": ds.eps}
     rows = [(a_, sigma, x_, y_, gap)]
     checks = [_check("gap_below_unity", gap, 1.0)]
     _emit("double-scaling", {"a": a_, "sigma": sigma, "x": x_, "y": y_},
-          checks, out, fmt, ["a", "sigma", "x", "y", "gap"], rows)
+          checks, out, fmt, ["a", "sigma", "x", "y", "gap"], rows, diagnostics=diagnostics)
 
 
 @main.command("finite-n")

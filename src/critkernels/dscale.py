@@ -33,9 +33,13 @@ kinds of jump, one formula each on arrays of nodes:
             of the lens rays and of the real axis.
 
 It is solved as R_- = I + C_-[R_-(J - I)] by restarted GMRES (`_gmres`,
-Arnoldi with Givens rotations) with FFT Cauchy projections on the circles
-and Legendre expansions with exact principal-value weights on the
-segments (Olver, Numer. Math. 122 (2012)).
+Arnoldi with Givens rotations) with Laurent-mode Cauchy projections on the
+circles and Legendre expansions with exact principal-value weights on the
+segments (Olver, Numer. Math. 122 (2012)).  The contour is a half H and
+its exact negation -H, node for node, so C_- = [[A, B], [B, A]] with
+A = C_HH and B = C_H,-H: the build stores A + B and A - B only, and each
+apply is two half-size products (`_mirror_apply`).  The jumps have no
+such symmetry and are computed on every node.
 
 The kernel is then the K_cr form `sectoral.kernel_form` in M3 = R P; the
 overall conjugation by e^{a^3 (g1+g2)/2} (which cancels in the diagonal
@@ -158,9 +162,10 @@ def _circle_cauchy_minus(n: int) -> np.ndarray:
 
     The minus side is the exterior: C_- keeps the negative Laurent modes
     with a minus sign, which on equispaced nodes is the circulant
-    M[i, j] = m[i - j].
+    M[i, j] = m[i - j], m_j = -(1/n) sum_{k >= (n+1)//2} e^{2 pi i jk/n}.
     """
-    m = -np.fft.ifft(np.arange(n) >= (n + 1) // 2)
+    j, k = np.arange(n)[:, None], np.arange((n + 1) // 2, n)
+    m = -np.exp((2j * np.pi / n) * (j * k % n)).sum(axis=1) / n
     out = m[np.subtract.outer(np.arange(n), np.arange(n)) % n]
     out.setflags(write=False)
     return out
@@ -249,6 +254,17 @@ def _gmres(apply, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         r = b - apply(x)
     raise IntegrationFailure(f"GMRES stopped at residual {np.linalg.norm(r):.3g} (tolerance "
                              f"{tol:.3g}) after {steps} steps")
+
+
+def _mirror_apply(Cp: np.ndarray, Cm: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """C F for C = [[A, B], [B, A]] from Cp = A + B and Cm = A - B, F of 2m rows.
+
+    With U = Cp (F_top + F_bottom) and V = Cm (F_top - F_bottom), C F is
+    (1/2) [U + V; U - V]: two m x m products in place of one 2m x 2m.
+    """
+    top, bottom = F[:len(Cp)], F[len(Cp):]
+    U, V = Cp @ (top + bottom), Cm @ (top - bottom)
+    return 0.5 * np.concatenate([U + V, U - V])
 
 
 class DoubleScaling:
@@ -362,81 +378,113 @@ class DoubleScaling:
         return th
 
     def _build_contour(self):
-        eps, delta = self.eps, self.delta
-        circles = [_circle(0.0, eps, _N_CIRCLE), _circle(1.0, delta, _N_CIRCLE // 2),
-                   _circle(-1.0, delta, _N_CIRCLE // 2)]
+        """Nodes, weights and jumps: a half H of m nodes, then -H in the same order.
+
+        H is the origin circle's nodes at angles in [0, pi), the +1 circle
+        and the straight pieces on the right: the origin-lens rays at the
+        exit angles of +-pi/3, the +1 Airy-lens rays and the real axis
+        x > 0.  Negation keeps every piece's orientation, and the mirror of
+        piece (i, j, c) carries (swap[i], swap[j], c), swap = [1, 0, 3, 2].
+        Every jump on -H is evaluated at its own node, not mirrored from H
+        (the -1 Airy bracket reuses the +1 one, whose xi is the same).
+        `circles` names the node indices of the circles about 0 (in angle
+        order), +1 and -1; `straight` holds those of the straight pieces,
+        _N_SEG per piece, and `straight_ij` the (i, j) of E_ij on each.
+        """
+        eps, delta, h = self.eps, self.delta, _N_CIRCLE // 2
+        origin, plus = _circle(0.0, eps, _N_CIRCLE), _circle(1.0, delta, h)
         # straight pieces (piece, i, j, c, inside U0), with G = gs(z): the jump
         # W (I + c e^{a^3 (G_i - G_j)} E_ij) W^{-1} = I + c e^.. W[:, i] W^{-1}[j, :]
         straight = []
         r_out = max(2.2, (25.0 * 12.0 / self.a ** 3) ** (1.0 / 3.0))
         mid = min(1.15, 0.5 * (eps + r_out))
         # origin-lens remnants (straight rays from the exit points)
-        for base, c, i, j in ((math.pi / 3.0, -1.0, 1, 0), (-math.pi / 3.0, 1.0, 1, 0),
-                              (2.0 * math.pi / 3.0, 1.0, 0, 1),
-                              (-2.0 * math.pi / 3.0, -1.0, 0, 1)):
+        for base, c in ((math.pi / 3.0, -1.0), (-math.pi / 3.0, 1.0)):
             d = cmath.exp(1j * self._ray_exit_angle(base))
-            straight += [(_segment(eps * d, mid * d), i, j, c, False),
-                         (_segment(mid * d, r_out * d), i, j, c, False)]
-        # Airy-lens remnants from the junctions on the +-1 circles
-        for c0, base, i, j in ((1.0, math.pi / 3.0, 2, 0), (1.0, -math.pi / 3.0, 2, 0),
-                               (-1.0, 2.0 * math.pi / 3.0, 3, 1),
-                               (-1.0, -2.0 * math.pi / 3.0, 3, 1)):
+            straight += [(_segment(eps * d, mid * d), 1, 0, c, False),
+                         (_segment(mid * d, r_out * d), 1, 0, c, False)]
+        # Airy-lens remnants from the junctions on the +1 circle
+        for base in (math.pi / 3.0, -math.pi / 3.0):
             d = cmath.exp(1j * base)
-            straight.append((_segment(c0 + delta * d, c0 + d), i, j, 1.0, False))
+            straight.append((_segment(1.0 + delta * d, 1.0 + d), 2, 0, 1.0, False))
         # real-axis remnants, split at the U0 boundary
         xin = 1.0 - (25.0 * 3.0 / (4.0 * self.a ** 3)) ** (2.0 / 3.0)
         xin = min(max(xin, 0.05), eps - 0.02)
-        for s, i, j in ((1.0, 0, 2), (-1.0, 1, 3)):
-            straight += [(_segment(s * xin, s * eps), i, j, 1.0, True),
-                         (_segment(s * eps, s * (1.0 - delta)), i, j, 1.0, False)]
+        straight += [(_segment(xin, eps), 0, 2, 1.0, True),
+                     (_segment(eps, 1.0 - delta), 0, 2, 1.0, False)]
 
         segs, ii, jj, cc, inside = zip(*straight)
+        zH = np.concatenate([origin.nodes[:h], plus.nodes] + [pc.nodes for pc in segs])
+        wH = np.concatenate([origin.weights[:h], plus.weights] + [pc.weights for pc in segs])
+        m, swap = len(zH), np.array([1, 0, 3, 2])
+        self.nodes, self.weights = np.concatenate([zH, -zH]), np.concatenate([wH, -wH])
+        self.ntot = 2 * m
+        self.circles = {"origin": np.r_[:h, m:m + h], "+1": np.arange(h, 2 * h),
+                        "-1": np.arange(m + h, m + 2 * h)}
+        # C_- on H's own pieces, (row, column, block) in the top m rows of C:
+        # the origin circle's circulant meets both halves
+        ofs = np.cumsum([2 * h] + [len(pc.nodes) for pc in segs])
+        self._self_blocks = ([(0, 0, origin.cminus[:h, :h]), (0, m, origin.cminus[:h, h:]),
+                              (h, h, plus.cminus)]
+                             + [(o, o, pc.cminus) for o, pc in zip(ofs, segs)])
+
+        # straight nodes of H then of -H, with their (i, j, c, inside U0)
         ii, jj, cc, inside = (np.repeat(v, _N_SEG) for v in (ii, jj, cc, inside))
-        z0 = circles[0].nodes
-        zs = np.concatenate([pc.nodes for pc in segs])
+        ii, jj = np.concatenate([ii, swap[ii]]), np.concatenate([jj, swap[jj]])
+        cc, inside = np.tile(cc, 2), np.tile(inside, 2)
+        self.straight, self.straight_ij = np.r_[2 * h:m, m + 2 * h:2 * m], np.stack([ii, jj], -1)
+        z2 = self.nodes.reshape(2, m)
+        zc, zs = z2[:, :2 * h].ravel(), z2[:, 2 * h:].ravel()
         # the U0 bracket of every node that needs it, from one psi call
+        z0 = z2[:, :h].ravel()
         B0 = self.u0_bracket(np.concatenate([z0, zs[inside]]))
-        # xi on the -1 circle is xi on the +1 circle half a turn on: its
-        # brackets are those of +1, rolled and moved to rows/columns (2, 4)
-        Bp, swap = self.airy_bracket(circles[1].nodes), [1, 0, 3, 2]
-        Bm = np.roll(Bp, len(Bp) // 2, axis=0)[:, swap][:, :, swap]
-        B = np.concatenate([B0[:len(z0)], Bp, Bm])
-        P = self.p_inf(np.concatenate([pc.nodes for pc in circles]))
+        # xi = a^2 (1 + z) on the -1 circle is xi = a^2 (1 - z) on the +1
+        # circle at the mirror node: the bracket of +1, moved to rows/columns (2, 4)
+        Bp = self.airy_bracket(plus.nodes)
+        Bm = Bp[:, swap][:, :, swap]
+        B = np.concatenate([B0[:h], Bp, B0[h:2 * h], Bm])
+        P = self.p_inf(zc)
         J_circles = P @ np.linalg.inv(B) @ np.linalg.inv(P)
         W = self.p_inf(zs)
-        W[inside] = W[inside] @ B0[len(z0):]
+        W[inside] = W[inside] @ B0[2 * h:]
         k = np.arange(len(zs))
         G = self.gs(zs)
         e = cc * np.exp(self.a ** 3 * (G[ii, k] - G[jj, k]))
         J_straight = np.eye(4) + (e[:, None, None] * W[k, :, ii][:, :, None]
                                   * np.linalg.inv(W)[k, jj][:, None, :])
-        self.pieces = circles + list(segs)
-        self.nodes = np.concatenate([pc.nodes for pc in self.pieces])
-        self.weights = np.concatenate([pc.weights for pc in self.pieces])
-        self.jumps = np.concatenate([J_circles, J_straight])
-        self.ntot = len(self.nodes)
+        self.jumps = np.concatenate([J_circles.reshape(2, 2 * h, 4, 4),
+                                     J_straight.reshape(2, -1, 4, 4)], axis=1).reshape(-1, 4, 4)
 
     # -- singular-integral solve ------------------------------------------
 
-    def _cauchy_matrix(self) -> np.ndarray:
+    def _cauchy_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Cp, Cm) = C_HH +- C_H,-H, from the top m = ntot/2 rows of C_-.
+
+        Off the self blocks C[i, k] = w_k / (2 pi i (z_k - z_i)).  Negating
+        nodes and weights leaves that unchanged, and the self blocks of -H
+        are those of H, so C = [[C_HH, C_H,-H], [C_H,-H, C_HH]].
+        """
+        m = self.ntot // 2
         # zeroed pages, not a malloc'd temporary: lower peak RSS over rebuilds
-        C = np.zeros((self.ntot, self.ntot), dtype=complex)
-        np.subtract(self.nodes, self.nodes[:, None], out=C)
-        C[np.diag_indices(self.ntot)] = 1.0      # inside the self blocks
-        np.divide(self.weights, C, out=C)
-        C /= 2j * np.pi
-        ofs = np.cumsum([0] + [len(pc.nodes) for pc in self.pieces])
-        for pc, i0, i1 in zip(self.pieces, ofs, ofs[1:]):
-            C[i0:i1, i0:i1] = pc.cminus
-        return C
+        C = np.zeros((m, self.ntot), dtype=complex)
+        np.subtract(self.nodes, self.nodes[:m, None], out=C)
+        C[np.diag_indices(m)] = 1.0      # inside the self blocks
+        np.divide(self.weights / (2j * np.pi), C, out=C)
+        for i0, j0, block in self._self_blocks:
+            C[i0:i0 + block.shape[0], j0:j0 + block.shape[1]] = block
+        Cp, Cm = C[:, :m], C[:, m:]
+        Cp += Cm              # A + B
+        Cm *= -2.0
+        Cm += Cp              # (A + B) - 2B = A - B, with no second m x m buffer
+        return Cp, Cm
 
     def _solve(self):
-        C = self._cauchy_matrix()
+        Cp, Cm = self._cauchy_matrix()
         JmI = self.jumps - np.eye(4)[None, :, :]
         n = self.ntot
 
         def cauchy(F):
-            return (C @ F.reshape(n, 16)).reshape(n, 4, 4)
+            return _mirror_apply(Cp, Cm, F.reshape(n, 16)).reshape(n, 4, 4)
 
         def apply(vec):
             X = vec.reshape(n, 4, 4)

@@ -264,3 +264,17 @@ def test_asym_check_cr(runner, tmp_path):
     assert result.exit_code == 0, result.output
     lines = out.read_text().splitlines()
     assert len(lines) == 17
+
+
+def test_double_scaling_report_diagnostics(runner, tmp_path):
+    # [TRIVIAL] the double-scaling report carries the solve's diagnostics,
+    # read from the cached evaluator the gap was computed with
+    from critkernels.dscale import _ds_for
+
+    result, _, report = _run(runner, tmp_path, ["double-scaling", "--a", "4", "--sigma", "0.5"])
+    assert result.exit_code == 0, result.output
+    ds = _ds_for(4.0, 0.5, (-0.5, 0.7))
+    assert json.loads(report.read_text())["diagnostics"] == {
+        "gmres_iterations": ds.gmres_iterations, "resid_norm": ds.resid_norm,
+        "ntot": 704, "eps": ds.eps}
+    assert 5 <= ds.gmres_iterations <= 20 and ds.resid_norm <= 1e-9

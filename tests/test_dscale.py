@@ -10,8 +10,8 @@ import pytest
 
 from critkernels import kernels
 from critkernels.dscale import (DoubleScaling, _airy, _choose_eps, _circle_cauchy_minus,
-                                _ds_for, _gmres, _segment_cauchy_minus, airy_model,
-                                double_scaling_gap)
+                                _ds_for, _gmres, _mirror_apply, _segment_cauchy_minus,
+                                airy_model, double_scaling_gap)
 from critkernels.errors import DomainRestriction, IntegrationFailure
 
 from oracles import ds_gap, ds_kernel
@@ -130,9 +130,47 @@ def test_jumps_unimodular_and_airy_jumps_near_identity():
     # close to I there
     ds = DoubleScaling(4.0, 0.5)
     assert np.max(np.abs(np.linalg.det(ds.jumps) - 1.0)) <= 1e-5
-    n0 = len(ds.pieces[0].nodes)
-    n1 = n0 + len(ds.pieces[1].nodes) + len(ds.pieces[2].nodes)
-    assert np.max(np.abs(ds.jumps[n0:n1] - np.eye(4))) <= 0.1
+    airy = np.concatenate([ds.circles["+1"], ds.circles["-1"]])
+    assert np.max(np.abs(ds.jumps[airy] - np.eye(4))) <= 0.1
+
+
+@pytest.mark.parametrize("a", [2.0, 4.0, 8.0])
+def test_contour_is_its_own_negation(a):
+    # [DERIVED] the second half of the contour is the first negated, node
+    # for node and bit for bit, with weights negated (orientation kept),
+    # each circle's mirror is the opposite circle, and each straight
+    # piece's E_ij becomes E_{swap i, swap j}, swap = [1, 0, 3, 2]
+    ds = DoubleScaling(a, 0.5)
+    m = ds.ntot // 2
+    assert np.array_equal(ds.nodes[m:], -ds.nodes[:m])
+    assert np.array_equal(ds.weights[m:], -ds.weights[:m])
+    origin = ds.circles["origin"]
+    assert np.array_equal(origin[len(origin) // 2:], origin[:len(origin) // 2] + m)
+    assert np.array_equal(ds.circles["-1"], ds.circles["+1"] + m)
+    half = len(ds.straight) // 2
+    assert np.array_equal(ds.straight[half:], ds.straight[:half] + m)
+    swap = np.array([1, 0, 3, 2])
+    assert np.array_equal(ds.straight_ij[half:], swap[ds.straight_ij[:half]])
+
+
+def test_half_cauchy_apply_matches_dense(ds3):
+    # [DERIVED] the two half-size products equal C_- F with the dense
+    # C[i, k] = w_k / (2 pi i (z_k - z_i)) and each piece's own C_- block
+    z, w, n = ds3.nodes, ds3.weights, ds3.ntot
+    d = z[None, :] - z[:, None]
+    np.fill_diagonal(d, 1.0)
+    C = w / d / (2j * np.pi)
+    for name in ("origin", "+1", "-1"):
+        idx = ds3.circles[name]
+        C[np.ix_(idx, idx)] = _circle_cauchy_minus(len(idx))
+    for idx in ds3.straight.reshape(-1, 24):
+        C[np.ix_(idx, idx)] = _segment_cauchy_minus(24)
+    rng = np.random.default_rng(7)
+    F = rng.standard_normal((n, 16)) + 1j * rng.standard_normal((n, 16))
+    Cp, Cm = ds3._cauchy_matrix()
+    assert Cp.size + Cm.size == n * n // 2          # half the entries of C
+    dense, half = C @ F, _mirror_apply(Cp, Cm, F)
+    assert np.max(np.abs(half - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_shares_cached_pii_solver(ds3):

@@ -87,6 +87,13 @@ def test_kernels_and_dscale_import_no_scipy_submodule():
     assert _loaded("import critkernels.kernels, critkernels.dscale") == []
 
 
+def test_double_scaling_gap_loads_no_fft():
+    # [TRIVIAL] the circle's C_- row is a closed-form sum, so a gap never
+    # loads numpy.fft, whose import costs about a millisecond per process
+    assert _loaded("from critkernels.dscale import double_scaling_gap\n"
+                   "double_scaling_gap(4.0, 0.5, -0.5, 0.7)", ("numpy.fft",)) == []
+
+
 def test_readme_shows_every_command():
     # [TRIVIAL] the README's shell block has one line per CLI subcommand,
     # so the parametrization below covers them all

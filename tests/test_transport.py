@@ -59,7 +59,7 @@ def test_pii_on_double_scaling_nodes():
     # double-scaling contour, one ray per node
     ds = DoubleScaling(4.0, 0.5)
     pii = get_pii_solver(complex(2.0 ** (5.0 / 3.0) * 0.5))
-    w = 1j * ds.a * np.array([ds.f1(z) for z in ds.pieces[0].nodes[::8]])
+    w = 1j * ds.a * np.array([ds.f1(z) for z in ds.nodes[ds.circles["origin"]][::8]])
     r = np.abs(w)
     Yhat, logs = pii.transport(w / r, r[:, None])
     for b in range(len(w)):
