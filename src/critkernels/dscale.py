@@ -296,17 +296,22 @@ class DoubleScaling:
     def g(self, z, j: int):
         return self.gs(z)[j - 1]
 
-    def f1(self, z):
-        z = np.asarray(z, dtype=complex)
+    @staticmethod
+    def _h(z):
+        """h = ((1/4)((1-z)^{3/2}-(1+z)^{3/2}) + (3/4)z)/z^3, so f1 = z h^{1/3}."""
         small = np.abs(z) < 0.02
         zb = np.where(small, 1.0, z)      # keeps the discarded branch finite
-        # near 0, the series of ((1/4)((1-z)^{3/2}-(1+z)^{3/2}) + (3/4)z)/z^3
-        h = np.where(small, 1.0 / 32.0 - (3.0 / 512.0) * z * z,
-                     (0.25 * ((1.0 - zb) ** 1.5 - (1.0 + zb) ** 1.5) + 0.75 * zb) / zb ** 3)
-        return z * h ** (1.0 / 3.0)
+        # near 0, its series 1/32 - (3/512) z^2
+        return np.where(small, 1.0 / 32.0 - (3.0 / 512.0) * z * z,
+                        (0.25 * ((1.0 - zb) ** 1.5 - (1.0 + zb) ** 1.5) + 0.75 * zb) / zb ** 3)
+
+    def f1(self, z):
+        z = np.asarray(z, dtype=complex)
+        return z * self._h(z) ** (1.0 / 3.0)
 
     def nu_of(self, z):
-        return self.sigma * z / self.f1(z)
+        """nu = sigma z / f1(z) = sigma / h^{1/3}, finite at z = 0: nu(0) = nu0."""
+        return self.sigma / self._h(np.asarray(z, dtype=complex)) ** (1.0 / 3.0)
 
     def p_inf(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)

@@ -10,9 +10,14 @@ the linear relations
 
     ((m+q)/q) P_{-m-q} = sum_j L_j P_{qj-m} - sum_p P_{p-m} G_p,
 
-with P_0 = I and P_k = 0 for k < 0.  `formal_series` stacks them into
-one dense least-squares system for P_1..P_K; it serves the 4x4 problem
-(q = 2, here) and the 2x2 Painleve II problem (q = 1, `piisolver`).
+with P_0 = I and P_k = 0 for k < 0.  Every power that enters (q j, p
+and the shift q of the derivative) is a multiple of g = gcd(q, every p
+with G_p != 0), so the relation at m couples only the P_k with
+k = -m mod g, and only the class of P_0 has a right-hand side.
+`formal_series` stacks the relations of that class into one dense
+least-squares system and returns the other P_k as exact zeros; it
+serves the 4x4 problem (q = 2 and g = 2, here: half the unknowns) and
+the 2x2 Painleve II problem (q = g = 1, `piisolver`: one class).
 
 For the 4x4 problem L = U = U0 + U1 zeta and F = B(zeta) A E(zeta), with
 
@@ -21,10 +26,13 @@ For the 4x4 problem L = U = U0 + U1 zeta and F = B(zeta) A E(zeta), with
 
 The relation for m = 2 is the consistency condition G_2 = U1, and with
 P_1 = 0 (the expansion is in 1/zeta) the one for m = 1 is G_1 = 0;
-`build_series` checks both.  Two branch variants of the frame (omega =
--i and omega = +i) give independent expansions whose integer-order
-coefficients must agree.  `rhsolver` reads '-' as the mirror of '+';
-'-' stays as the reference the tests compare that mirror against.
+`build_series` checks both.  G_1 and G_{-1} are exactly 0, so g = 2:
+P_1, P_3, ... are 0, and the even P_k solve a system of 8 order
+unknowns instead of 16 order.  Two branch variants of the frame
+(omega = -i and omega = +i) give independent expansions whose
+integer-order coefficients must agree.  `rhsolver` reads '-' as the
+mirror of '+'; '-' stays as the reference the tests compare that
+mirror against.
 """
 
 from __future__ import annotations
@@ -49,43 +57,46 @@ def formal_series(lax_coeffs, G: dict, q: int, order: int, beta: float) -> tuple
 
     lax_coeffs = (L_0, L_1, ...) and G = {p: G_p} as in the module
     docstring.  The relation at the top power m = q deg L is the
-    consistency condition, left to the caller; the next `order`
-    relations (m = q deg L - 1 down to 2 - order) are stacked into one
-    dense least-squares system.  Coefficients beyond ~order-4 are
-    underdetermined by the truncation, so callers should request a few
-    orders more than they use.  The solve is preconditioned by the
-    substitution P_k = beta^k Q_k together with a per-relation row
-    normalization.
+    consistency condition, left to the caller.  Of the next `order`
+    relations (m = q deg L - 1 down to 2 - order), those of P_0's residue
+    class, m = 0 mod g, are stacked into one dense least-squares system
+    for P_g, P_2g, ...; the other P_k are exactly 0.  Each relation's
+    row block is placed from one Kronecker block per term kind.
+    Coefficients beyond ~order-4 are underdetermined by the truncation,
+    so callers should request a few orders more than they use.  The
+    solve is preconditioned by the substitution P_k = beta^k Q_k
+    together with a per-relation row normalization.
     """
     d = len(lax_coeffs[0])
     d2 = d * d
+    G = {p: Gp for p, Gp in G.items() if np.any(Gp)}
+    g = math.gcd(q, *G)
+    m = np.arange(q * (len(lax_coeffs) - 1) - 1, 1 - order, -1)
+    m = m[m % g == 0]
+    bk = np.array([beta ** k for k in range(order + 1)])
     eye = np.eye(d, dtype=complex)
-    rows, rhs = [], []
-
-    def add_term(acc, k, left, right):
-        """Accumulate left @ P_k @ right into the relation's coefficients."""
-        if k < 0 or k > order:
-            return
-        if k == 0:
-            acc[1] += left @ right
-        else:
-            # coefficient of vec(Q_k): (left kron right^T) acting on row-major vec
-            acc[0][:, d2 * (k - 1):d2 * k] += beta**k * np.kron(left, right.T)
-
-    for m in range(q * (len(lax_coeffs) - 1) - 1, 1 - order, -1):
-        acc = [np.zeros((d2, d2 * order), complex), np.zeros((d, d), complex)]
-        add_term(acc, -m - q, -((m + q) / q) * eye, eye)
-        for j in range(len(lax_coeffs) - 1, -1, -1):
-            add_term(acc, q * j - m, lax_coeffs[j], eye)
-        for p, Gp in G.items():
-            add_term(acc, p - m, eye, -Gp)
-        scale = max(float(np.max(np.abs(acc[0]))), float(np.max(np.abs(acc[1]))),
-                    1e-300)
-        rows.append(acc[0] / scale)
-        rhs.append(-acc[1].reshape(d2) / scale)
-    sol, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
-    return tuple(beta ** (k + 1) * sol[d2 * k:d2 * (k + 1)].reshape(d, d)
-                 for k in range(order))
+    # each term P_{o-m} X of a relation as (offset o, coefficient of X per
+    # relation, X for a known P_0, block of vec(Q_{o-m})), in the order the
+    # terms are summed: -((m+q)/q) P_{-m-q}, L_j P_{qj-m}, -P_{p-m} G_p
+    terms = [(-q, -(m + q) / q, eye, np.eye(d2, dtype=complex))]
+    terms += [(q * j, np.ones(len(m)), L, np.kron(L, eye))
+              for j, L in reversed(list(enumerate(lax_coeffs)))]
+    terms += [(p, np.ones(len(m)), -Gp, np.kron(eye, -Gp.T)) for p, Gp in G.items()]
+    rows = np.zeros((len(m), order // g, d2, d2), complex)
+    known = np.zeros((len(m), d, d), complex)
+    for o, c, X, block in terms:
+        k = o - m
+        hit = (k > 0) & (k <= order)
+        rows[hit, k[hit] // g - 1] += (c[hit] * bk[k[hit]])[:, None, None] * block
+        known[k == 0] += c[k == 0, None, None] * X
+    scale = np.maximum(np.maximum(np.abs(rows).max(axis=(1, 2, 3)),
+                                  np.abs(known).max(axis=(1, 2))), 1e-300)
+    A = (rows / scale[:, None, None, None]).transpose(0, 2, 1, 3).reshape(len(m) * d2, -1)
+    b = (-known / scale[:, None, None]).reshape(-1)
+    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+    sol = sol.reshape(-1, d, d)
+    return tuple(bk[k] * sol[k // g - 1] if k % g == 0 else np.zeros((d, d), complex)
+                 for k in range(1, order + 1))
 
 
 def prefactor_sum(coeffs, x: complex) -> np.ndarray:
@@ -169,9 +180,10 @@ def build_series(s: float, t: float, variant: str = "+",
     """The variant's 4x4 series: `formal_series` with q = 2 and L = U.
 
     Raises AssertionError if the consistency conditions G_2 = U1,
-    G_1 = 0 fail.  Coefficients beyond ~order-4 are underdetermined by
-    the truncation, so callers should request a few orders more than
-    they use.
+    G_1 = 0 fail.  As G_{+-1} = 0, only the relations at even m are
+    stacked, for P_2, P_4, ...; the odd P_k are exact zeros.
+    Coefficients beyond ~order-4 are underdetermined by the truncation,
+    so callers should request a few orders more than they use.
 
     The coefficients grow geometrically with rate ~ |c|^{1/2} per
     half-power (c ~ s^2 is the largest Lax coefficient scale), which

@@ -14,7 +14,8 @@ import numpy as np
 
 from critkernels import surface as sf
 
-__all__ = ["airy_ai", "airy_ai_prime", "ds_gap", "ds_kernel", "march_roots"]
+__all__ = ["airy_ai", "airy_ai_prime", "ds_gap", "ds_kernel", "formal_series_dense",
+           "march_roots"]
 
 _AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 _AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
@@ -195,3 +196,39 @@ def ds_gap(ds, k_pii, x: float, y: float) -> float:
         return K[0][0].real * K[1][1].real - (K[0][1] * K[1][0]).real
 
     return abs(det(k_s) - det(k_pii.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# The formal series as one dense least-squares system for every P_1..P_order,
+# term by term with np.kron: the solve that critkernels.series used before it
+# stacked only the residue class of P_0.  Same relations, same row scaling.
+
+
+def formal_series_dense(lax_coeffs, G: dict, q: int, order: int, beta: float) -> tuple:
+    d = len(lax_coeffs[0])
+    d2 = d * d
+    eye = np.eye(d, dtype=complex)
+    rows, rhs = [], []
+
+    def add_term(acc, k, left, right):
+        if k < 0 or k > order:
+            return
+        if k == 0:
+            acc[1] += left @ right
+        else:
+            acc[0][:, d2 * (k - 1):d2 * k] += beta**k * np.kron(left, right.T)
+
+    for m in range(q * (len(lax_coeffs) - 1) - 1, 1 - order, -1):
+        acc = [np.zeros((d2, d2 * order), complex), np.zeros((d, d), complex)]
+        add_term(acc, -m - q, -((m + q) / q) * eye, eye)
+        for j in range(len(lax_coeffs) - 1, -1, -1):
+            add_term(acc, q * j - m, lax_coeffs[j], eye)
+        for p, Gp in G.items():
+            add_term(acc, p - m, eye, -Gp)
+        scale = max(float(np.max(np.abs(acc[0]))), float(np.max(np.abs(acc[1]))),
+                    1e-300)
+        rows.append(acc[0] / scale)
+        rhs.append(-acc[1].reshape(d2) / scale)
+    sol, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
+    return tuple(beta ** (k + 1) * sol[d2 * k:d2 * (k + 1)].reshape(d, d)
+                 for k in range(order))

@@ -195,6 +195,17 @@ def test_nu_at_origin(ds3):
     assert abs(ds3.nu_of(1e-8) - 2.0 ** (5.0 / 3.0) * 0.5) < 1e-8
 
 
+def test_kernel_at_zero_is_finite_and_continuous(ds3):
+    # [DERIVED] nu = sigma / h^{1/3} is finite at z = 0, so x = 0 or y = 0
+    # reads the same kernel as its neighbours
+    g = np.linspace(-0.7, 0.7, 7)
+    K = ds3.kernel(g[:, None], g[None, :])
+    assert np.all(np.isfinite(K[3])) and np.all(np.isfinite(K[:, 3]))
+    k0, kp, km = (ds3.kernel(x, 0.5) for x in (0.0, 1e-7, -1e-7))
+    assert abs(kp - k0) < 1e-6 * abs(k0) and abs(km - k0) < 1e-6 * abs(k0)
+    assert abs(0.5 * (kp + km) - k0) < 1e-10 * abs(k0)
+
+
 def test_r_far_field(ds3):
     # [DERIVED] the residual function tends to I away from the contour
     for z in (6.0 + 4.0j, -8.0j, -5.0 + 1.0j):

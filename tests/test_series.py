@@ -5,6 +5,9 @@ import pytest
 
 from critkernels import laxpair as lx
 from critkernels import series as se
+from critkernels.kernels import get_pii_solver
+
+from oracles import formal_series_dense
 
 
 def _log_residual(fs, co, zeta, order):
@@ -16,20 +19,46 @@ def _log_residual(fs, co, zeta, order):
 
 
 def test_consistency_conditions():
-    # [DERIVED] G_2 = U1 and G_1 = 0 for both branch variants
+    # [DERIVED] G_2 = U1 and G_1 = G_{-1} = 0 for both branch variants
     for variant in ("+", "-"):
         G = se.frame_log_derivative_parts(0.5, 0.3, variant)
         U1 = np.zeros((4, 4), complex)
         U1[2, 0] = 1.0j
         U1[3, 1] = -1.0j
         assert np.max(np.abs(G[2] - U1)) < 1e-12
-        assert np.max(np.abs(G[1])) < 1e-12
+        # exactly 0: formal_series reads its residue class from the nonzero G_p
+        assert not np.any(G[1]) and not np.any(G[-1])
 
 
 def test_p1_vanishes():
     # [DERIVED] the zeta^{-1/2} coefficient vanishes: the expansion is in 1/zeta
     fs = se.build_series(0.5, 0.3, "+", order=10)
-    assert np.max(np.abs(fs.coeffs[0])) < 1e-10
+    assert not np.any(fs.coeffs[0])
+
+
+@pytest.mark.parametrize("s, t", [(0.0, 0.0), (0.5, 0.3), (-2.0, 1.0), (3.0, 0.0)])
+def test_half_power_coefficients_vanish(s, t):
+    # [DERIVED] every relation at an odd half-power is homogeneous in the
+    # odd P_k, so P_1, P_3, ... are exactly 0 and only the even class is solved
+    for variant in ("+", "-"):
+        fs = se.build_series(s, t, variant, order=16)
+        assert len(fs.coeffs) == 16
+        assert not np.any(fs.coeffs[0::2])
+
+
+@pytest.mark.parametrize("s, t", [(0.0, 0.0), (0.3, 0.0), (0.3, -0.2), (1.0, 0.0)])
+def test_even_coefficients_match_dense_solve(s, t):
+    # [DERIVED] the even-class system gives the even P_k of the dense solve
+    # for all 16 orders at once, each to 1e-11 of its own size
+    co = lx.lax_coefficients(s, t)
+    U0, _ = lx.lax_matrices(0.0, co)
+    G = se.frame_log_derivative_parts(s, t, "+")
+    beta = max(1.0, abs(co.c)) ** 0.5
+    dense = formal_series_dense((U0, lx.U1), G, 2, 16, beta)
+    fs = se.build_series(s, t, "+", order=16)
+    for k in range(1, 16, 2):
+        err = np.max(np.abs(fs.coeffs[k] - dense[k]))
+        assert err <= 1e-11 * np.max(np.abs(dense[k])), k + 1
 
 
 def test_variants_agree_on_n1():
@@ -89,3 +118,14 @@ def test_unknown_variant_rejected(build):
     # [TRIVIAL] the branch convention knows only '+' and '-'
     with pytest.raises(ValueError, match="'x'"):
         build()
+
+
+@pytest.mark.parametrize("nu", [-2.0, 2.0 ** (5.0 / 3.0) * 0.5, 3.0])
+def test_pii_series_is_the_dense_solve(nu):
+    # [DERIVED] q = 1 leaves one residue class: the system is the dense
+    # one, assembled from shared Kronecker blocks, and bit for bit its solution
+    solver = get_pii_solver(nu)
+    s3 = np.diag([1.0, -1.0]).astype(complex)
+    G = {0: -1j * solver.nu * s3, 2: -4j * s3}
+    dense = formal_series_dense(solver.lax_coeffs, G, 1, len(solver.coeffs), 1.0)
+    assert all(np.array_equal(a, b) for a, b in zip(solver.coeffs, dense))
