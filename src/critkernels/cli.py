@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import CritKernelsError
+from .errors import CritKernelsError, _finite
 
 _CSV_FMT = "{:.17g}"
 _AI_8 = 4.6922076160992316e-08      # Ai(8), float(mpmath.airyai(8.0))
@@ -35,6 +35,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise click.UsageError(f"bad grid spec {spec!r}; expected min:max:count")
     if count < 2:
         raise click.UsageError("grid count must be >= 2")
+    _finite(grid_min=lo, grid_max=hi)
     return np.linspace(lo, hi, count)
 
 
@@ -222,11 +223,14 @@ def rh_check(s_: float, t_: float, r0: float, out: str, fmt: str) -> None:
                for ray in range(10) for rad in (2.0, 3.0))
     det = max(abs(solver.det_m(z) - 1.0)
               for z in (1.0 + 0.5j, -2.0 + 1.0j, 1.5j))
+    diagnostics = {"fit_condition": solver.fit_condition,
+                   "matching_residual": max(map(solver.matching_residual, range(10))),
+                   "taylor_steps": solver.taylor_steps, "taylor_passes": solver.taylor_passes}
     rows = [(s_, t_, jump, det)]
     checks = [_check("jump_residual", jump, 1e-4),
               _check("det_minus_one", det, 1e-6)]
     _emit("rh-check", {"s": s_, "t": t_, "r0": r0}, checks, out, fmt,
-          ["s", "t", "jump_residual", "det_residual"], rows)
+          ["s", "t", "jump_residual", "det_residual"], rows, diagnostics=diagnostics)
 
 
 @main.command()

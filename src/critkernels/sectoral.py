@@ -63,9 +63,14 @@ radii, so a recorded value equals that of a fresh sweep bit for bit.
 from sweeps alone, and `kernel_form`, the bilinear form of K_cr, K_tac
 and K_PII (see `kernels`) with its rule for coincident pairs, reads it.
 
-The jump relations tie the C_k together; `split_solve` deliberately
-omits the links across one opposite pair of rays so that those two
-jumps become genuinely *measured* quantities for the test-suite.
+The fit is one array program on the anchor data, stacked [direction,
+radius]; `_equations` normalizes each anchor's equations once, for the
+fit and `matching_residual`.  A group of sectors shares one unknown,
+C_k = C_rep W_k with W_k = J_{rep+1} ... J_k the running product of the
+jumps, so kron(Phi, W_k^T) vec(C_rep) = vec(A) at all anchors is one
+einsum and one `lstsq` (condition number `fit_condition`).  The full
+chain is one group; `split_solve` cuts it at an opposite pair of rays,
+so that those two jumps become genuinely *measured* quantities.
 """
 
 from __future__ import annotations
@@ -150,7 +155,8 @@ class SectoralSolver:
     `_series_frame`, and in `__init__` stores its own data and the
     coefficients `lax_coeffs` = (L_0, L_1, ...) of its Lax matrix
     L(zeta) = sum_j L_j zeta^j before calling `super().__init__(r0)`,
-    which fits the constants.
+    which fits C to `_anchors` = (Phi, g, F, gf): Phi e^g and the series
+    frame F diag(e^{gf}), each stacked [direction, radius].
     """
 
     # ray angles, listed counterclockwise and oriented outward.  Ray k
@@ -199,15 +205,13 @@ class SectoralSolver:
         P, logs = P[row], logs[row]
         P[far] = D @ P[far].conj() @ D
         self._directions = directions
-        self._anchors = [[] for _ in range(n)]
-        for i, direction in enumerate(directions):
-            for r, Pr, lr in zip(radii, P[i], logs[i]):
-                # Phi = P_scaled e^g with one scale g for all columns
-                g = float(np.max(lr))
-                self._anchors[i // 3].append(
-                    (Pr * np.exp(lr - g), g,
-                     *self._series_frame(r * direction, i // 3)))
-        self.C = self._solve_chain(break_rays=())
+        self._sector = np.arange(len(directions)) // 3
+        g = np.max(logs, axis=-1)         # one scale for all columns of Phi
+        F, gf = zip(*(self._series_frame(r * w, k)
+                      for w, k in zip(directions, self._sector) for r in radii))
+        self._anchors = (P * np.exp(logs - g[..., None])[..., None, :], g, np.reshape(F, P.shape),
+                         np.reshape([np.broadcast_to(x, self.dim) for x in gf], logs.shape))
+        self.C, self.fit_condition = self._solve_chain(break_rays=())
         self._split_cache: dict = {}
 
     # -- problem data ------------------------------------------------------
@@ -374,8 +378,10 @@ class SectoralSolver:
         value depends on x alone, not on the request or on what was asked
         before.  A point x < 0 is the mirror of |x| (`MIRROR`): its row is
         D conj(Mhat(|x|)) D with the same logs, which needs the line to
-        be its own mirror image, sign conj(direction) = -direction.
+        be its own mirror image, sign conj(direction) = -direction.  A
+        non-finite point raises ValueError.
         """
+        _finite(points=points)
         x = np.asarray(points, dtype=float).reshape(-1)
         direction, sector, outward_cols, switch = self._LINES[line]
         sign, D = self.MIRROR
@@ -402,9 +408,11 @@ class SectoralSolver:
         """The fundamental solution Phi(zeta), with Phi(0) = I.
 
         zeta may be a scalar or an array; an array of shape S gives an
-        array of shape S + (d, d) from one batched transport.  Where Phi
-        exceeds the double range it raises IntegrationFailure naming zeta.
+        array of shape S + (d, d) from one batched transport.  A non-finite
+        zeta raises ValueError, and where Phi exceeds the double range it
+        raises IntegrationFailure, each naming zeta.
         """
+        _finite(zeta=zeta)
         z = np.asarray(zeta, dtype=complex)
         flat = z.reshape(-1)
         r = np.abs(flat)
@@ -422,67 +430,47 @@ class SectoralSolver:
 
     # -- chain solve -------------------------------------------------------
 
-    def _chain_groups(self, break_rays: tuple) -> list[tuple[int, np.ndarray]]:
-        """(representative index, product W with C_k = C_rep W) per sector.
+    def _equations(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, scale) per anchor [direction, radius]: its equations Phi C_sector = A.
 
-        The chain C_k = C_{k-1} J_k is followed except across break_rays.
+        They are Phi e^g C = F diag(e^{gf}) over e^g; gf and g track the
+        same dominant growth.  All d^2 equations of an anchor are divided
+        by one scale, its largest |A|, so columns exponentially recessive
+        there (which a floating-point Phi cannot resolve) carry negligible
+        weight; every mode is dominant at some anchor on the circle.
         """
-        n = len(self.RAYS)
-        reps = [r % n for r in sorted(break_rays)] or [0]
-        out: list[tuple[int, np.ndarray] | None] = [None] * n
-        for rep in reps:
-            W = np.eye(self.dim, dtype=complex)
-            out[rep] = (rep, W)
-            k = rep
-            while True:
-                nxt = (k + 1) % n
-                if nxt in reps or out[nxt] is not None:
-                    break
-                W = W @ self.JUMPS[nxt]
-                out[nxt] = (rep, W.copy())
-                k = nxt
-        if any(v is None for v in out):
-            raise AssertionError("chain construction incomplete")
-        return out  # type: ignore[return-value]
+        _, g, F, gf = self._anchors
+        A = F * np.exp(gf - g[..., None])[..., None, :]
+        return A, np.max(np.abs(A), axis=(-2, -1))
 
-    def _solve_chain(self, break_rays: tuple) -> list[np.ndarray]:
-        """Least-squares fit of the sector constants to the anchor data."""
-        d2 = self.dim * self.dim
-        groups = self._chain_groups(break_rays)
-        reps = sorted({g for g, _ in groups})
-        col_of = {g: i for i, g in enumerate(reps)}
-        rows = []
-        rhs = []
-        for k, (g, W) in enumerate(groups):
-            ofs = d2 * col_of[g]
-            for Phi, gphi, Fr, gf in self._anchors[k]:
-                # Phi e^{gphi} C W = Fr diag(e^{gf}).  gphi and max(gf) track
-                # the same dominant growth, so their difference is moderate.
-                # All equations of one anchor are normalized by the same
-                # dominant scale: columns that are exponentially recessive
-                # at this anchor then carry negligible weight (a
-                # floating-point Phi cannot resolve them there anyway);
-                # every mode is dominant at some anchor on the circle,
-                # which pins down all of C.
-                Aframe = Fr * np.exp(gf - gphi)
-                scale = float(np.max(np.abs(Aframe)))
-                # kron(Phi, W^T) acts on the row-major vec(C)
-                block = np.zeros((d2, d2 * len(reps)), complex)
-                block[:, ofs:ofs + d2] = np.kron(Phi, W.T) / scale
-                rows.append(block)
-                rhs.append(Aframe.reshape(d2) / scale)
-        sol, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs),
-                                  rcond=None)
-        cs = {g: sol[d2 * i:d2 * (i + 1)].reshape(self.dim, self.dim)
-              for g, i in col_of.items()}
-        return [cs[g] @ W for g, W in groups]
+    def _solve_chain(self, break_rays: tuple) -> tuple[list[np.ndarray], float]:
+        """(C, condition number) of the fit with the chain cut at break_rays.
+
+        Sector k's group starts at the last cut rep <= k, cyclically.
+        """
+        n, d = len(self.RAYS), self.dim
+        cuts = sorted(r % n for r in break_rays) or [0]
+        W = np.empty((n, d, d), dtype=complex)
+        for k in np.arange(cuts[0], cuts[0] + n) % n:
+            W[k] = np.eye(d) if k in cuts else W[k - 1] @ self.JUMPS[k]
+        group = (np.searchsorted(cuts, np.arange(n), side="right") - 1) % len(cuts)
+        A, scale = self._equations()
+        # every anchor's kron(Phi, W^T), acting on the row-major vec(C), in its group's columns
+        kron = np.einsum("imab,iec->imacbe", self._anchors[0], W[self._sector])
+        kron /= scale[..., None, None, None, None]
+        system = np.zeros(scale.shape + (d, d, len(cuts), d, d), dtype=complex)
+        system[np.arange(len(kron)), :, :, :, group[self._sector]] = kron
+        sol, _, _, sv = np.linalg.lstsq(system.reshape(-1, len(cuts) * d * d),
+                                        (A / scale[..., None, None]).reshape(-1), rcond=None)
+        X = sol.reshape(len(cuts), d, d)
+        return [X[group[k]] @ W[k] for k in range(n)], float(sv[0] / sv[-1])
 
     def split_solve(self, ray: int) -> list[np.ndarray]:
         """Sector constants with the chain cut at `ray` and the opposite ray."""
         half = len(self.RAYS) // 2
         key = ray % half
         if key not in self._split_cache:
-            self._split_cache[key] = self._solve_chain((key, key + half))
+            self._split_cache[key] = self._solve_chain((key, key + half))[0]
         return self._split_cache[key]
 
     # -- evaluation and checks --------------------------------------------
@@ -496,24 +484,20 @@ class SectoralSolver:
         z = np.asarray(zeta, dtype=complex)
         sector = np.array([self.sector_of(w) for w in z.reshape(-1)],
                           dtype=int).reshape(z.shape)
-        return self.phi(z) @ np.asarray(self.C)[sector]
+        return self.phi(zeta) @ np.asarray(self.C)[sector]
 
     def matching_residual(self, k: int) -> float:
         """Normalized residual of the asymptotic match in sector k."""
-        res = 0.0
-        for Phi, gphi, Fr, gf in self._anchors[k]:
-            Aframe = Fr * np.exp(gf - gphi)
-            scale = float(np.max(np.abs(Aframe)))
-            diff = (Phi @ self.C[k] - Aframe) / scale
-            res = max(res, float(np.max(np.abs(diff))))
-        return res
+        A, scale = self._equations()
+        mine = self._sector == k
+        diff = (self._anchors[0][mine] @ self.C[k] - A[mine]) / scale[mine][..., None, None]
+        return float(np.max(np.abs(diff)))
 
     def _sides(self, ray: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """(Y_+, Y_-) on the ray at the radius, with the chain cut there."""
-        n = len(self.RAYS)
         constants = self.split_solve(ray)
         Phi = self.phi(radius * cmath.exp(1j * self.RAYS[ray]))
-        return Phi @ constants[ray % n], Phi @ constants[(ray - 1) % n]
+        return Phi @ constants[ray], Phi @ constants[ray - 1]
 
     def measured_jump(self, ray: int, radius: float) -> np.ndarray:
         """Y_-^{-1} Y_+ on the ray, with the chain cut there (honest)."""

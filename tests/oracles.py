@@ -14,8 +14,8 @@ import numpy as np
 
 from critkernels import surface as sf
 
-__all__ = ["airy_ai", "airy_ai_prime", "ds_gap", "ds_kernel", "formal_series_dense",
-           "march_roots"]
+__all__ = ["airy_ai", "airy_ai_prime", "chain_fit_kron", "ds_gap", "ds_kernel",
+           "formal_series_dense", "march_roots"]
 
 _AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 _AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
@@ -232,3 +232,54 @@ def formal_series_dense(lax_coeffs, G: dict, q: int, order: int, beta: float) ->
     sol, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
     return tuple(beta ** (k + 1) * sol[d2 * k:d2 * (k + 1)].reshape(d, d)
                  for k in range(order))
+
+
+# ---------------------------------------------------------------------------
+# The sector-constant fit anchor by anchor: the assembly that
+# critkernels.sectoral used before it stacked the anchors.  The jump
+# products come from a walk along the chain, and each anchor's equations
+# are one np.kron placed into a zero-filled block.  It reads the solver's
+# anchor data and the same normalization.
+
+
+def _chain_groups(solver, break_rays: tuple) -> list:
+    """(representative sector, W with C_k = C_rep W) per sector k."""
+    n = len(solver.RAYS)
+    reps = [r % n for r in sorted(break_rays)] or [0]
+    out = [None] * n
+    for rep in reps:
+        W = np.eye(solver.dim, dtype=complex)
+        out[rep] = (rep, W)
+        k = rep
+        while True:
+            nxt = (k + 1) % n
+            if nxt in reps or out[nxt] is not None:
+                break
+            W = W @ solver.JUMPS[nxt]
+            out[nxt] = (rep, W.copy())
+            k = nxt
+    assert all(v is not None for v in out), "chain construction incomplete"
+    return out
+
+
+def chain_fit_kron(solver, break_rays: tuple = ()) -> list:
+    """The sector constants fitted with the chain cut at break_rays."""
+    d2 = solver.dim * solver.dim
+    groups = _chain_groups(solver, break_rays)
+    reps = sorted({g for g, _ in groups})
+    col_of = {g: i for i, g in enumerate(reps)}
+    Phis, gs, Fs, gfs = solver._anchors
+    rows, rhs = [], []
+    for i, (g, W) in enumerate(groups[k] for k in solver._sector):
+        ofs = d2 * col_of[g]
+        for Phi, gphi, Fr, gf in zip(Phis[i], gs[i], Fs[i], gfs[i]):
+            Aframe = Fr * np.exp(gf - float(gphi))
+            scale = float(np.max(np.abs(Aframe)))
+            block = np.zeros((d2, d2 * len(reps)), complex)
+            block[:, ofs:ofs + d2] = np.kron(Phi, W.T) / scale
+            rows.append(block)
+            rhs.append(Aframe.reshape(d2) / scale)
+    sol, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
+    cs = {g: sol[d2 * i:d2 * (i + 1)].reshape(solver.dim, solver.dim)
+          for g, i in col_of.items()}
+    return [cs[g] @ W for g, W in groups]

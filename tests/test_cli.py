@@ -206,6 +206,22 @@ def test_rh_check_bad_r0_exit_2(runner, tmp_path, r0, error):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid,bad", [("nan:1:3", "grid_min"), ("-1:inf:3", "grid_max"),
+                                      ("-inf:1:3", "grid_min")])
+@pytest.mark.parametrize("command", [
+    ["density", "--measure", "mu1", "--alpha", "-1", "--tau", "1"], ["hm"],
+    ["asym-check", "--which", "cr"],
+], ids=["density", "hm", "asym-check"])
+def test_non_finite_grid_exit_2(runner, tmp_path, command, grid, bad):
+    # [TRIVIAL] a nan or inf grid bound is a configuration error naming
+    # it, reported with no data file (density used to write rows at
+    # x = nan or inf and exit 0)
+    result, out, report = _run(runner, tmp_path, command + ["--grid", grid])
+    assert result.exit_code == 2, result.output
+    assert json.loads(report.read_text())["error"].startswith(f"{bad} must be finite")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args,bad", [
     (["finite-n", "--n", "6", "--alpha", "nan"], "alpha"),
     (["finite-n", "--n", "6", "--tau", "inf"], "tau"),
@@ -278,3 +294,23 @@ def test_double_scaling_report_diagnostics(runner, tmp_path):
         "gmres_iterations": ds.gmres_iterations, "resid_norm": ds.resid_norm,
         "ntot": 704, "eps": ds.eps}
     assert 5 <= ds.gmres_iterations <= 20 and ds.resid_norm <= 1e-9
+
+
+def test_rh_check_report_diagnostics(runner, tmp_path):
+    # [DERIVED] the rh-check report carries the chain fit's condition
+    # number, the largest matching residual and the Taylor counters of the
+    # solver it read; the fit is well conditioned at (0, 0) and not at
+    # (3, 0), where K_cr is known to be wrong (ROADMAP item 1)
+    from critkernels.rhsolver import get_solver
+
+    conditions = []
+    for s, t in ((0.0, 0.0), (3.0, 0.0)):
+        result, _, report = _run(runner, tmp_path, ["rh-check", "--s", str(s), "--t", str(t)])
+        assert result.exit_code in (0, 1) and "Traceback" not in result.output
+        solver = get_solver(s, t)
+        assert json.loads(report.read_text())["diagnostics"] == {
+            "fit_condition": solver.fit_condition,
+            "matching_residual": max(solver.matching_residual(k) for k in range(10)),
+            "taylor_steps": solver.taylor_steps, "taylor_passes": solver.taylor_passes}
+        conditions.append(solver.fit_condition)
+    assert conditions[0] < 10.0 and conditions[1] > 1e9

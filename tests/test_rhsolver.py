@@ -9,7 +9,10 @@ import pytest
 
 from critkernels import series
 from critkernels.painleve import default_solution
+from critkernels.piisolver import PiiSolver, get_pii_solver
 from critkernels.rhsolver import JUMPS, RAY_ANGLES, RhSolver, get_solver
+
+from oracles import chain_fit_kron
 
 HM = default_solution()
 
@@ -179,11 +182,11 @@ def test_lower_frames_are_the_mirror_of_plus(s, t):
     solver = RhSolver(s, t)
     minus = series.build_series(s, t, "-", order=len(solver.fs.coeffs))
     radii = (solver.r0, solver.INNER * solver.r0)
+    *_, F, g = solver._anchors
     for i in range(15, 30):
         for m, r in enumerate(radii):
-            *_, F, g = solver._anchors[i // 3][2 * (i % 3) + m]
             Fm, gm = minus.frame_scaled(r * solver._directions[i])
-            assert np.array_equal(F, Fm) and np.array_equal(g, gm), (i, r)
+            assert np.array_equal(F[i, m], Fm) and np.array_equal(g[i, m], gm), (i, r)
     for u in (solver.r0, 20.0):
         F, g = solver._series_frame(-1j * u, 7)
         Fm, gm = minus.frame_scaled(-1j * u)
@@ -246,3 +249,35 @@ def test_hm_extraction_st_coincidence():
     A = solver(0.0, 0.0, 14.0, 16)
     B = solver(0.5, -1.0, 14.0, 16)
     assert abs(A.hm_extract() - B.hm_extract()) < 2e-3
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RhSolver(0.0, 0.0), lambda: RhSolver(0.3, -0.2), lambda: RhSolver(-2.0, 1.0),
+    lambda: RhSolver(3.0, 0.0), lambda: PiiSolver(-2.0), lambda: PiiSolver(2.0 ** (5.0 / 3.0) * 0.5),
+], ids=["rh-0-0", "rh-0.3--0.2", "rh--2-1", "rh-3-0", "pii--2", "pii-1.587"])
+def test_chain_fit_equals_the_kron_oracle(build):
+    # [DERIVED] the stacked assembly (one einsum, jump products as running
+    # products) gives the full-chain C and every split solve bit for bit
+    # as the anchor-by-anchor kron assembly with its chain walk
+    solver = build()
+    half = len(solver.RAYS) // 2
+    assert np.array_equal(solver.C, chain_fit_kron(solver))
+    for ray in range(half):
+        assert np.array_equal(solver.split_solve(ray), chain_fit_kron(solver, (ray, ray + half))), ray
+
+
+@pytest.mark.parametrize("z", [math.nan, complex(1.0, math.nan), math.inf],
+                         ids=["nan", "1+nan*j", "inf"])
+def test_non_finite_point_rejected_by_name(z):
+    # [TRIVIAL] a non-finite zeta raises ValueError naming it, in phi and
+    # so in M, det_m and psi, and a non-finite point of a line in
+    # m_balanced: nan used to read as the origin (phi = I, M = C_0,
+    # det_m = 1) and inf to step without end
+    S = get_solver(0.3, -0.2)
+    for f in (S.phi, S.M, S.det_m, get_pii_solver(1.0).psi):
+        with pytest.raises(ValueError, match="^zeta must be finite"):
+            f(z)
+        with pytest.raises(ValueError, match="^zeta must be finite"):
+            f(np.array([0.5j, z]))
+    with pytest.raises(ValueError, match="^points must be finite"):
+        S.m_balanced([1.0, abs(z)], "imag")

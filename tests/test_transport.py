@@ -170,11 +170,11 @@ def test_mirrored_anchors_equal_their_transport(cls, args, transported, monkeypa
     assert rays == [transported]
     radii = (solver.r0, solver.INNER * solver.r0)
     P, logs = transport(solver, solver._directions, radii)
+    Phi, g, *_ = solver._anchors
     for i in range(len(solver._directions)):
         for m in range(2):
-            Phi, g, *_ = solver._anchors[i // 3][2 * (i % 3) + m]
-            assert g == np.max(logs[i, m]), (i, m)
-            assert np.array_equal(Phi, P[i, m] * np.exp(logs[i, m] - g)), (i, m)
+            assert g[i, m] == np.max(logs[i, m]), (i, m)
+            assert np.array_equal(Phi[i, m], P[i, m] * np.exp(logs[i, m] - g[i, m])), (i, m)
 
 
 def test_taylor_steps_are_pinned():
