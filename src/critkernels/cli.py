@@ -88,6 +88,17 @@ def _check(name: str, value: float, tolerance: float) -> dict:
             "pass": bool(abs(value) <= tolerance)}
 
 
+def _diagnostics(solver) -> dict:
+    """A solver's diagnostics block: its Taylor step and pass counts, after
+    the fit's condition number and largest matching residual if it fitted
+    its sector constants (`RhSolver`; `PiiSolver` has them in closed form)."""
+    block = {"taylor_steps": solver.taylor_steps, "taylor_passes": solver.taylor_passes}
+    if hasattr(solver, "fit_condition"):
+        residual = max(map(solver.matching_residual, range(len(solver.RAYS))))
+        block = {"fit_condition": solver.fit_condition, "matching_residual": residual, **block}
+    return block
+
+
 def _output(default: str):
     """The --out and --format options of a subcommand writing ``default``.
 
@@ -223,14 +234,11 @@ def rh_check(s_: float, t_: float, r0: float, out: str, fmt: str) -> None:
                for ray in range(10) for rad in (2.0, 3.0))
     det = max(abs(solver.det_m(z) - 1.0)
               for z in (1.0 + 0.5j, -2.0 + 1.0j, 1.5j))
-    diagnostics = {"fit_condition": solver.fit_condition,
-                   "matching_residual": max(map(solver.matching_residual, range(10))),
-                   "taylor_steps": solver.taylor_steps, "taylor_passes": solver.taylor_passes}
     rows = [(s_, t_, jump, det)]
     checks = [_check("jump_residual", jump, 1e-4),
               _check("det_minus_one", det, 1e-6)]
     _emit("rh-check", {"s": s_, "t": t_, "r0": r0}, checks, out, fmt,
-          ["s", "t", "jump_residual", "det_residual"], rows, diagnostics=diagnostics)
+          ["s", "t", "jump_residual", "det_residual"], rows, diagnostics=_diagnostics(solver))
 
 
 @main.command()
@@ -247,19 +255,23 @@ def kernel(which: str, u_: float, v_: float, s_: float, t_: float,
     """One kernel value K(u, v); the diagonal when u == v."""
     from . import kernels
 
+    # each solver is the one the kernel read, from its cache
     if which == "cr":
         val = kernels.kernel_cr(u_, v_, s_, t_)
+        solver = kernels.get_solver(s_, t_)
         params = {"which": which, "u": u_, "v": v_, "s": s_, "t": t_}
     elif which == "tac":
         val = kernels.kernel_tac(u_, v_, r_, s_)
+        solver = kernels.get_solver(s_ * r_ ** (-1.0 / 3.0), 0.0)
         params = {"which": which, "u": u_, "v": v_, "r": r_, "s": s_}
     else:
         val = kernels.kernel_pii(u_, v_, nu)
+        solver = kernels.get_pii_solver(nu)
         params = {"which": which, "u": u_, "v": v_, "nu": nu}
     click.echo(_CSV_FMT.format(val.real))
     checks = [_check("imaginary_part", val.imag, 1e-5 * max(1.0, abs(val.real)))]
-    _emit("kernel", params, checks, out, fmt,
-          ["u", "v", "value", "imag"], [(u_, v_, val.real, val.imag)])
+    _emit("kernel", params, checks, out, fmt, ["u", "v", "value", "imag"],
+          [(u_, v_, val.real, val.imag)], diagnostics=_diagnostics(solver))
 
 
 @main.command("asym-check")

@@ -25,6 +25,7 @@ __all__ = ["HmSolution", "solve_hastings_mcleod", "default_solution",
 
 _SIGMA_MIN, _SIGMA_MAX = -12.0, 12.0
 _AI_MAX = 1.3931846888753607e-13     # Ai(_SIGMA_MAX), float(mpmath.airyai(12))
+_AI_TAIL = 3.953145915043153e-14    # int_12^infinity Ai, mpmath.quad at 40 digits
 
 
 def plateau_asymptote(sigma: float) -> float:
@@ -51,13 +52,29 @@ class HmSolution:
         c = self._weights / d
         return (self._values[rows] @ c.T) / c.sum(axis=-1)
 
+    def check_domain(self, name: str, value) -> None:
+        """Raise OutOfDomain naming the argument if a value leaves the interval."""
+        lo, hi = self.domain
+        if not (lo <= np.min(value) and np.max(value) <= hi):
+            raise OutOfDomain(f"{name} = {value} outside [{lo}, {hi}]")
+
     def __call__(self, sigma: float) -> tuple[float, float, float]:
         """Return (q, q', u) at sigma, u = (q')^2 - sigma q^2 - q^4."""
-        lo, hi = self.domain
-        if not lo <= sigma <= hi:
-            raise OutOfDomain(f"sigma = {sigma} outside [{lo}, {hi}]")
+        self.check_domain("sigma", sigma)
         q, qp = self._interpolate(sigma, slice(0, 2)).tolist()
         return q, qp, qp * qp - sigma * q * q - q**4
+
+    def tail_integral(self, sigma: float) -> float:
+        """int_sigma^infinity q: the Gauss-Legendre sum of the collocant on
+        [sigma, 12], exact for its degree, plus int_12^infinity Ai (q(12) = Ai(12))."""
+        self.check_domain("sigma", sigma)
+        x, w = self._rule
+        half = 0.5 * (self.domain[1] - sigma)
+        return half * float(w @ self._interpolate(sigma + half * (x + 1.0), slice(0, 1))[0]) + _AI_TAIL
+
+    @functools.cached_property
+    def _rule(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.polynomial.legendre.leggauss(len(self.nodes) // 2 + 1)
 
     def q(self, sigma: float) -> float:
         return self(sigma)[0]
@@ -67,9 +84,7 @@ class HmSolution:
 
     def qsecond(self, sigma) -> np.ndarray:
         """q'' of the interpolant itself (not from the ODE) at scalar or array sigma."""
-        lo, hi = self.domain
-        if not (lo <= np.min(sigma) and np.max(sigma) <= hi):
-            raise OutOfDomain(f"sigma outside [{lo}, {hi}]")
+        self.check_domain("sigma", sigma)
         return self._interpolate(sigma, slice(2, 3))[0]
 
 

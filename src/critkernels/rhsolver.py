@@ -6,8 +6,8 @@ with the explicit unimodular jump matrices below, and behaves like
 (I + O(1/zeta)) B(zeta) A E(zeta) at infinity.  The Lax matrix is
 U = U0 + U1 zeta from `laxpair`, and the series frame F is the '+' one
 of `series` in sectors 0-4 and its mirror D conj(F(conj zeta)) D
-(`MIRROR`) in sectors 5-9.  The sector constants are found by the
-shared engine of `sectoral`.
+(`MIRROR`) in sectors 5-9.  The sector constants are fitted to it by
+`SectoralSolver._fit`, the fit step of the shared engine of `sectoral`.
 
 The engine's `m_balanced` reads column-balanced M along the `_LINES`
 below: the imaginary line (K_cr, row `CR_ROW` and column `CR_COL`) and
@@ -89,7 +89,8 @@ class RhSolver(SectoralSolver):
         self.co = laxpair.lax_coefficients(s, t)
         self.fs = series.build_series(s, t, "+", order=series_order)
         self.lax_coeffs = (laxpair.lax_matrices(0.0, self.co)[0], laxpair.U1)
-        super().__init__(r0)
+        super().__init__()
+        self._fit(r0)
 
     def _series_frame(self, zeta: complex, sector: int) -> tuple[np.ndarray, np.ndarray]:
         if sector <= 4:

@@ -12,11 +12,12 @@ Phi(0) = I and the constants satisfy C_k = C_{k-1} J_k across ray k.
 Marching a single sector's solution inward from its own asymptotics is
 exponentially unstable (components recessive throughout a narrow sector
 are invisible there), so the engine works globally: Phi is integrated
-*outward* from the origin, which is stable, and the constants are found
-from one weighted least-squares fit matching Phi C_k to the asymptotic
-series at anchors in all sectors simultaneously (three angles per
-sector, two radii).  Real parameters make each problem its own mirror
-image, Y(sign conj(zeta)) = D conj(Y(zeta)) D for a solver's `MIRROR` =
+*outward* from the origin, which is stable.  Painleve II's constants are
+closed form (`piisolver`); only `RhSolver` fits, by the step `_fit`: one
+weighted least-squares fit matching Phi C_k to the asymptotic series at
+anchors in all sectors simultaneously (three angles per sector, two
+radii).  Real parameters make each problem its own mirror image,
+Y(sign conj(zeta)) = D conj(Y(zeta)) D for a solver's `MIRROR` =
 (sign, D), and the engine keeps that bit for bit: only the anchors on
 one side of the mirror line or on it are transported, and each other one
 takes its partner's exact mirror direction and D conj(Phi) D as Phi;
@@ -71,6 +72,8 @@ jumps, so kron(Phi, W_k^T) vec(C_rep) = vec(A) at all anchors is one
 einsum and one `lstsq` (condition number `fit_condition`).  The full
 chain is one group; `split_solve` cuts it at an opposite pair of rays,
 so that those two jumps become genuinely *measured* quantities.
+`fit_condition`, `matching_residual` and the cut belong to the fitted
+solver; constants known exactly are their own split solve.
 """
 
 from __future__ import annotations
@@ -149,44 +152,52 @@ class Sweep:
 
 
 class SectoralSolver:
-    """Sector constants C_k of Y = Phi C_k, fitted at anchors in all sectors.
+    """Sector constants C_k of Y = Phi C_k, and the transport of Phi.
 
-    A concrete solver sets the class data below, implements
-    `_series_frame`, and in `__init__` stores its own data and the
-    coefficients `lax_coeffs` = (L_0, L_1, ...) of its Lax matrix
-    L(zeta) = sum_j L_j zeta^j before calling `super().__init__(r0)`,
-    which fits C to `_anchors` = (Phi, g, F, gf): Phi e^g and the series
-    frame F diag(e^{gf}), each stacked [direction, radius].
+    A concrete solver sets the class data below, and in `__init__` its
+    own data and the coefficients `lax_coeffs` = (L_0, L_1, ...) of its
+    Lax matrix L(zeta) = sum_j L_j zeta^j; `super().__init__()` then sets
+    up the transport only, and the solver sets C.  Only `RhSolver` fits
+    C: it implements `_series_frame(zeta, sector)`, the sector's series
+    frame F diag(e^g) as (F, g) with g one log per column or one for all,
+    and calls `_fit(r0)`.  `r0`, `fit_condition` and `matching_residual`
+    belong to that fitted solver; `PiiSolver` has C in closed form.
     """
 
     # ray angles, listed counterclockwise and oriented outward.  Ray k
     # separates sector k-1 (minus side) from sector k (plus side).
     RAYS: tuple[float, ...]
     JUMPS: tuple[np.ndarray, ...]
-    INNER: float            # inner anchor radius as a fraction of r0
+    INNER: float            # a fitted solver's inner anchor radius, a fraction of r0
     LOW_SECTOR: int         # sector of the arguments in [0, RAYS[0]]
     MIRROR: tuple           # (sign, D): Y(sign conj(zeta)) = D conj(Y(zeta)) D
     _LINES: dict            # line name -> its x >= 0 leg for `m_balanced`
     lax_coeffs: tuple[np.ndarray, ...]
 
-    def __init__(self, r0: float):
-        _finite(r0=r0)
-        if r0 <= 0.0:
-            raise ValueError(f"r0 must be positive, got {r0!r}")
-        self.r0 = float(r0)
+    def __init__(self):
         self.taylor_steps = 0    # steps taken; one step serves a whole batch
         self.taylor_passes = 0   # batched recurrences, one per chunk of steps
         self._sweeps: dict = {}
         self.dim = len(self.JUMPS[0])
         self._lax_norms = [float(np.max(np.sum(np.abs(L), axis=1)))
                            for L in self.lax_coeffs]
+
+    def _fit(self, r0: float) -> None:
+        """Fit C to `_anchors` = (Phi, g, F, gf): Phi e^g and the series frame
+        F diag(e^{gf}), each stacked [direction, radius].
+
+        The anchors lie at two radii, r0 and INNER * r0, along three
+        angles per sector.  The near-edge angles matter for the split
+        solves: a mode that is recessive throughout a partial chain's
+        sectors is exactly tied for dominance *on* the chain's boundary
+        ray, so an anchor just inside the edge still pins it.
+        """
+        _finite(r0=r0)
+        if r0 <= 0.0:
+            raise ValueError(f"r0 must be positive, got {r0!r}")
+        self.r0 = float(r0)
         n = len(self.RAYS)
         radii = (self.r0, self.INNER * self.r0)
-        # anchor data: Phi and the series frame at two radii along three
-        # angles per sector.  The near-edge angles matter for the split
-        # solves: a mode that is recessive throughout a partial chain's
-        # sectors is exactly tied for dominance *on* the chain's boundary
-        # ray, so an anchor just inside the edge still pins it.
         angles = []
         for k in range(n):
             lo = self.RAYS[k]
@@ -227,23 +238,15 @@ class SectoralSolver:
             out = out * zeta + L
         return out
 
-    def _series_frame(self, zeta: complex, sector: int) -> tuple[np.ndarray, np.ndarray]:
-        """(F, g) with the sector's asymptotic series frame F diag(e^{g_j}).
-
-        g is one log per column, or one scalar for all of them.
-        """
-        raise NotImplementedError
-
     # -- geometry ----------------------------------------------------------
 
     @classmethod
-    def sector_of(cls, zeta: complex) -> int:
-        """Index k of the sector (RAYS[k], RAYS[k+1]) containing zeta."""
-        ang = cmath.phase(zeta) % (2.0 * math.pi)
-        for k in range(len(cls.RAYS) - 1, -1, -1):
-            if ang > cls.RAYS[k]:
-                return k
-        return cls.LOW_SECTOR
+    def sector_of(cls, zeta):
+        """Index k of the sector (RAYS[k], RAYS[k+1]) containing zeta, per
+        point of a scalar or array; a non-finite zeta raises ValueError."""
+        _finite(zeta=zeta)
+        k = np.searchsorted(cls.RAYS, np.angle(zeta) % (2.0 * math.pi)) - 1
+        return np.where(k < 0, cls.LOW_SECTOR, k)[()]
 
     # -- fundamental solution ----------------------------------------------
 
@@ -374,16 +377,18 @@ class SectoralSolver:
         beyond the switch M is the series frame.  Below it the outward
         (dominant) columns come from one sweep outward from M(0) =
         C_sector, the others (swamped there by the dominant ones'
-        roundoff) from one sweep inward from the series frame at r0, so a
-        value depends on x alone, not on the request or on what was asked
-        before.  A point x < 0 is the mirror of |x| (`MIRROR`): its row is
-        D conj(Mhat(|x|)) D with the same logs, which needs the line to
-        be its own mirror image, sign conj(direction) = -direction.  A
-        non-finite point raises ValueError.
+        roundoff) from one sweep inward from the series frame at the
+        switch, so a value depends on x alone, not on the request or on
+        what was asked before.  A point x < 0 is the mirror of |x|
+        (`MIRROR`): its row is D conj(Mhat(|x|)) D with the same logs,
+        which needs the line to be its own mirror image, sign
+        conj(direction) = -direction.  A non-finite point raises
+        ValueError.
         """
         _finite(points=points)
         x = np.asarray(points, dtype=float).reshape(-1)
         direction, sector, outward_cols, switch = self._LINES[line]
+        switch = self.r0 if switch is None else switch
         sign, D = self.MIRROR
         neg = x < 0.0
         if neg.any() and sign * complex(direction).conjugate() != -direction:
@@ -391,11 +396,11 @@ class SectoralSolver:
         r = np.abs(x)
         Mhat = np.empty((len(x), self.dim, self.dim), dtype=complex)
         logs = np.empty((len(x), self.dim))
-        near = r < (self.r0 if switch is None else switch)
+        near = r < switch
         if near.any():
             idx, rn = np.flatnonzero(near)[:, None], r[near]
             inward_cols = tuple(j for j in range(self.dim) if j not in outward_cols)
-            for cols, r_from in ((outward_cols, 0.0), (inward_cols, self.r0)):
+            for cols, r_from in ((outward_cols, 0.0), (inward_cols, switch)):
                 if cols:
                     Y, lY = self.sweep(direction, sector, cols, r_from).at(rn)
                     Mhat[idx, :, cols], logs[idx, cols] = Y.transpose(0, 2, 1), lY
@@ -481,10 +486,7 @@ class SectoralSolver:
         zeta may be a scalar or an array, as for `phi`; each point takes
         the constants of its own sector.
         """
-        z = np.asarray(zeta, dtype=complex)
-        sector = np.array([self.sector_of(w) for w in z.reshape(-1)],
-                          dtype=int).reshape(z.shape)
-        return self.phi(zeta) @ np.asarray(self.C)[sector]
+        return self.phi(zeta) @ np.asarray(self.C)[self.sector_of(zeta)]
 
     def matching_residual(self, k: int) -> float:
         """Normalized residual of the asymptotic match in sector k."""

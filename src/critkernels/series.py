@@ -16,8 +16,8 @@ with G_p != 0), so the relation at m couples only the P_k with
 k = -m mod g, and only the class of P_0 has a right-hand side.
 `formal_series` stacks the relations of that class into one dense
 least-squares system and returns the other P_k as exact zeros; it
-serves the 4x4 problem (q = 2 and g = 2, here: half the unknowns) and
-the 2x2 Painleve II problem (q = g = 1, `piisolver`: one class).
+serves the 4x4 problem (q = 2 and g = 2, here: half the unknowns), and
+the 2x2 Painleve II frame (q = g = 1, one class) of a fitted reference.
 
 For the 4x4 problem L = U = U0 + U1 zeta and F = B(zeta) A E(zeta), with
 

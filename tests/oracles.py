@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's own code paths (and scipy.special
 where the library itself relies on it), so that agreement is meaningful.
-The one exception is the root tracker's per-point solve, shared with the
-library so that the two trackers can be compared bit for bit.
+Two exceptions: the root tracker's per-point solve, shared with the
+library so that the two trackers can be compared bit for bit, and the
+fitted Painleve II solver, which runs the engine's own fit (nothing in
+the fit knows the closed form it is compared against).
 """
 
 import cmath
@@ -12,10 +14,13 @@ from itertools import permutations
 
 import numpy as np
 
+from critkernels import series
 from critkernels import surface as sf
+from critkernels.piisolver import PiiSolver
+from critkernels.sectoral import SectoralSolver
 
-__all__ = ["airy_ai", "airy_ai_prime", "chain_fit_kron", "ds_gap", "ds_kernel",
-           "formal_series_dense", "march_roots"]
+__all__ = ["FittedPiiSolver", "airy_ai", "airy_ai_prime", "chain_fit_kron", "ds_gap",
+           "ds_kernel", "formal_series_dense", "march_roots"]
 
 _AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 _AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
@@ -283,3 +288,31 @@ def chain_fit_kron(solver, break_rays: tuple = ()) -> list:
     cs = {g: sol[d2 * i:d2 * (i + 1)].reshape(solver.dim, solver.dim)
           for g, i in col_of.items()}
     return [cs[g] @ W for g, W in groups]
+
+
+# ---------------------------------------------------------------------------
+# Painleve II with its sector constants fitted at anchors, as the engine
+# fits RhSolver's: the path that critkernels.piisolver took before the
+# closed form.  The series frame (integer powers of 1/zeta, q = 1) comes
+# from series.formal_series, and the fit is the engine's own `_fit`.
+
+
+class FittedPiiSolver(PiiSolver):
+    """PiiSolver whose C is fitted to an order-`order` series frame at r0."""
+
+    INNER = 0.8
+
+    def __init__(self, nu, r0: float = 4.2, order: int = 12):
+        super().__init__(nu)
+        # Psi = (I + sum_k P_k zeta^{-k}) E with E'E^{-1} = -theta' sigma3
+        s3 = np.diag([1.0, -1.0]).astype(complex)
+        G = {0: -1j * self.nu * s3, 2: -4j * s3}
+        self.coeffs = series.formal_series(self.lax_coeffs, G, 1, order, 1.0)
+        self._fit(r0)
+
+    def _series_frame(self, zeta: complex, sector: int) -> tuple[np.ndarray, float]:
+        th = self.theta(zeta)
+        E = np.diag([cmath.exp(-th), cmath.exp(th)])
+        return series.prefactor_sum(self.coeffs, 1.0 / zeta) @ E, 0.0
+
+    split_solve = SectoralSolver.split_solve

@@ -113,6 +113,38 @@ def test_kernel_diagonal_dispatch(runner, tmp_path, which):
     assert abs(printed - diag().real) < 1e-12
 
 
+@pytest.mark.parametrize("which, opts, solver", [
+    ("cr", ["--s", "0.3", "--t", "-0.2"], lambda k: k.get_solver(0.3, -0.2)),
+    ("tac", ["--r", "1", "--s", "0.3"], lambda k: k.get_solver(0.3, 0.0)),
+    ("pii", ["--nu", "1"], lambda k: k.get_pii_solver(1.0)),
+], ids=["cr", "tac", "pii"])
+def test_kernel_report_diagnostics_are_the_solvers(runner, tmp_path, which, opts, solver):
+    # [TRIVIAL] the kernel report's diagnostics block carries the values of
+    # the solver that gave the kernel: the fit's condition number and
+    # largest matching residual for the fitted 4x4 solver, and the Taylor
+    # step and pass counts for each
+    from critkernels import kernels
+
+    result, _, report = _run(runner, tmp_path,
+                             ["kernel", "--which", which, *opts, "--u", "1.0", "--v", "1.5"])
+    assert result.exit_code == 0, result.output
+    sv = solver(kernels)
+    expected = {"taylor_steps": sv.taylor_steps, "taylor_passes": sv.taylor_passes}
+    if which != "pii":
+        expected = {"fit_condition": sv.fit_condition,
+                    "matching_residual": max(map(sv.matching_residual, range(10))), **expected}
+    assert json.loads(report.read_text())["diagnostics"] == expected
+
+
+def test_kernel_report_shows_a_bad_solve(runner, tmp_path):
+    # [DERIVED] at (s, t) = (3, 0) the 4x4 fit is ill-conditioned, and the
+    # kernel report says so without a debugger
+    result, _, report = _run(runner, tmp_path, ["kernel", "--which", "cr", "--s", "3",
+                                                "--t", "0", "--u", "1", "--v", "2"])
+    assert result.exit_code in (0, 1), result.output
+    assert json.loads(report.read_text())["diagnostics"]["fit_condition"] > 1e9
+
+
 def test_report_schema(runner, tmp_path):
     # [TRIVIAL] report carries command, params, checks, versions
     result, out, report = _run(runner, tmp_path, ["hm", "--grid", "-2:2:21"])

@@ -104,3 +104,25 @@ def test_pinned_airy_value_is_mpmath_ai12():
     # from mpmath, bit for bit
     import mpmath
     assert pv._AI_MAX == float(mpmath.airyai(pv._SIGMA_MAX))
+
+
+def test_pinned_airy_tail_is_mpmath_quad():
+    # [TRIVIAL] the tail int_12^infinity Ai that Q(nu) adds beyond the
+    # collocation interval is mpmath's integral at 40 digits, bit for bit
+    import mpmath
+    with mpmath.workdps(40):
+        tail = mpmath.quad(mpmath.airyai, [pv._SIGMA_MAX, 13, 14, 16, 20, 30, mpmath.inf])
+    assert pv._AI_TAIL == float(tail)
+
+
+@pytest.mark.parametrize("nu", [-12.0, -2.0, 0.0, 1.0, 3.0, 12.0])
+def test_tail_integral_is_the_collocant_integral(nu):
+    # [DERIVED] int_nu^infinity q: the Gauss-Legendre sum equals an
+    # independent adaptive quadrature of the same collocant to 1e-14
+    # relative, plus the pinned Ai tail beyond 12
+    import mpmath
+    Q = HM.tail_integral(nu)
+    ref = mpmath.quad(lambda s: HM.q(float(s)), np.linspace(nu, 12.0, 9).tolist())
+    assert abs(Q - pv._AI_TAIL - float(ref)) <= 1e-14 * max(1.0, Q)
+    with pytest.raises(OutOfDomain, match="^sigma = 12.5 outside"):
+        HM.tail_integral(12.5)

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from critkernels import kernels, painleve, series
-from critkernels.errors import DomainRestriction, IntegrationFailure
+from critkernels.errors import DomainRestriction, IntegrationFailure, OutOfDomain
 from critkernels.piisolver import PII_JUMPS, PII_RAY_ANGLES, PiiSolver, hm_at
 
+from oracles import FittedPiiSolver
+
 HM = painleve.default_solution()
+S1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 @pytest.fixture(scope="module")
@@ -89,12 +92,10 @@ def test_det_psi_is_one(solver):
 
 def test_ode_residual(solver):
     # [DERIVED] Psi solves the Flaschka-Newell system
-    from critkernels.piisolver import _fn_matrix
     zeta = 0.6 + 0.9j
     h = 1e-5
     dP = (solver.psi(zeta + h) - solver.psi(zeta - h)) / (2.0 * h)
-    A = _fn_matrix(zeta, solver.nu, solver.q, solver.qp)
-    assert np.max(np.abs(dP - A @ solver.psi(zeta))) < 1e-6
+    assert np.max(np.abs(dP - solver.lax(zeta) @ solver.psi(zeta))) < 1e-6
 
 
 def test_psi_array_matches_scalar(solver):
@@ -148,6 +149,18 @@ def test_nu_must_be_real_and_finite(build):
         build(math.nan)
 
 
+@pytest.mark.parametrize("build", [
+    hm_at, PiiSolver, lambda nu: kernels.kernel_pii(0.3, -0.6, nu),
+], ids=["hm_at", "PiiSolver", "kernel_pii"])
+def test_nu_outside_the_hm_interval_is_refused_by_name(build):
+    # [TRIVIAL] Psi is solved for the nu of the Hastings-McLeod interval
+    # [-12, 12] only; outside it the refusal names nu, not the collocant's
+    # sigma
+    for nu in (12.5, -12.5):
+        with pytest.raises(OutOfDomain, match=rf"^nu = {nu} outside \[-12\.0, 12\.0\]$"):
+            build(nu)
+
+
 def test_kernel_pii_reality():
     # [DERIVED] K_PII is real on the real line
     K = kernels.kernel_pii(0.3, -0.6, 1.0)
@@ -179,17 +192,18 @@ def test_kernel_pii_reflection():
 
 @pytest.mark.parametrize("nu", [0.0, 1.0])
 def test_series_residue_is_q(nu):
-    # [DERIVED] the zeta^1 relation forces (P_1)_12 = -(i/2) q(nu)
-    sv = PiiSolver(nu)
+    # [DERIVED] the zeta^1 relation forces (P_1)_12 = -(i/2) q(nu), in the
+    # series frame of the fitted oracle
+    sv = FittedPiiSolver(nu)
     q = hm_at(nu)[0]
     assert abs(sv.coeffs[0][0, 1] + 0.5j * q) < 1e-12
 
 
 @pytest.mark.parametrize("nu", [0.0, 1.0])
 def test_series_residual_decays_with_order(nu):
-    # [DERIVED] the truncated prefactor solves P' = A P - P E'E^{-1} to
-    # increasing order
-    sv = PiiSolver(nu)
+    # [DERIVED] the truncated prefactor of the fitted oracle's series
+    # frame solves P' = A P - P E'E^{-1} to increasing order
+    sv = FittedPiiSolver(nu)
     zeta = 6.0 + 2.0j
     h = 1e-5 * abs(zeta)
     G = -1j * (4.0 * zeta ** 2 + sv.nu) * np.diag([1.0, -1.0])
@@ -203,3 +217,47 @@ def test_series_residual_decays_with_order(nu):
     assert r5 < 0.1 * r2
     assert r8 < 0.1 * r5
     assert r8 < 1e-6
+
+
+@pytest.mark.parametrize("nu", [-2.0, 0.0, 1.0, 3.0])
+def test_fitted_constants_are_the_stokes_products(nu):
+    # [PAPER] the nu-equation gives C_k = exp(-sigma1 Q) S_k with
+    # Q = int_nu^infinity q: the (r0, order) = (6, 24) fit, which knows
+    # nothing of Q, satisfies exp(sigma1 Q) C_k = S_k to its own accuracy
+    # (7e-14 at nu = -2; the order-12 fit at r0 = 4.2 misses by 4e-12 at
+    # nu = 3 up to 4e-8 at nu = -2)
+    Q = HM.tail_integral(nu)
+    E = math.cosh(Q) * np.eye(2) + math.sinh(Q) * S1
+    S = PII_JUMPS[0], np.eye(2), PII_JUMPS[2], np.eye(2)
+    for k, C in enumerate(FittedPiiSolver(nu, 6.0, 24).C):
+        assert np.max(np.abs(E @ C - S[k])) < 1e-12, k
+
+
+@pytest.mark.parametrize("nu", [-2.0, 0.0, 1.0, 3.0])
+def test_kernel_pii_equals_the_refined_fit(nu):
+    # [DERIVED] K_PII from the closed-form constants equals K_PII from the
+    # (6, 24) fit to 1e-12 of its largest entry on an 8x8 grid (the order-12
+    # fit at r0 = 4.2 was 2.8e-8 off at nu = -2)
+    x = np.linspace(-3.0, 3.0, 8)
+    ref = kernels.kernel_pii(x[:, None], x, nu, solver=FittedPiiSolver(nu, 6.0, 24))
+    K = kernels.kernel_pii(x[:, None], x, nu, solver=PiiSolver(nu))
+    assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("nu", [-2.0, 0.0, 1.0, 3.0])
+def test_closed_form_matches_the_series_frame_at_the_anchors(nu):
+    # [DERIVED] at the anchors of the order-12 fit at r0 = 4.2, Phi C with
+    # the closed-form C matches the series frame as closely as the fitted
+    # C does: its largest normalized residual is the series' truncation
+    # error (1.3e-7 at nu = -2), within 1.25 times the fit's, which the
+    # least squares lowers by moving C (by 1e-8) toward the truncated frame
+    oracle = FittedPiiSolver(nu)
+    fitted = max(map(oracle.matching_residual, range(4)))
+    oracle.C = PiiSolver(nu).C
+    assert max(map(oracle.matching_residual, range(4))) <= 1.25 * fitted
+
+
+def test_build_takes_no_taylor_step():
+    # [DERIVED] the constants are closed form: a build transports nothing
+    solver = PiiSolver(1.0)
+    assert (solver.taylor_steps, solver.taylor_passes) == (0, 0)

@@ -12,7 +12,7 @@ from critkernels.painleve import default_solution
 from critkernels.piisolver import PiiSolver, get_pii_solver
 from critkernels.rhsolver import JUMPS, RAY_ANGLES, RhSolver, get_solver
 
-from oracles import chain_fit_kron
+from oracles import FittedPiiSolver, chain_fit_kron
 
 HM = default_solution()
 
@@ -253,12 +253,15 @@ def test_hm_extraction_st_coincidence():
 
 @pytest.mark.parametrize("build", [
     lambda: RhSolver(0.0, 0.0), lambda: RhSolver(0.3, -0.2), lambda: RhSolver(-2.0, 1.0),
-    lambda: RhSolver(3.0, 0.0), lambda: PiiSolver(-2.0), lambda: PiiSolver(2.0 ** (5.0 / 3.0) * 0.5),
+    lambda: RhSolver(3.0, 0.0), lambda: FittedPiiSolver(-2.0),
+    lambda: FittedPiiSolver(2.0 ** (5.0 / 3.0) * 0.5),
 ], ids=["rh-0-0", "rh-0.3--0.2", "rh--2-1", "rh-3-0", "pii--2", "pii-1.587"])
 def test_chain_fit_equals_the_kron_oracle(build):
     # [DERIVED] the stacked assembly (one einsum, jump products as running
     # products) gives the full-chain C and every split solve bit for bit
-    # as the anchor-by-anchor kron assembly with its chain walk
+    # as the anchor-by-anchor kron assembly with its chain walk; Painleve
+    # II's closed-form constants need no fit, so its cases fit the oracle
+    # that restores the series frame
     solver = build()
     half = len(solver.RAYS) // 2
     assert np.array_equal(solver.C, chain_fit_kron(solver))
@@ -270,11 +273,12 @@ def test_chain_fit_equals_the_kron_oracle(build):
                          ids=["nan", "1+nan*j", "inf"])
 def test_non_finite_point_rejected_by_name(z):
     # [TRIVIAL] a non-finite zeta raises ValueError naming it, in phi and
-    # so in M, det_m and psi, and a non-finite point of a line in
-    # m_balanced: nan used to read as the origin (phi = I, M = C_0,
-    # det_m = 1) and inf to step without end
+    # so in M, det_m and psi, in sector_of, and a non-finite point of a
+    # line in m_balanced: nan used to read as the origin (phi = I, M = C_0,
+    # det_m = 1), inf to step without end, and sector_of to give sector 0
+    # of RhSolver and 3 of PiiSolver
     S = get_solver(0.3, -0.2)
-    for f in (S.phi, S.M, S.det_m, get_pii_solver(1.0).psi):
+    for f in (S.phi, S.M, S.det_m, get_pii_solver(1.0).psi, S.sector_of, PiiSolver.sector_of):
         with pytest.raises(ValueError, match="^zeta must be finite"):
             f(z)
         with pytest.raises(ValueError, match="^zeta must be finite"):

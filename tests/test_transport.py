@@ -10,6 +10,8 @@ from critkernels.piisolver import PiiSolver, get_pii_solver
 from critkernels.rhsolver import RhSolver
 from critkernels.sectoral import _taylor_sum
 
+from oracles import FittedPiiSolver
+
 
 def _oracle(solver, direction, Y0, r_from, r_to):
     """Y at r_to on the ray from a plain DOP853 run at rtol 1e-13."""
@@ -105,9 +107,10 @@ def test_ray_alone_equals_ray_in_batch(build):
 def test_chunks_are_bounded_by_matrix_entries(monkeypatch):
     # [DERIVED] a chunk holds at most 256 * 16 matrix entries, so a 2x2
     # batch takes four times the ray-steps of a 4x4 one: the 7 transported
-    # anchor rays of PiiSolver(1) march in one chunk, and the 208-node Psi
-    # read of a DoubleScaling(4, 0.5, 0.72) build in at most two
-    assert PiiSolver(1.0).taylor_passes == 1
+    # anchor rays of the fitted PiiSolver(1) oracle march in one chunk, and
+    # the 208-node Psi read of a DoubleScaling(4, 0.5, 0.72) build in at
+    # most two
+    assert FittedPiiSolver(1.0).taylor_passes == 1
     pii = get_pii_solver(complex(2.0 ** (5.0 / 3.0) * 0.5))
     reads = []
     psi = type(pii).psi
@@ -119,12 +122,13 @@ def test_chunks_are_bounded_by_matrix_entries(monkeypatch):
     assert pii.taylor_passes - passes <= 2
 
 
-@pytest.mark.parametrize("build", [lambda: RhSolver(0.3, -0.2), lambda: PiiSolver(1.0)],
+@pytest.mark.parametrize("build", [lambda: RhSolver(0.3, -0.2), lambda: FittedPiiSolver(1.0)],
                          ids=["rh", "pii"])
 def test_step_propagators_are_unimodular(build):
     # [DERIVED] both Lax matrices are traceless, so every step propagator
     # sum_n U_n (d h)^n of the anchor transport has determinant 1
-    # (Liouville), whatever recurrence built U
+    # (Liouville), whatever recurrence built U; Painleve II's anchors are
+    # those of its fitted oracle
     solver = build()
     dirs = np.asarray(solver._directions)
     d = solver.dim
@@ -154,14 +158,15 @@ def test_sweep_extended_in_calls_equals_one_read(build, key):
 
 
 @pytest.mark.parametrize("cls, args, transported", [
-    (RhSolver, (0.3, -0.2), 15), (PiiSolver, (1.0,), 7),
+    (RhSolver, (0.3, -0.2), 15), (FittedPiiSolver, (1.0,), 7),
 ], ids=["rh", "pii"])
 def test_mirrored_anchors_equal_their_transport(cls, args, transported, monkeypatch):
-    # [DERIVED] a solver transports the anchors on one side of its mirror
-    # line only (15 of 30 rays for RhSolver, 7 of 12 for PiiSolver, whose
-    # anchors at pi/2 and 3pi/2 lie on the line) and fills the others as
-    # D conj(Phi) D; every anchor's Phi equals a direct transport of its
-    # direction bit for bit
+    # [DERIVED] a fitted solver transports the anchors on one side of its
+    # mirror line only (15 of 30 rays for RhSolver, 7 of 12 for the fitted
+    # Painleve II oracle, whose anchors at pi/2 and 3pi/2 lie on the line;
+    # the closed-form PiiSolver build transports none) and fills the
+    # others as D conj(Phi) D; every anchor's Phi equals a direct transport
+    # of its direction bit for bit
     rays = []
     transport = cls.transport
     monkeypatch.setattr(cls, "transport", lambda self, dirs, radii: (
