@@ -316,7 +316,7 @@ def double_scaling(a_: float, sigma: float, x_: float, y_: float,
     gap = double_scaling_gap(a_, sigma, x_, y_)
     ds = _ds_for(a_, sigma, (x_, y_))        # the evaluator the gap built, from its cache
     diagnostics = {"gmres_iterations": ds.gmres_iterations, "resid_norm": ds.resid_norm,
-                   "ntot": ds.ntot, "eps": ds.eps}
+                   "ntot": ds.ntot, "active_nodes": len(ds.active), "eps": ds.eps}
     rows = [(a_, sigma, x_, y_, gap)]
     checks = [_check("gap_below_unity", gap, 1.0)]
     _emit("double-scaling", {"a": a_, "sigma": sigma, "x": x_, "y": y_},

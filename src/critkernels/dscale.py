@@ -38,8 +38,12 @@ circles and Legendre expansions with exact principal-value weights on the
 segments (Olver, Numer. Math. 122 (2012)).  The contour is a half H and
 its exact negation -H, node for node, so C_- = [[A, B], [B, A]] with
 A = C_HH and B = C_H,-H: the build stores A + B and A - B only, and each
-apply is two half-size products (`_mirror_apply`).  The jumps have no
-such symmetry and are computed on every node.
+apply is two half-size products (`_mirror_apply`).  The brackets on -H
+are those on H conjugated by the swap S = [1, 0, 3, 2] (for U0 since
+Psi(-w) = s1 Psi(w) s1), but the +-1 circle jumps are not mirror images,
+so each jump is formed at its own node.  A mirror pair whose jumps are
+both I to machine epsilon carries density only at rounding level and is
+left out of the solve.
 
 The kernel is then the K_cr form `sectoral.kernel_form` in M3 = R P; the
 overall conjugation by e^{a^3 (g1+g2)/2} (which cancels in the diagonal
@@ -92,6 +96,8 @@ _N2_INV = np.linalg.inv(cmath.exp(-1j * cmath.pi / 4.0) / math.sqrt(2.0)
                         * np.array([[1.0, 1j], [-1.0, 1j]]))
 _S1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _S3 = np.diag([1.0, -1.0]).astype(complex)
+_SWAP = np.array([1, 0, 3, 2])    # z -> -z exchanges rows/columns 1, 2 and 3, 4
+_NEAR_CIRCLE = 0.04      # |u| this close to eps is refused; `_choose_eps` keeps away from it
 _N_CIRCLE = 160          # nodes on the circle about 0; the circles about +-1 get half
 _N_SEG = 24              # Gauss-Legendre nodes per straight contour piece
 _GMRES_RTOL, _GMRES_RESTART, _GMRES_MAXITER = 1e-11, 80, 400
@@ -355,6 +361,16 @@ class DoubleScaling:
         out[..., 3, 2] = np.where(ang > 2.0 * math.pi / 3.0, small, 0.0)
         return out
 
+    def _u0_pair(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """(B_U0(z), B_U0(-z)) from one `u0_bracket` call at z.
+
+        Psi(-w) = s1 Psi(w) s1 (-A(-zeta) = s1 A(zeta) s1 for the
+        Flaschka-Newell matrix), w, theta and zeta2 are odd in z and nu is
+        even, so B_U0(-z) = S B_U0(z) S with S the swap [1, 0, 3, 2].
+        """
+        B = self.u0_bracket(z)
+        return B, B[:, _SWAP][:, :, _SWAP]
+
     def airy_bracket(self, z) -> np.ndarray:
         """N^{-1} xi^{s3/4} Phi_A e^{(2/3)xi^{3/2} s3} at +1, embedded in I_4.
 
@@ -390,8 +406,8 @@ class DoubleScaling:
         exit angles of +-pi/3, the +1 Airy-lens rays and the real axis
         x > 0.  Negation keeps every piece's orientation, and the mirror of
         piece (i, j, c) carries (swap[i], swap[j], c), swap = [1, 0, 3, 2].
-        Every jump on -H is evaluated at its own node, not mirrored from H
-        (the -1 Airy bracket reuses the +1 one, whose xi is the same).
+        The brackets on -H are mirrored from H (`_u0_pair`; the -1 Airy
+        bracket has the xi of the +1 one), the jumps formed at every node.
         `circles` names the node indices of the circles about 0 (in angle
         order), +1 and -1; `straight` holds those of the straight pieces,
         _N_SEG per piece, and `straight_ij` the (i, j) of E_ij on each.
@@ -421,7 +437,7 @@ class DoubleScaling:
         segs, ii, jj, cc, inside = zip(*straight)
         zH = np.concatenate([origin.nodes[:h], plus.nodes] + [pc.nodes for pc in segs])
         wH = np.concatenate([origin.weights[:h], plus.weights] + [pc.weights for pc in segs])
-        m, swap = len(zH), np.array([1, 0, 3, 2])
+        m = len(zH)
         self.nodes, self.weights = np.concatenate([zH, -zH]), np.concatenate([wH, -wH])
         self.ntot = 2 * m
         self.circles = {"origin": np.r_[:h, m:m + h], "+1": np.arange(h, 2 * h),
@@ -435,23 +451,22 @@ class DoubleScaling:
 
         # straight nodes of H then of -H, with their (i, j, c, inside U0)
         ii, jj, cc, inside = (np.repeat(v, _N_SEG) for v in (ii, jj, cc, inside))
-        ii, jj = np.concatenate([ii, swap[ii]]), np.concatenate([jj, swap[jj]])
+        # the U0 bracket on H's nodes in U0 and on their mirrors, (2, 104, 4, 4)
+        B0 = np.stack(self._u0_pair(np.concatenate([zH[:h], zH[2 * h:][inside]])))
+        ii, jj = np.concatenate([ii, _SWAP[ii]]), np.concatenate([jj, _SWAP[jj]])
         cc, inside = np.tile(cc, 2), np.tile(inside, 2)
         self.straight, self.straight_ij = np.r_[2 * h:m, m + 2 * h:2 * m], np.stack([ii, jj], -1)
         z2 = self.nodes.reshape(2, m)
         zc, zs = z2[:, :2 * h].ravel(), z2[:, 2 * h:].ravel()
-        # the U0 bracket of every node that needs it, from one psi call
-        z0 = z2[:, :h].ravel()
-        B0 = self.u0_bracket(np.concatenate([z0, zs[inside]]))
         # xi = a^2 (1 + z) on the -1 circle is xi = a^2 (1 - z) on the +1
         # circle at the mirror node: the bracket of +1, moved to rows/columns (2, 4)
         Bp = self.airy_bracket(plus.nodes)
-        Bm = Bp[:, swap][:, :, swap]
-        B = np.concatenate([B0[:h], Bp, B0[h:2 * h], Bm])
+        Bm = Bp[:, _SWAP][:, :, _SWAP]
+        B = np.concatenate([B0[0, :h], Bp, B0[1, :h], Bm])
         P = self.p_inf(zc)
         J_circles = P @ np.linalg.inv(B) @ np.linalg.inv(P)
         W = self.p_inf(zs)
-        W[inside] = W[inside] @ B0[2 * h:]
+        W[inside] = W[inside] @ B0[:, h:].reshape(-1, 4, 4)
         k = np.arange(len(zs))
         G = self.gs(zs)
         e = cc * np.exp(self.a ** 3 * (G[ii, k] - G[jj, k]))
@@ -462,21 +477,27 @@ class DoubleScaling:
 
     # -- singular-integral solve ------------------------------------------
 
-    def _cauchy_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Cp, Cm) = C_HH +- C_H,-H, from the top m = ntot/2 rows of C_-.
+    def _cauchy_matrix(self, keep=None) -> tuple[np.ndarray, np.ndarray]:
+        """(Cp, Cm) = C_HH +- C_H,-H on the nodes keep of H (all by default)
+        and their mirrors, from the top rows of C_-.
 
         Off the self blocks C[i, k] = w_k / (2 pi i (z_k - z_i)).  Negating
         nodes and weights leaves that unchanged, and the self blocks of -H
-        are those of H, so C = [[C_HH, C_H,-H], [C_H,-H, C_HH]].
+        are those of H, so C = [[C_HH, C_H,-H], [C_H,-H, C_HH]], and so is
+        its restriction to mirror pairs.  Only the kept rows and columns
+        are built, each self block cut to them.
         """
-        m = self.ntot // 2
+        keep = np.arange(self.ntot // 2) if keep is None else keep
+        cols, m = np.concatenate([keep, keep + self.ntot // 2]), len(keep)
         # zeroed pages, not a malloc'd temporary: lower peak RSS over rebuilds
-        C = np.zeros((m, self.ntot), dtype=complex)
-        np.subtract(self.nodes, self.nodes[:m, None], out=C)
+        C = np.zeros((m, 2 * m), dtype=complex)
+        np.subtract(self.nodes[cols], self.nodes[keep, None], out=C)
         C[np.diag_indices(m)] = 1.0      # inside the self blocks
-        np.divide(self.weights / (2j * np.pi), C, out=C)
+        np.divide(self.weights[cols] / (2j * np.pi), C, out=C)
         for i0, j0, block in self._self_blocks:
-            C[i0:i0 + block.shape[0], j0:j0 + block.shape[1]] = block
+            r = np.flatnonzero((keep >= i0) & (keep < i0 + block.shape[0]))
+            c = np.flatnonzero((cols >= j0) & (cols < j0 + block.shape[1]))
+            C[np.ix_(r, c)] = block[np.ix_(keep[r] - i0, cols[c] - j0)]
         Cp, Cm = C[:, :m], C[:, m:]
         Cp += Cm              # A + B
         Cm *= -2.0
@@ -484,39 +505,55 @@ class DoubleScaling:
         return Cp, Cm
 
     def _solve(self):
-        Cp, Cm = self._cauchy_matrix()
+        """F = (I + X)(J - I), X = R_- - I, solved on the `active` nodes (H's,
+        then their mirrors); a pair left out, its jumps I to machine epsilon,
+        keeps F = J - I."""
         JmI = self.jumps - np.eye(4)[None, :, :]
-        n = self.ntot
+        m = self.ntot // 2
+        big = np.abs(JmI).max(axis=(1, 2)).reshape(2, m).max(axis=0) > np.finfo(float).eps
+        keep = np.flatnonzero(big)
+        self.active = np.concatenate([keep, keep + m])
+        Cp, Cm = self._cauchy_matrix(keep)
+        D, n = JmI[self.active], len(self.active)
 
         def cauchy(F):
             return _mirror_apply(Cp, Cm, F.reshape(n, 16)).reshape(n, 4, 4)
 
         def apply(vec):
             X = vec.reshape(n, 4, 4)
-            return (X - cauchy(X @ JmI)).reshape(-1)
+            return (X - cauchy(X @ D)).reshape(-1)
 
-        rhs = cauchy(JmI).reshape(-1)
+        rhs = cauchy(D).reshape(-1)
         sol, resid, self.gmres_iterations = _gmres(apply, rhs)
-        self.X = sol.reshape(n, 4, 4)          # R_- - I on the contour
-        self.F = (np.eye(4) + self.X) @ JmI
+        self.F = JmI
+        self.F[self.active] += sol.reshape(n, 4, 4) @ D
         self.resid_norm = float(np.max(np.abs(resid)))
 
     def r_eval(self, z) -> np.ndarray:
-        """R(z) off the contour at a scalar or an array of z, summed in node order."""
-        z = np.asarray(z, dtype=complex)[..., None]
-        ker = (self.weights / (self.nodes - z))[..., None, None] / (2j * np.pi)
-        return np.eye(4, dtype=complex) + np.sum(ker * self.F, axis=-3)
+        """R(z) off the contour at a scalar or an array of z: one product over the nodes."""
+        z = np.asarray(z, dtype=complex)
+        ker = self.weights / (self.nodes - z[..., None]) / (2j * np.pi)
+        return np.eye(4, dtype=complex) + (ker @ self.F.reshape(-1, 16)).reshape(z.shape + (4, 4))
 
     # -- kernel assembly ---------------------------------------------------
 
     def m_balanced(self, xs, line: str) -> tuple[np.ndarray, np.ndarray]:
         """(M3, zero logs) with M3(iu) = R(iu) P_inf(iu) Lambda(u), u = 2^{5/3} x/a.
 
-        The line is "imag", the only one M3 is read on.  Lambda is
+        The line is "imag", the only one M3 is read on; a u within
+        _NEAR_CIRCLE of |u| = eps is refused (the node sums of R are off by
+        1.3 at 0.005 from it, 1.5e-2 at 0.02 at (2.5, 0.5)).  Lambda is
         blockdiag(Psi(w; nu), I) inside U0, from one `psi_local` call, and
         diag(e^d, e^{-d}, 1, 1), d = a^3 (g1 - g2)/2, outside.
         """
         us = 2.0 ** (5.0 / 3.0) / self.a * np.asarray(xs, dtype=float)
+        near = np.abs(np.abs(us) - self.eps) < _NEAR_CIRCLE
+        if near.any():
+            x, u = np.asarray(xs, dtype=float)[near][0], us[near][0]
+            raise DomainRestriction(
+                f"x = {x:.6g} reads M3 at u = {u:.6g}, within {_NEAR_CIRCLE} of the U0 circle "
+                f"|u| = eps = {self.eps:.6g}, where the Cauchy sums are not accurate; "
+                f"choose another eps")
         z = 1j * us
         inside = np.abs(us) < self.eps
         lam = np.broadcast_to(np.eye(4, dtype=complex), z.shape + (4, 4)).copy()
@@ -547,12 +584,16 @@ class DoubleScaling:
 
 
 def _choose_eps(us) -> float:
-    # keep the Airy disks at radius >= 0.25 (so a^2 delta is large
-    # enough for the local variable) while staying away from the
-    # evaluation points iu on the imaginary axis
+    """The largest of 0.50, 0.52, ..., 0.72 (Airy disks of radius >= 0.25)
+    at least 2.5 _NEAR_CIRCLE = 0.10 from every |u|, else the farthest.
+
+    At most five candidates lie within 0.05 of a u, so for two u's the
+    choice is over 0.0497 away, and a diagonal's +-1e-3 reads (<= 1.6e-3
+    in u for a >= 2) stay _NEAR_CIRCLE from it: they are never refused.
+    """
     cands = np.arange(0.50, 0.721, 0.02)
     us = np.abs(np.asarray(us, dtype=float))
-    return float(max(cands, key=lambda e: min(abs(us - e).min(), 0.10) + 0.001 * e))
+    return float(max(cands, key=lambda e: min(abs(us - e).min(), 2.5 * _NEAR_CIRCLE) + 0.001 * e))
 
 
 _cached_ds = functools.lru_cache(maxsize=8)(DoubleScaling)

@@ -16,11 +16,12 @@ import numpy as np
 
 from critkernels import series
 from critkernels import surface as sf
+from critkernels.dscale import DoubleScaling, _gmres, _mirror_apply
 from critkernels.piisolver import PiiSolver
 from critkernels.sectoral import SectoralSolver
 
-__all__ = ["FittedPiiSolver", "airy_ai", "airy_ai_prime", "chain_fit_kron", "ds_gap",
-           "ds_kernel", "formal_series_dense", "march_roots"]
+__all__ = ["FittedPiiSolver", "FullContourDoubleScaling", "airy_ai", "airy_ai_prime",
+           "chain_fit_kron", "ds_gap", "ds_kernel", "formal_series_dense", "march_roots"]
 
 _AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 _AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
@@ -187,6 +188,39 @@ def ds_kernel(ds, x: float, y: float) -> complex:
         return 0.5 * (ds_kernel(ds, x, y + h) + ds_kernel(ds, x, y - h))
     num = _ds_row(ds, c * x) @ _ds_col(ds, c * y)
     return complex(num / (2j * math.pi * (x - y)))
+
+
+class FullContourDoubleScaling(DoubleScaling):
+    """DoubleScaling as built before the U0 bracket was mirrored and the
+    solve cut to the nodes whose jump is not I: one u0_bracket call on the
+    U0 nodes of both halves, GMRES on every node, and R summed node by node.
+    """
+
+    def _u0_pair(self, z):
+        B = self.u0_bracket(np.concatenate([z, -z]))
+        return B[:len(z)], B[len(z):]
+
+    def _solve(self):
+        Cp, Cm = self._cauchy_matrix()
+        JmI = self.jumps - np.eye(4)[None, :, :]
+        n = self.ntot
+
+        def cauchy(F):
+            return _mirror_apply(Cp, Cm, F.reshape(n, 16)).reshape(n, 4, 4)
+
+        def apply(vec):
+            X = vec.reshape(n, 4, 4)
+            return (X - cauchy(X @ JmI)).reshape(-1)
+
+        rhs = cauchy(JmI).reshape(-1)
+        sol, resid, self.gmres_iterations = _gmres(apply, rhs)
+        self.F = (np.eye(4) + sol.reshape(n, 4, 4)) @ JmI
+        self.resid_norm = float(np.max(np.abs(resid)))
+
+    def r_eval(self, z):
+        z = np.asarray(z, dtype=complex)[..., None]
+        ker = (self.weights / (self.nodes - z))[..., None, None] / (2j * np.pi)
+        return np.eye(4, dtype=complex) + np.sum(ker * self.F, axis=-3)
 
 
 def ds_gap(ds, k_pii, x: float, y: float) -> float:

@@ -324,7 +324,7 @@ def test_double_scaling_report_diagnostics(runner, tmp_path):
     ds = _ds_for(4.0, 0.5, (-0.5, 0.7))
     assert json.loads(report.read_text())["diagnostics"] == {
         "gmres_iterations": ds.gmres_iterations, "resid_norm": ds.resid_norm,
-        "ntot": 704, "eps": ds.eps}
+        "ntot": 704, "active_nodes": 628, "eps": ds.eps}
     assert 5 <= ds.gmres_iterations <= 20 and ds.resid_norm <= 1e-9
 
 

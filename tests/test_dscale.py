@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from critkernels import kernels
-from critkernels.dscale import (DoubleScaling, _airy, _choose_eps, _circle_cauchy_minus,
-                                _ds_for, _gmres, _mirror_apply, _segment_cauchy_minus,
-                                airy_model, double_scaling_gap)
+from critkernels.dscale import (_NEAR_CIRCLE, DoubleScaling, _airy, _choose_eps,
+                                _circle_cauchy_minus, _ds_for, _gmres, _mirror_apply,
+                                _segment_cauchy_minus, airy_model, double_scaling_gap)
 from critkernels.errors import DomainRestriction, IntegrationFailure
 
-from oracles import ds_gap, ds_kernel
+from oracles import FullContourDoubleScaling, ds_gap, ds_kernel
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import GAP_POOL  # noqa: E402
@@ -153,24 +153,107 @@ def test_contour_is_its_own_negation(a):
     assert np.array_equal(ds.straight_ij[half:], swap[ds.straight_ij[:half]])
 
 
-def test_half_cauchy_apply_matches_dense(ds3):
-    # [DERIVED] the two half-size products equal C_- F with the dense
-    # C[i, k] = w_k / (2 pi i (z_k - z_i)) and each piece's own C_- block
-    z, w, n = ds3.nodes, ds3.weights, ds3.ntot
+def _dense_cminus(ds) -> np.ndarray:
+    """C_- on every node: C[i, k] = w_k / (2 pi i (z_k - z_i)) and each
+    piece's own C_- block."""
+    z, w = ds.nodes, ds.weights
     d = z[None, :] - z[:, None]
     np.fill_diagonal(d, 1.0)
     C = w / d / (2j * np.pi)
     for name in ("origin", "+1", "-1"):
-        idx = ds3.circles[name]
+        idx = ds.circles[name]
         C[np.ix_(idx, idx)] = _circle_cauchy_minus(len(idx))
-    for idx in ds3.straight.reshape(-1, 24):
+    for idx in ds.straight.reshape(-1, 24):
         C[np.ix_(idx, idx)] = _segment_cauchy_minus(24)
+    return C
+
+
+def test_half_cauchy_apply_matches_dense(ds3):
+    # [DERIVED] the two half-size products equal C_- F with the dense
+    # C[i, k] = w_k / (2 pi i (z_k - z_i)) and each piece's own C_- block
+    C, n = _dense_cminus(ds3), ds3.ntot
     rng = np.random.default_rng(7)
     F = rng.standard_normal((n, 16)) + 1j * rng.standard_normal((n, 16))
     Cp, Cm = ds3._cauchy_matrix()
     assert Cp.size + Cm.size == n * n // 2          # half the entries of C
     dense, half = C @ F, _mirror_apply(Cp, Cm, F)
     assert np.max(np.abs(half - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_active_cauchy_apply_matches_dense():
+    # [DERIVED] on the active nodes alone the half-size build is the dense
+    # C_- cut to their rows and columns, self blocks included, and smaller
+    ds = DoubleScaling(6.0, 0.5, 0.64)
+    act, m = ds.active, len(ds.active) // 2
+    C = _dense_cminus(ds)[np.ix_(act, act)]
+    Cp, Cm = ds._cauchy_matrix(act[:m])
+    assert Cp.shape == Cm.shape == (m, m) and 2 * m < ds.ntot
+    F = np.random.default_rng(8).standard_normal((2 * m, 16)) * (1.0 + 1j)
+    dense, half = C @ F, _mirror_apply(Cp, Cm, F)
+    assert np.max(np.abs(half - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("a,sigma,eps", [(4.0, 0.5, 0.72), (6.0, 0.5, 0.64)])
+def test_mirrored_u0_bracket_equals_direct(a, sigma, eps):
+    # [DERIVED] Psi(-w) = s1 Psi(w) s1, w, theta and zeta2 odd in z and nu
+    # even, so on -H's 104 U0 nodes the bracket mirrored from H, S B S, is
+    # the directly computed u0_bracket(-z)
+    ds = DoubleScaling(a, sigma, eps)
+    zH = ds.nodes[:ds.ntot // 2]
+    z = zH[np.abs(zH) <= eps * (1.0 + 1e-12)]
+    assert len(z) == 104
+    direct = ds.u0_bracket(-z)
+    assert np.max(np.abs(ds._u0_pair(z)[1] - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("a,sigma,eps,dropped", [(6.0, 0.5, 0.64, 200), (2.0, 0.5, 0.64, 0)])
+def test_dropped_nodes_have_identity_jumps(a, sigma, eps, dropped):
+    # [DERIVED] the solve leaves out only mirror pairs whose jumps are I to
+    # machine epsilon: far out on the lens rays at a = 6, none at a = 2
+    ds = DoubleScaling(a, sigma, eps)
+    m = ds.ntot // 2
+    assert np.array_equal(ds.active[len(ds.active) // 2:], ds.active[:len(ds.active) // 2] + m)
+    out = np.setdiff1d(np.arange(ds.ntot), ds.active)
+    assert len(out) >= dropped if dropped else len(out) == 0
+    assert np.max(np.abs(ds.jumps[out] - np.eye(4)), initial=0.0) <= np.finfo(float).eps
+
+
+@pytest.mark.parametrize("a,sigma,eps", [(4.0, 0.5, 0.72), (4.0, 0.5, 0.64), (3.0, 0.5, 0.72),
+                                         (6.0, 0.5, 0.64), (3.0, -0.5, 0.6), (2.0, 0.5, 0.64)])
+def test_matches_full_contour_oracle(a, sigma, eps):
+    # [DERIVED] the mirrored U0 bracket, the solve on the active nodes and
+    # the one-product R give the kernel of the every-node build and solve,
+    # in the same number of GMRES steps, at points inside and outside U0
+    ds, full = DoubleScaling(a, sigma, eps), FullContourDoubleScaling(a, sigma, eps)
+    xs = np.array([-0.3, 0.15, eps - 0.12, eps + 0.15]) * a / 2.0 ** (5.0 / 3.0)
+    K, O = ds.kernel(xs[:, None], xs), full.kernel(xs[:, None], xs)
+    assert np.max(np.abs(K - O) / np.abs(O)) <= 1e-11
+    assert ds.gmres_iterations == full.gmres_iterations
+
+
+def test_near_circle_point_is_refused_by_name():
+    # [DERIVED] at u = 2^{5/3} 0.5 / 2.5 = 0.635, 0.005 from |u| = eps = 0.64,
+    # the node sums give a diagonal of -0.561 against 0.776 / 0.778 at
+    # eps = 0.60 / 0.72; the read is refused, and 0.05 from the circle the
+    # value agrees with that of the radius 0.52
+    ds = DoubleScaling(2.5, 0.5, 0.64)
+    with pytest.raises(DomainRestriction, match=r"x = 0\.499.* u = 0\.633.*eps = 0\.64"):
+        ds.kernel(0.5, 0.5)
+    x = 0.69 * 2.5 / 2.0 ** (5.0 / 3.0)
+    assert abs(ds.kernel(x, x) - DoubleScaling(2.5, 0.5, 0.52).kernel(x, x)) <= 1e-3
+
+
+def test_chosen_eps_is_never_refused():
+    # [DERIVED] for any pair, the radius _ds_for chooses keeps every point
+    # the kernel reads, the +-1e-3 offsets of a diagonal included, at least
+    # _NEAR_CIRCLE from the circle, so double_scaling_gap never refuses; at
+    # a = 2, the smallest a it accepts, the offsets are largest in u
+    c = 2.0 ** (5.0 / 3.0) / 2.0
+    g = np.linspace(-0.9, 0.9, 121) / c
+    for x in g:
+        eps = np.array([_choose_eps(c * np.array([x, y])) for y in g])
+        reads = c * np.stack([np.full_like(g, x), g, g + 1e-3, g - 1e-3])
+        assert np.min(np.abs(np.abs(reads) - eps)) >= _NEAR_CIRCLE, x
 
 
 def test_shares_cached_pii_solver(ds3):

@@ -108,8 +108,8 @@ def test_chunks_are_bounded_by_matrix_entries(monkeypatch):
     # [DERIVED] a chunk holds at most 256 * 16 matrix entries, so a 2x2
     # batch takes four times the ray-steps of a 4x4 one: the 7 transported
     # anchor rays of the fitted PiiSolver(1) oracle march in one chunk, and
-    # the 208-node Psi read of a DoubleScaling(4, 0.5, 0.72) build in at
-    # most two
+    # the 104-node Psi read of a DoubleScaling(4, 0.5, 0.72) build (the U0
+    # nodes of the half contour H; -H's bracket is mirrored) in at most two
     assert FittedPiiSolver(1.0).taylor_passes == 1
     pii = get_pii_solver(complex(2.0 ** (5.0 / 3.0) * 0.5))
     reads = []
@@ -118,7 +118,7 @@ def test_chunks_are_bounded_by_matrix_entries(monkeypatch):
         reads.append(np.size(w)), psi(self, w))[1])
     passes = pii.taylor_passes
     DoubleScaling(4.0, 0.5, 0.72)
-    assert reads == [208]
+    assert reads == [104]
     assert pii.taylor_passes - passes <= 2
 
 
