@@ -344,27 +344,37 @@ def kernel_n(x, y, fam: BiorthogonalFamily):
 
 @functools.lru_cache(maxsize=4)
 def _mu1_cdf(alpha: float, tau: float):
+    """mu1's CDF, a function of x.  On each panel x = end + (other - end) s^2
+    of ``mass_mu1``, rho dx/ds is analytic in u = 2s - 1: its interpolant
+    sum_k (2k + 1) (sum_j w_j rho_j P_k(u_j)) P_k(u) integrates exactly."""
     from . import measures, surface
 
     p = surface.SurfaceParams.from_alpha_tau(alpha, tau)
-    grid = np.linspace(-p.c + 1e-6, p.c - 1e-6, 801)
-    dens = measures.density_mu1(grid, p)
+    x, w = measures._mu1_nodes(p)
+    dens = measures.density_mu1(x, p)
     if np.any(dens < 0.0):
         raise DomainRestriction(
             f"the mu1 density changes sign at (alpha, tau) = ({alpha}, {tau}): "
-            f"{dens.min():.3g} at x = {grid[np.argmin(dens)]:.6g}")
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1])
-                                           * np.diff(grid))])
-    return grid, cdf / cdf[-1]
+            f"{dens.min():.3g} at x = {x[np.argmin(dens)]:.6g}")
+    leg, u = np.polynomial.legendre, surface._GL_NODES
+    mass = (w * dens).reshape(2, -1)    # [0, c/2] from 0, [c/2, c] from c
+    coef = (2 * np.arange(len(u)) + 1) * (mass @ leg.legvander(u, len(u) - 1))
+    near, far = leg.legint(coef, lbnd=-1, axis=1) / (4.0 * mass.sum())
+    far[0] -= leg.legval(1.0, far)      # so far(u) is minus the mass in [c/2, x]
+    def cdf(z):     # the density is even: 1/2 + sign(z) mass in [0, |z|] / 2
+        a = 2.0 * np.abs(z) / p.c       # x / (c/2) = s^2 near 0, 2 - s^2 near c
+        un, uf = 2.0 * np.sqrt(np.clip([a, 2.0 - a], 0.0, 1.0)) - 1.0
+        return 0.5 + np.sign(z) * (leg.legval(un, near) - leg.legval(uf, far))
+    return cdf
 
 
 def zero_counting_kolmogorov(fam: BiorthogonalFamily) -> float:
     """Kolmogorov distance between the zero-counting measure of p_{n,n}
     and the limiting measure mu1 at the family's (alpha, tau).
 
-    Raises DomainRestriction where the mu1 density of the surface changes
-    sign, so is no measure.  It reads the zeros that ``fam`` keeps."""
-    F = np.interp(polynomial_zeros(fam).real, *_mu1_cdf(fam.alpha, fam.tau),
-                  left=0.0, right=1.0)
+    mu1's CDF integrates the density's interpolants on the panels of
+    ``mass_mu1``; a negative density at one of their nodes, so no measure,
+    raises DomainRestriction.  It reads the zeros that ``fam`` keeps."""
+    F = _mu1_cdf(fam.alpha, fam.tau)(polynomial_zeros(fam).real)
     i = np.arange(len(F))
     return float(np.max(np.abs(np.r_[(i + 1) / len(F) - F, i / len(F) - F])))

@@ -108,15 +108,15 @@ def sigma2_density(y, alpha: float, tau: float):
 
 
 # ---------------------------------------------------------------------------
-# Masses.  Every mass integral is one rule: 24-node Gauss-Legendre panels
-# under a change of variable that makes the integrand analytic.  At a
-# square-root end point x = end + h s^2; for |y| >= 1, u = |y|^{-2/3},
-# since the densities expand in powers of y^{-2/3} from y^{-5/3}, so that
-# rho dy = 1.5 u^{-5/2} rho du is a power series in u.  The nodes of a
-# mass on each side of the carrier are marched along one path per quadrant
-# (sequential branch continuation between neighboring nodes) instead of
-# re-tracking each point separately, and all paths of the mass share one
-# march per polynomial.
+# Masses.  Every mass integral, and the mu1 CDF of ``finiten``, is one rule:
+# 24-node Gauss-Legendre panels under a change of variable that makes the
+# integrand analytic.  At a square-root end point x = end + h s^2; for
+# |y| >= 1, u = |y|^{-2/3}, since the densities expand in powers of y^{-2/3}
+# from y^{-5/3}, so that rho dy = 1.5 u^{-5/2} rho du is a power series in u.
+# The nodes of a mass on each side of the carrier are marched along one path
+# per quadrant (sequential branch continuation between neighboring nodes)
+# instead of re-tracking each point separately, and all paths of the mass
+# share one march per polynomial.
 
 
 def _nodes(edges, x_of, dx_of) -> tuple[np.ndarray, np.ndarray]:

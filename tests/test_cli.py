@@ -265,6 +265,17 @@ def test_finite_n_non_finite_exit_2(runner, tmp_path, args, bad):
     assert json.loads(report.read_text())["error"].startswith(f"{bad} must be finite")
 
 
+def test_finite_n_refuses_the_dip_at_minus_0_9(runner, tmp_path):
+    # [DERIVED] at (-0.9, 1.05) the mu1 density is -0.0037 at the mass node
+    # x = 2.5e-4, so finite-n exits 2 with a report naming the sign change
+    # and writes no zeros
+    result, out, report = _run(runner, tmp_path, ["finite-n", "--n", "12",
+                                                  "--alpha", "-0.9", "--tau", "1.05"])
+    assert result.exit_code == 2, result.output
+    assert "mu1 density changes sign" in json.loads(report.read_text())["error"]
+    assert not out.exists()
+
+
 def test_finite_n_solves_zeros_once(runner, tmp_path, monkeypatch):
     # [TRIVIAL] the zeros and their Kolmogorov distance share one solve
     # of the zeros, the one the family keeps

@@ -517,13 +517,16 @@ def test_kolmogorov_falls_past_n_36():
     assert d48 > d96
 
 
-@pytest.mark.parametrize("alpha, tau", [(0.5, 2.0), (-3.0, 0.5)])
+@pytest.mark.parametrize("alpha, tau", [(0.5, 2.0), (-3.0, 0.5), (-2.0, 1.5),
+                                        (-0.9, 1.05)])
 def test_kolmogorov_refuses_a_signed_mu1_density(alpha, tau):
     # [DERIVED] away from (-1, 1) the modified surface's mu1 density
-    # changes sign (its minimum on the CDF grid is -62 at (0.5, 2) and
-    # -253 at (-3, 0.5)), so it is no measure: the CDF and the distance to
-    # it are refused by name (unguarded, the "CDF" leaves [0, 1] and the
-    # distances read 3.44 and 1.31)
+    # changes sign (-62 at x = 0 at (0.5, 2), -253 at (-3, 0.5); its least
+    # value on the mass nodes is -1.47, -6.42, -38.6 at (-2, 1.5) and
+    # -0.0037 at x = 2.5e-4 at (-0.9, 1.05), in a dip from x = 1.0e-4 to
+    # 3.5e-3), so it is no measure: the CDF and the distance to it are
+    # refused by name (unguarded, the "CDF" leaves [0, 1] and the distances
+    # read 3.44 and 1.31)
     with pytest.raises(DomainRestriction, match="mu1 density changes sign"):
         finiten._mu1_cdf(alpha, tau)
     fam = finiten.biorthogonal(finiten.bimoment_matrix(6, alpha, tau))
@@ -532,14 +535,58 @@ def test_kolmogorov_refuses_a_signed_mu1_density(alpha, tau):
 
 
 def test_kolmogorov_equals_loop_reference(fam12):
-    # [TRIVIAL] the vectorized distance equals the per-zero loop it replaced
+    # [TRIVIAL] the vectorized distance equals the per-zero loop it replaced,
+    # each zero's CDF value taken alone
     zeros = finiten.polynomial_zeros(fam12).real
-    grid, cdf = finiten._mu1_cdf(fam12.alpha, fam12.tau)
+    cdf = finiten._mu1_cdf(fam12.alpha, fam12.tau)
     n, dist = len(zeros), 0.0
     for i, z in enumerate(zeros):
-        F = np.interp(z, grid, cdf, left=0.0, right=1.0)
+        F = cdf(z)
         dist = max(dist, abs((i + 1) / n - F), abs(i / n - F))
     assert finiten.zero_counting_kolmogorov(fam12) == dist
+
+
+@pytest.mark.parametrize("n", [12, 48])
+def test_mu1_cdf_matches_a_per_zero_quadrature(fam12, n):
+    # [DERIVED] the CDF at the zeros of p_n equals 200-node Gauss-Legendre
+    # on [0, |x|] under x = |x| s^2, normalised by the same rule on
+    # [0, c/2] and [c/2, c] from their square-root ends, to 1e-7 (measured
+    # 9e-14; a trapezoid rule on 801 points is 2.5e-5 off)
+    from critkernels import measures, surface
+
+    fam = fam12 if n == 12 else finiten.biorthogonal(
+        finiten.bimoment_matrix(n, ALPHA, TAU))
+    zeros = finiten.polynomial_zeros(fam).real
+    p = surface.SurfaceParams.from_alpha_tau(ALPHA, TAU)
+    t, w = np.polynomial.legendre.leggauss(200)
+    s, w = 0.5 * (t + 1.0), w * (t + 1.0) / 2.0         # w: weight times s
+    ends = np.abs(zeros)
+    assert ends.max() < p.c
+    h = 0.5 * p.c
+    x = np.concatenate([np.outer(ends, s * s).ravel(), h * s * s, p.c - h * s * s])
+    wx = np.concatenate([np.outer(ends, w).ravel(), h * w, h * w])
+    mass = (wx * measures.density_mu1(x, p)).reshape(-1, len(s)).sum(axis=1)
+    want = 0.5 + np.sign(zeros) * mass[:-2] / (2.0 * mass[-2:].sum())
+    got = finiten._mu1_cdf(ALPHA, TAU)(zeros)
+    assert np.max(np.abs(got - want)) <= 1e-7
+
+
+def test_cold_mu1_cdf_marches_the_mass_nodes():
+    # [TRIVIAL] a cold CDF tracks exactly the nodes of mass_mu1: the same
+    # march rounds and root evaluations (20 and 88 at (-1, 1)), and a warm
+    # one tracks none
+    from critkernels import measures, surface
+
+    def work(call):
+        rounds, roots = surface.march_rounds, surface.root_evaluations
+        call()
+        return surface.march_rounds - rounds, surface.root_evaluations - roots
+
+    finiten._mu1_cdf.cache_clear()
+    cold = work(lambda: finiten._mu1_cdf(ALPHA, TAU))
+    assert cold == work(lambda: measures.mass_mu1(
+        surface.SurfaceParams.from_alpha_tau(ALPHA, TAU)))
+    assert work(lambda: finiten._mu1_cdf(ALPHA, TAU)) == (0, 0)
 
 
 def test_zeros_solved_once_per_family(monkeypatch):
